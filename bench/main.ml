@@ -222,65 +222,6 @@ let print_executor_scaling () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Sandbox overhead: Engine.run_scenario vs Sandbox.run_scenario        *)
-(* ------------------------------------------------------------------ *)
-
-(* Since the hardening pass every executor scenario runs inside
-   Conferr_harden.Sandbox (exception containment, crash taxonomy,
-   optional fuel accounting).  On a clean faultload — where the sandbox
-   catches nothing — the wrap must be close to free; this section times
-   both classifiers over the §5.2 mini-postgres faultload (best of 3)
-   and reports the relative cost.  doc/harden.md quotes the <5% budget
-   this measures. *)
-let print_sandbox_overhead () =
-  print_endline "=== Sandbox overhead (clean mini-postgres faultload) ===\n";
-  let sut = Suts.Mini_pg.sut in
-  let base =
-    match Conferr.Engine.parse_default_config sut with
-    | Ok base -> base
-    | Error msg -> failwith msg
-  in
-  let scenarios =
-    Conferr.Campaign.typo_scenarios
-      ~rng:(Conferr_util.Rng.create seed)
-      ~faultload:Conferr.Campaign.paper_faultload sut base
-  in
-  let time_loop run_scenario =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      List.iter (fun s -> ignore (run_scenario ~sut ~base s)) scenarios;
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  (* warm up both paths before timing *)
-  ignore (time_loop Conferr.Engine.run_scenario);
-  ignore (time_loop (fun ~sut ~base s -> Conferr_harden.Sandbox.run_scenario ~sut ~base s));
-  let plain = time_loop Conferr.Engine.run_scenario in
-  let sandboxed =
-    time_loop (fun ~sut ~base s -> Conferr_harden.Sandbox.run_scenario ~sut ~base s)
-  in
-  let overhead = 100. *. ((sandboxed /. plain) -. 1.) in
-  Printf.printf "  scenarios: %d (best of 3 loops)\n" (List.length scenarios);
-  Printf.printf "  engine  : %8.2f ms\n" (plain *. 1e3);
-  Printf.printf "  sandbox : %8.2f ms   overhead %+.1f%%  (budget <5%%)\n"
-    (sandboxed *. 1e3) overhead;
-  write_artifact "BENCH_sandbox.json"
-    (Json.Obj
-       [
-         ("bench", Json.Str "sandbox-overhead");
-         ("sut", Json.Str "postgres");
-         ("seed", Json.Num (float_of_int seed));
-         ("scenarios", Json.Num (float_of_int (List.length scenarios)));
-         ("engine_s", Json.Num plain);
-         ("sandbox_s", Json.Num sandboxed);
-         ("overhead_pct", Json.Num overhead);
-         ("budget_pct", Json.Num 5.);
-       ]);
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
 (* Tracer overhead: executor with observability off vs on              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1142,13 +1083,12 @@ let print_journal_throughput () =
   print_newline ()
 
 (* Each measured section is addressable on its own — `bench/main.exe
-   serve` (or executor, sandbox, tracer, adaptive, lint, infer)
+   serve` (or executor, tracer, adaptive, lint, infer)
    regenerates just that section and its BENCH_*.json artifact without
    the (slow) full sweep. *)
 let sections =
   [
     ("executor", print_executor_scaling);
-    ("sandbox", print_sandbox_overhead);
     ("tracer", print_tracer_overhead);
     ("adaptive", print_adaptive_discovery);
     ("lint", print_lint_throughput);

@@ -1,16 +1,12 @@
 module Engine = Conferr.Engine
-module Outcome = Conferr.Outcome
 module Profile = Conferr.Profile
 module Scenario = Errgen.Scenario
 module Gen = Errgen.Gen
 module Executor = Conferr_exec.Executor
 module Journal = Conferr_exec.Journal
 module Signature = Conferr_exec.Signature
-module Progress = Conferr_exec.Progress
 module Texttable = Conferr_util.Texttable
-module Sandbox = Conferr_harden.Sandbox
 module Repro = Conferr_harden.Repro
-module Clock = Conferr_obsv.Clock
 module Trace = Conferr_obsv.Trace
 module Metrics = Conferr_obsv.Metrics
 
@@ -117,69 +113,36 @@ let decay_factor = 0.6
 let energy_floor = 0.05
 
 (* ------------------------------------------------------------------ *)
-(* Per-scenario execution (boot + test, with the executor's watchdog)   *)
-(* ------------------------------------------------------------------ *)
-
-let timeout_crash ~timeout_s =
-  Outcome.Crashed
-    { cause = Outcome.Timeout timeout_s; phase = Outcome.Harness; backtrace = "" }
-
-(* Sandboxed boot+test: a raising SUT yields [Crashed], never an
-   escaping exception; returns the outcome and how many executions it
-   took (1 + timeout retries). *)
-let boot_with_deadline ?probe ~settings ~emit ~sut ~index (s : Scenario.t) files =
-  match settings.timeout_s with
-  | None -> (Sandbox.boot_and_test ?fuel:settings.fuel ?probe sut files, 1)
-  | Some timeout_s ->
-    let rec attempt k =
-      match
-        Conferr_pool.with_timeout ~timeout_s (fun () ->
-            Sandbox.boot_and_test ?fuel:settings.fuel ?probe sut files)
-      with
-      | Some outcome -> (outcome, k)
-      | None ->
-        emit (Progress.Timed_out { index; id = s.id; attempt = k });
-        if k <= settings.retries then attempt (k + 1)
-        else (timeout_crash ~timeout_s, k)
-    in
-    attempt 1
-
-(* ------------------------------------------------------------------ *)
 (* The search loop                                                     *)
 (* ------------------------------------------------------------------ *)
+
+(* The search runs each batch on the executor, with the executor's
+   defaults for what it does not configure: quorum 1, no breaker, no
+   quarantine writes (a quarantine directory is only read, for its
+   flaky list). *)
+let executor_settings (settings : settings) =
+  {
+    Executor.default_settings with
+    jobs = settings.jobs;
+    timeout_s = settings.timeout_s;
+    retries = settings.retries;
+    campaign_seed = settings.campaign_seed;
+    journal_path = settings.journal_path;
+    segment_bytes = settings.segment_bytes;
+    resume = settings.resume;
+    fuel = settings.fuel;
+    trace = settings.trace;
+    metrics = settings.metrics;
+  }
 
 (* A scheduled scenario after classification, in scheduling order. *)
 type classified =
   | Reuse of (string * string) * Scenario.t * Journal.entry
-  | Skip of Scenario.t * string (* duplicate of first_id *)
-  | Na of (string * string) * Scenario.t * string
-  | Run of (string * string) * Scenario.t * (string * string) list
+  | Skip (* duplicate of an earlier mutant *)
+  | Run of (string * string) * Scenario.t
 
-let run_from ?(settings = default_settings) ?(on_event = Progress.log_event)
-    ~sut ~base ~stream () =
+let run_from ?(settings = default_settings) ?on_event ~sut ~base ~stream () =
   let t0 = Unix.gettimeofday () in
-  let emit_lock = Mutex.create () in
-  let emit ev =
-    Mutex.lock emit_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock emit_lock)
-      (fun () -> on_event ev)
-  in
-  (* journal: load what a previous run already executed, then append *)
-  let journaled : (string, Journal.entry) Hashtbl.t = Hashtbl.create 64 in
-  (match settings.journal_path with
-   | Some path when settings.resume ->
-     List.iter
-       (fun (e : Journal.entry) -> Hashtbl.replace journaled e.scenario_id e)
-       (Journal.load path)
-   | _ -> ());
-  let writer =
-    Option.map
-      (fun path ->
-         Journal.open_append ~fresh:(not settings.resume)
-           ?segment_bytes:settings.segment_bytes path)
-      settings.journal_path
-  in
   let cache = Mutant_cache.create () in
   let buckets : (string * string, bucket) Hashtbl.t = Hashtbl.create 16 in
   let bucket_of key =
@@ -305,58 +268,8 @@ let run_from ?(settings = default_settings) ?(on_event = Progress.log_event)
       discovery_rev := fr :: !discovery_rev;
       true
   in
-  let journal_entry ?(attempts = 1) ?(phase_ms = []) (s : Scenario.t) outcome elapsed_ms =
-    {
-      Journal.scenario_id = s.id;
-      class_name = s.class_name;
-      description = s.description;
-      seed = Executor.scenario_seed ~campaign_seed:settings.campaign_seed s.id;
-      outcome;
-      elapsed_ms;
-      attempts;
-      votes = [];
-      phase_ms;
-    }
-  in
-  (* Observability is inert unless asked for (doc/obsv.md).  Explore
-     traces the spawn/run/classify phases only: generate and serialize
-     happen inside the mutant cache, before scheduling. *)
-  let observing = settings.trace <> None || settings.metrics <> None in
-  (match settings.metrics with
-   | None -> ()
-   | Some reg ->
-     Metrics.declare reg Metrics.Counter "conferr_scenario_outcomes_total"
-       ~help:"Finished scenarios, by (SUT, fault class, outcome label)";
-     Metrics.declare reg Metrics.Histogram "conferr_scenario_ms"
-       ~help:"End-to-end wall milliseconds per scenario";
-     Metrics.declare reg Metrics.Histogram "conferr_phase_ms"
-       ~help:"Wall milliseconds per pipeline phase (doc/obsv.md)");
-  let observe_entry (s : Scenario.t) clock (je : Journal.entry) =
-    (match (settings.trace, clock) with
-     | Some tr, Some c -> Trace.record tr ~id:s.id ~class_name:s.class_name c
-     | _ -> ());
-    match settings.metrics with
-    | None -> ()
-    | Some reg ->
-      (* label lists in canonical key order so the registry's sortedness
-         fast path never re-allocates *)
-      let sut_name = sut.Suts.Sut.sut_name in
-      Metrics.inc reg "conferr_scenario_outcomes_total"
-        ~labels:
-          [ ("class", s.class_name); ("outcome", Outcome.label je.outcome);
-            ("sut", sut_name) ];
-      Metrics.observe reg "conferr_scenario_ms"
-        ~labels:[ ("class", s.class_name); ("sut", sut_name) ]
-        je.elapsed_ms;
-      List.iter
-        (fun (phase, ms) ->
-          Metrics.observe reg "conferr_phase_ms"
-            ~labels:[ ("phase", phase); ("sut", sut_name) ]
-            ms)
-        je.phase_ms
-  in
-  let process_batch picked =
-    (* 1. classify sequentially: journal hit / duplicate / n-a / fresh *)
+  let process_batch campaign picked =
+    (* 1. classify sequentially: duplicate / journal hit / to run *)
     let classified =
       List.map
         (fun (bkey, (s : Scenario.t)) ->
@@ -368,55 +281,29 @@ let run_from ?(settings = default_settings) ?(on_event = Progress.log_event)
           | Mutant_cache.Duplicate_of { first_id; _ } ->
             incr duplicates;
             duplicate_of_rev := (s.id, first_id) :: !duplicate_of_rev;
-            Skip (s, first_id)
-          | Mutant_cache.Inexpressible msg ->
-            (match Hashtbl.find_opt journaled s.id with
+            Skip
+          | (Mutant_cache.Inexpressible _ | Mutant_cache.Fresh _) as verdict ->
+            (match Executor.journaled campaign s.id with
              | Some je ->
                incr resumed;
                Reuse (bkey, s, je)
              | None ->
-               incr not_applicable;
-               Na (bkey, s, msg))
-          | Mutant_cache.Fresh { files; _ } ->
-            (match Hashtbl.find_opt journaled s.id with
-             | Some je ->
-               incr resumed;
-               Reuse (bkey, s, je)
-             | None -> Run (bkey, s, files)))
+               (match verdict with
+                | Mutant_cache.Inexpressible _ -> incr not_applicable
+                | _ -> incr executed);
+               Run (bkey, s)))
         picked
     in
-    (* 2. execute the fresh mutants on the pool *)
-    let runs =
-      classified
-      |> List.filter_map (function Run (_, s, files) -> Some (s, files) | _ -> None)
-      |> Array.of_list
-    in
-    let results =
-      Conferr_pool.map ~jobs:settings.jobs
-        (fun index ((s : Scenario.t), files) ->
-          emit (Progress.Started { index; id = s.id });
-          let t_start = Unix.gettimeofday () in
-          let clock = if observing then Some (Clock.create ()) else None in
-          let probe = Option.map Clock.probe clock in
-          let outcome, attempts =
-            boot_with_deadline ?probe ~settings ~emit ~sut ~index s files
-          in
-          let elapsed_ms = (Unix.gettimeofday () -. t_start) *. 1000. in
-          let phase_ms =
-            match clock with Some c -> Clock.phase_ms c | None -> []
-          in
-          let je = journal_entry ~attempts ~phase_ms s outcome elapsed_ms in
-          observe_entry s clock je;
-          Option.iter (fun w -> Journal.append w je) writer;
-          emit
-            (Progress.Finished
-               { index; id = s.id; label = Outcome.label outcome; elapsed_ms });
-          (s.id, je))
-        runs
-    in
-    let finished = Hashtbl.create (Array.length runs) in
-    Array.iter (fun (id, je) -> Hashtbl.replace finished id je) results;
-    executed := !executed + Array.length runs;
+    (* 2. run the batch on the executor; an inexpressible mutant comes
+       back n/a without booting the SUT *)
+    let finished = Hashtbl.create 16 in
+    classified
+    |> List.filter_map (function Run (_, s) -> Some s | _ -> None)
+    |> List.mapi (fun i s -> (i, s))
+    |> Array.of_list
+    |> Executor.run_batch campaign
+    |> Array.iter (fun (_, (je : Journal.entry)) ->
+           Hashtbl.replace finished je.scenario_id je);
     (* 3. fold outcomes in scheduling order; note productive buckets *)
     let productive : (string * string, unit) Hashtbl.t = Hashtbl.create 8 in
     let new_sigs = ref 0 in
@@ -425,15 +312,9 @@ let run_from ?(settings = default_settings) ?(on_event = Progress.log_event)
         let folded =
           match c with
           | Reuse (bkey, s, je) -> Some (bkey, s, je)
-          | Na (bkey, s, msg) ->
-            let je = journal_entry s (Outcome.Not_applicable msg) 0.0 in
-            Option.iter (fun w -> Journal.append w je) writer;
-            Some (bkey, s, je)
-          | Run (bkey, s, _) ->
-            (match Hashtbl.find_opt finished s.id with
-             | Some je -> Some (bkey, s, je)
-             | None -> None)
-          | Skip _ -> None
+          | Run (bkey, s) ->
+            Option.map (fun je -> (bkey, s, je)) (Hashtbl.find_opt finished s.id)
+          | Skip -> None
         in
         match folded with
         | None -> ()
@@ -452,7 +333,7 @@ let run_from ?(settings = default_settings) ?(on_event = Progress.log_event)
            else b.energy <- Float.max (b.energy *. decay_factor) energy_floor);
     !new_sigs
   in
-  let rec loop () =
+  let rec loop campaign =
     (match settings.budget with
      | Some b when !executed >= b -> stop := Some Budget_exhausted
      | _ -> ());
@@ -467,21 +348,18 @@ let run_from ?(settings = default_settings) ?(on_event = Progress.log_event)
       if picked = [] then stop := Some Stream_exhausted
       else begin
         incr batch_no;
-        let new_sigs = process_batch picked in
+        let new_sigs = process_batch campaign picked in
         if new_sigs = 0 then incr plateau_run else plateau_run := 0;
         if settings.plateau > 0 && !plateau_run >= settings.plateau then
           stop := Some (Plateaued !plateau_run);
-        loop ()
+        loop campaign
       end
   in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Journal.close writer)
-    loop;
-  let entries = List.rev !journal_entries_rev in
-  Option.iter
-    (fun path ->
-       Journal.checkpoint ?segment_bytes:settings.segment_bytes path entries)
-    settings.journal_path;
+  ignore
+    (Executor.with_campaign ~settings:(executor_settings settings) ?on_event
+       ~sut ~base ~total:0 (fun campaign ->
+         loop campaign;
+         List.rev !journal_entries_rev));
   (match settings.metrics with
    | None -> ()
    | Some reg ->

@@ -12,6 +12,11 @@
     scenario to discover each distinct failure mode and the batch in
     which it was found.
 
+    Each batch runs on {!Conferr_exec.Executor} ([run_batch] inside one
+    [with_campaign]), with the executor's defaults for everything these
+    settings do not configure: quorum 1, no circuit breaker, no
+    quarantine writes.
+
     Determinism: batch composition, energies, the frontier, and the
     profile derive only from the campaign seed and the (deterministic)
     per-scenario outcomes — never from scheduling — so for a fixed
@@ -52,14 +57,15 @@ type settings = {
       (** cooperative step budget per execution
           ({!Conferr_harden.Sandbox.tick}); [None] = unlimited *)
   trace : Conferr_obsv.Trace.t option;
-      (** span tracer for executed scenarios (doc/obsv.md).  Explore
-          records the spawn/run/classify phases only: generate and
-          serialize happen inside {!Mutant_cache}, before scheduling.
+      (** span tracer for the scenarios the executor runs (doc/obsv.md):
+          all five phases, generate/serialize/spawn/run/classify.
           [None] (default) records nothing *)
   metrics : Conferr_obsv.Metrics.t option;
-      (** metrics registry: per-scenario outcome/latency families plus
-          the final search state ([conferr_explore_*] gauges, including
-          per-bucket energies); [None] (default) records nothing *)
+      (** metrics registry: the executor's per-scenario families
+          (progress counters, outcomes, latencies, phases,
+          [conferr_quorum_attempts_total]) plus the final search state
+          ([conferr_explore_*] gauges, including per-bucket energies);
+          [None] (default) records nothing *)
 }
 
 val default_settings : settings

@@ -4,7 +4,7 @@ module Scenario = Errgen.Scenario
 type t = { table : (string, string) Hashtbl.t; mutable hits : int }
 
 type verdict =
-  | Fresh of { digest : string; files : (string * string) list }
+  | Fresh of string
   | Duplicate_of of { digest : string; first_id : string }
   | Inexpressible of string
 
@@ -21,27 +21,18 @@ let digest_files files =
     files;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* The Inexpressible messages mirror Engine.run_scenario's
-   Not_applicable classification byte for byte, so an adaptive campaign
-   profiles inexpressible scenarios identically to the exhaustive path. *)
 let classify t ~sut ~base (s : Scenario.t) =
-  match s.apply base with
-  | exception exn ->
-    Inexpressible
-      (Printf.sprintf "scenario raised: %s" (Printexc.to_string exn))
+  match Engine.materialize ~sut ~base s with
   | Error msg -> Inexpressible msg
-  | Ok mutated ->
-    (match Engine.serialize_config sut mutated with
-     | Error msg -> Inexpressible msg
-     | Ok files ->
-       let digest = digest_files files in
-       (match Hashtbl.find_opt t.table digest with
-        | Some first_id ->
-          t.hits <- t.hits + 1;
-          Duplicate_of { digest; first_id }
-        | None ->
-          Hashtbl.add t.table digest s.id;
-          Fresh { digest; files }))
+  | Ok files ->
+    let digest = digest_files files in
+    (match Hashtbl.find_opt t.table digest with
+     | Some first_id ->
+       t.hits <- t.hits + 1;
+       Duplicate_of { digest; first_id }
+     | None ->
+       Hashtbl.add t.table digest s.id;
+       Fresh digest)
 
 let size t = Hashtbl.length t.table
 

@@ -4,28 +4,23 @@
     configuration twice (ten random typos in a three-character value
     collide often), and running the SUT on byte-identical input can only
     rediscover the same outcome.  This cache hashes each scenario's
-    serialized configuration set (via [Conferr.Engine.serialize_config])
-    and answers "has this exact mutant been executed before?" — the
-    campaign loop skips the SUT run for duplicates and records a
-    [Duplicate_of] provenance pointing at the first discoverer instead.
-
-    Classification also front-loads the mutate + serialize half of the
-    pipeline, so a [Fresh] verdict carries the serialized files and the
-    executor only has to boot and test. *)
+    faulty files (from [Conferr.Engine.materialize], the head of the
+    pipeline every campaign runs) and answers "has this exact
+    mutant been executed before?" — the campaign loop skips the SUT run
+    for duplicates and records a [Duplicate_of] provenance pointing at
+    the first discoverer instead. *)
 
 type t
 
 type verdict =
-  | Fresh of { digest : string; files : (string * string) list }
-      (** first time this exact mutant is seen; [files] are the
-          serialized configuration files, ready to boot *)
+  | Fresh of string
+      (** first time this exact mutant (this digest) is seen *)
   | Duplicate_of of { digest : string; first_id : string }
       (** byte-identical to the mutant first produced by scenario
           [first_id]; skip the SUT run *)
   | Inexpressible of string
-      (** the mutation could not be applied or serialized — the same
-          message [Engine.run_scenario] would report as
-          [Not_applicable] *)
+      (** the mutation could not be applied or serialized — the
+          [Not_applicable] message of [Conferr.Engine.run_scenario] *)
 
 val create : unit -> t
 

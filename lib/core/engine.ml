@@ -1,4 +1,5 @@
 module Config_set = Conftree.Config_set
+module Span = Conferr_obsv.Span
 
 let src = Logs.Src.create "conferr.engine" ~doc:"ConfErr injection engine"
 
@@ -35,43 +36,71 @@ let serialize_config (sut : Suts.Sut.t) set =
          | Error msg -> Error (Printf.sprintf "serializing %S: %s" file msg)))
     (Ok []) sut.Suts.Sut.config_files
 
-let boot_and_test (sut : Suts.Sut.t) files =
-  (* A SUT that raises is a SUT that crashed: classify it like the real
-     tool would classify a daemon dying on a faulty configuration,
-     rather than letting the exception kill the whole campaign. *)
-  match sut.Suts.Sut.boot files with
+exception Out_of_fuel of int
+
+(* Mutation application and serialization: every way this can fail is a
+   scenario the format cannot express, including a mutation that raises
+   (a generator bug must not take the campaign down). *)
+let materialize ?(probe = Span.null) ~sut ~base (s : Errgen.Scenario.t) =
+  match probe.Span.wrap Span.Generate (fun () -> s.apply base) with
   | exception exn ->
-    Outcome.Startup_failure
-      (Printf.sprintf "SUT crashed during startup: %s" (Printexc.to_string exn))
+    Error (Printf.sprintf "scenario raised: %s" (Printexc.to_string exn))
+  | Error msg -> Error msg
+  | Ok mutated ->
+    probe.Span.wrap Span.Serialize (fun () -> serialize_config sut mutated)
+
+(* A SUT that raises is a SUT that crashed: classify it like the real
+   tool would classify a daemon dying on a faulty configuration, rather
+   than letting the exception kill its worker or the whole campaign.
+   The backtrace is read first, before anything else can raise. *)
+let crashed ~phase exn =
+  let backtrace = Printexc.get_backtrace () in
+  let cause =
+    match exn with
+    | Stack_overflow -> Outcome.Stack_overflow_crash
+    | Out_of_memory -> Outcome.Out_of_memory_crash
+    | Out_of_fuel budget -> Outcome.Fuel_exhausted budget
+    | exn -> Outcome.Uncaught (Printexc.to_string exn)
+  in
+  Outcome.Crashed { cause; phase; backtrace }
+
+(* The probe marks the pipeline phases for the observability layer
+   (doc/obsv.md); [Span.null] makes every wrap a plain call, so the
+   untraced path is unchanged. *)
+let boot_and_test ?(probe = Span.null) (sut : Suts.Sut.t) files =
+  (* Backtrace recording is a per-domain flag and a spawned worker
+     domain starts with it off, so it is switched on per call.  Not at
+     module initialisation: that would also record during scenario
+     generation. *)
+  Printexc.record_backtrace true;
+  match probe.Span.wrap Span.Spawn (fun () -> sut.Suts.Sut.boot files) with
+  | exception exn -> crashed ~phase:Outcome.Boot exn
   | Error msg -> Outcome.Startup_failure msg
   | Ok instance ->
-    (match instance.Suts.Sut.run_tests () with
-     | exception exn ->
-       Outcome.Test_failure
-         [ Printf.sprintf "SUT crashed under test: %s" (Printexc.to_string exn) ]
+    (match
+       probe.Span.wrap Span.Run (fun () ->
+           let results = instance.Suts.Sut.run_tests () in
+           (* a shutdown script that itself fails must not override the
+              test verdict — the experiment already has its answer *)
+           (try instance.Suts.Sut.shutdown () with _ -> ());
+           results)
+     with
+     | exception exn -> crashed ~phase:Outcome.Test exn
      | results ->
-       (* a shutdown script that itself fails must not override the test
-          verdict — the experiment already has its answer *)
-       (try instance.Suts.Sut.shutdown () with _ -> ());
-       let failures =
-         List.filter_map
-           (fun (r : Suts.Sut.test_result) ->
-             if r.passed then None
-             else Some (Printf.sprintf "%s: %s" r.test_name r.detail))
-           results
-       in
-       if failures = [] then Outcome.Passed else Outcome.Test_failure failures)
+       probe.Span.wrap Span.Classify (fun () ->
+           let failures =
+             List.filter_map
+               (fun (r : Suts.Sut.test_result) ->
+                 if r.passed then None
+                 else Some (Printf.sprintf "%s: %s" r.test_name r.detail))
+               results
+           in
+           if failures = [] then Outcome.Passed else Outcome.Test_failure failures))
 
-let run_scenario ~sut ~base (scenario : Errgen.Scenario.t) =
-  match scenario.apply base with
-  | exception exn ->
-    Outcome.Not_applicable
-      (Printf.sprintf "scenario raised: %s" (Printexc.to_string exn))
+let run_scenario ?probe ~sut ~base (scenario : Errgen.Scenario.t) =
+  match materialize ?probe ~sut ~base scenario with
   | Error msg -> Outcome.Not_applicable msg
-  | Ok mutated ->
-    (match serialize_config sut mutated with
-     | Error msg -> Outcome.Not_applicable msg
-     | Ok files -> boot_and_test sut files)
+  | Ok files -> boot_and_test ?probe sut files
 
 let run_from ?(jobs = 1) ~sut ~base ~scenarios () =
   Log.info (fun m ->

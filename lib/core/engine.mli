@@ -19,16 +19,43 @@ val serialize_config :
 (** Inverse of {!parse_config}; fails when a tree is not expressible in
     its file's format. *)
 
-val boot_and_test : Suts.Sut.t -> (string * string) list -> Outcome.t
+exception Out_of_fuel of int
+(** A SUT's cooperative step budget ran out; the payload is the initial
+    budget.  Raised by [Conferr_harden.Sandbox.tick], classified by
+    {!boot_and_test} as [Crashed (Fuel_exhausted _)]. *)
+
+val materialize :
+  ?probe:Conferr_obsv.Span.probe ->
+  sut:Suts.Sut.t ->
+  base:Conftree.Config_set.t ->
+  Errgen.Scenario.t ->
+  ((string * string) list, string) result
+(** The head of the pipeline: apply the mutation and serialize the faulty
+    files.  [Error] carries the scenario's [Not_applicable] message — a
+    mutation that cannot be applied or expressed, or one that raised.
+    [probe] (default {!Conferr_obsv.Span.null}, a no-op) marks the
+    [Generate] and [Serialize] phases (doc/obsv.md). *)
+
+val boot_and_test :
+  ?probe:Conferr_obsv.Span.probe -> Suts.Sut.t -> (string * string) list -> Outcome.t
 (** The tail of the pipeline: boot the SUT on already-serialized
-    configuration files and run its functional tests.  A SUT that raises
-    is classified as a startup or test failure, never an exception.
-    Exposed for callers (e.g. [Conferr_adapt]) that serialize mutants
-    themselves — [run_scenario] is [apply]; [serialize_config];
-    [boot_and_test]. *)
+    configuration files, run its functional tests and classify.  A SUT
+    that raises — [Stack_overflow], [Out_of_memory] and {!Out_of_fuel}
+    included — is classified as [Crashed {cause; phase; backtrace}] with
+    phase [Boot] or [Test], never an escaping exception.  [probe] marks
+    the [Spawn] (boot), [Run] (tests + shutdown) and [Classify]
+    phases. *)
 
 val run_scenario :
-  sut:Suts.Sut.t -> base:Conftree.Config_set.t -> Errgen.Scenario.t -> Outcome.t
+  ?probe:Conferr_obsv.Span.probe ->
+  sut:Suts.Sut.t ->
+  base:Conftree.Config_set.t ->
+  Errgen.Scenario.t ->
+  Outcome.t
+(** The whole pipeline for one scenario: {!materialize}, then
+    {!boot_and_test}.  This is the only code that runs a scenario; every
+    campaign loop (the one below, the executor, the explorer, the
+    daemon) goes through it. *)
 
 type config_error = { sut_name : string; message : string }
 (** The SUT's own default configuration failed to parse — a harness or

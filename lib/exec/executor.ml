@@ -114,19 +114,25 @@ let executed_crash = function
   | Outcome.Crashed c -> Some c
   | _ -> None
 
-let run_from ?(settings = default_settings) ?(on_event = Progress.log_event) ~sut
-    ~base ~scenarios () =
-  let settings =
-    match clamp_jobs ~scenario_count:(List.length scenarios) settings.jobs with
-    | Ok (jobs, _) -> { settings with jobs }
-    | Error _ -> { settings with jobs = 1 }
-  in
-  let arr = Array.of_list scenarios in
-  let total = Array.length arr in
-  (* Observability is inert unless asked for: with both [trace] and
-     [metrics] at [None] no clock is created and the journal/profile
-     bytes are identical to an unobserved run (doc/obsv.md). *)
-  let observing = settings.trace <> None || settings.metrics <> None in
+(* An open campaign: what every batch of it shares. *)
+type campaign = {
+  settings : settings;
+  sut : Suts.Sut.t;
+  base : Conftree.Config_set.t;
+  progress : Progress.t;
+  emit : Progress.event -> unit;
+  breaker : Breaker.t option;
+  flaky_lock : Mutex.t;
+  mutable flaky_ids : string list;
+  resume_table : (string, Journal.entry) Hashtbl.t;
+  writer : Journal.writer option;
+  observing : bool;
+}
+
+(* Observability is inert unless asked for: with both [trace] and
+   [metrics] at [None] no clock is created and the journal/profile bytes
+   are identical to an unobserved run (doc/obsv.md). *)
+let open_campaign ~settings ~on_event ~sut ~base ~total =
   (match settings.metrics with
    | None -> ()
    | Some reg ->
@@ -145,26 +151,15 @@ let run_from ?(settings = default_settings) ?(on_event = Progress.log_event) ~su
     Mutex.lock emit_lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock emit_lock) (fun () -> on_event ev)
   in
-  let breaker =
-    Option.map
-      (fun threshold -> Breaker.create ~threshold ?metrics:settings.metrics ())
-      settings.breaker
-  in
-  let flaky_lock = Mutex.create () in
-  let flaky_ids = ref [] in
-  let journaled : (string, Journal.entry) Hashtbl.t = Hashtbl.create 64 in
+  let resume_table = Hashtbl.create 64 in
   (match settings.journal_path with
    | Some path when settings.resume ->
      List.iter
-       (fun (e : Journal.entry) -> Hashtbl.replace journaled e.scenario_id e)
+       (fun (e : Journal.entry) -> Hashtbl.replace resume_table e.scenario_id e)
        (Journal.load path)
    | _ -> ());
-  let resumed =
-    Array.fold_left
-      (fun n (s : Scenario.t) -> if Hashtbl.mem journaled s.id then n + 1 else n)
-      0 arr
-  in
-  if resumed > 0 then emit (Progress.Resumed { count = resumed });
+  (* opened only once the resume table is loaded: a fresh writer
+     truncates the journal *)
   let writer =
     Option.map
       (fun path ->
@@ -172,172 +167,213 @@ let run_from ?(settings = default_settings) ?(on_event = Progress.log_event) ~su
           ?segment_bytes:settings.segment_bytes ?io:settings.journal_io path)
       settings.journal_path
   in
-  let pending =
-    Array.to_list arr
-    |> List.mapi (fun i s -> (i, s))
-    |> List.filter (fun (_, (s : Scenario.t)) -> not (Hashtbl.mem journaled s.id))
-    |> Array.of_list
-  in
-  let run_one (index, (s : Scenario.t)) =
-    emit (Progress.Started { index; id = s.id });
-    let t0 = Unix.gettimeofday () in
-    let attempts = ref 0 in
-    let clock = if observing then Some (Clock.create ()) else None in
-    let probe = Option.map Clock.probe clock in
-    (* one sandboxed execution, watchdogged and retried; timeout
-       exhaustion is a harness-phase crash, not a functional failure *)
-    let execute () =
-      match settings.timeout_s with
-      | None ->
+  {
+    settings;
+    sut;
+    base;
+    progress;
+    emit;
+    breaker =
+      Option.map
+        (fun threshold -> Breaker.create ~threshold ?metrics:settings.metrics ())
+        settings.breaker;
+    flaky_lock = Mutex.create ();
+    flaky_ids = [];
+    resume_table;
+    writer;
+    observing = settings.trace <> None || settings.metrics <> None;
+  }
+
+let journaled c id = Hashtbl.find_opt c.resume_table id
+
+let run_one c (index, (s : Scenario.t)) =
+  let { settings; sut; base; emit; _ } = c in
+  emit (Progress.Started { index; id = s.id });
+  let t0 = Unix.gettimeofday () in
+  let attempts = ref 0 in
+  let clock = if c.observing then Some (Clock.create ()) else None in
+  let probe = Option.map Clock.probe clock in
+  (* one sandboxed execution, watchdogged and retried; timeout
+     exhaustion is a harness-phase crash, not a functional failure *)
+  let execute () =
+    match settings.timeout_s with
+    | None ->
+      incr attempts;
+      Sandbox.run_scenario ?fuel:settings.fuel ?probe ~sut ~base s
+    | Some timeout_s ->
+      let rec attempt k =
         incr attempts;
-        Sandbox.run_scenario ?fuel:settings.fuel ?probe ~sut ~base s
-      | Some timeout_s ->
-        let rec attempt k =
-          incr attempts;
-          match
-            Conferr_pool.with_timeout ~timeout_s (fun () ->
-                Sandbox.run_scenario ?fuel:settings.fuel ?probe ~sut ~base s)
-          with
-          | Some outcome -> outcome
-          | None ->
-            emit (Progress.Timed_out { index; id = s.id; attempt = k });
-            if k <= settings.retries then attempt (k + 1)
-            else timeout_crash ~timeout_s
-        in
-        attempt 1
-    in
-    let admitted =
-      match breaker with
-      | None -> `Run
-      | Some b -> Breaker.admit b ~sut_name:sut.Suts.Sut.sut_name ~class_name:s.class_name
-    in
-    let outcome, votes =
-      match admitted with
-      | `Skip bucket ->
-        emit (Progress.Breaker_skipped { index; id = s.id; bucket });
-        ( Outcome.Crashed
-            { cause = Outcome.Breaker_open bucket; phase = Outcome.Harness;
-              backtrace = "" },
-          [] )
-      | `Run ->
-        let first = execute () in
-        let verdict =
-          if settings.quorum > 1 && Quorum.suspect first then
-            Quorum.run ~attempts:settings.quorum (fun i ->
-                if i = 0 then first else execute ())
-          else { Quorum.outcome = first; attempts = [ first ]; flaky = false }
-        in
-        (match breaker with
-         | None -> ()
-         | Some b -> (
-           match
-             Breaker.note b ~sut_name:sut.Suts.Sut.sut_name
-               ~class_name:s.class_name
-               ~crashed:(executed_crash verdict.Quorum.outcome <> None)
-           with
-           | `Counted -> ()
-           | `Tripped bucket -> emit (Progress.Breaker_tripped { bucket })));
-        if verdict.Quorum.flaky then begin
-          emit (Progress.Flaky { index; id = s.id; attempts = !attempts });
-          Mutex.lock flaky_lock;
-          flaky_ids := s.id :: !flaky_ids;
-          Mutex.unlock flaky_lock;
-          (verdict.Quorum.outcome, verdict.Quorum.attempts)
-        end
-        else (verdict.Quorum.outcome, [])
-    in
-    (match (executed_crash outcome, settings.quarantine_dir) with
-     | Some crash, Some dir ->
-       ignore
-         (Repro.write ~dir ~sut ~base ~seed:settings.campaign_seed s crash)
-     | _ -> ());
-    let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-    let phase_ms = match clock with Some c -> Clock.phase_ms c | None -> [] in
-    let entry =
-      {
-        Journal.scenario_id = s.id;
-        class_name = s.class_name;
-        description = s.description;
-        seed = scenario_seed ~campaign_seed:settings.campaign_seed s.id;
-        outcome;
-        elapsed_ms;
-        attempts = !attempts;
-        votes;
-        phase_ms;
-      }
-    in
-    (match (settings.trace, clock) with
-     | Some tr, Some c -> Trace.record tr ~id:s.id ~class_name:s.class_name c
-     | _ -> ());
-    (match settings.metrics with
-     | None -> ()
-     | Some reg ->
-       (* label lists in canonical key order, the shared one built once:
-          the registry's sortedness fast path then never re-allocates *)
-       let sut_name = sut.Suts.Sut.sut_name in
-       let class_sut = [ ("class", s.class_name); ("sut", sut_name) ] in
-       Metrics.inc reg "conferr_scenario_outcomes_total"
-         ~labels:
-           [ ("class", s.class_name); ("outcome", Outcome.label outcome);
-             ("sut", sut_name) ];
-       Metrics.observe reg "conferr_scenario_ms" ~labels:class_sut elapsed_ms;
-       List.iter
-         (fun (phase, ms) ->
-           Metrics.observe reg "conferr_phase_ms"
-             ~labels:[ ("phase", phase); ("sut", sut_name) ]
-             ms)
-         phase_ms;
-       if !attempts > 0 then
-         Metrics.inc reg "conferr_quorum_attempts_total"
-           ~by:(float_of_int !attempts) ~labels:class_sut);
-    Option.iter (fun w -> Journal.append w entry) writer;
-    emit
-      (Progress.Finished
-         { index; id = s.id; label = Outcome.label outcome; elapsed_ms });
-    (index, entry)
-  in
-  let fresh =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Journal.close writer)
-      (fun () ->
-        match settings.tenant with
+        match
+          Conferr_pool.with_timeout ~timeout_s (fun () ->
+              Sandbox.run_scenario ?fuel:settings.fuel ?probe ~sut ~base s)
+        with
+        | Some outcome -> outcome
         | None ->
-          Conferr_pool.map ~jobs:settings.jobs (fun _ p -> run_one p) pending
-        | Some tenant ->
-          (* Service mode (doc/serve.md): scenarios are queued on a
-             shared multi-campaign scheduler instead of a private pool.
-             A cancel or daemon drain drops the queued remainder, so the
-             result array may be partial — exactly like a resumed run
-             whose journal only covers a prefix. *)
-          let slots = Array.make (Array.length pending) None in
-          Array.iteri
-            (fun i p ->
-              match
-                Conferr_pool.Scheduler.submit tenant (fun () ->
-                    slots.(i) <- Some (run_one p))
-              with
-              | `Queued | `Rejected -> ())
-            pending;
-          Conferr_pool.Scheduler.wait tenant;
-          Array.of_list (List.filter_map Fun.id (Array.to_list slots)))
+          emit (Progress.Timed_out { index; id = s.id; attempt = k });
+          if k <= settings.retries then attempt (k + 1)
+          else timeout_crash ~timeout_s
+      in
+      attempt 1
   in
-  (match settings.quarantine_dir with
-   | Some dir -> Repro.record_flaky ~dir !flaky_ids
+  let admitted =
+    match c.breaker with
+    | None -> `Run
+    | Some b -> Breaker.admit b ~sut_name:sut.Suts.Sut.sut_name ~class_name:s.class_name
+  in
+  let outcome, votes =
+    match admitted with
+    | `Skip bucket ->
+      emit (Progress.Breaker_skipped { index; id = s.id; bucket });
+      ( Outcome.Crashed
+          { cause = Outcome.Breaker_open bucket; phase = Outcome.Harness;
+            backtrace = "" },
+        [] )
+    | `Run ->
+      let first = execute () in
+      let verdict =
+        if settings.quorum > 1 && Quorum.suspect first then
+          Quorum.run ~attempts:settings.quorum (fun i ->
+              if i = 0 then first else execute ())
+        else { Quorum.outcome = first; attempts = [ first ]; flaky = false }
+      in
+      (match c.breaker with
+       | None -> ()
+       | Some b -> (
+         match
+           Breaker.note b ~sut_name:sut.Suts.Sut.sut_name
+             ~class_name:s.class_name
+             ~crashed:(executed_crash verdict.Quorum.outcome <> None)
+         with
+         | `Counted -> ()
+         | `Tripped bucket -> emit (Progress.Breaker_tripped { bucket })));
+      if verdict.Quorum.flaky then begin
+        emit (Progress.Flaky { index; id = s.id; attempts = !attempts });
+        Mutex.lock c.flaky_lock;
+        c.flaky_ids <- s.id :: c.flaky_ids;
+        Mutex.unlock c.flaky_lock;
+        (verdict.Quorum.outcome, verdict.Quorum.attempts)
+      end
+      else (verdict.Quorum.outcome, [])
+  in
+  (match (executed_crash outcome, settings.quarantine_dir) with
+   | Some crash, Some dir ->
+     ignore
+       (Repro.write ~dir ~sut ~base ~seed:settings.campaign_seed s crash)
+   | _ -> ());
+  let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  let phase_ms = match clock with Some c -> Clock.phase_ms c | None -> [] in
+  let entry =
+    {
+      Journal.scenario_id = s.id;
+      class_name = s.class_name;
+      description = s.description;
+      seed = scenario_seed ~campaign_seed:settings.campaign_seed s.id;
+      outcome;
+      elapsed_ms;
+      attempts = !attempts;
+      votes;
+      phase_ms;
+    }
+  in
+  (match (settings.trace, clock) with
+   | Some tr, Some c -> Trace.record tr ~id:s.id ~class_name:s.class_name c
+   | _ -> ());
+  (match settings.metrics with
+   | None -> ()
+   | Some reg ->
+     (* label lists in canonical key order, the shared one built once:
+        the registry's sortedness fast path then never re-allocates *)
+     let sut_name = sut.Suts.Sut.sut_name in
+     let class_sut = [ ("class", s.class_name); ("sut", sut_name) ] in
+     Metrics.inc reg "conferr_scenario_outcomes_total"
+       ~labels:
+         [ ("class", s.class_name); ("outcome", Outcome.label outcome);
+           ("sut", sut_name) ];
+     Metrics.observe reg "conferr_scenario_ms" ~labels:class_sut elapsed_ms;
+     List.iter
+       (fun (phase, ms) ->
+         Metrics.observe reg "conferr_phase_ms"
+           ~labels:[ ("phase", phase); ("sut", sut_name) ]
+           ms)
+       phase_ms;
+     if !attempts > 0 then
+       Metrics.inc reg "conferr_quorum_attempts_total"
+         ~by:(float_of_int !attempts) ~labels:class_sut);
+  Option.iter (fun w -> Journal.append w entry) c.writer;
+  emit
+    (Progress.Finished
+       { index; id = s.id; label = Outcome.label outcome; elapsed_ms });
+  (index, entry)
+
+let run_batch c pending =
+  match c.settings.tenant with
+  | None -> Conferr_pool.map ~jobs:c.settings.jobs (fun _ p -> run_one c p) pending
+  | Some tenant ->
+    (* Service mode (doc/serve.md): scenarios are queued on a shared
+       multi-campaign scheduler instead of a private pool.  A cancel or
+       daemon drain drops the queued remainder, so the result array may
+       be partial — exactly like a resumed run whose journal only covers
+       a prefix. *)
+    let slots = Array.make (Array.length pending) None in
+    Array.iteri
+      (fun i p ->
+        match
+          Conferr_pool.Scheduler.submit tenant (fun () ->
+              slots.(i) <- Some (run_one c p))
+        with
+        | `Queued | `Rejected -> ())
+      pending;
+    Conferr_pool.Scheduler.wait tenant;
+    Array.of_list (List.filter_map Fun.id (Array.to_list slots))
+
+let close_campaign c entries =
+  (match c.settings.quarantine_dir with
+   | Some dir -> Repro.record_flaky ~dir c.flaky_ids
    | None -> ());
-  (* assemble the profile in scenario-list order, merging journaled and
-     freshly-run entries, then checkpoint the compacted journal *)
-  let slots = Array.make total None in
-  Array.iter (fun (index, entry) -> slots.(index) <- Some entry) fresh;
-  Array.iteri
-    (fun i (s : Scenario.t) ->
-      if slots.(i) = None then slots.(i) <- Hashtbl.find_opt journaled s.id)
-    arr;
-  let entries = List.filter_map Fun.id (Array.to_list slots) in
   Option.iter
     (fun path ->
-      Journal.checkpoint ?io:settings.journal_io
-        ?segment_bytes:settings.segment_bytes path entries)
-    settings.journal_path;
+      Journal.checkpoint ?io:c.settings.journal_io
+        ?segment_bytes:c.settings.segment_bytes path entries)
+    c.settings.journal_path
+
+let with_campaign ?(settings = default_settings) ?(on_event = Progress.log_event)
+    ~sut ~base ~total f =
+  let c = open_campaign ~settings ~on_event ~sut ~base ~total in
+  let entries =
+    Fun.protect ~finally:(fun () -> Option.iter Journal.close c.writer) (fun () -> f c)
+  in
+  close_campaign c entries;
+  (entries, Progress.snapshot c.progress)
+
+let run_from ?(settings = default_settings) ?on_event ~sut ~base ~scenarios () =
+  let settings =
+    match clamp_jobs ~scenario_count:(List.length scenarios) settings.jobs with
+    | Ok (jobs, _) -> { settings with jobs }
+    | Error _ -> { settings with jobs = 1 }
+  in
+  let arr = Array.of_list scenarios in
+  let total = Array.length arr in
+  let entries, snapshot =
+    with_campaign ~settings ?on_event ~sut ~base ~total (fun c ->
+        let pending =
+          Array.to_list arr
+          |> List.mapi (fun i s -> (i, s))
+          |> List.filter (fun (_, (s : Scenario.t)) -> journaled c s.id = None)
+          |> Array.of_list
+        in
+        let resumed = total - Array.length pending in
+        if resumed > 0 then c.emit (Progress.Resumed { count = resumed });
+        (* assemble the profile in scenario-list order, merging journaled
+           and freshly-run entries; the journal is checkpointed to them *)
+        let slots = Array.make total None in
+        Array.iter (fun (index, entry) -> slots.(index) <- Some entry)
+          (run_batch c pending);
+        Array.iteri
+          (fun i (s : Scenario.t) ->
+            if slots.(i) = None then slots.(i) <- journaled c s.id)
+          arr;
+        List.filter_map Fun.id (Array.to_list slots))
+  in
   let profile_entries =
     List.map
       (fun (e : Journal.entry) ->
@@ -349,8 +385,7 @@ let run_from ?(settings = default_settings) ?(on_event = Progress.log_event) ~su
         })
       entries
   in
-  ( Profile.make ~sut_name:sut.Suts.Sut.sut_name profile_entries,
-    Progress.snapshot progress )
+  (Profile.make ~sut_name:sut.Suts.Sut.sut_name profile_entries, snapshot)
 
 let run ?settings ?on_event ~sut ~scenarios () =
   match Engine.parse_default_config sut with

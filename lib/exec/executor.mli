@@ -7,12 +7,13 @@
     scenarios on restart, guards each scenario with a timeout, and
     streams {!Progress} events.
 
-    Since the hardening pass (see [doc/harden.md]) each scenario runs
-    inside {!Conferr_harden.Sandbox}, so a SUT that raises — including
-    [Stack_overflow] and [Out_of_memory] — classifies as
-    [Outcome.Crashed] instead of killing its worker; crash outcomes can
-    be re-voted by a quorum, gated by a circuit breaker, and dumped as
-    minimal-repro bundles into a quarantine directory.
+    Each scenario runs through {!Conferr.Engine.run_scenario} under the
+    {!Conferr_harden.Sandbox} fuel budget, so a SUT that raises —
+    including [Stack_overflow] and [Out_of_memory] — classifies as
+    [Outcome.Crashed] instead of killing its worker (see
+    [doc/harden.md]); crash outcomes can be re-voted by a quorum, gated
+    by a circuit breaker, and dumped as minimal-repro bundles into a
+    quarantine directory.
 
     Determinism: profile entries are always assembled in scenario-list
     order and a sandboxed run is a pure function of the scenario for
@@ -110,6 +111,46 @@ val scenario_seed : campaign_seed:int -> string -> int64
 (** Deterministic per-scenario seed, a hash of the campaign seed and the
     scenario id — independent of scheduling, so parallel and sequential
     runs journal identical seeds. *)
+
+(** {2 A campaign in three steps}
+
+    {!run_from} is open, one batch, close.  The explorer
+    ([Conferr_adapt.Explore]) runs batches of its own choosing between
+    the same open and close. *)
+
+type campaign
+(** An open campaign: its resume table, journal writer and observers. *)
+
+val with_campaign :
+  ?settings:settings ->
+  ?on_event:(Progress.event -> unit) ->
+  sut:Suts.Sut.t ->
+  base:Conftree.Config_set.t ->
+  total:int ->
+  (campaign -> Journal.entry list) ->
+  Journal.entry list * Progress.snapshot
+(** [with_campaign ~total f] opens a campaign of [total] scenarios (the
+    progress denominator; 0 when unknown): it loads the resume table,
+    opens the journal writer and sets up the observers, then runs [f]
+    over it.  The writer is closed even if [f] raises.  When [f] returns
+    the campaign's entries, the campaign is closed: the flaky list is
+    written to [quarantine_dir], then the journal is checkpointed to
+    those entries, which are returned with the progress snapshot.
+    [jobs] is used as given; {!run_from} clamps it first. *)
+
+val journaled : campaign -> string -> Journal.entry option
+(** The resume table's entry for a scenario id: [None] unless [resume]
+    is set and the journal already holds that scenario. *)
+
+val run_batch :
+  campaign -> (int * Errgen.Scenario.t) array -> (int * Journal.entry) array
+(** Run one batch through the per-scenario path (breaker, quorum,
+    watchdog, {!Conferr.Engine.run_scenario} under the fuel budget,
+    repro bundles, observers, journal append, progress events) on the
+    worker pool, or as tasks of the daemon [tenant].  Each scenario
+    comes with an index, used in its progress events and returned with
+    its entry.  Results are in input order; after a tenant cancel or
+    drain only the finished scenarios are returned. *)
 
 val run_from :
   ?settings:settings ->

@@ -60,7 +60,7 @@ let write ~dir ~sut ~base ?seed scenario crash =
     write_file
       (Filename.concat bundle "repro.sh")
       (repro_command ~sut_name:sut.Suts.Sut.sut_name ~seed scenario);
-    (match Sandbox.materialize ~sut ~base scenario with
+    (match Conferr.Engine.materialize ~sut ~base scenario with
     | Ok files ->
       List.iter
         (fun (name, contents) ->

@@ -1,20 +1,21 @@
-(** Exception containment around the SUT (doc/harden.md).
+(** The cooperative fuel budget around the injection pipeline
+    (doc/harden.md).
 
-    [Engine.boot_and_test] folds a raising SUT into a startup/test
-    failure *string*; the sandbox instead produces the first-class
-    {!Conferr.Outcome.Crashed} classification — with cause, phase and
-    backtrace — and additionally contains [Stack_overflow] /
-    [Out_of_memory] and a cooperative fuel budget, so a runaway
-    simulator cannot take its worker domain (or the campaign) down. *)
+    Exception containment — the [Crashed {cause; phase; backtrace}]
+    taxonomy — lives in {!Conferr.Engine}.  The sandbox adds a per-call
+    step budget that simulators burn through {!tick}, so a runaway
+    simulator ends as [Crashed (Fuel_exhausted _)] instead of spinning
+    its worker forever. *)
 
 exception Out_of_fuel of int
-(** Raised by {!tick} when the current call's budget runs out; the
-    payload is the initial budget. *)
+(** {!Conferr.Engine.Out_of_fuel}, raised by {!tick} when the current
+    call's budget runs out; the payload is the initial budget. *)
 
 val tick : ?cost:int -> unit -> unit
 (** Burn [cost] (default 1) units of the calling thread's fuel budget.
-    A no-op when the caller is not running under {!boot_and_test} with a
-    fuel budget — simulators can call it unconditionally. *)
+    A no-op when the caller is not running under {!boot_and_test} or
+    {!run_scenario} with a fuel budget — simulators can call it
+    unconditionally. *)
 
 val fuel_left : unit -> int option
 (** Remaining budget of the calling thread, if one is installed. *)
@@ -25,26 +26,8 @@ val boot_and_test :
   Suts.Sut.t ->
   (string * string) list ->
   Conferr.Outcome.t
-(** Sandboxed tail of the injection pipeline: boot the SUT on serialized
-    files and run its functional tests.  Exceptions (including
-    [Stack_overflow] and [Out_of_memory]) become
-    [Crashed {cause; phase; backtrace}] instead of propagating; [fuel]
-    installs a step budget that {!tick} burns.  [probe] (default
-    {!Conferr_obsv.Span.null}, a no-op) marks the [Spawn] (boot), [Run]
-    (tests + shutdown) and [Classify] phases for span tracing
-    (doc/obsv.md). *)
-
-val materialize :
-  ?probe:Conferr_obsv.Span.probe ->
-  sut:Suts.Sut.t ->
-  base:Conftree.Config_set.t ->
-  Errgen.Scenario.t ->
-  ((string * string) list, string) result
-(** Apply the mutation and serialize the faulty files — the head of the
-    pipeline, with [Engine.run_scenario]'s exact [Not_applicable]
-    messages on failure.  Used to rebuild the faulty files for a crash
-    repro bundle.  [probe] marks the [Generate] and [Serialize]
-    phases. *)
+(** {!Conferr.Engine.boot_and_test} with a [fuel] step budget installed
+    for the call; without [fuel] it is exactly the engine's. *)
 
 val run_scenario :
   ?fuel:int ->
@@ -53,6 +36,5 @@ val run_scenario :
   base:Conftree.Config_set.t ->
   Errgen.Scenario.t ->
   Conferr.Outcome.t
-(** Sandboxed [Engine.run_scenario]: identical classification for every
-    scenario whose SUT returns normally, [Crashed] where the engine
-    would have reported a crash as a failure string. *)
+(** {!Conferr.Engine.run_scenario} with a [fuel] step budget installed
+    for the call. *)

@@ -106,7 +106,7 @@ let analyze ~nearest ~specs ~max_candidates ~sut ~rules ~stock tg =
       | None -> (
         match Conferr.Engine.serialize_config sut broken with
         | Error msg -> Outcome.Startup_failure msg
-        | Ok files -> Conferr_harden.Sandbox.boot_and_test sut files)
+        | Ok files -> Conferr.Engine.boot_and_test sut files)
     in
     let findings = List.length warnings in
     let outcome_label = Outcome.label outcome in

@@ -41,7 +41,7 @@ let check ?(nearest = Generate.default_nearest) ~sut ~rules ~broken candidate =
         let lint_clean =
           not (Checker.exceeds ~threshold:Finding.Warning findings)
         in
-        let outcome = Conferr_harden.Sandbox.boot_and_test sut files in
+        let outcome = Conferr.Engine.boot_and_test sut files in
         {
           candidate;
           distance;

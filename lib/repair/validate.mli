@@ -3,9 +3,9 @@
     A candidate repair is only as good as the configuration it produces.
     Each candidate is applied, serialized to the native formats,
     re-parsed (so the static checker judges the actual bytes, not the
-    in-memory tree), linted, and finally booted in the
-    {!Conferr_harden.Sandbox} with the SUT's functional tests — the same
-    two predicates [conferr lint] and a campaign enforce.  Everything
+    in-memory tree), linted, and finally booted through
+    {!Conferr.Engine.boot_and_test} with the SUT's functional tests —
+    the same two predicates [conferr lint] and a campaign enforce.  Everything
     here is a pure function of its inputs, so validating candidates
     through {!Conferr_pool.map} is deterministic for any [--jobs]. *)
 

@@ -208,10 +208,10 @@ let test_crash_during_boot_classified () =
   | Error msg -> Alcotest.fail msg
   | Ok base ->
     (match Engine.run_scenario ~sut ~base noop_scenario with
-     | Outcome.Startup_failure msg ->
-       Alcotest.(check bool) "names the crash" true
-         (Conferr_util.Strutil.contains_substring ~needle:"crashed" msg)
-     | o -> Alcotest.failf "expected startup failure, got %s" (Outcome.label o))
+     | Outcome.Crashed { cause = Outcome.Uncaught msg; phase = Outcome.Boot; _ } ->
+       Alcotest.(check bool) "names the exception" true
+         (Conferr_util.Strutil.contains_substring ~needle:"segfault" msg)
+     | o -> Alcotest.failf "expected a boot crash, got %s" (Outcome.label o))
 
 let test_crash_during_tests_classified () =
   let sut = crashing_sut `Tests in
@@ -219,10 +219,10 @@ let test_crash_during_tests_classified () =
   | Error msg -> Alcotest.fail msg
   | Ok base ->
     (match Engine.run_scenario ~sut ~base noop_scenario with
-     | Outcome.Test_failure [ msg ] ->
-       Alcotest.(check bool) "names the crash" true
-         (Conferr_util.Strutil.contains_substring ~needle:"crashed" msg)
-     | o -> Alcotest.failf "expected test failure, got %s" (Outcome.label o))
+     | Outcome.Crashed { cause = Outcome.Uncaught msg; phase = Outcome.Test; _ } ->
+       Alcotest.(check bool) "names the exception" true
+         (Conferr_util.Strutil.contains_substring ~needle:"segfault" msg)
+     | o -> Alcotest.failf "expected a test crash, got %s" (Outcome.label o))
 
 let test_raising_scenario_classified () =
   let bomb =

@@ -128,23 +128,30 @@ let test_sandbox_fuel () =
   (* without a budget, tick is a no-op for well-behaved SUTs *)
   Alcotest.(check bool) "no ambient fuel" true (Sandbox.fuel_left () = None)
 
-let test_sandbox_matches_engine_when_clean () =
-  let base = base_of pg in
+(* Backtrace recording is a per-domain flag and a spawned domain starts
+   with it off, so every worker must switch it on for itself: a boot
+   crash carries its backtrace whichever domain ran it. *)
+let test_parallel_crashes_carry_backtraces () =
+  let sut = scripted_sut [ `Boot_crash ] in
   let scenarios =
-    Conferr.Campaign.typo_scenarios
-      ~rng:(Conferr_util.Rng.create 7)
-      ~faultload:Conferr.Campaign.paper_faultload pg base
-    |> List.filteri (fun i _ -> i < 40)
+    List.init 64 (fun i -> noop_scenario ~id:(Printf.sprintf "boom-%04d" i) ())
+  in
+  let profile, _ =
+    Executor.run_from
+      ~settings:{ Executor.default_settings with jobs = 4 }
+      ~on_event:silent ~sut ~base:(base_of sut) ~scenarios ()
   in
   List.iter
-    (fun s ->
-      let classic = Engine.run_scenario ~sut:pg ~base s in
-      let sandboxed = Sandbox.run_scenario ~sut:pg ~base s in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s agrees" s.Scenario.id)
-        true
-        (classic = sandboxed))
-    scenarios
+    (fun (e : Profile.entry) ->
+      match e.Profile.outcome with
+      | Outcome.Crashed { phase = Outcome.Boot; backtrace; _ } ->
+        Alcotest.(check bool)
+          (e.Profile.scenario_id ^ " carries a backtrace")
+          true (backtrace <> "")
+      | o ->
+        Alcotest.failf "%s: expected a boot crash, got %s" e.Profile.scenario_id
+          (Outcome.label o))
+    profile.Profile.entries
 
 (* -------------------------------------------------------------- *)
 (* Crash taxonomy round-trip                                        *)
@@ -637,8 +644,8 @@ let suite =
     Alcotest.test_case "sandbox test crash" `Quick test_sandbox_test_crash;
     Alcotest.test_case "sandbox stack overflow" `Quick test_sandbox_stack_overflow;
     Alcotest.test_case "sandbox fuel budget" `Quick test_sandbox_fuel;
-    Alcotest.test_case "sandbox matches engine when clean" `Quick
-      test_sandbox_matches_engine_when_clean;
+    Alcotest.test_case "parallel crashes carry backtraces" `Quick
+      test_parallel_crashes_carry_backtraces;
     Alcotest.test_case "crash cause roundtrip" `Quick test_cause_roundtrip;
     Alcotest.test_case "quorum vote" `Quick test_quorum_vote;
     Alcotest.test_case "quorum suspects" `Quick test_quorum_suspect;
