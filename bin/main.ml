@@ -3,11 +3,28 @@
    Subcommands mirror the paper's evaluation: typo campaigns (table1),
    structural variations (table2), semantic DNS errors (table3), the
    MySQL/Postgres comparison (figure3), plus generic profile runs against
-   any simulated SUT. *)
+   any simulated SUT.
+
+   A flag that means the same thing on several subcommands is declared
+   once, in one of three shared parts: the campaign term (profile,
+   semantic, explore, chaos), the analysis frontend (lint, analyze,
+   gaps, infer, repair) and the daemon-client term (submit, status,
+   results, watch, cancel, get).  Every error exit goes through [fail]. *)
 
 open Cmdliner
+module Json = Conferr_obsv.Json
 
-let all_suts = Suts.Catalog.all
+(* Print "conferr: MSG" and exit [code]; the default, 2, is the shared
+   usage-error status (doc/exec.md, "Exit codes"). *)
+let fail ?(code = 2) fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "conferr: %s\n" msg;
+      exit code)
+    fmt
+
+(* Run [f], turning a file the command cannot read or write into an exit. *)
+let guard ?code f = try f () with Sys_error msg -> fail ?code "%s" msg
 
 let sut_conv =
   let parse s =
@@ -22,6 +39,9 @@ let sut_conv =
   let print fmt s = Format.pp_print_string fmt s.Suts.Sut.sut_name in
   Arg.conv (parse, print)
 
+let sut_arg ?(doc = "System under test.") () =
+  Arg.(required & opt (some sut_conv) None & info [ "sut" ] ~docv:"SUT" ~doc)
+
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
@@ -32,13 +52,6 @@ let setup_logging verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
-let entries_arg =
-  Arg.(
-    value & flag
-    & info [ "entries" ] ~doc:"Also print the per-injection entries of the profile.")
-
-(* Executor flags (see doc/exec.md). *)
-
 let jobs_arg =
   Arg.(
     value & opt string "1"
@@ -47,21 +60,6 @@ let jobs_arg =
           "Worker domains for the campaign (1 = sequential), or $(b,auto) \
            to size the pool to the machine.  Must be at least 1; values \
            beyond max(64, scenario count) are clamped with a warning.")
-
-let journal_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "journal" ] ~docv:"PATH"
-        ~doc:"Append every finished injection to a JSONL journal at $(docv).")
-
-let resume_arg =
-  Arg.(
-    value & flag
-    & info [ "resume" ]
-        ~doc:
-          "Skip scenarios already recorded in the journal (requires --journal); \
-           without this flag an existing journal is restarted from scratch.")
 
 let timeout_arg =
   Arg.(
@@ -76,37 +74,31 @@ let retries_arg =
     value & opt int 0
     & info [ "retries" ] ~docv:"N" ~doc:"Attempts to re-run a timed-out scenario.")
 
-let signatures_arg =
-  Arg.(
-    value & flag
-    & info [ "signatures" ]
-        ~doc:"Also print the profile clustered into distinct failure signatures.")
+let metrics_arg doc =
+  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"PATH" ~doc)
 
-let stats_arg =
-  Arg.(
-    value & flag
-    & info [ "stats" ] ~doc:"Also print campaign execution statistics.")
+let html_arg doc =
+  Arg.(value & opt (some string) None & info [ "html" ] ~docv:"PATH" ~doc)
 
-(* Observability flags (see doc/obsv.md). *)
+let format_arg ?(docv = "FORMAT") ~doc formats =
+  Arg.(value & opt (enum formats) `Text & info [ "format" ] ~docv ~doc)
 
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Record per-scenario phase spans and write them to $(docv) as \
-           Chrome trace-event JSON (load it in ui.perfetto.dev or \
-           chrome://tracing).")
+let text_or_json = [ ("text", `Text); ("json", `Json) ]
 
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:
-          "Collect campaign metrics and write a Prometheus text-format \
-           snapshot to $(docv) when the run finishes.")
+(* Validate --jobs: parse the grammar (a positive integer or "auto"),
+   then check the number against the scenario count; exit 2 on nonsense
+   (junk text, 0 or negative), warn and clamp on excess. *)
+let checked_jobs ?scenario_count jobs_text =
+  let parsed =
+    match Conferr_exec.Executor.parse_jobs jobs_text with
+    | Ok n -> n
+    | Error msg -> fail "%s" msg
+  in
+  match Conferr_exec.Executor.clamp_jobs ?scenario_count parsed with
+  | Error msg -> fail "%s" msg
+  | Ok (jobs, warning) ->
+    Option.iter (fun w -> Printf.eprintf "conferr: warning: %s\n" w) warning;
+    jobs
 
 let segment_bytes_arg =
   Arg.(
@@ -117,122 +109,187 @@ let segment_bytes_arg =
         ~doc:
           "Write the journal as a v3 segmented store: a directory of segment            files rotated at $(docv) bytes plus a CRC-carrying manifest, each            worker domain appending to its own segment (doc/exec.md). Without            this flag a journal path that already is a store keeps the store            layout.")
 
-(* Build the observers requested by --trace/--metrics, run the campaign,
-   then write the files.  With neither flag the campaign runs exactly as
-   before (no clock, byte-identical journal and profile). *)
-let with_observers ~trace ~metrics f =
-  let tracer = Option.map (fun _ -> Conferr_obsv.Trace.create ()) trace in
-  let registry = Option.map (fun _ -> Conferr_obsv.Metrics.create ()) metrics in
-  let result = f tracer registry in
-  (try
-     (match (trace, tracer) with
-      | Some path, Some t ->
-        Conferr_obsv.Trace.write_file t path;
-        if Conferr_obsv.Trace.dropped t > 0 then
-          Printf.eprintf
-            "conferr: warning: trace ring overflow, %d scenario(s) not recorded\n"
-            (Conferr_obsv.Trace.dropped t)
-      | _ -> ());
-     match (metrics, registry) with
-     | Some path, Some r -> Conferr_obsv.Metrics.write_file r path
-     | _ -> ()
-   with Sys_error msg ->
-     Printf.eprintf "conferr: %s\n" msg;
-     exit 1);
-  result
+let checked_segment_bytes = function
+  | Some n when n <= 0 -> fail "--segment-bytes must be positive, got %d" n
+  | sb -> sb
 
-(* --resume without --journal used to be silently ignored (there is
-   nothing to resume from); fail loudly instead. *)
-let require_journal_for_resume ~journal ~resume =
-  if resume && journal = None then begin
-    prerr_endline
-      "conferr: --resume requires --journal PATH (there is no journal to \
-       resume from)";
-    exit 2
-  end
+(* Inputs named on the command line: one that cannot be read is a usage
+   error. *)
+let read_file path =
+  guard (fun () ->
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> really_input_string ic (in_channel_length ic)))
+
+let write_file path text =
+  guard (fun () ->
+      let oc = open_out_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () -> output_string oc text))
 
 (* Journals named as *inputs* (fsck, gaps, report --journal) follow the
    shared exit-code convention (doc/exec.md): a path that does not exist
-   is a usage error (exit 2), never an empty-journal success. *)
+   or cannot be read is a usage error (exit 2), never an empty-journal
+   success. *)
 let require_journal_file path =
-  if not (Sys.file_exists path) then begin
-    Printf.eprintf "conferr: %s: no such journal\n" path;
-    exit 2
-  end
+  if not (Sys.file_exists path) then fail "%s: no such journal" path
 
-(* Validate --jobs: parse the grammar (a positive integer or "auto"),
-   then check the number against the scenario count; exit 2 on nonsense
-   (junk text, 0 or negative), warn and clamp on excess. *)
-let checked_jobs ?scenario_count jobs_text =
-  let parsed =
-    match Conferr_exec.Executor.parse_jobs jobs_text with
-    | Ok n -> n
-    | Error msg ->
-      Printf.eprintf "conferr: %s\n" msg;
-      exit 2
+let load_journal path =
+  require_journal_file path;
+  guard (fun () -> Conferr_exec.Journal.load path)
+
+let input_journal_arg
+    ?(doc =
+      "Read the recorded campaign journal at $(docv): the file or v3 store \
+       a campaign command's $(b,--journal) wrote.") () =
+  Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"PATH" ~doc)
+
+let stock_config ?code sut =
+  match Conferr.Engine.parse_default_config sut with
+  | Ok base -> base
+  | Error msg -> fail ?code "%s" msg
+
+let dns_codec sut =
+  match sut.Suts.Sut.sut_name with
+  | "bind" -> Some (Dnsmodel.Codec.bind ~zones:Suts.Mini_bind.zones)
+  | "djbdns" -> Some (Dnsmodel.Codec.tinydns ~file:Suts.Mini_djbdns.data_file)
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* The campaign term (doc/exec.md, doc/obsv.md): the flags profile,
+   semantic, explore and chaos share, validated once by [run_campaign]. *)
+
+type campaign = {
+  sut : Suts.Sut.t;
+  jobs : string;
+  journal : string option;
+  resume : bool;
+  segment_bytes : int option;
+  entries : bool;
+  stats : bool;
+  trace : string option;
+  metrics : string option;
+}
+
+let campaign_term ?sut_doc () =
+  let make sut jobs journal resume segment_bytes entries stats trace metrics =
+    { sut; jobs; journal; resume; segment_bytes; entries; stats; trace; metrics }
   in
-  match Conferr_exec.Executor.clamp_jobs ?scenario_count parsed with
-  | Error msg ->
-    Printf.eprintf "conferr: %s\n" msg;
-    exit 2
-  | Ok (jobs, warning) ->
-    Option.iter (fun w -> Printf.eprintf "conferr: warning: %s\n" w) warning;
-    jobs
+  let journal =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "journal" ] ~docv:"PATH"
+          ~doc:"Append every finished injection to a JSONL journal at $(docv).")
+  in
+  let resume =
+    Arg.(
+      value & flag
+      & info [ "resume" ]
+          ~doc:
+            "Skip scenarios already recorded in the journal (requires --journal); \
+             without this flag an existing journal is restarted from scratch.")
+  in
+  let entries =
+    Arg.(
+      value & flag
+      & info [ "entries" ] ~doc:"Also print the per-injection entries of the profile.")
+  in
+  let stats =
+    Arg.(value & flag & info [ "stats" ] ~doc:"Also print campaign execution statistics.")
+  in
+  let trace =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Record per-scenario phase spans and write them to $(docv) as \
+             Chrome trace-event JSON (load it in ui.perfetto.dev or \
+             chrome://tracing).")
+  in
+  let metrics =
+    metrics_arg
+      "Collect campaign metrics and write a Prometheus text-format \
+       snapshot to $(docv) when the run finishes."
+  in
+  Term.(
+    const make $ sut_arg ?doc:sut_doc () $ jobs_arg $ journal $ resume
+    $ segment_bytes_arg $ entries $ stats $ trace $ metrics)
 
-let checked_segment_bytes segment_bytes =
-  match segment_bytes with
-  | Some n when n <= 0 ->
-    Printf.eprintf "conferr: --segment-bytes must be positive, got %d\n" n;
-    exit 2
-  | sb -> sb
-
-(* Journals named as *outputs* are validated up front (unwritable
-   parent, directory where a file is expected, single file where a
-   --segment-bytes store is requested, ...): a path the writer cannot
-   plausibly open is a usage error, exit 2, before any campaign work
-   starts. *)
-let checked_journal_path ?segment_bytes journal =
-  (match journal with
-   | Some path -> (
-     match Conferr_exec.Journal.validate_path ?segment_bytes path with
-     | Ok () -> ()
-     | Error msg ->
-       Printf.eprintf "conferr: %s\n" msg;
-       exit 2)
-   | None -> ());
-  journal
-
-let executor_settings ?scenario_count ?segment_bytes ?journal_io ~jobs ~seed
-    ~journal ~resume ~timeout ~retries () =
-  require_journal_for_resume ~journal ~resume;
-  let segment_bytes = checked_segment_bytes segment_bytes in
-  let journal = checked_journal_path ?segment_bytes journal in
-  {
-    Conferr_exec.Executor.default_settings with
-    jobs = checked_jobs ?scenario_count jobs;
-    campaign_seed = seed;
-    journal_path = journal;
-    segment_bytes;
-    journal_io;
-    resume;
-    timeout_s = timeout;
-    retries;
-  }
-
-(* The executor touches the filesystem only through the journal; surface
-   open/rename failures — and storage faults re-labelled as
-   Journal.Fault — as a CLI error rather than an uncaught exception. *)
-let run_campaign ~settings ~sut ~base ~scenarios () =
-  try Conferr_exec.Executor.run_from ~settings ~sut ~base ~scenarios ()
-  with
+(* The one handler for a campaign whose journal storage failed: [before]
+   prints what the command still owes stdout.  A journal fault leaves the
+   journal repairable and resumable, so the message says how. *)
+let journal_failed ?(before = ignore) e =
+  before ();
+  match e with
   | Conferr_exec.Journal.Fault msg ->
-    Printf.eprintf
-      "conferr: journal fault: %s\nconferr: the journal is repairable: run fsck --repair, then resume with --resume\n"
-      msg;
-    exit 1
-  | Sys_error msg ->
-    Printf.eprintf "conferr: %s\n" msg;
-    exit 1
+    fail ~code:1
+      "journal fault: %s\nconferr: the journal is repairable: run fsck \
+       --repair, then resume with --resume"
+      msg
+  | Sys_error msg -> fail ~code:1 "%s" msg
+  | e -> raise e
+
+(* Validate the campaign flags, build the observers --trace/--metrics ask
+   for, and run [f] with executor settings carrying both; the trace and
+   metrics files are written once [f] returns.  With neither flag the
+   campaign runs exactly as without observers (no clock, byte-identical
+   journal and profile).  Every check exits 2 before any campaign work:
+   --resume needs a journal, and a journal path the writer cannot
+   plausibly open (unwritable parent, directory where a file is
+   expected, single file where a --segment-bytes store is requested, ...)
+   is a usage error. *)
+let run_campaign ?scenario_count ~seed c f =
+  if c.resume && c.journal = None then
+    fail "--resume requires --journal PATH (there is no journal to resume from)";
+  let segment_bytes = checked_segment_bytes c.segment_bytes in
+  Option.iter
+    (fun path ->
+      match Conferr_exec.Journal.validate_path ?segment_bytes path with
+      | Ok () -> ()
+      | Error msg -> fail "%s" msg)
+    c.journal;
+  let jobs = checked_jobs ?scenario_count c.jobs in
+  let tracer = Option.map (fun _ -> Conferr_obsv.Trace.create ()) c.trace in
+  let registry = Option.map (fun _ -> Conferr_obsv.Metrics.create ()) c.metrics in
+  let settings =
+    {
+      Conferr_exec.Executor.default_settings with
+      jobs;
+      campaign_seed = seed;
+      journal_path = c.journal;
+      segment_bytes;
+      resume = c.resume;
+      trace = tracer;
+      metrics = registry;
+    }
+  in
+  let result =
+    try f settings
+    with (Conferr_exec.Journal.Fault _ | Sys_error _) as e -> journal_failed e
+  in
+  guard ~code:1 (fun () ->
+      (match (c.trace, tracer) with
+       | Some path, Some t ->
+         Conferr_obsv.Trace.write_file t path;
+         if Conferr_obsv.Trace.dropped t > 0 then
+           Printf.eprintf
+             "conferr: warning: trace ring overflow, %d scenario(s) not recorded\n"
+             (Conferr_obsv.Trace.dropped t)
+       | _ -> ());
+      match (c.metrics, registry) with
+      | Some path, Some r -> Conferr_obsv.Metrics.write_file r path
+      | _ -> ());
+  result
+
+let print_stats c snapshot =
+  if c.stats then begin
+    print_newline ();
+    print_string (Conferr_exec.Progress.render snapshot)
+  end
 
 (* ------------------------------------------------------------------ *)
 
@@ -242,64 +299,42 @@ let list_cmd =
       (fun s ->
         Printf.printf "%-10s %s (files: %s)\n" s.Suts.Sut.sut_name s.Suts.Sut.version
           (String.concat ", " (List.map fst s.Suts.Sut.config_files)))
-      all_suts
+      Suts.Catalog.all
   in
   Cmd.v (Cmd.info "list-suts" ~doc:"List the simulated systems under test.")
     Term.(const run $ const ())
 
+let typo_scenarios ~rng sut base =
+  Conferr.Campaign.typo_scenarios ~rng ~faultload:Conferr.Campaign.paper_faultload
+    sut base
+
 let profile_cmd =
-  let run sut seed entries csv by_level verbose jobs journal resume timeout retries
-      signatures stats trace metrics segment_bytes =
+  let run c seed csv by_level verbose timeout retries signatures =
     setup_logging verbose;
-    let rng = Conferr_util.Rng.create seed in
-    match Conferr.Engine.parse_default_config sut with
-    | Error msg ->
-      prerr_endline msg;
-      exit 1
-    | Ok base ->
-      let scenarios =
-        Conferr.Campaign.typo_scenarios ~rng
-          ~faultload:Conferr.Campaign.paper_faultload sut base
-      in
-      let profile, snapshot =
-        with_observers ~trace ~metrics (fun tracer registry ->
-            let settings =
-              {
-                (executor_settings ~scenario_count:(List.length scenarios)
-                   ?segment_bytes ~jobs ~seed ~journal ~resume ~timeout
-                   ~retries ())
-                with
-                trace = tracer;
-                metrics = registry;
-              }
-            in
-            run_campaign ~settings ~sut ~base ~scenarios ())
-      in
-      if csv then print_string (Conferr.Profile.to_csv profile)
-      else begin
-        print_string (Conferr.Profile.render profile);
-        if by_level then begin
-          print_newline ();
-          print_string (Conferr.Profile.render_by_cognitive_level profile)
-        end;
-        if signatures then begin
-          print_newline ();
-          print_string
-            (Conferr_exec.Signature.render
-               (Conferr_exec.Signature.clusters profile.Conferr.Profile.entries))
-        end;
-        if entries then print_string (Conferr.Profile.render_entries profile);
-        if stats then begin
-          print_newline ();
-          print_string (Conferr_exec.Progress.render snapshot)
-        end
-      end
-  in
-  let sut =
-    Arg.(
-      required
-      & opt (some sut_conv) None
-      & info [ "sut" ] ~docv:"SUT" ~doc:"System under test.")
+    let base = stock_config ~code:1 c.sut in
+    let scenarios = typo_scenarios ~rng:(Conferr_util.Rng.create seed) c.sut base in
+    let profile, snapshot =
+      run_campaign ~scenario_count:(List.length scenarios) ~seed c (fun s ->
+          Conferr_exec.Executor.run_from
+            ~settings:{ s with timeout_s = timeout; retries }
+            ~sut:c.sut ~base ~scenarios ())
+    in
+    if csv then print_string (Conferr.Profile.to_csv profile)
+    else begin
+      print_string (Conferr.Profile.render profile);
+      if by_level then begin
+        print_newline ();
+        print_string (Conferr.Profile.render_by_cognitive_level profile)
+      end;
+      if signatures then begin
+        print_newline ();
+        print_string
+          (Conferr_exec.Signature.render
+             (Conferr_exec.Signature.clusters profile.Conferr.Profile.entries))
+      end;
+      if c.entries then print_string (Conferr.Profile.render_entries profile);
+      print_stats c snapshot
+    end
   in
   let csv =
     Arg.(value & flag & info [ "csv" ] ~doc:"Emit the raw profile as CSV.")
@@ -309,6 +344,12 @@ let profile_cmd =
       value & flag
       & info [ "by-level" ] ~doc:"Also summarize outcomes by GEMS cognitive level.")
   in
+  let signatures =
+    Arg.(
+      value & flag
+      & info [ "signatures" ]
+          ~doc:"Also print the profile clustered into distinct failure signatures.")
+  in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
@@ -316,10 +357,8 @@ let profile_cmd =
           Campaigns can run on several domains (--jobs), record a resumable \
           journal (--journal, --resume) and bound each injection (--timeout).")
     Term.(
-      const run $ sut $ seed_arg $ entries_arg $ csv $ by_level $ verbose_arg
-      $ jobs_arg $ journal_arg $ resume_arg $ timeout_arg $ retries_arg
-      $ signatures_arg $ stats_arg $ trace_arg $ metrics_arg
-      $ segment_bytes_arg)
+      const run $ campaign_term () $ seed_arg $ csv $ by_level $ verbose_arg
+      $ timeout_arg $ retries_arg $ signatures)
 
 let benchmark_cmd =
   let run seed experiments =
@@ -374,133 +413,83 @@ let variations_cmd =
       t.rows;
     Printf.printf "%% of assumptions satisfied: %.0f%%\n" t.satisfied_percent
   in
-  let sut =
-    Arg.(
-      required
-      & opt (some sut_conv) None
-      & info [ "sut" ] ~docv:"SUT" ~doc:"System under test.")
-  in
   Cmd.v
     (Cmd.info "variations"
        ~doc:"Check which structural variation classes one SUT accepts.")
-    Term.(const run $ sut $ seed_arg)
+    Term.(const run $ sut_arg () $ seed_arg)
 
 let semantic_cmd =
-  let run sut entries jobs journal resume stats trace metrics segment_bytes =
+  let run c =
     let codec =
-      match sut.Suts.Sut.sut_name with
-      | "bind" -> Dnsmodel.Codec.bind ~zones:Suts.Mini_bind.zones
-      | "djbdns" -> Dnsmodel.Codec.tinydns ~file:Suts.Mini_djbdns.data_file
-      | other ->
-        prerr_endline (Printf.sprintf "semantic campaign only supports DNS SUTs, not %s" other);
-        exit 1
+      match dns_codec c.sut with
+      | Some codec -> codec
+      | None ->
+        fail ~code:1 "semantic campaign only supports DNS SUTs, not %s"
+          c.sut.Suts.Sut.sut_name
     in
-    match Conferr.Engine.parse_default_config sut with
-    | Error msg ->
-      prerr_endline msg;
-      exit 1
-    | Ok base ->
-      let scenarios =
-        Dnsmodel.Rfc1912.scenarios ~codec ~faults:Dnsmodel.Rfc1912.all_faults base
-        |> Errgen.Scenario.relabel_ids ~prefix:"semantic"
-      in
-      let profile, snapshot =
-        with_observers ~trace ~metrics (fun tracer registry ->
-            let settings =
-              {
-                (executor_settings ~scenario_count:(List.length scenarios)
-                   ?segment_bytes ~jobs ~seed:42 ~journal ~resume ~timeout:None
-                   ~retries:0 ())
-                with
-                trace = tracer;
-                metrics = registry;
-              }
-            in
-            run_campaign ~settings ~sut ~base ~scenarios ())
-      in
-      print_string (Conferr.Profile.render profile);
-      if entries then print_string (Conferr.Profile.render_entries profile);
-      if stats then begin
-        print_newline ();
-        print_string (Conferr_exec.Progress.render snapshot)
-      end
-  in
-  let sut =
-    Arg.(
-      required
-      & opt (some sut_conv) None
-      & info [ "sut" ] ~docv:"SUT" ~doc:"DNS system under test (bind or djbdns).")
+    let base = stock_config ~code:1 c.sut in
+    let scenarios =
+      Dnsmodel.Rfc1912.scenarios ~codec ~faults:Dnsmodel.Rfc1912.all_faults base
+      |> Errgen.Scenario.relabel_ids ~prefix:"semantic"
+    in
+    let profile, snapshot =
+      run_campaign ~scenario_count:(List.length scenarios) ~seed:42 c
+        (fun settings ->
+          Conferr_exec.Executor.run_from ~settings ~sut:c.sut ~base ~scenarios ())
+    in
+    print_string (Conferr.Profile.render profile);
+    if c.entries then print_string (Conferr.Profile.render_entries profile);
+    print_stats c snapshot
   in
   Cmd.v
     (Cmd.info "semantic"
        ~doc:"Run the full RFC-1912 semantic fault catalog against a DNS SUT.")
     Term.(
-      const run $ sut $ entries_arg $ jobs_arg $ journal_arg $ resume_arg
-      $ stats_arg $ trace_arg $ metrics_arg $ segment_bytes_arg)
+      const run $ campaign_term ~sut_doc:"DNS system under test (bind or djbdns)." ())
 
 let explore_cmd =
-  let run sut seed entries verbose jobs journal resume timeout retries budget
-      batch plateau wallclock quarantine stats trace metrics segment_bytes =
+  let run c seed verbose timeout retries budget batch plateau wallclock
+      quarantine =
     setup_logging verbose;
-    require_journal_for_resume ~journal ~resume;
-    let segment_bytes = checked_segment_bytes segment_bytes in
-    let journal = checked_journal_path ?segment_bytes journal in
-    let stream base =
-      Errgen.Gen.of_generator ~prefix:"typo" ~seed
-        (fun ~rng set ->
-          Conferr.Campaign.typo_scenarios ~rng
-            ~faultload:Conferr.Campaign.paper_faultload sut set)
-        base
+    let stream =
+      Errgen.Gen.of_generator ~prefix:"typo" ~seed (fun ~rng ->
+          typo_scenarios ~rng c.sut)
     in
-    match
-      with_observers ~trace ~metrics (fun tracer registry ->
-          let settings =
-            {
-              Conferr_adapt.Explore.default_settings with
-              jobs = checked_jobs jobs;
-              batch;
-              budget;
-              plateau;
-              wallclock_s = wallclock;
-              timeout_s = timeout;
-              retries;
-              campaign_seed = seed;
-              journal_path = journal;
-              segment_bytes;
-              resume;
-              quarantine_path = quarantine;
-              trace = tracer;
-              metrics = registry;
-            }
-          in
-          try Conferr_adapt.Explore.run ~settings ~sut ~stream () with
-          | Conferr_exec.Journal.Fault msg ->
-            Printf.eprintf "conferr: journal fault: %s\n" msg;
-            exit 1
-          | Sys_error msg ->
-            Printf.eprintf "conferr: %s\n" msg;
-            exit 1)
-    with
-    | Error e ->
-      prerr_endline (Conferr.Engine.config_error_to_string e);
-      exit 1
+    let explore (s : Conferr_exec.Executor.settings) =
+      let settings =
+        {
+          Conferr_adapt.Explore.default_settings with
+          jobs = s.jobs;
+          batch;
+          budget;
+          plateau;
+          wallclock_s = wallclock;
+          timeout_s = timeout;
+          retries;
+          campaign_seed = seed;
+          journal_path = s.journal_path;
+          segment_bytes = s.segment_bytes;
+          resume = s.resume;
+          quarantine_path = quarantine;
+          trace = s.trace;
+          metrics = s.metrics;
+        }
+      in
+      Conferr_adapt.Explore.run ~settings ~sut:c.sut ~stream ()
+    in
+    match run_campaign ~seed c explore with
+    | Error e -> fail ~code:1 "%s" (Conferr.Engine.config_error_to_string e)
     | Ok report ->
       print_string (Conferr_adapt.Explore.render report);
-      if entries then begin
+      if c.entries then begin
         print_newline ();
         print_string
           (Conferr.Profile.render_entries report.Conferr_adapt.Explore.profile)
       end;
-      if stats then begin
+      if c.stats then begin
         print_newline ();
         print_string (Conferr.Profile.render report.Conferr_adapt.Explore.profile)
       end
-  in
-  let sut =
-    Arg.(
-      required
-      & opt (some sut_conv) None
-      & info [ "sut" ] ~docv:"SUT" ~doc:"System under test.")
   in
   let budget =
     Arg.(
@@ -549,147 +538,102 @@ let explore_cmd =
           that keep discovering new failure signatures (doc/adapt.md). \
           Deterministic for a fixed seed, any --jobs.")
     Term.(
-      const run $ sut $ seed_arg $ entries_arg $ verbose_arg $ jobs_arg
-      $ journal_arg $ resume_arg $ timeout_arg $ retries_arg $ budget $ batch
-      $ plateau $ wallclock $ quarantine $ stats_arg $ trace_arg $ metrics_arg
-      $ segment_bytes_arg)
+      const run $ campaign_term () $ seed_arg $ verbose_arg $ timeout_arg
+      $ retries_arg $ budget $ batch $ plateau $ wallclock $ quarantine)
+
+(* " (label n, label n, ...)" after a fault count, or nothing. *)
+let per_fault label = function
+  | [] -> ""
+  | per ->
+    Printf.sprintf " (%s)"
+      (String.concat ", "
+         (List.map (fun (f, n) -> Printf.sprintf "%s %d" (label f) n) per))
 
 let chaos_cmd =
-  let run sut seed chaos_seed rate verbose jobs journal resume timeout retries
-      quorum breaker quarantine fuel entries stats trace metrics segment_bytes
-      disk disk_kill_at =
+  let module Chaos = Conferr_harden.Chaos in
+  let module Diskchaos = Conferr_harden.Diskchaos in
+  let run c seed chaos_seed rate verbose timeout retries quorum breaker
+      quarantine fuel disk disk_kill_at =
     setup_logging verbose;
-    if rate < 0.0 || rate > 1.0 then begin
-      prerr_endline "conferr: --chaos-rate must be within [0; 1]";
-      exit 2
-    end;
-    if (disk || disk_kill_at <> None) && journal = None then begin
-      prerr_endline "conferr: --disk/--disk-kill-at require --journal";
-      exit 2
-    end;
-    (* The observers wrap the whole campaign (not just the executor) so
-       both chaos injectors can count their faults in the same registry. *)
+    if rate < 0.0 || rate > 1.0 then fail "--chaos-rate must be within [0; 1]";
+    if (disk || disk_kill_at <> None) && c.journal = None then
+      fail "--disk/--disk-kill-at require --journal";
+    let base = stock_config ~code:1 c.sut in
+    let scenarios = typo_scenarios ~rng:(Conferr_util.Rng.create seed) c.sut base in
+    (* Both chaos injectors count their faults in the campaign's metrics
+       registry, and a storage fault must not hide the disk-chaos stats —
+       they are the point of the exercise — so the abort is caught here
+       and reported after printing them. *)
     let outcome, chaos_stats, disk_stats =
-      with_observers ~trace ~metrics (fun tracer registry ->
-          let chaos_settings =
-            { Conferr_harden.Chaos.default_settings with seed = chaos_seed; rate }
-          in
+      run_campaign ~scenario_count:(List.length scenarios) ~seed c (fun s ->
           let chaotic, chaos_stats =
-            Conferr_harden.Chaos.wrap ~settings:chaos_settings ?metrics:registry
-              sut
+            Chaos.wrap
+              ~settings:{ Chaos.default_settings with seed = chaos_seed; rate }
+              ?metrics:s.metrics c.sut
           in
           let journal_io, disk_stats =
             if not disk && disk_kill_at = None then (None, None)
             else begin
               let disk_settings =
                 {
-                  Conferr_harden.Diskchaos.seed = chaos_seed;
+                  Diskchaos.seed = chaos_seed;
                   rate = (if disk then rate else 0.0);
                   kill_at = disk_kill_at;
-                  faults =
-                    (if disk then Conferr_harden.Diskchaos.all_faults else []);
+                  faults = (if disk then Diskchaos.all_faults else []);
                 }
               in
               let io, st =
-                Conferr_harden.Diskchaos.wrap ~settings:disk_settings
-                  ?metrics:registry Conferr_harden.Diskchaos.real
+                Diskchaos.wrap ~settings:disk_settings ?metrics:s.metrics
+                  Diskchaos.real
               in
               (Some io, Some st)
             end
           in
-          match Conferr.Engine.parse_default_config sut with
-          | Error msg ->
-            prerr_endline msg;
-            exit 1
-          | Ok base ->
-            let scenarios =
-              Conferr.Campaign.typo_scenarios ~rng:(Conferr_util.Rng.create seed)
-                ~faultload:Conferr.Campaign.paper_faultload sut base
-            in
-            let settings =
-              {
-                (executor_settings ~scenario_count:(List.length scenarios)
-                   ?segment_bytes ?journal_io ~jobs ~seed ~journal ~resume
-                   ~timeout:(Some timeout) ~retries ())
-                with
-                quorum;
-                breaker = (if breaker <= 0 then None else Some breaker);
-                quarantine_dir = quarantine;
-                fuel;
-                trace = tracer;
-                metrics = registry;
-              }
-            in
-            (* A storage fault must not hide the disk-chaos stats — they
-               are the point of the exercise — so catch the abort here
-               and report after printing them. *)
-            let outcome =
-              try
-                Ok
-                  (Conferr_exec.Executor.run_from ~settings ~sut:chaotic ~base
-                     ~scenarios ())
-              with
-              | Conferr_exec.Journal.Fault msg ->
-                Error (Printf.sprintf "journal fault: %s" msg)
-              | Sys_error msg -> Error msg
-            in
-            (outcome, chaos_stats, disk_stats))
+          let settings =
+            {
+              s with
+              journal_io;
+              timeout_s = Some timeout;
+              retries;
+              quorum;
+              breaker = (if breaker <= 0 then None else Some breaker);
+              quarantine_dir = quarantine;
+              fuel;
+            }
+          in
+          let outcome =
+            try
+              Ok
+                (Conferr_exec.Executor.run_from ~settings ~sut:chaotic ~base
+                   ~scenarios ())
+            with (Conferr_exec.Journal.Fault _ | Sys_error _) as e -> Error e
+          in
+          (outcome, chaos_stats, disk_stats))
     in
     let print_disk_stats () =
-      match disk_stats with
-      | None -> ()
-      | Some st ->
-        Printf.printf "Disk chaos: %d fault(s) injected%s, %d byte(s) written%s\n"
-          (Conferr_harden.Diskchaos.injected st)
-          (match Conferr_harden.Diskchaos.by_fault st with
-           | [] -> ""
-           | per ->
-             Printf.sprintf " (%s)"
-               (String.concat ", "
-                  (List.map
-                     (fun (f, n) ->
-                       Printf.sprintf "%s %d"
-                         (Conferr_harden.Diskchaos.fault_label f) n)
-                     per)))
-          (Conferr_harden.Diskchaos.written_bytes st)
-          (if Conferr_harden.Diskchaos.killed st then ", killed" else "")
+      Option.iter
+        (fun st ->
+          Printf.printf "Disk chaos: %d fault(s) injected%s, %d byte(s) written%s\n"
+            (Diskchaos.injected st)
+            (per_fault Diskchaos.fault_label (Diskchaos.by_fault st))
+            (Diskchaos.written_bytes st)
+            (if Diskchaos.killed st then ", killed" else ""))
+        disk_stats
     in
     match outcome with
-    | Error msg ->
-      print_disk_stats ();
-      Printf.eprintf
-        "conferr: journal aborted the campaign: %s\nconferr: the journal is repairable: run fsck --repair, then resume with --resume\n"
-        msg;
-      exit 1
+    | Error e -> journal_failed ~before:print_disk_stats e
     | Ok (profile, snapshot) ->
       print_string (Conferr.Profile.render profile);
-      if entries then print_string (Conferr.Profile.render_entries profile);
+      if c.entries then print_string (Conferr.Profile.render_entries profile);
       Printf.printf "\nChaos injection: %d fault(s) injected%s\n"
-        (Conferr_harden.Chaos.injected chaos_stats)
-        (match Conferr_harden.Chaos.by_fault chaos_stats with
-         | [] -> ""
-         | per ->
-           Printf.sprintf " (%s)"
-             (String.concat ", "
-                (List.map
-                   (fun (f, n) ->
-                     Printf.sprintf "%s %d" (Conferr_harden.Chaos.fault_label f) n)
-                   per)));
+        (Chaos.injected chaos_stats)
+        (per_fault Chaos.fault_label (Chaos.by_fault chaos_stats));
       print_disk_stats ();
-      if stats then begin
-        print_newline ();
-        print_string (Conferr_exec.Progress.render snapshot)
-      end
-  in
-  let sut =
-    Arg.(
-      required
-      & opt (some sut_conv) None
-      & info [ "sut" ] ~docv:"SUT" ~doc:"System under test.")
+      print_stats c snapshot
   in
   let chaos_seed =
     Arg.(
-      value & opt int Conferr_harden.Chaos.default_settings.Conferr_harden.Chaos.seed
+      value & opt int Chaos.default_settings.Chaos.seed
       & info [ "chaos-seed" ] ~docv:"SEED" ~doc:"Seed of the chaos injector.")
   in
   let rate =
@@ -765,10 +709,9 @@ let chaos_cmd =
           journal) survives a hostile SUT; --disk extends the hostility to \
           the journal's own storage (doc/harden.md).")
     Term.(
-      const run $ sut $ seed_arg $ chaos_seed $ rate $ verbose_arg $ jobs_arg
-      $ journal_arg $ resume_arg $ timeout $ retries_arg $ quorum $ breaker
-      $ quarantine $ fuel $ entries_arg $ stats_arg $ trace_arg $ metrics_arg
-      $ segment_bytes_arg $ disk $ disk_kill_at)
+      const run $ campaign_term () $ seed_arg $ chaos_seed $ rate $ verbose_arg
+      $ timeout $ retries_arg $ quorum $ breaker $ quarantine $ fuel $ disk
+      $ disk_kill_at)
 
 let fsck_cmd =
   let run journal repair format =
@@ -778,7 +721,7 @@ let fsck_cmd =
     let totals = J.survey_totals s in
     let pre_clean = J.survey_clean s in
     (match format with
-     | `Json -> print_endline (Conferr_exec.Json.to_string (J.survey_to_json s))
+     | `Json -> print_endline (Json.to_string (J.survey_to_json s))
      | `Text ->
        if
          (not s.J.store)
@@ -815,14 +758,10 @@ let fsck_cmd =
          if (not pre_clean) && s.J.repaired then
            print_endline "repaired: segments healed and manifest resealed"
        end);
-    if pre_clean || (repair && s.J.repaired) then exit 0
-    else if repair then exit 0
+    if pre_clean || repair then exit 0
     else begin
-      (match format with
-       | `Text ->
-         print_endline
-           "journal is damaged; re-run with --repair to heal it"
-       | `Json -> ());
+      if format = `Text then
+        print_endline "journal is damaged; re-run with --repair to heal it";
       exit 1
     end
   in
@@ -844,13 +783,11 @@ let fsck_cmd =
              dropped, and the manifest resealed.")
   in
   let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:
-            "Report format: $(b,text) (default) or $(b,json) (one object \
-             with totals and a per-segment array).")
+    format_arg ~docv:"FMT"
+      ~doc:
+        "Report format: $(b,text) (default) or $(b,json) (one object \
+         with totals and a per-segment array)."
+      text_or_json
   in
   Cmd.v
     (Cmd.info "fsck"
@@ -864,99 +801,59 @@ let fsck_cmd =
 let suggest_cmd =
   let run sut seed =
     let vocabulary = Suts.Vocabulary.for_sut sut in
-    if vocabulary = [] then begin
-      prerr_endline
-        (Printf.sprintf "%s has no name-oriented directives to suggest about"
-           sut.Suts.Sut.sut_name);
-      exit 1
-    end;
+    if vocabulary = [] then
+      fail ~code:1 "%s has no name-oriented directives to suggest about"
+        sut.Suts.Sut.sut_name;
     let rng = Conferr_util.Rng.create seed in
     print_string
       (Conferr.Suggest.render (Conferr.Suggest.recoverability ~vocabulary ~rng ()))
-  in
-  let sut =
-    Arg.(
-      required
-      & opt (some sut_conv) None
-      & info [ "sut" ] ~docv:"SUT" ~doc:"System under test.")
   in
   Cmd.v
     (Cmd.info "suggest"
        ~doc:
          "Estimate how many directive-name typos a did-you-mean suggester would \
           repair for one SUT.")
-    Term.(const run $ sut $ seed_arg)
+    Term.(const run $ sut_arg () $ seed_arg)
 
-let read_file ?(missing_exit = 1) path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with Sys_error msg ->
-    Printf.eprintf "conferr: %s\n" msg;
-    exit missing_exit
-
-let row_of_entry = Conferr_exec.Dashboard.row_of_entry
-
-(* Journals are inputs here, not outputs: a path that cannot be read is
-   a usage error (exit 2) under the shared exit-code convention
-   (doc/exec.md). *)
-let load_journal path =
-  require_journal_file path;
-  try Conferr_exec.Journal.load path
-  with Sys_error msg ->
-    Printf.eprintf "conferr: %s\n" msg;
-    exit 2
+(* Write the HTML dashboard [write] renders to the --html path, if any. *)
+let write_dashboard ?code html write =
+  Option.iter (fun path -> guard ?code (fun () -> write path)) html
 
 let report_cmd =
   let check_trace_file path =
-    let text = read_file ~missing_exit:2 path in
-    match Conferr_exec.Json.of_string (String.trim text) with
-    | Error msg ->
-      Printf.eprintf "conferr: %s: %s\n" path msg;
-      exit 1
+    match Json.of_string (String.trim (read_file path)) with
+    | Error msg -> fail ~code:1 "%s: %s" path msg
     | Ok json ->
-      (match Conferr_exec.Json.member "traceEvents" json with
-       | Some (Conferr_exec.Json.Arr events) ->
+      (match Json.member "traceEvents" json with
+       | Some (Json.Arr events) ->
          Printf.printf "trace OK: %d event(s)\n" (List.length events)
-       | _ ->
-         Printf.eprintf "conferr: %s: no traceEvents array\n" path;
-         exit 1)
+       | _ -> fail ~code:1 "%s: no traceEvents array" path)
   in
   let run sut seed journal html metrics check_trace =
     match (check_trace, journal, sut) with
     | Some path, _, _ -> check_trace_file path
     | None, Some jpath, _ ->
-      let rows = List.map row_of_entry (load_journal jpath) in
-      let metrics_text = Option.map (fun p -> read_file ~missing_exit:2 p) metrics in
+      let rows = Conferr_exec.Dashboard.rows_of_entries (load_journal jpath) in
+      let metrics_text = Option.map read_file metrics in
       let title = "conferr campaign \xe2\x80\x94 " ^ Filename.basename jpath in
-      (try Conferr_obsv.Report.write_file ~title ~rows ?metrics_text html
-       with Sys_error msg ->
-         Printf.eprintf "conferr: %s\n" msg;
-         exit 1);
+      write_dashboard ~code:1 (Some html)
+        (Conferr_obsv.Report.write_file ~title ~rows ?metrics_text);
       Printf.printf "wrote %s (%d row(s))\n" html (List.length rows)
     | None, None, Some sut ->
-      let semantic_codec =
-        match sut.Suts.Sut.sut_name with
-        | "bind" -> Some (Dnsmodel.Codec.bind ~zones:Suts.Mini_bind.zones)
-        | "djbdns" -> Some (Dnsmodel.Codec.tinydns ~file:Suts.Mini_djbdns.data_file)
-        | _ -> None
-      in
       let excluded_variations =
         if sut.Suts.Sut.sut_name = "apache" then
           [ Errgen.Variations.Reorder_sections ]
         else []
       in
       let report =
-        Conferr.Report.generate ~seed ~excluded_variations ?semantic_codec sut
+        Conferr.Report.generate ~seed ~excluded_variations
+          ?semantic_codec:(dns_codec sut) sut
       in
       print_string (Conferr.Report.render report)
     | None, None, None ->
-      prerr_endline
-        "conferr: report needs --sut (full text report), --journal (HTML \
-         dashboard) or --check-trace";
-      exit 2
+      fail
+        "report needs --sut (full text report), --journal (HTML dashboard) or \
+         --check-trace"
   in
   let sut =
     Arg.(
@@ -966,13 +863,11 @@ let report_cmd =
           ~doc:"System under test for the full text report.")
   in
   let journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"PATH"
-          ~doc:
-            "Render the HTML resilience dashboard from this campaign journal \
-             instead of running campaigns (doc/obsv.md).")
+    input_journal_arg
+      ~doc:
+        "Render the HTML resilience dashboard from this campaign journal \
+         instead of running campaigns (doc/obsv.md)."
+      ()
   in
   let html =
     Arg.(
@@ -1006,50 +901,84 @@ let report_cmd =
     Term.(const run $ sut $ seed_arg $ journal $ html $ metrics $ check_trace)
 
 (* ------------------------------------------------------------------ *)
-(* Static analysis (doc/lint.md).  lint and gaps share the repo-wide
-   exit-code convention: 0 clean, 1 findings, 2 usage error. *)
+(* The analysis frontend (doc/lint.md, doc/infer.md, doc/repair.md):
+   what lint, analyze, gaps, infer and repair share.  They follow the
+   repo-wide exit-code convention: 0 clean, 1 findings, 2 usage error. *)
 
-let format_arg =
-  Arg.(
-    value
-    & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-    & info [ "format" ] ~docv:"FORMAT" ~doc:"Output format, $(b,text) or $(b,json).")
+let files_arg doc = Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc)
 
-(* lint and analyze additionally speak SARIF 2.1.0 (doc/lint.md); the
-   other subcommands keep the plain text/json pair. *)
-let lint_format_arg =
-  Arg.(
-    value
-    & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ]) `Text
-    & info [ "format" ] ~docv:"FORMAT"
-        ~doc:"Output format: $(b,text), $(b,json) or $(b,sarif) (2.1.0).")
+let rules_arg doc =
+  Arg.(value & opt (some string) None & info [ "rules" ] ~docv:"PATH" ~doc)
 
 let deep_arg doc = Arg.(value & flag & info [ "deep" ] ~doc)
 
-let required_sut = function
-  | Some sut -> sut
-  | None ->
-    prerr_endline "conferr: --sut SUT is required";
-    exit 2
+let fail_on_arg =
+  Arg.(
+    value
+    & opt
+        (enum
+           [
+             ("warn", Conferr_lint.Finding.Warning);
+             ("error", Conferr_lint.Finding.Error);
+           ])
+        Conferr_lint.Finding.Error
+    & info [ "fail-on" ] ~docv:"SEVERITY"
+        ~doc:"Exit 1 when a finding at or above $(docv) (warn or error) exists.")
 
-let rules_for sut =
-  match Suts.Lint_rules.for_sut sut.Suts.Sut.sut_name with
-  | Some rules -> rules
-  | None ->
-    Printf.eprintf "conferr: no rule set for SUT %s\n" sut.Suts.Sut.sut_name;
-    exit 2
+(* The --format of gaps, infer and repair; lint and analyze additionally
+   speak SARIF 2.1.0 (doc/lint.md). *)
+let report_format_arg =
+  format_arg ~doc:"Output format, $(b,text) or $(b,json)." text_or_json
 
-(* The scenario set a campaign journal was recorded from is re-derived
-   by Conferr.Faultload.journal_scenarios — gaps, infer and repair all
-   replay journals against it, so the derivation lives in one module. *)
-let regenerate_scenarios ~seed sut base =
-  Conferr.Faultload.journal_scenarios ~seed sut base
+let findings_format_arg =
+  format_arg ~doc:"Output format: $(b,text), $(b,json) or $(b,sarif) (2.1.0)."
+    (("sarif", `Sarif) :: text_or_json)
 
-(* Parse one configuration set for linting: the SUT's default files,
-   with any FILE arguments (matched to config files by base name)
+(* Print [report] in the chosen --format. *)
+let print_report format ~text ~json report =
+  match format with
+  | `Text -> print_string (text report)
+  | `Json -> print_endline (Json.to_string (json report))
+
+let print_findings format ~text ~json findings =
+  match format with
+  | `Sarif -> print_string (Conferr_lint.Sarif.render findings)
+  | (`Text | `Json) as format -> print_report format ~text ~json findings
+
+(* The rule set to check against: the SUT's built-in one, or the rule
+   file given with --rules (whose specs repair also mines for clusters);
+   with [deep], the SUT's corpus-level (dataflow) rules are added. *)
+let load_rules ?(deep = false) sut rules_file =
+  let rules, specs =
+    match rules_file with
+    | Some path -> (
+      match Conferr_lint.Rule_file.load (read_file path) with
+      | Ok specs -> (List.map Conferr_lint.Rule_file.to_rule specs, specs)
+      | Error msg -> fail "%s: %s" path msg)
+    | None -> (
+      match Suts.Lint_rules.for_sut sut.Suts.Sut.sut_name with
+      | Some rules -> (rules, [])
+      | None -> fail "no rule set for SUT %s" sut.Suts.Sut.sut_name)
+  in
+  ((if deep then Suts.Dataflow_rules.deepen sut.Suts.Sut.sut_name rules else rules), specs)
+
+(* Parse one configuration set for checking: the SUT's default files,
+   with the FILE arguments (matched to config files by base name)
    substituted in.  A file that does not parse is not fatal — it becomes
    a SYNTAX finding at the file root, like any other diagnostic. *)
-let lint_parse sut overrides =
+let parse_files sut files =
+  let config_files = sut.Suts.Sut.config_files in
+  let overrides =
+    List.map
+      (fun path ->
+        let name = Filename.basename path in
+        if not (List.mem_assoc name config_files) then
+          fail "%s: %s is not a configuration file of %s (expected: %s)" path
+            name sut.Suts.Sut.sut_name
+            (String.concat ", " (List.map fst config_files));
+        (name, read_file path))
+      files
+  in
   List.fold_left
     (fun (set, syntax) (name, fmt) ->
       let text =
@@ -1075,100 +1004,54 @@ let lint_parse sut overrides =
           }
           :: syntax ))
     (Conftree.Config_set.empty, [])
-    sut.Suts.Sut.config_files
+    config_files
+
+let sort_findings sut findings =
+  List.sort_uniq
+    (Conferr_lint.Finding.compare
+       ~file_order:(List.map fst sut.Suts.Sut.config_files))
+    findings
+
+(* The journals gaps, infer and repair replay: their entries, the SUT's
+   stock configuration, and the scenarios the campaign ran, regenerated
+   from its --seed (Conferr.Faultload.journal_scenarios). *)
+let load_replay ~seed sut journals =
+  let entries = List.concat_map load_journal journals in
+  let stock = stock_config sut in
+  (entries, stock, Conferr.Faultload.journal_scenarios ~seed sut stock)
+
+let analysis_row (f : Conferr_lint.Finding.t) =
+  {
+    Conferr_obsv.Report.an_rule = f.rule_id;
+    an_severity = Conferr_lint.Finding.severity_label f.severity;
+    an_file = f.file;
+    an_address = f.address;
+    an_message = f.message;
+    an_related =
+      String.concat ", " (List.map (fun (fl, ad) -> fl ^ ":" ^ ad) f.related);
+  }
+
+(* Write the Prometheus snapshot of the counters [record] fills to the
+   --metrics path, if any. *)
+let write_metrics metrics record =
+  Option.iter
+    (fun path ->
+      let registry = Conferr_obsv.Metrics.create () in
+      record registry;
+      guard (fun () -> Conferr_obsv.Metrics.write_file registry path))
+    metrics
 
 let lint_cmd =
   let run sut files format fail_on rules_file deep =
-    let sut = required_sut sut in
-    let rules =
-      match rules_file with
-      | None -> rules_for sut
-      | Some path ->
-        (match Conferr_lint.Rule_file.load (read_file ~missing_exit:2 path) with
-        | Ok specs -> List.map Conferr_lint.Rule_file.to_rule specs
-        | Error msg ->
-          Printf.eprintf "conferr: %s: %s\n" path msg;
-          exit 2)
-    in
-    let rules =
-      if deep then Suts.Dataflow_rules.deepen sut.Suts.Sut.sut_name rules
-      else rules
-    in
-    let overrides =
-      List.map
-        (fun path ->
-          let name = Filename.basename path in
-          if not (List.mem_assoc name sut.Suts.Sut.config_files) then begin
-            Printf.eprintf
-              "conferr: %s: %s is not a configuration file of %s (expected: %s)\n"
-              path name sut.Suts.Sut.sut_name
-              (String.concat ", " (List.map fst sut.Suts.Sut.config_files));
-            exit 2
-          end;
-          (name, read_file ~missing_exit:2 path))
-        files
-    in
-    let set, syntax = lint_parse sut overrides in
+    let rules, _ = load_rules ~deep sut rules_file in
+    let set, syntax = parse_files sut files in
     let findings =
-      Conferr_lint.Checker.run ~nearest:Conferr.Suggest.nearest ~rules set
+      sort_findings sut
+        (syntax @ Conferr_lint.Checker.run ~nearest:Conferr.Suggest.nearest ~rules set)
     in
-    let findings =
-      List.sort_uniq
-        (Conferr_lint.Finding.compare
-           ~file_order:(List.map fst sut.Suts.Sut.config_files))
-        (syntax @ findings)
-    in
-    (match format with
-    | `Text -> print_string (Conferr_lint.Checker.render_text findings)
-    | `Json ->
-      print_endline
-        (Conferr_obsv.Json.to_string (Conferr_lint.Checker.to_json findings))
-    | `Sarif -> print_string (Conferr_lint.Sarif.render findings));
+    print_findings format ~text:Conferr_lint.Checker.render_text
+      ~json:Conferr_lint.Checker.to_json findings;
     if Conferr_lint.Checker.exceeds ~threshold:fail_on findings then exit 1
-  in
-  let sut =
-    Arg.(
-      value
-      & opt (some sut_conv) None
-      & info [ "sut" ] ~docv:"SUT" ~doc:"System under test whose rule set to apply.")
-  in
-  let files =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"FILE"
-          ~doc:
-            "Configuration files to lint, matched to the SUT's configuration \
-             files by base name; files not given keep the SUT's default text.  \
-             With no $(docv) the SUT's stock configuration is linted.")
-  in
-  let fail_on =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("warn", Conferr_lint.Finding.Warning);
-               ("error", Conferr_lint.Finding.Error);
-             ])
-          Conferr_lint.Finding.Error
-      & info [ "fail-on" ] ~docv:"SEVERITY"
-          ~doc:"Exit 1 when a finding at or above $(docv) (warn or error) exists.")
-  in
-  let rules_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "rules" ] ~docv:"PATH"
-          ~doc:
-            "Check against the rule file at $(docv) (the format \
-             $(b,conferr infer --emit-rules) writes, doc/infer.md) instead \
-             of the SUT's built-in rule set.")
-  in
-  let deep =
-    deep_arg
-      "Also apply the SUT's corpus-level (dataflow) rules: relation checks, \
-       cross-file shadowing, reference-graph and silent-default taint \
-       (doc/lint.md)."
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1177,7 +1060,22 @@ let lint_cmd =
           rule set (doc/lint.md), or against a mined rule file (--rules).  \
           Exit 0 when clean, 1 on findings at or above --fail-on, 2 on usage \
           errors.")
-    Term.(const run $ sut $ files $ lint_format_arg $ fail_on $ rules_file $ deep)
+    Term.(
+      const run
+      $ sut_arg ~doc:"System under test whose rule set to apply." ()
+      $ files_arg
+          "Configuration files to lint, matched to the SUT's configuration \
+           files by base name; files not given keep the SUT's default text.  \
+           With no $(docv) the SUT's stock configuration is linted."
+      $ findings_format_arg $ fail_on_arg
+      $ rules_arg
+          "Check against the rule file at $(docv) (the format \
+           $(b,conferr infer --emit-rules) writes, doc/infer.md) instead \
+           of the SUT's built-in rule set."
+      $ deep_arg
+          "Also apply the SUT's corpus-level (dataflow) rules: relation checks, \
+           cross-file shadowing, reference-graph and silent-default taint \
+           (doc/lint.md).")
 
 (* conferr analyze: the corpus-level pass on its own — the deepened rule
    set over the whole configuration set, plus the abstract-environment
@@ -1186,34 +1084,9 @@ let lint_cmd =
    same comparator the sequential path uses. *)
 let analyze_cmd =
   let run sut files format fail_on jobs rules_file html metrics =
-    let sut = required_sut sut in
     let sut_name = sut.Suts.Sut.sut_name in
-    let rules =
-      match rules_file with
-      | None -> rules_for sut
-      | Some path ->
-        (match Conferr_lint.Rule_file.load (read_file ~missing_exit:2 path) with
-        | Ok specs -> List.map Conferr_lint.Rule_file.to_rule specs
-        | Error msg ->
-          Printf.eprintf "conferr: %s: %s\n" path msg;
-          exit 2)
-    in
-    let rules = Suts.Dataflow_rules.deepen sut_name rules in
-    let overrides =
-      List.map
-        (fun path ->
-          let name = Filename.basename path in
-          if not (List.mem_assoc name sut.Suts.Sut.config_files) then begin
-            Printf.eprintf
-              "conferr: %s: %s is not a configuration file of %s (expected: %s)\n"
-              path name sut_name
-              (String.concat ", " (List.map fst sut.Suts.Sut.config_files));
-            exit 2
-          end;
-          (name, read_file ~missing_exit:2 path))
-        files
-    in
-    let set, syntax = lint_parse sut overrides in
+    let rules, _ = load_rules ~deep:true sut rules_file in
+    let set, syntax = parse_files sut files in
     let jobs = checked_jobs ~scenario_count:(List.length rules) jobs in
     let findings =
       if jobs <= 1 then
@@ -1226,12 +1099,7 @@ let analyze_cmd =
           (Array.of_list rules)
         |> Array.to_list |> List.concat
     in
-    let findings =
-      List.sort_uniq
-        (Conferr_lint.Finding.compare
-           ~file_order:(List.map fst sut.Suts.Sut.config_files))
-        (syntax @ findings)
-    in
+    let findings = sort_findings sut (syntax @ findings) in
     let env =
       Conferr_lint.Dataflow.env_of_set
         ~specs:(Suts.Dataflow_rules.specs sut_name)
@@ -1241,28 +1109,23 @@ let analyze_cmd =
     let graph =
       Conferr_lint.Refgraph.build set (Suts.Dataflow_rules.edges sut_name set)
     in
-    (match format with
-    | `Text ->
-      print_string (Conferr_lint.Checker.render_text findings);
-      Printf.printf "%s\n%s\n"
-        (Conferr_lint.Dataflow.summarize env)
-        (Conferr_lint.Refgraph.summarize graph)
-    | `Json ->
-      let open Conferr_obsv.Json in
-      print_endline
-        (to_string
-           (Obj
-              [
-                ("sut", Str sut_name);
-                ("report", Conferr_lint.Checker.to_json findings);
-                ("dataflow", Str (Conferr_lint.Dataflow.summarize env));
-                ("graph", Str (Conferr_lint.Refgraph.summarize graph));
-              ]))
-    | `Sarif -> print_string (Conferr_lint.Sarif.render findings));
-    Option.iter
-      (fun path ->
+    print_findings format
+      ~text:(fun findings ->
+        Printf.sprintf "%s%s\n%s\n"
+          (Conferr_lint.Checker.render_text findings)
+          (Conferr_lint.Dataflow.summarize env)
+          (Conferr_lint.Refgraph.summarize graph))
+      ~json:(fun findings ->
+        Json.Obj
+          [
+            ("sut", Json.Str sut_name);
+            ("report", Conferr_lint.Checker.to_json findings);
+            ("dataflow", Json.Str (Conferr_lint.Dataflow.summarize env));
+            ("graph", Json.Str (Conferr_lint.Refgraph.summarize graph));
+          ])
+      findings;
+    write_metrics metrics (fun registry ->
         let module M = Conferr_obsv.Metrics in
-        let registry = M.create () in
         M.declare ~help:"Corpus-level (dataflow) findings by rule" registry
           M.Counter "conferr_dataflow_findings_total";
         let ids = Suts.Dataflow_rules.dataflow_ids sut_name in
@@ -1272,93 +1135,13 @@ let analyze_cmd =
               M.inc
                 ~labels:[ ("rule", f.rule_id); ("sut", sut_name) ]
                 registry "conferr_dataflow_findings_total")
-          findings;
-        try M.write_file registry path
-        with Sys_error msg ->
-          Printf.eprintf "conferr: %s\n" msg;
-          exit 2)
-      metrics;
-    Option.iter
-      (fun path ->
-        let analysis =
-          List.map
-            (fun (f : Conferr_lint.Finding.t) ->
-              {
-                Conferr_obsv.Report.an_rule = f.rule_id;
-                an_severity = Conferr_lint.Finding.severity_label f.severity;
-                an_file = f.file;
-                an_address = f.address;
-                an_message = f.message;
-                an_related =
-                  String.concat ", "
-                    (List.map (fun (fl, ad) -> fl ^ ":" ^ ad) f.related);
-              })
-            findings
-        in
-        let title = "conferr analyze \xe2\x80\x94 " ^ sut_name in
-        try Conferr_obsv.Report.write_file ~title ~rows:[] ~analysis path
-        with Sys_error msg ->
-          Printf.eprintf "conferr: %s\n" msg;
-          exit 2)
-      html;
+          findings);
+    write_dashboard html
+      (Conferr_obsv.Report.write_file
+         ~title:("conferr analyze \xe2\x80\x94 " ^ sut_name)
+         ~rows:[]
+         ~analysis:(List.map analysis_row findings));
     if Conferr_lint.Checker.exceeds ~threshold:fail_on findings then exit 1
-  in
-  let sut =
-    Arg.(
-      value
-      & opt (some sut_conv) None
-      & info [ "sut" ] ~docv:"SUT"
-          ~doc:"System under test whose deep rule profile to apply.")
-  in
-  let files =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"FILE"
-          ~doc:
-            "Configuration files to analyze, matched to the SUT's \
-             configuration files by base name (like $(b,conferr lint)); with \
-             no $(docv) the SUT's stock configuration set is analyzed.")
-  in
-  let fail_on =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("warn", Conferr_lint.Finding.Warning);
-               ("error", Conferr_lint.Finding.Error);
-             ])
-          Conferr_lint.Finding.Error
-      & info [ "fail-on" ] ~docv:"SEVERITY"
-          ~doc:"Exit 1 when a finding at or above $(docv) (warn or error) exists.")
-  in
-  let rules_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "rules" ] ~docv:"PATH"
-          ~doc:
-            "Analyze against the rule file at $(docv) (which may carry \
-             $(b,relation) entries, doc/lint.md) instead of the SUT's \
-             built-in base rules; the SUT's deep profile is added either way.")
-  in
-  let html =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "html" ] ~docv:"PATH"
-          ~doc:
-            "Also write the HTML dashboard with the corpus-analysis panel to \
-             $(docv).")
-  in
-  let metrics =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"PATH"
-          ~doc:
-            "Write a Prometheus snapshot of conferr_dataflow_findings_total \
-             to $(docv).")
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -1370,125 +1153,67 @@ let analyze_cmd =
           Exit 0 when clean, 1 on findings at or above --fail-on, 2 on usage \
           errors.")
     Term.(
-      const run $ sut $ files $ lint_format_arg $ fail_on $ jobs_arg
-      $ rules_file $ html $ metrics)
+      const run
+      $ sut_arg ~doc:"System under test whose deep rule profile to apply." ()
+      $ files_arg
+          "Configuration files to analyze, matched to the SUT's \
+           configuration files by base name (like $(b,conferr lint)); with \
+           no $(docv) the SUT's stock configuration set is analyzed."
+      $ findings_format_arg $ fail_on_arg $ jobs_arg
+      $ rules_arg
+          "Analyze against the rule file at $(docv) (which may carry \
+           $(b,relation) entries, doc/lint.md) instead of the SUT's \
+           built-in base rules; the SUT's deep profile is added either way."
+      $ html_arg
+          "Also write the HTML dashboard with the corpus-analysis panel to \
+           $(docv)."
+      $ metrics_arg
+          "Write a Prometheus snapshot of conferr_dataflow_findings_total \
+           to $(docv).")
 
 let gaps_cmd =
   let run sut journal seed format jobs html metrics deep =
-    let sut = required_sut sut in
-    let rules = rules_for sut in
+    let rules, _ = load_rules sut None in
     let jpath =
       match journal with
       | Some p -> p
-      | None ->
-        prerr_endline "conferr: gaps requires --journal PATH (a recorded campaign)";
-        exit 2
+      | None -> fail "gaps requires --journal PATH (a recorded campaign)"
     in
-    let entries = load_journal jpath in
-    match Conferr.Engine.parse_default_config sut with
-    | Error msg ->
-      Printf.eprintf "conferr: %s\n" msg;
-      exit 2
-    | Ok base ->
-      let report =
-        Conferr_lint_replay.scan
-          ~jobs:(checked_jobs ~scenario_count:(List.length entries) jobs)
-          ~nearest:Conferr.Suggest.nearest ~deep ~sut ~rules
-          ~scenarios:(regenerate_scenarios ~seed sut base)
-          ~entries ~base ()
-      in
-      (match format with
-      | `Text -> print_string (Conferr_lint_replay.render report)
-      | `Json ->
-        print_endline
-          (Conferr_obsv.Json.to_string (Conferr_lint_replay.to_json report)));
-      let dataflow_ids =
-        if deep then Suts.Dataflow_rules.dataflow_ids sut.Suts.Sut.sut_name
-        else []
-      in
-      Option.iter
-        (fun path ->
-          let registry = Conferr_obsv.Metrics.create () in
-          Conferr_lint_replay.record_metrics ~dataflow_ids registry report;
-          try Conferr_obsv.Metrics.write_file registry path
-          with Sys_error msg ->
-            Printf.eprintf "conferr: %s\n" msg;
-            exit 2)
-        metrics;
-      Option.iter
-        (fun path ->
-          let rows = List.map row_of_entry entries in
-          let title =
-            "conferr validator gaps \xe2\x80\x94 " ^ Filename.basename jpath
-          in
-          let analysis =
-            if not deep then None
-            else
-              Some
-                (List.concat_map
-                   (fun (r : Conferr_lint_replay.row) ->
-                     List.filter_map
-                       (fun (f : Conferr_lint.Finding.t) ->
-                         if List.mem f.rule_id dataflow_ids then
-                           Some
-                             {
-                               Conferr_obsv.Report.an_rule = f.rule_id;
-                               an_severity =
-                                 Conferr_lint.Finding.severity_label f.severity;
-                               an_file = f.file;
-                               an_address = f.address;
-                               an_message = f.message;
-                               an_related =
-                                 String.concat ", "
-                                   (List.map
-                                      (fun (fl, ad) -> fl ^ ":" ^ ad)
-                                      f.related);
-                             }
-                         else None)
-                       r.findings)
-                   report.Conferr_lint_replay.rows)
-          in
-          try
-            Conferr_obsv.Report.write_file ~title ~rows
-              ~gaps:(Conferr_lint_replay.dashboard_rows report)
-              ?analysis path
-          with Sys_error msg ->
-            Printf.eprintf "conferr: %s\n" msg;
-            exit 2)
-        html;
-      if Conferr_lint_replay.gap_total report > 0 then exit 1
-  in
-  let sut =
-    Arg.(
-      value
-      & opt (some sut_conv) None
-      & info [ "sut" ] ~docv:"SUT" ~doc:"System under test the journal was recorded for.")
-  in
-  let html =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "html" ] ~docv:"PATH"
-          ~doc:
-            "Also write the HTML dashboard with the validator-gaps panel to \
-             $(docv).")
-  in
-  let metrics =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"PATH"
-          ~doc:
-            "Write a Prometheus snapshot of the gap counters \
-             (conferr_gap_total, conferr_lint_findings_total, and with \
-             --deep conferr_dataflow_findings_total) to $(docv).")
-  in
-  let deep =
-    deep_arg
-      "Replay with the SUT's corpus-level (dataflow) rules added: relation \
-       violations carry both ConfPaths, and silent acceptances predicted by \
-       a gap-claiming deep rule are reclassified as agreements \
-       (doc/lint.md)."
+    let entries, base, scenarios = load_replay ~seed sut [ jpath ] in
+    let report =
+      Conferr_lint_replay.scan
+        ~jobs:(checked_jobs ~scenario_count:(List.length entries) jobs)
+        ~nearest:Conferr.Suggest.nearest ~deep ~sut ~rules ~scenarios ~entries
+        ~base ()
+    in
+    print_report format ~text:Conferr_lint_replay.render
+      ~json:Conferr_lint_replay.to_json report;
+    let dataflow_ids =
+      if deep then Suts.Dataflow_rules.dataflow_ids sut.Suts.Sut.sut_name else []
+    in
+    write_metrics metrics (fun registry ->
+        Conferr_lint_replay.record_metrics ~dataflow_ids registry report);
+    write_dashboard html (fun path ->
+        let analysis =
+          if not deep then None
+          else
+            Some
+              (List.concat_map
+                 (fun (r : Conferr_lint_replay.row) ->
+                   List.filter_map
+                     (fun (f : Conferr_lint.Finding.t) ->
+                       if List.mem f.rule_id dataflow_ids then
+                         Some (analysis_row f)
+                       else None)
+                     r.findings)
+                 report.Conferr_lint_replay.rows)
+        in
+        Conferr_obsv.Report.write_file
+          ~title:("conferr validator gaps \xe2\x80\x94 " ^ Filename.basename jpath)
+          ~rows:(Conferr_exec.Dashboard.rows_of_entries entries)
+          ~gaps:(Conferr_lint_replay.dashboard_rows report)
+          ?analysis path);
+    if Conferr_lint_replay.gap_total report > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "gaps"
@@ -1500,104 +1225,62 @@ let gaps_cmd =
           campaign's.  Exit 0 when the two sides agree everywhere, 1 when \
           gaps were found, 2 on usage errors.")
     Term.(
-      const run $ sut $ journal_arg $ seed_arg $ format_arg $ jobs_arg $ html
-      $ metrics $ deep)
+      const run
+      $ sut_arg ~doc:"System under test the journal was recorded for." ()
+      $ input_journal_arg () $ seed_arg $ report_format_arg $ jobs_arg
+      $ html_arg
+          "Also write the HTML dashboard with the validator-gaps panel to \
+           $(docv)."
+      $ metrics_arg
+          "Write a Prometheus snapshot of the gap counters \
+           (conferr_gap_total, conferr_lint_findings_total, and with \
+           --deep conferr_dataflow_findings_total) to $(docv)."
+      $ deep_arg
+          "Replay with the SUT's corpus-level (dataflow) rules added: relation \
+           violations carry both ConfPaths, and silent acceptances predicted by \
+           a gap-claiming deep rule are reclassified as agreements \
+           (doc/lint.md).")
 
 let infer_cmd =
   let run sut journals seed format jobs min_support min_confidence emit_rules
       html metrics =
-    let sut = required_sut sut in
-    let rules = rules_for sut in
-    if journals = [] then begin
-      prerr_endline
-        "conferr: infer requires at least one --journal PATH (a recorded \
-         campaign)";
-      exit 2
-    end;
-    if min_support < 1 then begin
-      prerr_endline "conferr: --min-support must be at least 1";
-      exit 2
-    end;
-    if min_confidence < 0. || min_confidence > 1. then begin
-      prerr_endline "conferr: --min-confidence must be within [0; 1]";
-      exit 2
-    end;
-    let entries = List.concat_map load_journal journals in
-    match Conferr.Engine.parse_default_config sut with
-    | Error msg ->
-      Printf.eprintf "conferr: %s\n" msg;
-      exit 2
-    | Ok base ->
-      let result =
-        Conferr_infer.Pipeline.run
-          ~jobs:(checked_jobs ~scenario_count:(List.length entries) jobs)
-          ~nearest:Conferr.Suggest.nearest ~sut ~rules
-          ~scenarios:(regenerate_scenarios ~seed sut base)
-          ~entries ~base
-          ~thresholds:{ Conferr_infer.Confidence.min_support; min_confidence }
-          ()
-      in
-      (match format with
-      | `Text -> print_string (Conferr_infer.Infer_report.render result)
-      | `Json ->
-        print_endline
-          (Conferr_obsv.Json.to_string
-             (Conferr_infer.Infer_report.to_json result)));
-      Option.iter
-        (fun path ->
-          let specs = Conferr_infer.Infer_report.rule_specs result in
-          let text =
-            Conferr_lint.Rule_file.save ~sut:sut.Suts.Sut.sut_name specs
-          in
-          (try
-             let oc = open_out_bin path in
-             Fun.protect
-               ~finally:(fun () -> close_out_noerr oc)
-               (fun () -> output_string oc text)
-           with Sys_error msg ->
-             Printf.eprintf "conferr: %s\n" msg;
-             exit 2);
-          Printf.eprintf "conferr: wrote %d rule(s) to %s\n"
-            (List.length specs) path)
-        emit_rules;
-      Option.iter
-        (fun path ->
-          let registry = Conferr_obsv.Metrics.create () in
-          Conferr_infer.Infer_report.record_metrics registry result;
-          try Conferr_obsv.Metrics.write_file registry path
-          with Sys_error msg ->
-            Printf.eprintf "conferr: %s\n" msg;
-            exit 2)
-        metrics;
-      Option.iter
-        (fun path ->
-          let rows = List.map row_of_entry entries in
-          let title =
-            "conferr inferred constraints \xe2\x80\x94 "
-            ^ String.concat ", " (List.map Filename.basename journals)
-          in
-          try
-            Conferr_obsv.Report.write_file ~title ~rows
-              ~infer:
-                (Conferr_infer.Infer_report.dashboard_rows ~hand:rules result)
-              path
-          with Sys_error msg ->
-            Printf.eprintf "conferr: %s\n" msg;
-            exit 2)
-        html;
-      let diff = result.Conferr_infer.Pipeline.diff in
-      if
-        diff.Conferr_infer.Differ.contradicted <> []
-        || diff.Conferr_infer.Differ.missed_by_hand <> []
-        || diff.Conferr_infer.Differ.missed_by_inference <> []
-      then exit 1
-  in
-  let sut =
-    Arg.(
-      value
-      & opt (some sut_conv) None
-      & info [ "sut" ] ~docv:"SUT"
-          ~doc:"System under test the journal(s) were recorded for.")
+    let rules, _ = load_rules sut None in
+    if journals = [] then
+      fail "infer requires at least one --journal PATH (a recorded campaign)";
+    if min_support < 1 then fail "--min-support must be at least 1";
+    if min_confidence < 0. || min_confidence > 1. then
+      fail "--min-confidence must be within [0; 1]";
+    let entries, base, scenarios = load_replay ~seed sut journals in
+    let result =
+      Conferr_infer.Pipeline.run
+        ~jobs:(checked_jobs ~scenario_count:(List.length entries) jobs)
+        ~nearest:Conferr.Suggest.nearest ~sut ~rules ~scenarios ~entries ~base
+        ~thresholds:{ Conferr_infer.Confidence.min_support; min_confidence }
+        ()
+    in
+    print_report format ~text:Conferr_infer.Infer_report.render
+      ~json:Conferr_infer.Infer_report.to_json result;
+    Option.iter
+      (fun path ->
+        let specs = Conferr_infer.Infer_report.rule_specs result in
+        write_file path (Conferr_lint.Rule_file.save ~sut:sut.Suts.Sut.sut_name specs);
+        Printf.eprintf "conferr: wrote %d rule(s) to %s\n" (List.length specs) path)
+      emit_rules;
+    write_metrics metrics (fun registry ->
+        Conferr_infer.Infer_report.record_metrics registry result);
+    write_dashboard html
+      (Conferr_obsv.Report.write_file
+         ~title:
+           ("conferr inferred constraints \xe2\x80\x94 "
+           ^ String.concat ", " (List.map Filename.basename journals))
+         ~rows:(Conferr_exec.Dashboard.rows_of_entries entries)
+         ~infer:(Conferr_infer.Infer_report.dashboard_rows ~hand:rules result));
+    let diff = result.Conferr_infer.Pipeline.diff in
+    if
+      diff.Conferr_infer.Differ.contradicted <> []
+      || diff.Conferr_infer.Differ.missed_by_hand <> []
+      || diff.Conferr_infer.Differ.missed_by_inference <> []
+    then exit 1
   in
   let journals =
     Arg.(
@@ -1630,25 +1313,6 @@ let infer_cmd =
             "Write the expressible candidates as a loadable rule file to \
              $(docv); check it with $(b,conferr lint --rules) $(docv).")
   in
-  let html =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "html" ] ~docv:"PATH"
-          ~doc:
-            "Also write the HTML dashboard with the inferred-constraints \
-             panel to $(docv).")
-  in
-  let metrics =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"PATH"
-          ~doc:
-            "Write a Prometheus snapshot of the inference counters \
-             (conferr_infer_candidates_total, conferr_infer_rule_diff_total) \
-             to $(docv).")
-  in
   Cmd.v
     (Cmd.info "infer"
        ~doc:
@@ -1659,81 +1323,45 @@ let infer_cmd =
           recovered and nothing was missed by either side, 1 when the sets \
           differ, 2 on usage errors.")
     Term.(
-      const run $ sut $ journals $ seed_arg $ format_arg $ jobs_arg
-      $ min_support $ min_confidence $ emit_rules $ html $ metrics)
+      const run
+      $ sut_arg ~doc:"System under test the journal(s) were recorded for." ()
+      $ journals $ seed_arg $ report_format_arg $ jobs_arg $ min_support
+      $ min_confidence $ emit_rules
+      $ html_arg
+          "Also write the HTML dashboard with the inferred-constraints \
+           panel to $(docv)."
+      $ metrics_arg
+          "Write a Prometheus snapshot of the inference counters \
+           (conferr_infer_candidates_total, conferr_infer_rule_diff_total) \
+           to $(docv).")
 
 let repair_cmd =
   let run sut files journal ids seed format jobs rules_file apply html metrics
       deep =
-    let sut = required_sut sut in
-    let rules, specs =
-      match rules_file with
-      | None -> (rules_for sut, [])
-      | Some path ->
-        (match Conferr_lint.Rule_file.load (read_file ~missing_exit:2 path) with
-        | Ok specs -> (List.map Conferr_lint.Rule_file.to_rule specs, specs)
-        | Error msg ->
-          Printf.eprintf "conferr: %s: %s\n" path msg;
-          exit 2)
-    in
     (* Opt-in: deepened rules make violated relations visible to the
        generator, which turns them into multi-edit candidates. *)
-    let rules =
-      if deep then Suts.Dataflow_rules.deepen sut.Suts.Sut.sut_name rules
-      else rules
-    in
+    let rules, specs = load_rules ~deep sut rules_file in
     (match (files, journal) with
     | [], None ->
-      prerr_endline
-        "conferr: repair needs FILE arguments (broken configuration files) or \
-         --journal PATH (a recorded campaign)";
-      exit 2
-    | _ :: _, Some _ ->
-      prerr_endline "conferr: give FILE arguments or --journal, not both";
-      exit 2
+      fail
+        "repair needs FILE arguments (broken configuration files) or \
+         --journal PATH (a recorded campaign)"
+    | _ :: _, Some _ -> fail "give FILE arguments or --journal, not both"
     | _ -> ());
-    if apply && journal <> None then begin
-      prerr_endline
-        "conferr: --apply rewrites the given FILE arguments and has no \
-         meaning in --journal mode";
-      exit 2
-    end;
-    let stock =
-      match Conferr.Engine.parse_default_config sut with
-      | Error msg ->
-        Printf.eprintf "conferr: %s\n" msg;
-        exit 2
-      | Ok base -> base
-    in
-    let paths_by_name = ref [] in
-    let targets =
+    if apply && journal <> None then
+      fail
+        "--apply rewrites the given FILE arguments and has no meaning in \
+         --journal mode";
+    let stock, targets =
       match journal with
       | None ->
-        let overrides =
-          List.map
-            (fun path ->
-              let name = Filename.basename path in
-              if not (List.mem_assoc name sut.Suts.Sut.config_files) then begin
-                Printf.eprintf
-                  "conferr: %s: %s is not a configuration file of %s \
-                   (expected: %s)\n"
-                  path name sut.Suts.Sut.sut_name
-                  (String.concat ", " (List.map fst sut.Suts.Sut.config_files));
-                exit 2
-              end;
-              paths_by_name := (name, path) :: !paths_by_name;
-              (name, read_file ~missing_exit:2 path))
-            files
-        in
         (* Files that fail to parse are simply absent from the set: the
            whole-file restoration candidate covers them. *)
-        let set, _syntax = lint_parse sut overrides in
-        let id =
-          String.concat "+" (List.map Filename.basename files)
-        in
-        [ Conferr_repair.Pipeline.file_target ~id set ]
+        let set, _syntax = parse_files sut files in
+        let id = String.concat "+" (List.map Filename.basename files) in
+        (stock_config sut, [ Conferr_repair.Pipeline.file_target ~id set ])
       | Some jpath ->
-        let entries = load_journal jpath in
+        let entries, stock, scenarios = load_replay ~seed sut [ jpath ] in
         List.iter
           (fun id ->
             if
@@ -1741,26 +1369,18 @@ let repair_cmd =
                 (List.exists
                    (fun (e : Conferr_exec.Journal.entry) -> e.scenario_id = id)
                    entries)
-            then begin
-              Printf.eprintf "conferr: no journal entry with id '%s'\n" id;
-              exit 2
-            end)
+            then fail "no journal entry with id '%s'" id)
           ids;
-        Conferr_repair.Pipeline.journal_targets ~ids
-          ~scenarios:(regenerate_scenarios ~seed sut stock)
-          ~stock entries
+        (stock, Conferr_repair.Pipeline.journal_targets ~ids ~scenarios ~stock entries)
     in
     let result =
       Conferr_repair.Pipeline.run
         ~jobs:(checked_jobs ~scenario_count:(List.length targets) jobs)
         ~nearest:Conferr.Suggest.nearest ~specs ~sut ~rules ~stock targets
     in
-    (match format with
-    | `Text -> print_string (Conferr_repair.Repair_report.render result)
-    | `Json ->
-      print_endline
-        (Conferr_obsv.Json.to_string
-           (Conferr_repair.Repair_report.to_json result)));
+    print_report format ~text:Conferr_repair.Repair_report.render
+      ~json:Conferr_repair.Repair_report.to_json result;
+    let paths_by_name = List.rev_map (fun p -> (Filename.basename p, p)) files in
     if apply then
       List.iter
         (fun (r : Conferr_repair.Pipeline.repair) ->
@@ -1768,58 +1388,22 @@ let repair_cmd =
           | Some v ->
             List.iter
               (fun (name, text) ->
-                match List.assoc_opt name !paths_by_name with
+                match List.assoc_opt name paths_by_name with
                 | None -> ()
                 | Some path ->
-                  (try
-                     let oc = open_out_bin path in
-                     Fun.protect
-                       ~finally:(fun () -> close_out_noerr oc)
-                       (fun () -> output_string oc text)
-                   with Sys_error msg ->
-                     Printf.eprintf "conferr: %s\n" msg;
-                     exit 2);
+                  write_file path text;
                   Printf.eprintf "conferr: wrote repaired %s\n" path)
               v.Conferr_repair.Validate.files
           | None -> ())
         result.Conferr_repair.Pipeline.repairs;
-    Option.iter
-      (fun path ->
-        let registry = Conferr_obsv.Metrics.create () in
-        Conferr_repair.Repair_report.record_metrics registry result;
-        try Conferr_obsv.Metrics.write_file registry path
-        with Sys_error msg ->
-          Printf.eprintf "conferr: %s\n" msg;
-          exit 2)
-      metrics;
-    Option.iter
-      (fun path ->
-        let title = "conferr repairs \xe2\x80\x94 " ^ sut.Suts.Sut.sut_name in
-        try
-          Conferr_obsv.Report.write_file ~title ~rows:[]
-            ~repairs:(Conferr_repair.Repair_report.dashboard_rows result)
-            path
-        with Sys_error msg ->
-          Printf.eprintf "conferr: %s\n" msg;
-          exit 2)
-      html;
+    write_metrics metrics (fun registry ->
+        Conferr_repair.Repair_report.record_metrics registry result);
+    write_dashboard html
+      (Conferr_obsv.Report.write_file
+         ~title:("conferr repairs \xe2\x80\x94 " ^ sut.Suts.Sut.sut_name)
+         ~rows:[]
+         ~repairs:(Conferr_repair.Repair_report.dashboard_rows result));
     if not (Conferr_repair.Pipeline.all_repaired result) then exit 1
-  in
-  let sut =
-    Arg.(
-      value
-      & opt (some sut_conv) None
-      & info [ "sut" ] ~docv:"SUT"
-          ~doc:"System under test whose configuration is being repaired.")
-  in
-  let files =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"FILE"
-          ~doc:
-            "Broken configuration files to repair, matched to the SUT's \
-             configuration files by base name (like $(b,conferr lint)); \
-             files not given keep the SUT's default text.")
   in
   let ids =
     Arg.(
@@ -1829,17 +1413,6 @@ let repair_cmd =
             "Repair only the journal entry with this scenario id; repeatable.  \
              Default: every entry in the journal.")
   in
-  let rules_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "rules" ] ~docv:"PATH"
-          ~doc:
-            "Validate repairs against the rule file at $(docv) (the format \
-             $(b,conferr infer --emit-rules) writes) instead of the SUT's \
-             built-in rule set; its implies-present rules also seed \
-             multi-edit cluster candidates.")
-  in
   let apply =
     Arg.(
       value & flag
@@ -1847,29 +1420,6 @@ let repair_cmd =
           ~doc:
             "Write each repaired configuration back over the FILE argument it \
              came from (FILE mode only).")
-  in
-  let html =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "html" ] ~docv:"PATH"
-          ~doc:"Also write the HTML dashboard with the repairs panel to $(docv).")
-  in
-  let metrics =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"PATH"
-          ~doc:
-            "Write a Prometheus snapshot of the repair counters \
-             (conferr_repair_targets_total, conferr_repair_edits_total, \
-             conferr_repair_candidates_total) to $(docv).")
-  in
-  let deep =
-    deep_arg
-      "Also apply the SUT's corpus-level (dataflow) rules; a violated \
-       relation seeds a multi-edit candidate restoring every parameter the \
-       relation mentions (doc/repair.md)."
   in
   Cmd.v
     (Cmd.info "repair"
@@ -1882,33 +1432,43 @@ let repair_cmd =
           campaign's).  Exit 0 when every target was repaired or already \
           clean, 1 when some target is unrepairable, 2 on usage errors.")
     Term.(
-      const run $ sut $ files $ journal_arg $ ids $ seed_arg $ format_arg
-      $ jobs_arg $ rules_file $ apply $ html $ metrics $ deep)
+      const run
+      $ sut_arg ~doc:"System under test whose configuration is being repaired." ()
+      $ files_arg
+          "Broken configuration files to repair, matched to the SUT's \
+           configuration files by base name (like $(b,conferr lint)); \
+           files not given keep the SUT's default text."
+      $ input_journal_arg () $ ids $ seed_arg $ report_format_arg $ jobs_arg
+      $ rules_arg
+          "Validate repairs against the rule file at $(docv) (the format \
+           $(b,conferr infer --emit-rules) writes) instead of the SUT's \
+           built-in rule set; its implies-present rules also seed \
+           multi-edit cluster candidates."
+      $ apply
+      $ html_arg "Also write the HTML dashboard with the repairs panel to $(docv)."
+      $ metrics_arg
+          "Write a Prometheus snapshot of the repair counters \
+           (conferr_repair_targets_total, conferr_repair_edits_total, \
+           conferr_repair_candidates_total) to $(docv)."
+      $ deep_arg
+          "Also apply the SUT's corpus-level (dataflow) rules; a violated \
+           relation seeds a multi-edit candidate restoring every parameter the \
+           relation mentions (doc/repair.md).")
 
 (* ------------------------------------------------------------------ *)
 (* Service mode (doc/serve.md).  serve runs the daemon; the client
    subcommands talk to a running daemon over its JSON API. *)
 
-module Json = Conferr_obsv.Json
-
 let serve_cmd =
   let run jobs port port_file state_dir max_campaigns segment_bytes
       inject_disk_fault =
     let jobs = checked_jobs jobs in
-    if port < 0 || port > 65535 then begin
-      prerr_endline "conferr: --port must be within [0; 65535] (0 = ephemeral)";
-      exit 2
-    end;
-    if max_campaigns < 1 then begin
-      prerr_endline "conferr: --max-campaigns must be at least 1";
-      exit 2
-    end;
+    if port < 0 || port > 65535 then
+      fail "--port must be within [0; 65535] (0 = ephemeral)";
+    if max_campaigns < 1 then fail "--max-campaigns must be at least 1";
     let segment_bytes = checked_segment_bytes segment_bytes in
-    if Sys.file_exists state_dir && not (Sys.is_directory state_dir) then begin
-      Printf.eprintf
-        "conferr: --state-dir %s exists and is not a directory\n" state_dir;
-      exit 2
-    end;
+    if Sys.file_exists state_dir && not (Sys.is_directory state_dir) then
+      fail "--state-dir %s exists and is not a directory" state_dir;
     (* Test hook for the durability smoke: the first campaign submitted
        gets a journal whose storage always reports ENOSPC, so the smoke
        can assert it fails while its co-tenant completes untouched. *)
@@ -1935,12 +1495,8 @@ let serve_cmd =
           ~journal_io ~state_dir ()
       with
       | Unix.Unix_error (err, _, _) ->
-        Printf.eprintf "conferr: cannot create state dir %s: %s\n" state_dir
-          (Unix.error_message err);
-        exit 2
-      | Sys_error msg ->
-        Printf.eprintf "conferr: cannot create state dir: %s\n" msg;
-        exit 2
+        fail "cannot create state dir %s: %s" state_dir (Unix.error_message err)
+      | Sys_error msg -> fail "cannot create state dir: %s" msg
     in
     (try
        Conferr_serve.Daemon.listen daemon ~port ?port_file
@@ -1951,9 +1507,7 @@ let serve_cmd =
              bound jobs max_campaigns state_dir)
          ()
      with Unix.Unix_error (err, _, _) ->
-       Printf.eprintf "conferr: cannot listen on port %d: %s\n" port
-         (Unix.error_message err);
-       exit 1);
+       fail ~code:1 "cannot listen on port %d: %s" port (Unix.error_message err));
     print_endline "conferr serve: drained, journals checkpointed"
   in
   let port =
@@ -2005,18 +1559,23 @@ let serve_cmd =
       const run $ jobs_arg $ port $ port_file $ state_dir $ max_campaigns
       $ segment_bytes_arg $ inject_disk_fault)
 
-(* Client-side plumbing: every client subcommand targets one daemon. *)
+(* The daemon-client term: --host/--port, the daemon every client
+   subcommand targets. *)
+type daemon = { host : string; port : int }
 
-let port_arg =
-  Arg.(
-    required
-    & opt (some int) None
-    & info [ "port" ] ~docv:"PORT" ~doc:"Port of the running daemon.")
-
-let host_arg =
-  Arg.(
-    value & opt string "127.0.0.1"
-    & info [ "host" ] ~docv:"HOST" ~doc:"Address of the running daemon.")
+let daemon_term =
+  let host =
+    Arg.(
+      value & opt string "127.0.0.1"
+      & info [ "host" ] ~docv:"HOST" ~doc:"Address of the running daemon.")
+  in
+  let port =
+    Arg.(
+      required
+      & opt (some int) None
+      & info [ "port" ] ~docv:"PORT" ~doc:"Port of the running daemon.")
+  in
+  Term.(const (fun host port -> { host; port }) $ host $ port)
 
 let id_pos =
   Arg.(
@@ -2024,37 +1583,39 @@ let id_pos =
     & pos 0 (some string) None
     & info [] ~docv:"ID" ~doc:"Campaign id, as returned by submit.")
 
-let client_fail msg =
-  Printf.eprintf "conferr: %s\n" msg;
-  exit 1
-
-(* Shared exit-code convention: 2xx exits 0, anything else exits 1 after
-   printing the body (the daemon's JSON error objects are one line). *)
-let print_json_exit (status, json) =
-  print_endline (Json.to_string json);
-  if status >= 200 && status < 300 then () else exit 1
+(* One JSON request to the daemon: GET, or POST when [body] is given.
+   Print the reply; a 2xx status exits 0, anything else exits 1 after
+   the body (the daemon's JSON error objects are one line). *)
+let json_request ?body d path =
+  let reply =
+    match body with
+    | None -> Conferr_serve.Client.get_json ~host:d.host ~port:d.port ~path ()
+    | Some json ->
+      Conferr_serve.Client.post_json ~host:d.host ~port:d.port ~path json ()
+  in
+  match reply with
+  | Error msg -> fail ~code:1 "%s" msg
+  | Ok (status, json) ->
+    print_endline (Json.to_string json);
+    if status < 200 || status >= 300 then exit 1
 
 let submit_cmd =
-  let run host port sut seed jobs_cap quorum breaker timeout retries fuel =
+  let run d sut seed jobs_cap quorum breaker timeout retries fuel =
+    let num n = Json.Num (float_of_int n) in
     let members =
       List.filter_map Fun.id
         [
           Some ("sut", Json.Str sut);
-          Some ("seed", Json.Num (float_of_int seed));
-          Option.map (fun n -> ("jobs", Json.Num (float_of_int n))) jobs_cap;
-          Option.map (fun n -> ("quorum", Json.Num (float_of_int n))) quorum;
-          Option.map (fun n -> ("breaker", Json.Num (float_of_int n))) breaker;
+          Some ("seed", num seed);
+          Option.map (fun n -> ("jobs", num n)) jobs_cap;
+          Option.map (fun n -> ("quorum", num n)) quorum;
+          Option.map (fun n -> ("breaker", num n)) breaker;
           Option.map (fun s -> ("timeout", Json.Num s)) timeout;
-          Option.map (fun n -> ("retries", Json.Num (float_of_int n))) retries;
-          Option.map (fun n -> ("fuel", Json.Num (float_of_int n))) fuel;
+          Option.map (fun n -> ("retries", num n)) retries;
+          Option.map (fun n -> ("fuel", num n)) fuel;
         ]
     in
-    match
-      Conferr_serve.Client.post_json ~host ~port ~path:"/campaigns"
-        (Json.Obj members) ()
-    with
-    | Error msg -> client_fail msg
-    | Ok reply -> print_json_exit reply
+    json_request ~body:(Json.Obj members) d "/campaigns"
   in
   let sut =
     Arg.(
@@ -2079,7 +1640,7 @@ let submit_cmd =
          "Submit a campaign to a running daemon; prints the accepted \
           campaign's status object (id, policy, journal path).")
     Term.(
-      const run $ host_arg $ port_arg $ sut $ seed_arg
+      const run $ daemon_term $ sut $ seed_arg
       $ opt_int "jobs-cap" "Concurrent scenarios of this campaign on the \
                             shared pool."
       $ opt_int "quorum" "Total attempts for crash-suspect outcomes (1 = off)."
@@ -2089,13 +1650,9 @@ let submit_cmd =
       $ opt_int "fuel" "Cooperative step budget per execution (0 = off).")
 
 let status_cmd =
-  let run host port id =
-    let path =
-      match id with None -> "/campaigns" | Some id -> "/campaigns/" ^ id
-    in
-    match Conferr_serve.Client.get_json ~host ~port ~path () with
-    | Error msg -> client_fail msg
-    | Ok reply -> print_json_exit reply
+  let run d id =
+    json_request d
+      (match id with None -> "/campaigns" | Some id -> "/campaigns/" ^ id)
   in
   let id =
     Arg.(
@@ -2106,33 +1663,27 @@ let status_cmd =
   Cmd.v
     (Cmd.info "status"
        ~doc:"Show one campaign's status object, or list all campaigns.")
-    Term.(const run $ host_arg $ port_arg $ id)
+    Term.(const run $ daemon_term $ id)
 
 let results_cmd =
-  let run host port id =
-    match
-      Conferr_serve.Client.get_json ~host ~port
-        ~path:("/campaigns/" ^ id ^ "/results") ()
-    with
-    | Error msg -> client_fail msg
-    | Ok reply -> print_json_exit reply
-  in
   Cmd.v
     (Cmd.info "results"
        ~doc:"Fetch a finished campaign's outcome tally and per-scenario \
              results as JSON.")
-    Term.(const run $ host_arg $ port_arg $ id_pos)
+    Term.(
+      const (fun d id -> json_request d ("/campaigns/" ^ id ^ "/results"))
+      $ daemon_term $ id_pos)
 
 let watch_cmd =
-  let run host port id from =
+  let run d id from =
     match
-      Conferr_serve.Client.stream ~host ~port
+      Conferr_serve.Client.stream ~host:d.host ~port:d.port
         ~path:(Printf.sprintf "/campaigns/%s/events?from=%d" id from)
         ~on_line:print_endline ()
     with
-    | Error msg -> client_fail msg
+    | Error msg -> fail ~code:1 "%s" msg
     | Ok 200 -> ()
-    | Ok status -> client_fail (Printf.sprintf "daemon answered %d" status)
+    | Ok status -> fail ~code:1 "daemon answered %d" status
   in
   let from =
     Arg.(
@@ -2145,31 +1696,25 @@ let watch_cmd =
        ~doc:
          "Stream a campaign's progress events as JSON lines until it \
           finishes; the last line is the terminal campaign event.")
-    Term.(const run $ host_arg $ port_arg $ id_pos $ from)
+    Term.(const run $ daemon_term $ id_pos $ from)
 
 let cancel_cmd =
-  let run host port id =
-    match
-      Conferr_serve.Client.post_json ~host ~port
-        ~path:("/campaigns/" ^ id ^ "/cancel")
-        (Json.Obj []) ()
-    with
-    | Error msg -> client_fail msg
-    | Ok reply -> print_json_exit reply
-  in
   Cmd.v
     (Cmd.info "cancel"
        ~doc:"Drop a campaign's queued scenarios (running ones finish); its \
              journal keeps the completed prefix and stays resumable.")
-    Term.(const run $ host_arg $ port_arg $ id_pos)
+    Term.(
+      const (fun d id ->
+          json_request ~body:(Json.Obj []) d ("/campaigns/" ^ id ^ "/cancel"))
+      $ daemon_term $ id_pos)
 
 let get_cmd =
-  let run host port path =
+  let run d path =
     let path = if String.length path > 0 && path.[0] = '/' then path else "/" ^ path in
     match
-      Conferr_serve.Client.request ~host ~port ~meth:"GET" ~path ()
+      Conferr_serve.Client.request ~host:d.host ~port:d.port ~meth:"GET" ~path ()
     with
-    | Error msg -> client_fail msg
+    | Error msg -> fail ~code:1 "%s" msg
     | Ok (status, _, body) ->
       print_string body;
       if status >= 300 then exit 1
@@ -2186,7 +1731,7 @@ let get_cmd =
     (Cmd.info "get"
        ~doc:"Fetch one raw path from the daemon and print the body \
              (scripting helper for /metrics, /dashboard, journals).")
-    Term.(const run $ host_arg $ port_arg $ path)
+    Term.(const run $ daemon_term $ path)
 
 let journal_diff_cmd =
   let run left right =
@@ -2259,4 +1804,12 @@ let main =
       get_cmd; journal_diff_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+(* Usage errors — an unknown SUT, a missing required option, a malformed
+   value — exit 2 like every other usage error (doc/exec.md), not
+   cmdliner's 124. *)
+let () =
+  exit
+    (match Cmd.eval_value main with
+     | Ok (`Ok () | `Help | `Version) -> 0
+     | Error (`Parse | `Term) -> 2
+     | Error `Exn -> 125)

@@ -1,3 +1,4 @@
+module Json = Conferr_obsv.Json
 module Outcome = Conferr.Outcome
 module Diskchaos = Conferr_harden.Diskchaos
 

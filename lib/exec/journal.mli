@@ -68,10 +68,10 @@ type entry = {
           observability (v2.1) *)
 }
 
-val entry_to_json : entry -> Json.t
+val entry_to_json : entry -> Conferr_obsv.Json.t
 (** The bare entry object (no CRC wrapper). *)
 
-val entry_of_json : Json.t -> (entry, string) result
+val entry_of_json : Conferr_obsv.Json.t -> (entry, string) result
 (** Decode a bare (v1-style) entry object; [attempts] defaults to 1 and
     [votes] to [[]] when absent. *)
 
@@ -203,7 +203,7 @@ val survey_clean : survey -> bool
 val survey_totals : survey -> fsck_report
 (** Line counts summed across segments. *)
 
-val survey_to_json : survey -> Json.t
+val survey_to_json : survey -> Conferr_obsv.Json.t
 (** The [conferr fsck --format json] object: totals, [clean] (true
     when clean before repair {e or} repaired), [repaired], and a
     [segments] array with per-segment valid/torn/corrupt/repaired

@@ -1,3 +1,4 @@
+module Json = Conferr_obsv.Json
 module Diskchaos = Conferr_harden.Diskchaos
 
 let manifest_name = "MANIFEST.json"

@@ -9,9 +9,8 @@
     emitted as a [\u00XX] escape, so emitted lines are always 7-bit
     clean and newline-free.
 
-    The module grew up as [Conferr_exec.Json] and is still re-exported
-    under that name; it lives in [lib/obsv] because the observability
-    layer sits below the executor in the dependency order. *)
+    It lives in [lib/obsv] because the observability layer sits below
+    the executor in the dependency order. *)
 
 type t =
   | Null

@@ -8,7 +8,7 @@ module Executor = Conferr_exec.Executor
 module Journal = Conferr_exec.Journal
 module Signature = Conferr_exec.Signature
 module Progress = Conferr_exec.Progress
-module Json = Conferr_exec.Json
+module Json = Conferr_obsv.Json
 module Scenario = Errgen.Scenario
 
 let sut = Suts.Mini_pg.sut

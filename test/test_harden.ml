@@ -13,7 +13,7 @@ module Repro = Conferr_harden.Repro
 module Executor = Conferr_exec.Executor
 module Journal = Conferr_exec.Journal
 module Crc32 = Conferr_exec.Crc32
-module Json = Conferr_exec.Json
+module Json = Conferr_obsv.Json
 module Progress = Conferr_exec.Progress
 module Scenario = Errgen.Scenario
 

@@ -6,7 +6,7 @@ module Journal = Conferr_exec.Journal
 module Segstore = Conferr_exec.Segstore
 module Executor = Conferr_exec.Executor
 module Progress = Conferr_exec.Progress
-module Json = Conferr_exec.Json
+module Json = Conferr_obsv.Json
 module Diskchaos = Conferr_harden.Diskchaos
 module Daemon = Conferr_serve.Daemon
 module Http = Conferr_serve.Http

@@ -9,7 +9,7 @@ module Trace = Conferr_obsv.Trace
 module Clock = Conferr_obsv.Clock
 module Span = Conferr_obsv.Span
 module Report = Conferr_obsv.Report
-module Json = Conferr_exec.Json
+module Json = Conferr_obsv.Json
 module Journal = Conferr_exec.Journal
 module Executor = Conferr_exec.Executor
 module Progress = Conferr_exec.Progress
