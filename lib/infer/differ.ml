@@ -39,6 +39,15 @@ let body_matches (c : Candidate.t) ~fired (rule : Rule.t) =
     lower r.name = lower c.name && r.file = c.file
   | Rule.Unknown u, Candidate.Unknown -> file_ok u.target c.file
   | Rule.Implies _, Candidate.Implies -> overlaps c.support fired
+  | Rule.Relation r, Candidate.Implies ->
+    (* an implies candidate names its co-constrained directives "a+b" *)
+    let names l = List.sort_uniq compare (List.map r.canon l) in
+    names
+      (List.map
+         (fun (t : Rule.term) -> t.t_name)
+         (r.lhs.l_terms @ r.rhs.l_terms))
+    = names (String.split_on_char '+' c.name)
+    && file_ok r.target c.file
   | Rule.Check_set _, _ -> overlaps c.support fired
   | _ -> false
 

@@ -14,101 +14,20 @@ let raw ?suggestion ~file ~path message =
   }
 
 (* ------------------------------------------------------------------ *)
-(* PostgreSQL: the §5.2 cross-parameter constraints as Relation rules.
-   Same parsers and defaults as the simulated server, so the static
-   verdict cannot drift from the boot check. *)
-
-let pg_read parse name v = Result.to_option (parse name v)
-
-let pg_int_default name fallback =
-  match List.assoc_opt name Mini_pg.specs with
-  | Some (Mini_pg.Pint { default; _ }) -> default
-  | _ -> fallback
-
-let pg_mem_default name fallback =
-  match List.assoc_opt name Mini_pg.specs with
-  | Some (Mini_pg.Pmem { default_kb; _ }) -> default_kb
-  | _ -> fallback
-
-let pg_rel_fsm =
-  Rule.make ~id:"PG-REL-FSM" ~severity:Finding.Error
-    ~doc:"max_fsm_pages must be at least 16 * max_fsm_relations (agreement)"
-    (Rule.Relation
-       {
-         target = Rule.anywhere;
-         canon = Rule.lower;
-         op = Rule.Rge;
-         lhs =
-           Rule.linexp
-             [
-               Rule.term
-                 ~read:(pg_read Mini_pg.parse_strict_int "max_fsm_pages")
-                 ~default:(pg_int_default "max_fsm_pages" 153600)
-                 "max_fsm_pages";
-             ];
-         rhs =
-           Rule.linexp
-             [
-               Rule.term ~coeff:16
-                 ~read:(pg_read Mini_pg.parse_strict_int "max_fsm_relations")
-                 ~default:(pg_int_default "max_fsm_relations" 1000)
-                 "max_fsm_relations";
-             ];
-         describe = "max_fsm_pages >= 16 * max_fsm_relations";
-         per_file = false;
-         harvest = None;
-       })
-
-let pg_rel_shmem =
-  Rule.make ~id:"PG-REL-SHMEM" ~severity:Finding.Error
-    ~doc:
-      "shared_buffers must cover 16kB of shared memory per allowed \
-       connection (agreement)"
-    (Rule.Relation
-       {
-         target = Rule.anywhere;
-         canon = Rule.lower;
-         op = Rule.Rge;
-         lhs =
-           Rule.linexp
-             [
-               Rule.term ~unit_label:"kb"
-                 ~read:(pg_read Mini_pg.parse_mem "shared_buffers")
-                 ~default:(pg_mem_default "shared_buffers" (24 * 1024))
-                 "shared_buffers";
-             ];
-         rhs =
-           Rule.linexp
-             [
-               Rule.term ~coeff:16
-                 ~read:(pg_read Mini_pg.parse_strict_int "max_connections")
-                 ~default:(pg_int_default "max_connections" 100)
-                 "max_connections";
-             ];
-         describe = "shared_buffers >= 16kB * max_connections";
-         per_file = false;
-         harvest = None;
-       })
+(* PostgreSQL: abstract values read with the server's own parsers.  Its
+   cross-parameter constraints are base rules (Lint_rules.postgres). *)
 
 let pg_specs =
   List.map
     (fun (name, sp) ->
-      match sp with
-      | Mini_pg.Pint { min; max; default } ->
+      match (Mini_pg.number sp, sp) with
+      | Some n, _ ->
         Dataflow.num
-          ~read:(pg_read Mini_pg.parse_strict_int name)
-          ~lo:min ~hi:max ~default name
-      | Mini_pg.Pmem { min_kb; max_kb; default_kb } ->
-        Dataflow.num
-          ~read:(pg_read Mini_pg.parse_mem name)
-          ~lo:min_kb ~hi:max_kb ~default:default_kb name
-      | Mini_pg.Ptime { min_ms; max_ms; default_ms } ->
-        Dataflow.num
-          ~read:(pg_read Mini_pg.parse_time name)
-          ~lo:min_ms ~hi:max_ms ~default:default_ms name
-      | Mini_pg.Pbool _ -> Dataflow.boolean name
-      | Mini_pg.Penum (allowed, _) -> Dataflow.enum name allowed
-      | Mini_pg.Pfloat _ | Mini_pg.Pstring _ -> Dataflow.str name)
+          ~read:(fun v -> Result.to_option (n.parse name v))
+          ~lo:n.lo ~hi:n.hi ~default:n.default name
+      | None, Mini_pg.Pbool _ -> Dataflow.boolean name
+      | None, Mini_pg.Penum (allowed, _) -> Dataflow.enum name allowed
+      | None, _ -> Dataflow.str name)
     Mini_pg.specs
 
 (* ------------------------------------------------------------------ *)
@@ -220,9 +139,10 @@ let bd_ttl v =
         let j = digits i in
         if j = i then None
         else
-          let num = int_of_string (String.sub v i (j - i)) in
-          if j >= n then Some (acc + num)
-          else
+          match int_of_string_opt (String.sub v i (j - i)) with
+          | None -> None
+          | Some num when j >= n -> Some (acc + num)
+          | Some num -> (
             let mult =
               match v.[j] with
               | 's' -> Some 1
@@ -234,7 +154,7 @@ let bd_ttl v =
             in
             match mult with
             | None -> None
-            | Some m -> go (j + 1) (acc + (num * m))
+            | Some m -> go (j + 1) (acc + (num * m)))
     in
     go 0 0
 
@@ -325,42 +245,20 @@ let bd_rel_expire =
          harvest = Some bd_soa_harvest;
        })
 
-let bd_unquote v =
-  let v = String.trim v in
-  if String.length v >= 2 && v.[0] = '"' && v.[String.length v - 1] = '"' then
-    String.sub v 1 (String.length v - 2)
-  else v
-
+(* The zone declarations as named reads them (Mini_bind.read_named_conf),
+   problems aside. *)
 let bd_zone_edges set =
   match Config_set.find set "named.conf" with
   | None -> []
   | Some root ->
-    List.concat
-      (List.mapi
-         (fun i (n : Node.t) ->
-           if
-             n.kind = Node.kind_section
-             && String.lowercase_ascii n.name = "zone"
-           then
-             List.concat
-               (List.mapi
-                  (fun j (d : Node.t) ->
-                    if
-                      d.kind = Node.kind_directive
-                      && String.lowercase_ascii d.name = "file"
-                    then
-                      [
-                        {
-                          Refgraph.e_file = "named.conf";
-                          e_path = [ i; j ];
-                          e_what = "zone file";
-                          e_target = bd_unquote (Node.value_or ~default:"" d);
-                        };
-                      ]
-                    else [])
-                  n.children)
-           else [])
-         root.children)
+    Mini_bind.read_named_conf ignore root
+    |> List.map (fun (d : Mini_bind.zone_decl) ->
+           {
+             Refgraph.e_file = "named.conf";
+             e_path = d.file_site;
+             e_what = "zone file";
+             e_target = d.zone_file;
+           })
 
 let bd_graph =
   Rule.make ~id:"BD-GRAPH" ~severity:Finding.Warning
@@ -450,19 +348,18 @@ let specs = function
 let edges sut set = match sut with "bind" -> bd_zone_edges set | _ -> []
 
 let deep_rules = function
-  | "postgres" -> [ pg_rel_fsm; pg_rel_shmem ]
   | "apache" -> [ ap_rel_keepalive; ap_xfile ]
   | "bind" -> [ bd_rel_retry; bd_rel_expire; bd_graph ]
   | "mysql" -> [ my_taint ]
   | _ -> []
 
-let supersedes = function "postgres" -> [ "PG-CROSS" ] | _ -> []
+let deepen sut base = base @ deep_rules sut
 
-let deepen sut base =
-  let dead = supersedes sut in
-  List.filter (fun (r : Rule.t) -> not (List.mem r.Rule.id dead)) base
-  @ deep_rules sut
+let is_relation (r : Rule.t) =
+  match r.Rule.body with Rule.Relation _ -> true | _ -> false
 
 let dataflow_ids sut =
+  let base = Option.value ~default:[] (Lint_rules.for_sut sut) in
   List.sort_uniq compare
-    (List.map (fun (r : Rule.t) -> r.Rule.id) (deep_rules sut))
+    (List.map (fun (r : Rule.t) -> r.Rule.id)
+       (List.filter is_relation base @ deep_rules sut))

@@ -1,31 +1,27 @@
 (** Deep (corpus-level) rule profiles for the six mini SUTs.
 
     The dataflow analysis of [lib/lint] is generic; this module supplies
-    the per-SUT pieces: {!Conferr_lint.Rule.body.Relation} rules
-    mirroring the paper's cross-parameter faults (pg's
-    [max_fsm_pages >= 16 * max_fsm_relations], Apache's keep-alive
-    ordering, BIND's SOA timers), cross-file shadowing and
-    reference-graph rules, silent-default taint specs for MySQL's
-    lenient parsers, and the abstract-value specifications
-    [conferr analyze] interprets stock sets against.  Used by
+    the per-SUT pieces: {!Conferr_lint.Rule.body.Relation} rules for the
+    constraints the servers never check (Apache's keep-alive ordering,
+    BIND's SOA timers), cross-file shadowing and reference-graph rules,
+    silent-default taint specs for MySQL's lenient parsers, and the
+    abstract-value specifications [conferr analyze] interprets stock
+    sets against.  Constraints a server does check, such as pg's
+    [max_fsm_pages >= 16 * max_fsm_relations], are base rules built
+    from the simulator ({!Lint_rules.postgres}).  Used by
     [conferr analyze], [conferr lint --deep] and [conferr gaps --deep]. *)
 
 val deep_rules : string -> Conferr_lint.Rule.t list
 (** Extra corpus-level rules for [sut_name]; [[]] for SUTs without a
     deep profile. *)
 
-val supersedes : string -> string list
-(** Base rule ids the deep profile replaces (e.g. pg's [PG-CROSS]
-    implies-rules are subsumed by the [PG-REL-*] relations, which carry
-    both ConfPaths). *)
-
 val deepen : string -> Conferr_lint.Rule.t list -> Conferr_lint.Rule.t list
-(** [deepen sut base] is [base] minus {!supersedes} plus
-    {!deep_rules}. *)
+(** [deepen sut base] is [base] followed by {!deep_rules}. *)
 
 val dataflow_ids : string -> string list
-(** Sorted distinct ids of {!deep_rules} — the label space of the
-    [conferr_dataflow_findings_total] metric. *)
+(** Sorted distinct ids of the corpus-level rules of the deepened
+    built-in set: its [Relation] rules and {!deep_rules} — the label
+    space of the [conferr_dataflow_findings_total] metric. *)
 
 val specs : string -> Conferr_lint.Dataflow.vspec list
 (** Abstract-value specifications for the SUT's directives (empty for

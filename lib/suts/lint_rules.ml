@@ -12,6 +12,11 @@ let raw ?suggestion ~file ~path message =
     raw_suggestion = suggestion;
   }
 
+(* A problem a simulator's startup checks report, as the finding of the
+   agreement rule that takes it. *)
+let of_problem (p : Sut.problem) =
+  raw ?suggestion:p.suggestion ~file:p.file ~path:p.path p.message
+
 (* ------------------------------------------------------------------ *)
 (* PostgreSQL                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -31,52 +36,6 @@ let pg_stock =
     "log_timezone";
     "listen_addresses";
   ]
-
-let pg_out_of_range name n lo hi =
-  Printf.sprintf "%d is outside the valid range for parameter \"%s\" (%d .. %d)"
-    n name lo hi
-
-(* Exactly the server's own validation (Mini_pg.apply_directive), as a
-   message-returning check. *)
-let pg_check name (spec : Mini_pg.spec) v =
-  match spec with
-  | Pint { min; max; _ } -> (
-    match Mini_pg.parse_strict_int name v with
-    | Error m -> Some m
-    | Ok n -> if n < min || n > max then Some (pg_out_of_range name n min max) else None)
-  | Pmem { min_kb; max_kb; _ } -> (
-    match Mini_pg.parse_mem name v with
-    | Error m -> Some m
-    | Ok n ->
-      if n < min_kb || n > max_kb then Some (pg_out_of_range name n min_kb max_kb)
-      else None)
-  | Ptime { min_ms; max_ms; _ } -> (
-    match Mini_pg.parse_time name v with
-    | Error m -> Some m
-    | Ok n ->
-      if n < min_ms || n > max_ms then Some (pg_out_of_range name n min_ms max_ms)
-      else None)
-  | Pfloat { fmin; fmax; _ } -> (
-    match Mini_pg.parse_float_strict name v with
-    | Error m -> Some m
-    | Ok f ->
-      if f < fmin || f > fmax then
-        Some
-          (Printf.sprintf "%g is outside the valid range for parameter \"%s\"" f name)
-      else None)
-  | Pbool _ -> (
-    match String.lowercase_ascii v with
-    | "on" | "off" | "true" | "false" | "yes" | "no" | "1" | "0" -> None
-    | _ -> Some (Printf.sprintf "parameter \"%s\" requires a Boolean value" name))
-  | Penum _ when name = "datestyle" ->
-    if Mini_pg.valid_datestyle v then None
-    else Some (Printf.sprintf "invalid value for parameter \"datestyle\": \"%s\"" v)
-  | Penum (allowed, _) ->
-    if List.mem (String.lowercase_ascii v) allowed then None
-    else Some (Printf.sprintf "invalid value for parameter \"%s\": \"%s\"" name v)
-  | Pstring (validate, _) ->
-    if validate v then None
-    else Some (Printf.sprintf "invalid value for parameter \"%s\": \"%s\"" name v)
 
 let pg_expect : Mini_pg.spec -> string = function
   | Pint { min; max; _ } -> Printf.sprintf "an integer in %d..%d" min max
@@ -98,17 +57,12 @@ let pg_syntax =
            List.concat
              (List.mapi
                 (fun i (n : Node.t) ->
-                  if
-                    n.kind = Node.kind_directive
-                    && String.length n.name > 0
-                    && n.name.[0] = '['
-                  then
-                    [
-                      raw ~file:pg_file ~path:[ i ]
-                        (Printf.sprintf "syntax error in configuration near \"%s\""
-                           n.name);
-                    ]
-                  else [])
+                  match
+                    if n.kind = Node.kind_directive then Mini_pg.syntax_error n.name
+                    else None
+                  with
+                  | Some m -> [ raw ~file:pg_file ~path:[ i ] m ]
+                  | None -> [])
                 root.children)))
 
 let pg_unknown =
@@ -121,7 +75,7 @@ let pg_unknown =
          known =
            (fun n ->
              (* '['-headers are PG-SYNTAX's, not an unknown name *)
-             (String.length n > 0 && n.[0] = '[')
+             Mini_pg.syntax_error n <> None
              || List.mem_assoc (String.lowercase_ascii n) Mini_pg.specs);
          vocabulary = Vocabulary.postgres;
          what = "parameter";
@@ -130,6 +84,9 @@ let pg_unknown =
 let pg_value_rules =
   List.map
     (fun (name, spec) ->
+      let check v =
+        match Mini_pg.check_value name spec v with Ok _ -> None | Error m -> Some m
+      in
       Rule.make ~id:"PG-VALUE" ~severity:Finding.Error
         ~doc:(Printf.sprintf "'%s' takes %s (agreement)" name (pg_expect spec))
         (Rule.Value
@@ -137,63 +94,35 @@ let pg_value_rules =
              target = Rule.in_file pg_file;
              name;
              canon = Rule.lower;
-             vtype = Rule.Custom { expect = pg_expect spec; check = pg_check name spec };
-             missing = pg_check name spec "";
+             vtype = Rule.Custom { expect = pg_expect spec; check };
+             missing = check "";
            }))
     Mini_pg.specs
 
-let pg_lookup_int lookup name default =
-  match lookup name with
-  | None -> default
-  | Some v -> ( match Mini_pg.parse_strict_int name v with Ok n -> n | Error _ -> default)
-
-let pg_cross_fsm =
-  Rule.make ~id:"PG-CROSS" ~severity:Finding.Error
-    ~doc:"max_fsm_pages must be at least 16 * max_fsm_relations (agreement)"
-    (Rule.Implies
+(* The server's cross-parameter constraints as Relation rules, read with
+   its parsers and defaults. *)
+let pg_relation (r : Mini_pg.relation) =
+  let number name = Option.get (Mini_pg.number (List.assoc name Mini_pg.specs)) in
+  let term ?coeff name =
+    let n = number name in
+    Rule.term ?coeff ~unit_label:n.unit_label
+      ~read:(fun v -> Result.to_option (n.parse name v))
+      ~default:n.default name
+  in
+  let per = match (number r.lhs).unit_label with "kb" -> "kB" | "ms" -> "ms" | _ -> "" in
+  let describe = Printf.sprintf "%s >= %d%s * %s" r.lhs r.coeff per r.rhs in
+  Rule.make ~id:("PG-REL-" ^ r.tag) ~severity:Finding.Error
+    ~doc:(Printf.sprintf "startup requires %s (agreement)" describe)
+    (Rule.Relation
        {
-         target = Rule.in_file pg_file;
-         anchor = Some "max_fsm_pages";
+         target = Rule.anywhere;
          canon = Rule.lower;
-         check =
-           (fun ~lookup ->
-             let pages = pg_lookup_int lookup "max_fsm_pages" 153600 in
-             let relations = pg_lookup_int lookup "max_fsm_relations" 1000 in
-             if pages < 16 * relations then
-               Some
-                 (Printf.sprintf
-                    "max_fsm_pages must be at least 16 * max_fsm_relations (%d < 16 \
-                     * %d)"
-                    pages relations)
-             else None);
-       })
-
-let pg_cross_shmem =
-  Rule.make ~id:"PG-CROSS" ~severity:Finding.Error
-    ~doc:"shared_buffers must cover max_connections bookkeeping (agreement)"
-    (Rule.Implies
-       {
-         target = Rule.in_file pg_file;
-         anchor = Some "shared_buffers";
-         canon = Rule.lower;
-         check =
-           (fun ~lookup ->
-             let shared_kb =
-               match lookup "shared_buffers" with
-               | None -> 24 * 1024
-               | Some v -> (
-                 match Mini_pg.parse_mem "shared_buffers" v with
-                 | Ok n -> n
-                 | Error _ -> 24 * 1024)
-             in
-             let conns = pg_lookup_int lookup "max_connections" 100 in
-             if shared_kb < conns * 16 then
-               Some
-                 (Printf.sprintf
-                    "insufficient shared memory for max_connections = %d \
-                     (shared_buffers = %dkB)"
-                    conns shared_kb)
-             else None);
+         op = Rule.Rge;
+         lhs = Rule.linexp [ term r.lhs ];
+         rhs = Rule.linexp [ term ~coeff:r.coeff r.rhs ];
+         describe;
+         per_file = false;
+         harvest = None;
        })
 
 let pg_required_rules =
@@ -216,9 +145,8 @@ let pg_dup =
        { target = Rule.in_file pg_file; names = None; canon = Rule.lower })
 
 let postgres =
-  (pg_syntax :: pg_unknown :: pg_dup :: pg_cross_fsm :: pg_cross_shmem
- :: pg_value_rules)
-  @ pg_required_rules
+  (pg_syntax :: pg_unknown :: pg_dup :: List.map pg_relation Mini_pg.relations)
+  @ pg_value_rules @ pg_required_rules
 
 (* ------------------------------------------------------------------ *)
 (* MySQL                                                                *)
@@ -249,131 +177,24 @@ let my_section_directives set name =
     |> List.filter (fun (_, (s : Node.t)) -> s.name = name)
     |> List.concat_map ini_directives
 
-(* Shape analysis of a [mysqld] numeric value: what the quirky parsers
-   (Mini_mysql.parse_size/parse_int) will do with it, with the silent
-   cases told apart. *)
-type my_shape =
-  | Sh_ok
-  | Sh_missing  (** no value: silently defaulted *)
-  | Sh_silent of string  (** value present but entirely ignored *)
-  | Sh_junk of string  (** value partially honored *)
-  | Sh_bad of string  (** the daemon rejects it at startup *)
-
-let my_is_digit c = c >= '0' && c <= '9'
-
-let my_mult c =
-  match Char.uppercase_ascii c with
-  | 'K' -> Some 1024L
-  | 'M' -> Some 1048576L
-  | 'G' -> Some 1073741824L
-  | _ -> None
-
-let my_not_a_number v = Printf.sprintf "Wrong value: %S is not a number" v
-
-let my_size_shape (b : Mini_mysql.bounds) v =
-  let v = Strutil.trim v in
-  if v = "" then Sh_missing
-  else if my_mult v.[0] <> None then
-    Sh_silent
-      (Printf.sprintf
-         "value '%s' starts with a multiplier; it is silently replaced by the \
-          built-in default"
-         v)
-  else if not (my_is_digit v.[0]) then Sh_bad (my_not_a_number v)
-  else begin
-    let len = String.length v in
-    let rec digits i = if i < len && my_is_digit v.[i] then digits (i + 1) else i in
-    let stop = digits 0 in
-    match Int64.of_string_opt (String.sub v 0 stop) with
-    | None -> Sh_bad (my_not_a_number v)
-    | Some n ->
-      if stop = len then
-        if n >= b.min && n <= b.max then Sh_ok
-        else
-          Sh_silent
-            (Printf.sprintf
-               "value %Ld is outside [%Ld, %Ld]; it is silently replaced by the \
-                built-in default"
-               n b.min b.max)
-      else (
-        match my_mult v.[stop] with
-        | None -> Sh_bad (my_not_a_number v)
-        | Some m ->
-          let n = Int64.mul n m in
-          if n < b.min || n > b.max then
-            Sh_silent
-              (Printf.sprintf
-                 "value '%s' (%Ld) is outside [%Ld, %Ld]; it is silently replaced \
-                  by the built-in default"
-                 v n b.min b.max)
-          else if stop + 1 < len then
-            Sh_junk
-              (Printf.sprintf
-                 "text after the '%c' multiplier in '%s' is silently dropped \
-                  (parsed as %Ld)"
-                 v.[stop] v n)
-          else Sh_ok)
-  end
-
-let my_int_shape (b : Mini_mysql.bounds) v =
-  let v = Strutil.trim v in
-  if v = "" then Sh_missing
-  else if String.for_all my_is_digit v && String.length v <= 18 then begin
-    let n = Int64.of_string v in
-    if n >= b.min && n <= b.max then Sh_ok
-    else
-      Sh_silent
-        (Printf.sprintf
-           "value %Ld is outside [%Ld, %Ld]; it is silently replaced by the \
-            built-in default"
-           n b.min b.max)
-  end
-  else Sh_bad (my_not_a_number v)
-
-(* Classify one [mysqld] directive.  [None] when the name does not
-   resolve (MY-UNKNOWN's business). *)
-let my_shape_of (d : Node.t) =
-  match Mini_mysql.resolve_name d.name with
-  | `Unknown | `Ambiguous -> None
-  | `Known full ->
-    let v = Option.value ~default:"" d.value in
-    Some
-      ( full,
-        match List.assoc full Mini_mysql.mysqld_specs with
-        | Size b -> my_size_shape b v
-        | Int b -> my_int_shape b v
-        | Flag ->
-          if Strutil.trim v = "" then Sh_ok
-          else
-            Sh_junk
-              (Printf.sprintf "'%s' takes no value; '%s' is silently ignored" full v)
-        | Bool _ -> (
-          match d.value with
-          | None -> Sh_ok
-          | Some v -> (
-            match String.uppercase_ascii v with
-            | "ON" | "TRUE" | "1" | "OFF" | "FALSE" | "0" -> Sh_ok
-            | other ->
-              Sh_bad (Printf.sprintf "invalid boolean value '%s' for %s" other full)))
-        | Path_any _ -> (
-          match d.value with
-          | Some v when v <> "" && v.[0] <> '/' ->
-            Sh_bad (Printf.sprintf "%s must be an absolute path, got '%s'" full v)
-          | Some _ | None -> Sh_ok)
-        | Path_existing _ -> Sh_ok (* MY-DATADIR's business *) )
-
-let my_shape_rule ~id ~severity ~doc pick =
+(* The daemon's own reading of each [mysqld] variable.  Unresolved names
+   are MY-UNKNOWN's and datadir is MY-DATADIR's. *)
+let my_reading_rule ~id ~severity ~doc pick =
   Rule.make ~id ~severity ~doc
     (Rule.Check_set
        (fun set ->
          List.concat_map
            (fun (path, (d : Node.t)) ->
-             match my_shape_of d with
-             | Some (full, shape) -> (
-               match pick full shape with
-               | Some m -> [ raw ~file:my_file ~path m ]
-               | None -> [])
-             | None -> [])
+             match Mini_mysql.resolve_name d.name with
+             | `Unknown | `Ambiguous -> []
+             | `Known full -> (
+               match List.assoc full Mini_mysql.mysqld_specs with
+               | Path_existing _ -> []
+               | spec -> (
+                 let v = Option.value ~default:"" d.value in
+                 match pick full spec v (Mini_mysql.read_value full spec d.value) with
+                 | Some m -> [ raw ~file:my_file ~path m ]
+                 | None -> [])))
            (my_section_directives set "mysqld")))
 
 let my_orphan =
@@ -385,13 +206,13 @@ let my_orphan =
          | None -> [ raw ~file:my_file ~path:[] "my.cnf not found" ]
          | Some root ->
            ini_sections root
-           |> List.filter (fun (_, (s : Node.t)) -> s.name = "")
-           |> List.concat_map ini_directives
-           |> List.map (fun (path, (d : Node.t)) ->
-                  raw ~file:my_file ~path
-                    (Printf.sprintf
-                       "Found option without preceding group in config file: %s"
-                       d.name))))
+           |> List.map (fun ((_, (s : Node.t)) as section) ->
+                  ( s.name,
+                    List.map
+                      (fun (path, (d : Node.t)) -> (path, d.name))
+                      (ini_directives section) ))
+           |> Mini_mysql.orphans
+           |> List.map (fun (path, m) -> raw ~file:my_file ~path m)))
 
 let my_section =
   Rule.make ~id:"MY-SECTION" ~severity:Finding.Error
@@ -441,38 +262,58 @@ let my_prefix =
            (my_section_directives set "mysqld")))
 
 let my_silent =
-  my_shape_rule ~id:"MY-SILENT-DEFAULT" ~severity:Finding.Error
+  my_reading_rule ~id:"MY-SILENT-DEFAULT" ~severity:Finding.Error
     ~doc:"an unusable numeric value is silently replaced by the default (gap)"
-    (fun full shape ->
-      match shape with
-      | Sh_silent m -> Some (Printf.sprintf "%s: %s" full m)
+    (fun full spec v reading ->
+      let v = Strutil.trim v in
+      let silently = "it is silently replaced by the built-in default" in
+      match (reading, spec) with
+      | Mini_mysql.Leading_multiplier, _ ->
+        Some (Printf.sprintf "%s: value '%s' starts with a multiplier; %s" full v silently)
+      | Out_of_bounds (n, scaled), (Size b | Int b) ->
+        Some
+          (Printf.sprintf "%s: value %s is outside [%Ld, %Ld]; %s" full
+             (if scaled then Printf.sprintf "'%s' (%Ld)" v n else Int64.to_string n)
+             b.min b.max silently)
       | _ -> None)
 
 let my_junk =
-  my_shape_rule ~id:"MY-VALUE-JUNK" ~severity:Finding.Warning
+  my_reading_rule ~id:"MY-VALUE-JUNK" ~severity:Finding.Warning
     ~doc:"trailing junk after a multiplier (or after a flag) is silently dropped (gap)"
-    (fun full shape ->
-      match shape with
-      | Sh_junk m -> Some (Printf.sprintf "%s: %s" full m)
+    (fun full _ v reading ->
+      match reading with
+      | Mini_mysql.Truncated (n, c) ->
+        Some
+          (Printf.sprintf
+             "%s: text after the '%c' multiplier in '%s' is silently dropped (parsed \
+              as %Ld)"
+             full c (Strutil.trim v) n)
+      | Ignored_value ->
+        Some
+          (Printf.sprintf "%s: '%s' takes no value; '%s' is silently ignored" full full v)
       | _ -> None)
 
 let my_missing =
-  my_shape_rule ~id:"MY-MISSING-VALUE" ~severity:Finding.Warning
+  my_reading_rule ~id:"MY-MISSING-VALUE" ~severity:Finding.Warning
     ~doc:"a numeric variable without a value is silently defaulted (gap)"
-    (fun full shape ->
-      match shape with
-      | Sh_missing ->
+    (fun full _ _ reading ->
+      match reading with
+      | Mini_mysql.Valueless ->
         Some
           (Printf.sprintf "variable '%s' has no value; the built-in default is \
                            silently used" full)
       | _ -> None)
 
 let my_bad =
-  my_shape_rule ~id:"MY-BAD-VALUE" ~severity:Finding.Error
+  my_reading_rule ~id:"MY-BAD-VALUE" ~severity:Finding.Error
     ~doc:"a malformed value aborts startup (agreement)"
-    (fun _full shape -> match shape with Sh_bad m -> Some m | _ -> None)
+    (fun _ _ _ reading -> match reading with Mini_mysql.Refused m -> Some m | _ -> None)
 
+(* A Reference rule, not a reading rule, so that repair restores the
+   stock directory and infer matches it by name; the lookup is the
+   daemon's. *)
 let my_datadir =
+  let datadir = List.assoc "datadir" Mini_mysql.mysqld_specs in
   Rule.make ~id:"MY-DATADIR" ~severity:Finding.Error
     ~doc:"datadir must name an existing directory (agreement)"
     (Rule.Reference
@@ -481,7 +322,11 @@ let my_datadir =
          name = "datadir";
          canon = Mini_mysql.fold_dashes;
          what = "directory";
-         exists = (fun v -> List.mem v Mini_mysql.existing_paths);
+         exists =
+           (fun v ->
+             match Mini_mysql.read_value "datadir" datadir (Some v) with
+             | Refused _ -> false
+             | _ -> true);
        })
 
 let my_latent =
@@ -494,25 +339,11 @@ let my_latent =
          let dump =
            List.concat_map
              (fun (path, (d : Node.t)) ->
-               let folded = Mini_mysql.fold_dashes d.name in
-               if not (List.mem folded Mini_mysql.mysqldump_options) then
-                 [
-                   raw ~file:my_file ~path
-                     (Printf.sprintf
-                        "mysqldump: unknown option '--%s'; the tool will fail when \
-                         it next runs"
-                        d.name);
-                 ]
-               else if folded = "max_allowed_packet" then begin
-                 let b =
-                   { Mini_mysql.min = 1024L; max = 1073741824L; default = 16777216L }
-                 in
-                 match my_size_shape b (Option.value ~default:"" d.value) with
-                 | Sh_bad m ->
-                   [ raw ~file:my_file ~path (Printf.sprintf "mysqldump: %s" m) ]
-                 | _ -> []
-               end
-               else [])
+               match Mini_mysql.check_mysqldump_option d.name d.value with
+               | Some (Unknown_option m) ->
+                 [ raw ~file:my_file ~path (m ^ "; the tool will fail when it next runs") ]
+               | Some (Bad_value m) -> [ raw ~file:my_file ~path m ]
+               | None -> [])
              (my_section_directives set "mysqldump")
          in
          let safe =
@@ -542,26 +373,15 @@ let my_dup =
        })
 
 let my_functional =
-  Rule.make ~id:"MY-FUNCTIONAL" ~severity:Finding.Warning
+  my_reading_rule ~id:"MY-FUNCTIONAL" ~severity:Finding.Warning
     ~doc:"the diagnosis probe connects to port 3306; another port fails it (gap)"
-    (Rule.Check_set
-       (fun set ->
-         List.concat_map
-           (fun (path, (d : Node.t)) ->
-             match my_shape_of d with
-             | Some ("port", Sh_ok) -> (
-               match Int64.of_string_opt (Strutil.trim (Option.value ~default:"" d.value)) with
-               | Some p when p <> 3306L ->
-                 [
-                   raw ~file:my_file ~path
-                     (Printf.sprintf
-                        "the diagnosis probe connects to port 3306; port %Ld will \
-                         fail it"
-                        p);
-                 ]
-               | _ -> [])
-             | _ -> [])
-           (my_section_directives set "mysqld")))
+    (fun full _ _ reading ->
+      match (full, reading) with
+      | "port", Mini_mysql.Exact p when p <> 3306L ->
+        Some
+          (Printf.sprintf
+             "the diagnosis probe connects to port 3306; port %Ld will fail it" p)
+      | _ -> None)
 
 let mysql =
   [
@@ -583,193 +403,18 @@ let mysql =
 (* Apache                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* httpd.conf first: boot concatenates httpd.conf then ssl.conf. *)
-let ap_files set =
-  List.filter (fun f -> List.mem f (Config_set.names set)) [ "httpd.conf"; "ssl.conf" ]
-
-let ap_strip_quotes s =
-  if String.length s >= 2 && s.[0] = '"' && s.[String.length s - 1] = '"' then
-    String.sub s 1 (String.length s - 2)
-  else s
-
-let ap_fields s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun f -> f <> "")
-
-let ap_port_of s =
-  let port_text =
-    match String.rindex_opt s ':' with
-    | Some i -> String.sub s (i + 1) (String.length s - i - 1)
-    | None -> s
-  in
-  if port_text <> "" && String.for_all (fun c -> c >= '0' && c <= '9') port_text then begin
-    let p = int_of_string port_text in
-    if p >= 1 && p <= 65535 then Some p else None
-  end
-  else None
-
-(* Everything one mirror pass over the configuration learns; the rules
-   below each pick their slice. *)
-type ap_scan = {
-  mutable ap_loaded : string list;
-  mutable ap_load_errors : Rule.raw list;  (* reversed *)
-  mutable ap_errors : Rule.raw list;  (* reversed; startup-fatal *)
-  mutable ap_skipped : Rule.raw list;  (* reversed; <IfModule> gaps *)
-  mutable ap_listeners : int list;
-  mutable ap_first_listen : (string * Conftree.Path.t) option;
-  mutable ap_docroot : string;
-  mutable ap_docroot_at : (string * Conftree.Path.t) option;
-  mutable ap_vhost_roots : (int * string) list;
-  mutable ap_dirindex : string list;
-  mutable ap_dirindex_at : (string * Conftree.Path.t) option;
-  mutable ap_have_httpd_conf : bool;
-}
-
-let ap_scan set =
-  let sc =
-    {
-      ap_loaded = [];
-      ap_load_errors = [];
-      ap_errors = [];
-      ap_skipped = [];
-      ap_listeners = [];
-      ap_first_listen = None;
-      ap_docroot = "";
-      ap_docroot_at = None;
-      ap_vhost_roots = [];
-      ap_dirindex = [];
-      ap_dirindex_at = None;
-      ap_have_httpd_conf = List.mem "httpd.conf" (Config_set.names set);
-    }
-  in
-  if not sc.ap_have_httpd_conf then begin
-    sc.ap_errors <- [ raw ~file:"httpd.conf" ~path:[] "httpd.conf not found" ];
-    sc
-  end
-  else begin
-    (* First pass, every file and every section (the server resolves
-       LoadModule before interpreting the rest): collect loaded modules
-       and bad LoadModule lines. *)
-    List.iter
-      (fun file ->
-        match Config_set.find set file with
-        | None -> ()
-        | Some root ->
-          let rec go base (children : Node.t list) =
-            List.iteri
-              (fun i (n : Node.t) ->
-                let path = base @ [ i ] in
-                if
-                  n.kind = Node.kind_directive
-                  && String.lowercase_ascii n.name = "loadmodule"
-                then begin
-                  let args = Node.value_or ~default:"" n in
-                  match
-                    Mini_apache.validate_directive ~loaded:[] "loadmodule" args
-                  with
-                  | Ok () -> (
-                    match ap_fields args with
-                    | [ name; _ ] -> sc.ap_loaded <- sc.ap_loaded @ [ name ]
-                    | _ -> ())
-                  | Error m -> sc.ap_load_errors <- raw ~file ~path m :: sc.ap_load_errors
-                end
-                else if n.kind = Node.kind_section then go path n.children)
-              children
-          in
-          go [] root.children)
-      (ap_files set);
-    let loaded = sc.ap_loaded in
-    let directive file path (n : Node.t) ~vhost_port =
-      let lname = String.lowercase_ascii n.name in
-      if lname = "loadmodule" then () (* first pass handled it *)
-      else begin
-        let args = Node.value_or ~default:"" n in
-        match Mini_apache.validate_directive ~loaded n.name args with
-        | Error m -> sc.ap_errors <- raw ~file ~path m :: sc.ap_errors
-        | Ok () ->
-          if lname = "listen" then begin
-            (match ap_fields args with
-            | [ spec ] -> (
-              match ap_port_of spec with
-              | Some p -> sc.ap_listeners <- sc.ap_listeners @ [ p ]
-              | None -> ())
-            | _ -> ());
-            if sc.ap_first_listen = None then sc.ap_first_listen <- Some (file, path)
-          end
-          else if lname = "documentroot" then begin
-            let root =
-              ap_strip_quotes
-                (Option.value ~default:"" (List.nth_opt (ap_fields args) 0))
-            in
-            match vhost_port with
-            | None ->
-              sc.ap_docroot <- root;
-              sc.ap_docroot_at <- Some (file, path)
-            | Some p -> sc.ap_vhost_roots <- (p, root) :: sc.ap_vhost_roots
-          end
-          else if lname = "directoryindex" then begin
-            sc.ap_dirindex <- ap_fields args;
-            sc.ap_dirindex_at <- Some (file, path)
-          end
-      end
+(* httpd's startup checks (Mini_apache.check) over httpd.conf then
+   ssl.conf, the order boot concatenates them in: every problem, and
+   what a server that starts runs with.  [None] without httpd.conf. *)
+let ap_check set =
+  if not (List.mem "httpd.conf" (Config_set.names set)) then None
+  else
+    let files =
+      List.filter_map
+        (fun f -> Option.map (fun t -> (f, t)) (Config_set.find set f))
+        [ "httpd.conf"; "ssl.conf" ]
     in
-    let rec walk file base (children : Node.t list) ~vhost_port =
-      List.iteri
-        (fun i (n : Node.t) ->
-          let path = base @ [ i ] in
-          if n.kind = Node.kind_directive then directive file path n ~vhost_port
-          else if n.kind = Node.kind_section then begin
-            let lname = String.lowercase_ascii n.name in
-            let arg = Option.value ~default:"" (Node.attr n "arg") in
-            if not (List.mem lname Mini_apache.known_sections) then
-              sc.ap_errors <-
-                raw ~file ~path
-                  (Printf.sprintf
-                     "Invalid command '<%s', perhaps misspelled or defined by a \
-                      module not included in the server configuration"
-                     lname)
-                :: sc.ap_errors
-            else if lname = "ifmodule" then begin
-              let mod_name, negated = Mini_apache.ifmodule_ref arg in
-              if not (List.mem_assoc mod_name Mini_apache.modules) then
-                sc.ap_skipped <-
-                  raw ~file ~path
-                    (Printf.sprintf
-                       "<IfModule %s> tests an unknown module; its whole body is \
-                        silently skipped"
-                       (Strutil.trim arg))
-                  :: sc.ap_skipped;
-              let present = List.mem mod_name loaded in
-              if (present && not negated) || ((not present) && negated) then
-                walk file path n.children ~vhost_port
-              (* else: body skipped entirely, exactly like the server *)
-            end
-            else if lname = "virtualhost" then begin
-              match ap_port_of (Strutil.trim arg) with
-              | Some p -> walk file path n.children ~vhost_port:(Some p)
-              | None ->
-                if Strutil.trim arg = "*" then
-                  walk file path n.children ~vhost_port:(Some 80)
-                else
-                  sc.ap_errors <-
-                    raw ~file ~path
-                      (Printf.sprintf "VirtualHost: Invalid port in %S"
-                         (Strutil.trim arg))
-                    :: sc.ap_errors
-            end
-            else walk file path n.children ~vhost_port
-          end)
-        children
-    in
-    List.iter
-      (fun file ->
-        match Config_set.find set file with
-        | None -> ()
-        | Some root -> walk file [] root.children ~vhost_port:None)
-      (ap_files set);
-    sc
-  end
+    Some (Sut.all_problems (fun report -> Mini_apache.check report files))
 
 let ap_conf =
   Rule.make ~id:"AP-CONF" ~severity:Finding.Error
@@ -778,27 +423,36 @@ let ap_conf =
        values (agreement)"
     (Rule.Check_set
        (fun set ->
-         let sc = ap_scan set in
-         List.rev sc.ap_load_errors @ List.rev sc.ap_errors))
+         match ap_check set with
+         | None -> [ raw ~file:"httpd.conf" ~path:[] "httpd.conf not found" ]
+         | Some (problems, _) -> List.map of_problem problems))
 
 let ap_ifmodule =
   Rule.make ~id:"AP-IFMODULE" ~severity:Finding.Warning
     ~doc:
       "an <IfModule> naming an unknown module silently hides its whole body (gap)"
-    (Rule.Check_set (fun set -> List.rev (ap_scan set).ap_skipped))
+    (Rule.Check_set
+       (fun set ->
+         match ap_check set with
+         | None -> []
+         | Some (_, st) ->
+           List.rev_map
+             (fun ((file, path), arg) ->
+               raw ~file ~path
+                 (Printf.sprintf
+                    "<IfModule %s> tests an unknown module; its whole body is \
+                     silently skipped"
+                    arg))
+             st.unknown_ifmodules))
 
 let ap_nolisten =
   Rule.make ~id:"AP-NOLISTEN" ~severity:Finding.Error
     ~doc:"without a valid Listen there are no listening sockets (agreement)"
     (Rule.Check_set
        (fun set ->
-         let sc = ap_scan set in
-         if sc.ap_have_httpd_conf && sc.ap_listeners = [] then
-           [
-             raw ~file:"httpd.conf" ~path:[]
-               "no listening sockets available, shutting down";
-           ]
-         else []))
+         match Option.map (fun (_, st) -> Mini_apache.listening st) (ap_check set) with
+         | Some (Error m) -> [ raw ~file:"httpd.conf" ~path:[] m ]
+         | Some (Ok ()) | None -> []))
 
 let ap_functional =
   Rule.make ~id:"AP-FUNCTIONAL" ~severity:Finding.Warning
@@ -807,27 +461,27 @@ let ap_functional =
        (gap: survives startup)"
     (Rule.Check_set
        (fun set ->
-         let sc = ap_scan set in
-         if not sc.ap_have_httpd_conf then []
-         else begin
+         match ap_check set with
+         | None -> []
+         | Some (_, st) ->
            let out = ref [] in
            let anchor fallback = Option.value ~default:("httpd.conf", []) fallback in
-           if sc.ap_listeners <> [] && not (List.mem 80 sc.ap_listeners) then begin
-             let file, path = anchor sc.ap_first_listen in
+           if st.listeners <> [] && not (List.mem 80 st.listeners) then begin
+             let file, path = anchor st.first_listen in
              out :=
                raw ~file ~path
                  (Printf.sprintf
                     "the HTTP probe connects to port 80; listening only on: %s"
-                    (String.concat "," (List.map string_of_int sc.ap_listeners)))
+                    (String.concat "," (List.map string_of_int st.listeners)))
                :: !out
            end;
            let root =
-             match List.assoc_opt 80 sc.ap_vhost_roots with
+             match List.assoc_opt 80 st.vhost_roots with
              | Some r -> r
-             | None -> sc.ap_docroot
+             | None -> st.document_root
            in
            if root <> "/var/www/html" then begin
-             let file, path = anchor sc.ap_docroot_at in
+             let file, path = anchor st.document_root_at in
              out :=
                raw ~file ~path
                  (Printf.sprintf
@@ -836,15 +490,14 @@ let ap_functional =
                     root)
                :: !out
            end;
-           if not (List.mem "index.html" sc.ap_dirindex) then begin
-             let file, path = anchor sc.ap_dirindex_at in
+           if not (List.mem "index.html" st.directory_index) then begin
+             let file, path = anchor st.directory_index_at in
              out :=
                raw ~file ~path
                  "403 predicted: DirectoryIndex does not map / to index.html"
                :: !out
            end;
-           List.rev !out
-         end))
+           List.rev !out))
 
 let ap_hostname_ok h =
   let h = match String.index_opt h ':' with Some i -> String.sub h 0 i | None -> h in
@@ -883,7 +536,7 @@ let ap_servername =
   ap_value_rule ~id:"AP-SERVERNAME" ~name:"servername"
     ~doc:"ServerName should be a DNS host name; httpd accepts anything (gap)"
     (fun v ->
-      match ap_fields v with
+      match Mini_apache.fields v with
       | [ h ] when ap_hostname_ok h -> None
       | _ ->
         Some
@@ -911,7 +564,7 @@ let ap_defaulttype =
   ap_value_rule ~id:"AP-MIME" ~name:"defaulttype"
     ~doc:"DefaultType should be an RFC 2045 type/subtype; httpd accepts anything (gap)"
     (fun v ->
-      match ap_fields v with
+      match Mini_apache.fields v with
       | [ t ] when ap_mime_ok t -> None
       | _ ->
         Some
@@ -926,7 +579,7 @@ let ap_addtype =
       "AddType's first argument should be an RFC 2045 type/subtype; httpd accepts \
        anything (gap)"
     (fun v ->
-      match ap_fields v with
+      match Mini_apache.fields v with
       | t :: _ :: _ when ap_mime_ok t -> None
       | t :: _ :: _ ->
         Some
@@ -981,109 +634,16 @@ let apache =
 
 let bd_conf_file = "named.conf"
 
-let bd_unquote v =
-  let v = Strutil.trim v in
-  if String.length v >= 2 && v.[0] = '"' && v.[String.length v - 1] = '"' then
-    String.sub v 1 (String.length v - 2)
-  else v
-
-let bd_options_vocab =
-  [ "directory"; "recursion"; "listen-on"; "allow-query"; "forwarders"; "version" ]
-
-(* One walk over named.conf: configuration raws plus the declared zones
-   with their anchors. *)
-type bd_decl = {
-  bd_file : string;
-  bd_origin : string;
-  bd_file_path : Conftree.Path.t;  (* the file directive, for anchoring *)
-}
-
+(* named's reading of named.conf (Mini_bind.read_named_conf): every
+   problem and the zones declared with a file. *)
 let bd_read set =
   match Config_set.find set bd_conf_file with
   | None -> ([ raw ~file:bd_conf_file ~path:[] "named.conf not found" ], [])
   | Some root ->
-    let raws = ref [] in
-    let decls = ref [] in
-    let emit path m ?suggestion () =
-      raws := raw ?suggestion ~file:bd_conf_file ~path m :: !raws
+    let problems, decls =
+      Sut.all_problems (fun report -> Mini_bind.read_named_conf report root)
     in
-    List.iteri
-      (fun i (n : Node.t) ->
-        if n.kind = Node.kind_section then
-          match String.lowercase_ascii n.name with
-          | "options" ->
-            List.iteri
-              (fun j (d : Node.t) ->
-                if d.kind = Node.kind_directive then
-                  match (String.lowercase_ascii d.name, d.value) with
-                  | "directory", Some dir
-                    when List.mem (bd_unquote dir) Mini_bind.existing_directories ->
-                    ()
-                  | "directory", Some dir ->
-                    emit [ i; j ]
-                      (Printf.sprintf "named.conf: directory %s not found" dir)
-                      ()
-                  | "recursion", Some ("yes" | "no") -> ()
-                  | "recursion", Some other ->
-                    emit [ i; j ]
-                      (Printf.sprintf
-                         "named.conf: recursion must be yes or no, got %s" other)
-                      ()
-                  | ("listen-on" | "allow-query" | "forwarders" | "version"), _ -> ()
-                  | other, _ ->
-                    emit [ i; j ]
-                      (Printf.sprintf "named.conf: unknown option '%s'" other)
-                      ())
-              n.children
-          | "zone" ->
-            let origin =
-              Dnsmodel.Name.normalize
-                (Option.value ~default:"" (Node.attr n "arg"))
-            in
-            let find name =
-              let rec go j = function
-                | [] -> None
-                | (d : Node.t) :: rest ->
-                  if
-                    d.kind = Node.kind_directive
-                    && String.lowercase_ascii d.name = name
-                  then Some (j, d)
-                  else go (j + 1) rest
-              in
-              go 0 n.children
-            in
-            (match find "type" with
-            | Some (_, d)
-              when List.mem (Node.value_or ~default:"" d) Mini_bind.known_zone_types
-              ->
-              ()
-            | Some (j, d) ->
-              emit [ i; j ]
-                (Printf.sprintf "zone %s: unknown type '%s'" origin
-                   (Node.value_or ~default:"" d))
-                ()
-            | None ->
-              emit [ i ] (Printf.sprintf "zone %s: missing 'type'" origin) ());
-            (match find "file" with
-            | Some (j, d) ->
-              decls :=
-                {
-                  bd_file = bd_unquote (Node.value_or ~default:"" d);
-                  bd_origin = origin;
-                  bd_file_path = [ i; j ];
-                }
-                :: !decls
-            | None ->
-              emit [ i ] (Printf.sprintf "zone %s: missing 'file'" origin) ())
-          | other ->
-            emit [ i ]
-              (Printf.sprintf "named.conf: unknown block '%s'" other)
-              ?suggestion:
-                (if List.mem other [ "option"; "zones"; "optons" ] then Some "options"
-                 else None)
-              ())
-      root.children;
-    (List.rev !raws, List.rev !decls)
+    (List.map of_problem problems, decls)
 
 let bd_conf =
   Rule.make ~id:"BD-CONF" ~severity:Finding.Error
@@ -1096,17 +656,11 @@ let bd_dangling =
     (Rule.Check_set
        (fun set ->
          let _, decls = bd_read set in
-         List.concat_map
-           (fun d ->
-             if not (List.mem d.bd_file (Config_set.names set)) then
-               [
-                 raw ~file:bd_conf_file ~path:d.bd_file_path
-                   (Printf.sprintf
-                      "zone %s: loading from master file %s failed: file not found"
-                      d.bd_origin d.bd_file);
-               ]
-             else [])
-           decls))
+         let exists f = List.mem f (Config_set.names set) in
+         List.map of_problem
+           (fst
+              (Sut.all_problems (fun report ->
+                   Mini_bind.check_zone_files report ~exists decls)))))
 
 let bd_unused =
   Rule.make ~id:"BD-UNUSED" ~severity:Finding.Warning
@@ -1114,7 +668,7 @@ let bd_unused =
     (Rule.Check_set
        (fun set ->
          let _, decls = bd_read set in
-         let declared = List.map (fun d -> d.bd_file) decls in
+         let declared = List.map (fun (d : Mini_bind.zone_decl) -> d.zone_file) decls in
          List.concat_map
            (fun f ->
              if f <> bd_conf_file && not (List.mem f declared) then
@@ -1134,9 +688,11 @@ let bd_unused =
 let bd_decode set =
   let _, decls = bd_read set in
   let present =
-    List.filter (fun d -> List.mem d.bd_file (Config_set.names set)) decls
+    List.filter
+      (fun (d : Mini_bind.zone_decl) -> List.mem d.zone_file (Config_set.names set))
+      decls
   in
-  let zones = List.map (fun d -> (d.bd_file, d.bd_origin)) present in
+  let zones = List.map (fun (d : Mini_bind.zone_decl) -> (d.zone_file, d.origin)) present in
   if zones = [] then (present, Error [])
   else begin
     let subset =
@@ -1194,18 +750,18 @@ let bd_with_records f =
       | _, Error _ -> []
       | decls, Ok records -> f set decls records)
 
-let bd_file_of (r : Dnsmodel.Record.t) decls =
+let bd_file_of (r : Dnsmodel.Record.t) (decls : Mini_bind.zone_decl list) =
   match Dnsmodel.Record.tag r Dnsmodel.Codec.tag_file with
   | Some f -> f
-  | None -> ( match decls with d :: _ -> d.bd_file | [] -> bd_conf_file)
+  | None -> ( match decls with d :: _ -> d.zone_file | [] -> bd_conf_file)
 
 let bd_origin_of (r : Dnsmodel.Record.t) decls =
   match
     List.find_opt
-      (fun d -> Dnsmodel.Name.in_domain ~domain:d.bd_origin r.owner)
+      (fun (d : Mini_bind.zone_decl) -> Dnsmodel.Name.in_domain ~domain:d.origin r.owner)
       decls
   with
-  | Some d -> d.bd_origin
+  | Some d -> d.origin
   | None -> "."
 
 let bd_anchor set decls (r : Dnsmodel.Record.t) =
@@ -1218,33 +774,33 @@ let bd_zone_checks =
     (bd_with_records
        (fun set decls records ->
          List.concat_map
-           (fun d ->
+           (fun (d : Mini_bind.zone_decl) ->
              let zone =
-               Dnsmodel.Zone.make ~origin:d.bd_origin
+               Dnsmodel.Zone.make ~origin:d.origin
                  (List.filter
                     (fun r ->
                       Dnsmodel.Record.tag r Dnsmodel.Codec.tag_file
-                      = Some d.bd_file)
+                      = Some d.zone_file)
                     records)
              in
              List.map
                (fun problem ->
                  let message =
                    Format.asprintf "zone %s: %a: not loaded due to errors"
-                     d.bd_origin Dnsmodel.Zone.pp_problem problem
+                     d.origin Dnsmodel.Zone.pp_problem problem
                  in
                  let file, path =
                    match problem with
                    | Dnsmodel.Zone.Cname_and_other_data name ->
-                     bd_record_path set ~file:d.bd_file ~origin:d.bd_origin
+                     bd_record_path set ~file:d.zone_file ~origin:d.origin
                        ~owner:name ~rtype:"CNAME"
                    | Dnsmodel.Zone.Mx_target_is_alias (owner, _) ->
-                     bd_record_path set ~file:d.bd_file ~origin:d.bd_origin
+                     bd_record_path set ~file:d.zone_file ~origin:d.origin
                        ~owner ~rtype:"MX"
                    | Dnsmodel.Zone.Ns_target_is_alias (owner, _) ->
-                     bd_record_path set ~file:d.bd_file ~origin:d.bd_origin
+                     bd_record_path set ~file:d.zone_file ~origin:d.origin
                        ~owner ~rtype:"NS"
-                   | Dnsmodel.Zone.Missing_soa -> (d.bd_file, [])
+                   | Dnsmodel.Zone.Missing_soa -> (d.zone_file, [])
                  in
                  raw ~file ~path message)
                (Dnsmodel.Zone.validate zone))
@@ -1258,11 +814,11 @@ let bd_soa_at_apex =
     (bd_with_records
        (fun set decls records ->
          List.concat_map
-           (fun d ->
+           (fun (d : Mini_bind.zone_decl) ->
              let in_zone =
                List.filter
                  (fun (r : Dnsmodel.Record.t) ->
-                   Dnsmodel.Record.tag r Dnsmodel.Codec.tag_file = Some d.bd_file)
+                   Dnsmodel.Record.tag r Dnsmodel.Codec.tag_file = Some d.zone_file)
                  records
              in
              let soas =
@@ -1275,20 +831,20 @@ let bd_soa_at_apex =
                soas <> []
                && not
                     (List.exists
-                       (fun (r : Dnsmodel.Record.t) -> r.owner = d.bd_origin)
+                       (fun (r : Dnsmodel.Record.t) -> r.owner = d.origin)
                        soas)
              then
                List.map
                  (fun (r : Dnsmodel.Record.t) ->
                    let file, path =
-                     bd_record_path set ~file:d.bd_file ~origin:d.bd_origin
+                     bd_record_path set ~file:d.zone_file ~origin:d.origin
                        ~owner:r.owner ~rtype:"SOA"
                    in
                    raw ~file ~path
                      (Printf.sprintf
                         "zone %s: SOA is at %s, not at the apex; queries for the \
                          zone apex will fail"
-                        d.bd_origin r.owner))
+                        d.origin r.owner))
                  soas
              else [])
            decls))
@@ -1302,7 +858,9 @@ let bd_ptr_missing =
        cross-checks (gap)"
     (bd_with_records
        (fun set decls records ->
-         let reverse_declared = List.exists (fun d -> bd_is_reverse d.bd_origin) decls in
+         let reverse_declared =
+           List.exists (fun (d : Mini_bind.zone_decl) -> bd_is_reverse d.origin) decls
+         in
          if not reverse_declared then []
          else
            List.concat_map
@@ -1314,9 +872,9 @@ let bd_ptr_missing =
                  | Some rev ->
                    let covered =
                      List.exists
-                       (fun d ->
-                         bd_is_reverse d.bd_origin
-                         && Dnsmodel.Name.in_domain ~domain:d.bd_origin rev)
+                       (fun (d : Mini_bind.zone_decl) ->
+                         bd_is_reverse d.origin
+                         && Dnsmodel.Name.in_domain ~domain:d.origin rev)
                        decls
                    in
                    let has_ptr =
@@ -1436,8 +994,6 @@ let bind =
     bd_ptr_nofwd;
     bd_cname_chain;
   ]
-
-let _ = bd_options_vocab (* documented in doc/lint.md; kept for tooling *)
 
 (* ------------------------------------------------------------------ *)
 (* djbdns                                                               *)
@@ -1619,133 +1175,31 @@ let as_element =
          what = "element";
        })
 
-let as_digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
-
-type as_scan = {
-  mutable as_attr_errors : Rule.raw list;  (* reversed *)
-  mutable as_ports : int list;
-  mutable as_first_connector : Conftree.Path.t option;
-  mutable as_app_base : string;
-  mutable as_default_app : string;
-  mutable as_host_at : Conftree.Path.t option;
-  mutable as_have_file : bool;
-}
-
-let as_run set =
-  let sc =
-    {
-      as_attr_errors = [];
-      as_ports = [];
-      as_first_connector = None;
-      as_app_base = "";
-      as_default_app = "";
-      as_host_at = None;
-      as_have_file = true;
-    }
-  in
-  (match Config_set.find set as_file with
-  | None ->
-    sc.as_have_file <- false;
-    sc.as_attr_errors <- [ raw ~file:as_file ~path:[] "server.xml not found" ]
-  | Some root ->
-    let err path fmt = Printf.ksprintf (fun m -> sc.as_attr_errors <- raw ~file:as_file ~path m :: sc.as_attr_errors) fmt in
-    let check_attrs ~element ~allowed path (n : Node.t) =
-      List.iter
-        (fun (key, _) ->
-          if not (List.mem key allowed) then
-            err path "element <%s> has no attribute %S" element key)
-        n.attrs
-    in
-    let port_of path (n : Node.t) =
-      match Node.attr n "port" with
-      | None -> None
-      | Some p when as_digits p ->
-        let port = int_of_string p in
-        if port >= 1 && port <= 65535 then Some port
-        else begin
-          err path "port %d out of range" port;
-          None
-        end
-      | Some p ->
-        err path "invalid port %S" p;
-        None
-    in
-    let rec go base (children : Node.t list) =
-      List.iteri
-        (fun i (n : Node.t) ->
-          let path = base @ [ i ] in
-          if n.kind = Node.kind_element then
-            match String.lowercase_ascii n.name with
-            | "server" ->
-              check_attrs ~element:"server" ~allowed:[ "shutdownPort"; "name" ] path n;
-              go path n.children
-            | "connector" ->
-              check_attrs ~element:"connector"
-                ~allowed:[ "protocol"; "port"; "timeout" ] path n;
-              (match Node.attr n "protocol" with
-              | None | Some "http" | Some "https" | Some "ajp" -> ()
-              | Some other -> err path "unknown connector protocol %S" other);
-              (match Node.attr n "timeout" with
-              | None -> ()
-              | Some t when as_digits t -> ()
-              | Some t -> err path "invalid connector timeout %S" t);
-              if sc.as_first_connector = None then sc.as_first_connector <- Some path;
-              (match port_of path n with
-              | Some p -> sc.as_ports <- sc.as_ports @ [ p ]
-              | None -> ())
-            | "logger" ->
-              check_attrs ~element:"logger" ~allowed:[ "level"; "file" ] path n;
-              (match Node.attr n "level" with
-              | None | Some "debug" | Some "info" | Some "warn" | Some "error" -> ()
-              | Some other -> err path "unknown log level %S" other);
-              (match Node.attr n "file" with
-              | None -> ()
-              | Some f ->
-                let dir =
-                  match String.rindex_opt f '/' with
-                  | Some 0 -> "/"
-                  | Some i -> String.sub f 0 i
-                  | None -> "."
-                in
-                if not (List.mem dir Mini_appserver.existing_dirs) then
-                  err path "cannot open log file %S" f)
-            | "host" ->
-              check_attrs ~element:"host" ~allowed:[ "name"; "appBase"; "defaultApp" ]
-                path n;
-              sc.as_host_at <- Some path;
-              (match Node.attr n "appBase" with
-              | Some base -> sc.as_app_base <- base
-              | None -> ());
-              (match Node.attr n "defaultApp" with
-              | Some app -> sc.as_default_app <- app
-              | None -> ());
-              go path n.children
-            | "realm" -> (
-              check_attrs ~element:"realm" ~allowed:[ "users" ] path n;
-              match Node.attr n "users" with
-              | None -> ()
-              | Some f when List.mem f Mini_appserver.existing_files -> ()
-              | Some f -> err path "realm user database %S not found" f)
-            | _ -> () (* unknown element: silently skipped; AS-ELEMENT's *))
-        children
-    in
-    go [] root.children);
-  sc
+(* The server's startup checks over server.xml (Mini_appserver.check):
+   every problem, and what a server that starts runs with.  [None]
+   without server.xml. *)
+let as_check set =
+  Option.map
+    (fun root -> Sut.all_problems (fun report -> Mini_appserver.check report root))
+    (Config_set.find set as_file)
 
 let as_attr =
   Rule.make ~id:"AS-ATTR" ~severity:Finding.Error
     ~doc:"attributes of known elements are strictly validated (agreement)"
-    (Rule.Check_set (fun set -> List.rev (as_run set).as_attr_errors))
+    (Rule.Check_set
+       (fun set ->
+         match as_check set with
+         | None -> [ raw ~file:as_file ~path:[] "server.xml not found" ]
+         | Some (problems, _) -> List.map of_problem problems))
 
 let as_noconn =
   Rule.make ~id:"AS-NOCONN" ~severity:Finding.Error
     ~doc:"at least one connector must be configured (agreement)"
     (Rule.Check_set
        (fun set ->
-         let sc = as_run set in
-         if sc.as_have_file && sc.as_ports = [] then
-           [ raw ~file:as_file ~path:[] "no connectors configured" ]
-         else []))
+         match Option.map (fun (_, st) -> Mini_appserver.connected st) (as_check set) with
+         | Some (Error m) -> [ raw ~file:as_file ~path:[] m ]
+         | Some (Ok ()) | None -> []))
 
 let as_functional =
   Rule.make ~id:"AS-FUNCTIONAL" ~severity:Finding.Warning
@@ -1754,28 +1208,27 @@ let as_functional =
        default application (gap: survives startup)"
     (Rule.Check_set
        (fun set ->
-         let sc = as_run set in
-         if not sc.as_have_file then []
-         else begin
+         match as_check set with
+         | None -> []
+         | Some (_, st) ->
            let out = ref [] in
            let emit path m = out := raw ~file:as_file ~path m :: !out in
-           if sc.as_ports <> [] && not (List.mem 8080 sc.as_ports) then
+           if st.connector_ports <> [] && not (List.mem 8080 st.connector_ports) then
              emit
-               (Option.value ~default:[] sc.as_first_connector)
+               (Option.value ~default:[] st.first_connector)
                (Printf.sprintf
                   "the HTTP probe connects to port 8080; connectors listen on: %s"
-                  (String.concat "," (List.map string_of_int sc.as_ports)));
-           let host = Option.value ~default:[] sc.as_host_at in
-           if sc.as_app_base <> "/srv/webapps" then
+                  (String.concat "," (List.map string_of_int st.connector_ports)));
+           let host = Option.value ~default:[] st.host_at in
+           if st.app_base <> "/srv/webapps" then
              emit host
                (Printf.sprintf
                   "404 predicted: appBase %S has no applications (the probe expects \
                    /srv/webapps)"
-                  sc.as_app_base);
-           if sc.as_default_app = "" then
+                  st.app_base);
+           if st.default_app = "" then
              emit host "404 predicted: no default application deployed";
-           List.rev !out
-         end))
+           List.rev !out))
 
 let appserver = [ as_element; as_attr; as_noconn; as_functional ]
 
@@ -1793,10 +1246,10 @@ let all =
 
 let for_sut name = List.assoc_opt name all
 
-(* Distinct rule ids of a set, first-appearance order.  Several rules
-   share one id (PG-VALUE is one rule per parameter spec, PG-REQUIRED
-   one per stock directive); the id is the unit the inference differ
-   and the acceptance tests count recovery over. *)
+(* Distinct rule ids of a set, first-appearance order.  Ids repeat only
+   where one constraint is stated per directive: PG-VALUE per parameter
+   spec, PG-REQUIRED per stock directive, AP-MIME for DefaultType and
+   AddType. *)
 let ids rules =
   List.rev
     (List.fold_left

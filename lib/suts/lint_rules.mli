@@ -7,14 +7,21 @@
     a {e silent acceptance} validator gap).  Rule documentation strings
     say which is which.
 
-    The rule sets live next to the SUT implementations so they can reuse
-    the very same parsers and namespaces ({!Mini_pg.parse_mem},
-    {!Mini_mysql.resolve_name}, {!Mini_apache.validate_directive}, ...):
-    the linter and the simulated server cannot drift apart. *)
+    Agreement rules call the simulator's own checks rather than copying
+    them: each simulator writes its startup validation once, and [boot]
+    stops at the first problem while the rules here take every problem
+    with its site ({!Sut.first_problem}, {!Sut.all_problems}).  Value
+    checks, pg's cross-parameter constraints ({!Mini_pg.relations}),
+    MySQL's value reading ({!Mini_mysql.read_value}) and the Apache,
+    BIND and application-server walks ({!Mini_apache.check},
+    {!Mini_bind.read_named_conf}, {!Mini_appserver.check}) are each
+    stated once, so the linter and the simulated server cannot drift
+    apart. *)
 
 val postgres : Conferr_lint.Rule.t list
 (** postgresql.conf: unknown/duplicate/missing parameters, per-spec
-    value checks, the §5.2 cross-parameter constraints.  PostgreSQL
+    value checks, and the §5.2 cross-parameter constraints as
+    [Relation] rules ([PG-REL-FSM], [PG-REL-SHMEM]).  PostgreSQL
     validates strictly, so most rules are agreement rules; the silent
     gap is deletion (built-in defaults apply without a message). *)
 
@@ -24,7 +31,7 @@ val mysql : Conferr_lint.Rule.t list
     errors in never-parsed tool sections, unknown sections. *)
 
 val apache : Conferr_lint.Rule.t list
-(** httpd.conf + ssl.conf: full mirror of the server's directive
+(** httpd.conf + ssl.conf: every problem of the server's directive
     processing (modules, [<IfModule>] skipping, value validators) plus
     the freeform-string flaws (ServerName, ServerAdmin, MIME types) and
     functional-failure predictions (Listen/DocumentRoot/DirectoryIndex). *)
@@ -51,6 +58,11 @@ val all : (string * Conferr_lint.Rule.t list) list
 val for_sut : string -> Conferr_lint.Rule.t list option
 
 val ids : Conferr_lint.Rule.t list -> string list
-(** Distinct rule ids, first-appearance order.  Several rules share one
-    id (e.g. one [PG-VALUE] rule per parameter spec); the id is the unit
-    the inference differ ([lib/infer]) counts recovery over. *)
+(** Distinct rule ids, first-appearance order.  The id is the unit the
+    inference differ ([lib/infer]) counts recovery over, and the replay's
+    claim-aware classification reads one claim per id.  Ids repeat only
+    where one constraint is stated per directive: one [PG-VALUE] rule
+    per parameter spec, one [PG-REQUIRED] rule per stock directive, and
+    [AP-MIME] for both DefaultType and AddType.  Rules sharing an id
+    share its claim and severity (a test checks every built-in set, base
+    and deepened). *)

@@ -1,4 +1,5 @@
 module Strutil = Conferr_util.Strutil
+module Node = Conftree.Node
 
 (* ------------------------------------------------------------------ *)
 (* Module registry: module identifier -> canonical shared-object path   *)
@@ -115,11 +116,10 @@ let parse_port s =
     | Some i -> String.sub s (i + 1) (String.length s - i - 1)
     | None -> s
   in
-  if is_digits port_text then
-    let p = int_of_string port_text in
-    if p >= 1 && p <= 65535 then Ok p
-    else Error (Printf.sprintf "port %d is out of range" p)
-  else Error (Printf.sprintf "Invalid port in %S" s)
+  match if is_digits port_text then int_of_string_opt port_text else None with
+  | Some p when p >= 1 && p <= 65535 -> Ok p
+  | Some p -> Error (Printf.sprintf "port %d is out of range" p)
+  | None -> Error (Printf.sprintf "Invalid port in %S" s)
 
 let dir_of_path p =
   match String.rindex_opt p '/' with
@@ -230,12 +230,18 @@ let fields s =
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun f -> f <> "")
 
+type site = string * Conftree.Path.t
+
 type state = {
-  mutable listeners : int list;
-  mutable document_root : string;
   mutable loaded : string list;    (* module identifiers *)
-  mutable directory_index : string list;
+  mutable listeners : int list;
+  mutable first_listen : site option;
+  mutable document_root : string;
+  mutable document_root_at : site option;
   mutable vhost_roots : (int * string) list;
+  mutable directory_index : string list;
+  mutable directory_index_at : site option;
+  mutable unknown_ifmodules : (site * string) list;
 }
 
 let strip_quotes s =
@@ -347,38 +353,11 @@ let validate_value state name validator value =
 (* Config processing                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type item =
-  | Directive of string * string      (* name, raw argument text *)
-  | Section of string * string * item list
-
-let parse_config text =
-  (* The SUT's own reader; same grammar as the injector's format module
-     but with Apache's error messages. *)
-  match Formats.Apacheconf.parse text with
-  | Error e -> Error (Printf.sprintf "Syntax error: %s" (Formats.Parse_error.to_string e))
-  | Ok tree ->
-    let rec items (n : Conftree.Node.t) =
-      n.children
-      |> List.filter_map (fun (c : Conftree.Node.t) ->
-             if c.kind = Conftree.Node.kind_directive then
-               Some (Directive (c.name, Conftree.Node.value_or ~default:"" c))
-             else if c.kind = Conftree.Node.kind_section then
-               Some
-                 (Section
-                    ( c.name,
-                      Option.value ~default:"" (Conftree.Node.attr c "arg"),
-                      items c ))
-             else None)
-    in
-    Ok (items tree)
-
-let load_module state args =
+let load_module args =
   match fields args with
   | [ name; path ] ->
     (match List.assoc_opt name modules with
-     | Some canonical when strip_quotes path = canonical ->
-       state.loaded <- name :: state.loaded;
-       Ok ()
+     | Some canonical when strip_quotes path = canonical -> Ok name
      | Some canonical ->
        Error
          (Printf.sprintf
@@ -390,43 +369,22 @@ let load_module state args =
          (Printf.sprintf "Cannot load %s into server: undefined module %s" path name))
   | _ -> Error "LoadModule takes two arguments"
 
-let handle_directive state ~vhost_port name args =
-  let lname = String.lowercase_ascii name in
-  if lname = "loadmodule" then load_module state args
-  else
-    match List.assoc_opt lname core_directives with
-    | Some validator ->
-      let r = validate_value state lname validator args in
-      (match r with
-       | Ok () ->
-         if lname = "documentroot" then begin
-           let root = strip_quotes (List.nth_opt (fields args) 0 |> Option.value ~default:"") in
-           (match vhost_port with
-            | None -> state.document_root <- root
-            | Some p -> state.vhost_roots <- (p, root) :: state.vhost_roots)
-         end;
-         Ok ()
-       | Error _ -> r)
-    | None ->
-      (match directive_module lname with
-       | Some m when List.mem m state.loaded ->
-         let validator =
-           Option.value ~default:Anything (List.assoc_opt lname module_directive_validators)
-         in
-         let r = validate_value state lname validator args in
-         if r = Ok () && lname = "directoryindex" then
-           state.directory_index <- fields args;
-         r
-       | Some _ | None ->
-         Error
-           (Printf.sprintf
-              "Invalid command '%s', perhaps misspelled or defined by a module not \
-               included in the server configuration"
-              name))
-
-(* Keep in sync with the section match in [process]. *)
-let known_sections =
-  [ "ifmodule"; "virtualhost"; "directory"; "files"; "location"; "limit" ]
+let handle_directive state lname name args =
+  match List.assoc_opt lname core_directives with
+  | Some validator -> validate_value state lname validator args
+  | None ->
+    (match directive_module lname with
+     | Some m when List.mem m state.loaded ->
+       let validator =
+         Option.value ~default:Anything (List.assoc_opt lname module_directive_validators)
+       in
+       validate_value state lname validator args
+     | Some _ | None ->
+       Error
+         (Printf.sprintf
+            "Invalid command '%s', perhaps misspelled or defined by a module not \
+             included in the server configuration"
+            name))
 
 let ifmodule_ref arg =
   let a = Strutil.trim arg in
@@ -442,58 +400,102 @@ let ifmodule_ref arg =
   in
   (mod_name, negated)
 
-let rec process state ~vhost_port items =
-  match items with
-  | [] -> Ok ()
-  | Directive (name, args) :: rest ->
-    (match handle_directive state ~vhost_port name args with
-     | Ok () -> process state ~vhost_port rest
-     | Error msg -> Error msg)
-  | Section (name, arg, children) :: rest ->
-    let lname = String.lowercase_ascii name in
-    let continue_with result =
-      match result with
-      | Ok () -> process state ~vhost_port rest
-      | Error _ -> result
-    in
-    (match lname with
-     | "ifmodule" ->
-       let mod_name, negated = ifmodule_ref arg in
-       let present = List.mem mod_name state.loaded in
-       if (present && not negated) || ((not present) && negated) then
-         continue_with (process state ~vhost_port children)
-       else (* body skipped entirely: even invalid commands are ignored *)
-         process state ~vhost_port rest
-     | "virtualhost" ->
-       (match parse_port (Strutil.trim arg) with
-        | Ok p -> continue_with (process state ~vhost_port:(Some p) children)
-        | Error _ when Strutil.trim arg = "*" ->
-          continue_with (process state ~vhost_port:(Some 80) children)
-        | Error msg -> Error (Printf.sprintf "VirtualHost: %s" msg))
-     | "directory" | "files" | "location" | "limit" ->
-       continue_with (process state ~vhost_port children)
-     | other ->
-       Error
-         (Printf.sprintf
-            "Invalid command '<%s', perhaps misspelled or defined by a module not \
-             included in the server configuration"
-            other))
+let check (report : Sut.report) files =
+  let state =
+    {
+      loaded = [];
+      listeners = [];
+      first_listen = None;
+      document_root = "";
+      document_root_at = None;
+      vhost_roots = [];
+      directory_index = [];
+      directory_index_at = None;
+      unknown_ifmodules = [];
+    }
+  in
+  (* paths are built reversed and turned round only where they are kept *)
+  let problem file rpath message =
+    report { Sut.file; path = List.rev rpath; message; suggestion = None }
+  in
+  (* httpd resolves LoadModule before the bulk of the configuration is
+     interpreted (the shipped configs rely on this), so module loading
+     is a first pass over every file and section. *)
+  let rec preload file rpath (n : Node.t) =
+    List.iteri
+      (fun i (c : Node.t) ->
+        let rpath = i :: rpath in
+        if c.kind = Node.kind_directive && String.lowercase_ascii c.name = "loadmodule"
+        then (
+          match load_module (Node.value_or ~default:"" c) with
+          | Ok name -> state.loaded <- name :: state.loaded
+          | Error m -> problem file rpath m)
+        else if c.kind = Node.kind_section then preload file rpath c)
+      n.children
+  in
+  let rec walk file rpath ~vhost_port (n : Node.t) =
+    List.iteri
+      (fun i (c : Node.t) ->
+        let rpath = i :: rpath in
+        if c.kind = Node.kind_directive then directive file rpath ~vhost_port c
+        else if c.kind = Node.kind_section then section file rpath ~vhost_port c)
+      n.children
+  and directive file rpath ~vhost_port (c : Node.t) =
+    let lname = String.lowercase_ascii c.name in
+    let args = Node.value_or ~default:"" c in
+    let site () = Some (file, List.rev rpath) in
+    if lname <> "loadmodule" then
+      match handle_directive state lname c.name args with
+      | Error m -> problem file rpath m
+      | Ok () -> (
+        match lname with
+        | "listen" -> if state.first_listen = None then state.first_listen <- site ()
+        | "documentroot" -> (
+          let root =
+            strip_quotes (Option.value ~default:"" (List.nth_opt (fields args) 0))
+          in
+          match vhost_port with
+          | None ->
+            state.document_root <- root;
+            state.document_root_at <- site ()
+          | Some p -> state.vhost_roots <- (p, root) :: state.vhost_roots)
+        | "directoryindex" ->
+          state.directory_index <- fields args;
+          state.directory_index_at <- site ()
+        | _ -> ())
+  and section file rpath ~vhost_port (c : Node.t) =
+    let arg = Strutil.trim (Option.value ~default:"" (Node.attr c "arg")) in
+    match String.lowercase_ascii c.name with
+    | "ifmodule" ->
+      let mod_name, negated = ifmodule_ref arg in
+      if not (known_module mod_name) then
+        state.unknown_ifmodules <- ((file, List.rev rpath), arg) :: state.unknown_ifmodules;
+      (* a skipped body is skipped entirely: even invalid commands are ignored *)
+      if List.mem mod_name state.loaded <> negated then walk file rpath ~vhost_port c
+    | "virtualhost" ->
+      (match parse_port arg with
+       | Ok p -> walk file rpath ~vhost_port:(Some p) c
+       | Error _ when arg = "*" -> walk file rpath ~vhost_port:(Some 80) c
+       | Error msg -> problem file rpath (Printf.sprintf "VirtualHost: %s" msg))
+    | "directory" | "files" | "location" | "limit" -> walk file rpath ~vhost_port c
+    | other ->
+      problem file rpath
+        (Printf.sprintf
+           "Invalid command '<%s', perhaps misspelled or defined by a module not \
+            included in the server configuration"
+           other)
+  in
+  List.iter (fun (file, root) -> preload file [] root) files;
+  List.iter (fun (file, root) -> walk file [] ~vhost_port:None root) files;
+  state
+
+let listening state =
+  if state.listeners = [] then Error "no listening sockets available, shutting down"
+  else Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Functional test: an HTTP GET, like the paper's diagnosis script       *)
 (* ------------------------------------------------------------------ *)
-
-let validate_directive ~loaded name args =
-  let state =
-    {
-      listeners = [];
-      document_root = "";
-      loaded;
-      directory_index = [];
-      vhost_roots = [];
-    }
-  in
-  handle_directive state ~vhost_port:None name args
 
 let docroot_has_index root = root = "/var/www/html"
 
@@ -518,22 +520,6 @@ let functional_tests state () =
     else [ Sut.passed "http-get" ]
   end
 
-(* httpd resolves LoadModule before the bulk of the configuration is
-   interpreted (the shipped configs rely on this), so module loading is a
-   separate first pass over the whole tree. *)
-let rec preload_modules state items =
-  match items with
-  | [] -> Ok ()
-  | Directive (name, args) :: rest when String.lowercase_ascii name = "loadmodule" ->
-    (match load_module state args with
-     | Ok () -> preload_modules state rest
-     | Error _ as e -> e)
-  | Directive _ :: rest -> preload_modules state rest
-  | Section (_, _, children) :: rest ->
-    (match preload_modules state children with
-     | Ok () -> preload_modules state rest
-     | Error _ as e -> e)
-
 let boot configs =
   match List.assoc_opt "httpd.conf" configs with
   | None -> Error "httpd.conf not found"
@@ -545,33 +531,16 @@ let boot configs =
       | Some ssl -> main_text ^ "\n" ^ ssl
       | None -> main_text
     in
-    (match parse_config text with
-     | Error msg -> Error msg
-     | Ok items ->
-       let state =
-         {
-           listeners = [];
-           document_root = "";
-           loaded = [];
-           directory_index = [];
-           vhost_roots = [];
-         }
+    (match Formats.Apacheconf.parse text with
+     | Error e ->
+       Error (Printf.sprintf "Syntax error: %s" (Formats.Parse_error.to_string e))
+     | Ok tree ->
+       let ( let* ) = Result.bind in
+       let* state =
+         Sut.first_problem (fun report -> check report [ ("httpd.conf", tree) ])
        in
-       (match
-          match preload_modules state items with
-          | Ok () -> process state ~vhost_port:None items
-          | Error _ as e -> e
-        with
-        | Error msg -> Error msg
-        | Ok () ->
-          if state.listeners = [] then
-            Error "no listening sockets available, shutting down"
-          else
-            Ok
-              {
-                Sut.run_tests = functional_tests state;
-                shutdown = (fun () -> ());
-              }))
+       let* () = listening state in
+       Ok { Sut.run_tests = functional_tests state; shutdown = (fun () -> ()) })
 
 let default_config =
   let load (name, path) = Printf.sprintf "LoadModule %s %s" name path in

@@ -29,19 +29,35 @@ val directive_module : string -> string option
 
 (** {1 Exposed for the static rule set ({!Lint_rules.apache})} *)
 
-val modules : (string * string) list
-(** Module identifier to canonical [LoadModule] path. *)
+val fields : string -> string list
+(** A directive's arguments, split on blanks the way httpd splits them. *)
 
-val known_sections : string list
-(** Lowercased section names [process] understands. *)
+type site = string * Conftree.Path.t
+(** A file of the configuration and a node in it. *)
 
-val ifmodule_ref : string -> string * bool
-(** The module identifier an [<IfModule>] argument names (mapping
-    [mod_x.c] to [x_module]) and whether the test is negated (["!"]). *)
+(** What the startup checks learn about the configuration: what a
+    server that starts runs with. *)
+type state = private {
+  mutable loaded : string list;  (** module identifiers *)
+  mutable listeners : int list;
+  mutable first_listen : site option;
+  mutable document_root : string;
+  mutable document_root_at : site option;
+  mutable vhost_roots : (int * string) list;  (** latest first *)
+  mutable directory_index : string list;
+  mutable directory_index_at : site option;
+  mutable unknown_ifmodules : (site * string) list;
+      (** [<IfModule>]s naming a module httpd does not know, with their
+          argument, latest first: their bodies are silently skipped *)
+}
 
-val validate_directive :
-  loaded:string list -> string -> string -> (unit, string) result
-(** [validate_directive ~loaded name args] runs the server's own
-    directive validation against a throwaway state: the exact
-    known/module-gating/value checks of startup, without the side
-    effects.  [loaded] is the set of loaded module identifiers. *)
+val check : Sut.report -> (string * Conftree.Node.t) list -> state
+(** [check report files] runs httpd's startup checks over the parsed
+    configuration files, in order: [LoadModule] over every file and
+    section first, then each file's directives and sections, skipping
+    the bodies of absent modules' [<IfModule>]s.  It reports each
+    problem with its site: an unknown or module-less directive, a bad
+    value, an unknown section or a bad [<VirtualHost>] port. *)
+
+val listening : state -> (unit, string) result
+(** The last startup check: without a listener httpd shuts down. *)

@@ -10,109 +10,101 @@ let is_digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
 
 type state = {
   mutable connector_ports : int list;
+  mutable first_connector : Conftree.Path.t option;
   mutable app_base : string;
   mutable default_app : string;
+  mutable host_at : Conftree.Path.t option;
 }
 
-let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
-
-let ( let* ) = Result.bind
-
-let rec fold_result f acc = function
-  | [] -> Ok acc
-  | x :: rest ->
-    let* acc = f acc x in
-    fold_result f acc rest
-
-let check_attrs ~element ~allowed (n : Node.t) =
-  fold_result
-    (fun () (key, _) ->
-      if List.mem key allowed then Ok ()
-      else fail "element <%s> has no attribute %S" element key)
-    () n.attrs
-
-let parse_port (n : Node.t) attr_name =
-  match Node.attr n attr_name with
-  | None -> Ok None
-  | Some p when is_digits p ->
-    let port = int_of_string p in
-    if port >= 1 && port <= 65535 then Ok (Some port)
-    else fail "port %d out of range" port
-  | Some p -> fail "invalid port %S" p
-
-let handle_connector state (n : Node.t) =
-  let* () = check_attrs ~element:"connector" ~allowed:[ "protocol"; "port"; "timeout" ] n in
-  let* () =
-    match Node.attr n "protocol" with
-    | None | Some "http" | Some "https" | Some "ajp" -> Ok ()
-    | Some other -> fail "unknown connector protocol %S" other
+let check (report : Sut.report) (root : Node.t) =
+  let state =
+    {
+      connector_ports = [];
+      first_connector = None;
+      app_base = "";
+      default_app = "";
+      host_at = None;
+    }
   in
-  let* () =
-    match Node.attr n "timeout" with
-    | None -> Ok ()
-    | Some t when is_digits t -> Ok ()
-    | Some t -> fail "invalid connector timeout %S" t
+  let problem rpath fmt =
+    Printf.ksprintf
+      (fun message ->
+        report
+          { Sut.file = "server.xml"; path = List.rev rpath; message; suggestion = None })
+      fmt
   in
-  let* port = parse_port n "port" in
-  (match port with
-   | Some p -> state.connector_ports <- state.connector_ports @ [ p ]
-   | None -> ());
-  Ok ()
-
-let handle_logger (n : Node.t) =
-  let* () = check_attrs ~element:"logger" ~allowed:[ "level"; "file" ] n in
-  let* () =
-    match Node.attr n "level" with
-    | None | Some "debug" | Some "info" | Some "warn" | Some "error" -> Ok ()
-    | Some other -> fail "unknown log level %S" other
+  let check_attrs rpath ~element ~allowed (n : Node.t) =
+    List.iter
+      (fun (key, _) ->
+        if not (List.mem key allowed) then
+          problem rpath "element <%s> has no attribute %S" element key)
+      n.attrs
   in
-  match Node.attr n "file" with
-  | None -> Ok ()
-  | Some f ->
-    let dir =
-      match String.rindex_opt f '/' with
-      | Some 0 -> "/"
-      | Some i -> String.sub f 0 i
-      | None -> "."
-    in
-    if List.mem dir existing_dirs then Ok ()
-    else fail "cannot open log file %S" f
-
-let handle_host state (n : Node.t) =
-  let* () = check_attrs ~element:"host" ~allowed:[ "name"; "appBase"; "defaultApp" ] n in
-  (match Node.attr n "appBase" with
-   | Some base -> state.app_base <- base
-   | None -> ());
-  (match Node.attr n "defaultApp" with
-   | Some app -> state.default_app <- app
-   | None -> ());
-  Ok ()
-
-let handle_realm (n : Node.t) =
-  let* () = check_attrs ~element:"realm" ~allowed:[ "users" ] n in
-  match Node.attr n "users" with
-  | None -> Ok ()
-  | Some f when List.mem f existing_files -> Ok ()
-  | Some f -> fail "realm user database %S not found" f
-
-let rec process state (n : Node.t) =
-  if n.kind <> Node.kind_element then Ok ()
-  else
+  let rec walk rpath (n : Node.t) =
+    List.iteri
+      (fun i (c : Node.t) -> if c.kind = Node.kind_element then element (i :: rpath) c)
+      n.children
+  and element rpath (n : Node.t) =
     match String.lowercase_ascii n.name with
     | "server" ->
-      let* () = check_attrs ~element:"server" ~allowed:[ "shutdownPort"; "name" ] n in
-      fold_result (fun () c -> process state c) () n.children
-    | "connector" -> handle_connector state n
-    | "logger" -> handle_logger n
+      check_attrs rpath ~element:"server" ~allowed:[ "shutdownPort"; "name" ] n;
+      walk rpath n
+    | "connector" ->
+      check_attrs rpath ~element:"connector" ~allowed:[ "protocol"; "port"; "timeout" ] n;
+      (match Node.attr n "protocol" with
+       | None | Some ("http" | "https" | "ajp") -> ()
+       | Some other -> problem rpath "unknown connector protocol %S" other);
+      (match Node.attr n "timeout" with
+       | None -> ()
+       | Some t when is_digits t -> ()
+       | Some t -> problem rpath "invalid connector timeout %S" t);
+      if state.first_connector = None then state.first_connector <- Some (List.rev rpath);
+      (match Node.attr n "port" with
+       | None -> ()
+       | Some p ->
+         (match if is_digits p then int_of_string_opt p else None with
+          | Some port when port >= 1 && port <= 65535 ->
+            state.connector_ports <- state.connector_ports @ [ port ]
+          | Some port -> problem rpath "port %d out of range" port
+          | None -> problem rpath "invalid port %S" p))
+    | "logger" ->
+      check_attrs rpath ~element:"logger" ~allowed:[ "level"; "file" ] n;
+      (match Node.attr n "level" with
+       | None | Some ("debug" | "info" | "warn" | "error") -> ()
+       | Some other -> problem rpath "unknown log level %S" other);
+      (match Node.attr n "file" with
+       | None -> ()
+       | Some f ->
+         let dir =
+           match String.rindex_opt f '/' with
+           | Some 0 -> "/"
+           | Some i -> String.sub f 0 i
+           | None -> "."
+         in
+         if not (List.mem dir existing_dirs) then problem rpath "cannot open log file %S" f)
     | "host" ->
-      let* () = handle_host state n in
-      fold_result (fun () c -> process state c) () n.children
-    | "realm" -> handle_realm n
+      check_attrs rpath ~element:"host" ~allowed:[ "name"; "appBase"; "defaultApp" ] n;
+      state.host_at <- Some (List.rev rpath);
+      Option.iter (fun base -> state.app_base <- base) (Node.attr n "appBase");
+      Option.iter (fun app -> state.default_app <- app) (Node.attr n "defaultApp");
+      walk rpath n
+    | "realm" ->
+      check_attrs rpath ~element:"realm" ~allowed:[ "users" ] n;
+      (match Node.attr n "users" with
+       | None -> ()
+       | Some f when List.mem f existing_files -> ()
+       | Some f -> problem rpath "realm user database %S not found" f)
     | _ ->
       (* The XML-config flaw: an element this server does not know is
          skipped without a diagnostic — a typo in an element name makes
          the whole subtree silently disappear. *)
-      Ok ()
+      ()
+  in
+  walk [] root;
+  state
+
+let connected state =
+  if state.connector_ports = [] then Error "no connectors configured" else Ok ()
 
 let functional_tests state () =
   let expected_port = 8080 in
@@ -136,13 +128,10 @@ let boot configs =
      | Error e ->
        Error (Printf.sprintf "XML parse error: %s" (Formats.Parse_error.to_string e))
      | Ok tree ->
-       let state = { connector_ports = []; app_base = ""; default_app = "" } in
-       let roots = tree.Node.children in
-       (match fold_result (fun () n -> process state n) () roots with
-        | Error msg -> Error msg
-        | Ok () ->
-          if state.connector_ports = [] then Error "no connectors configured"
-          else Ok { Sut.run_tests = functional_tests state; shutdown = (fun () -> ()) }))
+       let ( let* ) = Result.bind in
+       let* state = Sut.first_problem (fun report -> check report tree) in
+       let* () = connected state in
+       Ok { Sut.run_tests = functional_tests state; shutdown = (fun () -> ()) })
 
 let default_config =
   String.concat "\n"

@@ -21,5 +21,22 @@ val known_elements : string list
 
 (** {1 Exposed for the static rule set ({!Lint_rules.appserver})} *)
 
-val existing_dirs : string list
-val existing_files : string list
+(** What the startup checks learn about the configuration: what a
+    server that starts runs with. *)
+type state = private {
+  mutable connector_ports : int list;
+  mutable first_connector : Conftree.Path.t option;
+  mutable app_base : string;
+  mutable default_app : string;
+  mutable host_at : Conftree.Path.t option;
+}
+
+val check : Sut.report -> Conftree.Node.t -> state
+(** [check report root] runs the server's startup checks over the
+    parsed server.xml, reporting each problem with its site: an
+    attribute a known element does not have, or a bad protocol,
+    timeout, port, log level, log file or user database.  Unknown
+    elements are skipped with their subtrees, silently. *)
+
+val connected : state -> (unit, string) result
+(** The last startup check: the server needs a connector. *)

@@ -1,4 +1,5 @@
 module Config_set = Conftree.Config_set
+module Node = Conftree.Node
 
 let forward_origin = "example.com."
 let reverse_origin = "0.0.10.in-addr.arpa."
@@ -71,82 +72,95 @@ let existing_directories = [ "/var/named"; "/etc/named" ]
 
 let known_zone_types = [ "master"; "slave"; "hint"; "forward" ]
 
+type zone_decl = { zone_file : string; origin : string; file_site : Conftree.Path.t }
+
+let unquote v =
+  let v = Conferr_util.Strutil.trim v in
+  if String.length v >= 2 && v.[0] = '"' && v.[String.length v - 1] = '"' then
+    String.sub v 1 (String.length v - 2)
+  else v
+
 (* named.conf processing: named's own reader, with its own checks. *)
-let read_named_conf text =
-  match Formats.Namedconf.parse text with
-  | Error e ->
-    Error
-      (Printf.sprintf "named.conf: %s" (Formats.Parse_error.to_string e))
-  | Ok tree ->
-    let ( let* ) = Result.bind in
-    let unquote v =
-      let v = Conferr_util.Strutil.trim v in
-      if String.length v >= 2 && v.[0] = '"' && v.[String.length v - 1] = '"' then
-        String.sub v 1 (String.length v - 2)
-      else v
+let read_named_conf (report : Sut.report) (tree : Node.t) =
+  let problem ?suggestion path message =
+    report { Sut.file = "named.conf"; path; message; suggestion }
+  in
+  let check_options i (section : Node.t) =
+    List.iteri
+      (fun j (d : Node.t) ->
+        if d.kind = Node.kind_directive then
+          match (String.lowercase_ascii d.name, d.value) with
+          | "directory", Some dir when List.mem (unquote dir) existing_directories -> ()
+          | "directory", Some dir ->
+            problem [ i; j ] (Printf.sprintf "named.conf: directory %s not found" dir)
+          | "recursion", Some ("yes" | "no") -> ()
+          | "recursion", Some other ->
+            problem [ i; j ]
+              (Printf.sprintf "named.conf: recursion must be yes or no, got %s" other)
+          | ("listen-on" | "allow-query" | "forwarders" | "version"), _ -> ()
+          | other, _ ->
+            problem [ i; j ] (Printf.sprintf "named.conf: unknown option '%s'" other))
+      section.children
+  in
+  let read_zone i (section : Node.t) =
+    let origin =
+      Dnsmodel.Name.normalize (Option.value ~default:"" (Node.attr section "arg"))
     in
-    let check_options (section : Conftree.Node.t) =
-      List.fold_left
-        (fun acc (d : Conftree.Node.t) ->
-          let* () = acc in
-          if d.kind <> Conftree.Node.kind_directive then Ok ()
-          else
-            match (String.lowercase_ascii d.name, d.value) with
-            | "directory", Some dir when List.mem (unquote dir) existing_directories ->
-              Ok ()
-            | "directory", Some dir ->
-              Error (Printf.sprintf "named.conf: directory %s not found" dir)
-            | "recursion", Some ("yes" | "no") -> Ok ()
-            | "recursion", Some other ->
-              Error (Printf.sprintf "named.conf: recursion must be yes or no, got %s" other)
-            | "listen-on", _ | "allow-query", _ | "forwarders", _ | "version", _ ->
-              Ok ()
-            | other, _ -> Error (Printf.sprintf "named.conf: unknown option '%s'" other))
-        (Ok ()) section.children
+    let find name =
+      let rec go j = function
+        | [] -> None
+        | (d : Node.t) :: rest ->
+          if d.kind = Node.kind_directive && String.lowercase_ascii d.name = name then
+            Some (j, Node.value_or ~default:"" d)
+          else go (j + 1) rest
+      in
+      go 0 section.children
     in
-    let read_zone (section : Conftree.Node.t) =
-      let origin =
-        Dnsmodel.Name.normalize
-          (Option.value ~default:"" (Conftree.Node.attr section "arg"))
-      in
-      let find name =
-        List.find_opt
-          (fun (d : Conftree.Node.t) ->
-            d.kind = Conftree.Node.kind_directive
-            && String.lowercase_ascii d.name = name)
-          section.children
-      in
-      let* () =
-        match find "type" with
-        | Some d when List.mem (Conftree.Node.value_or ~default:"" d) known_zone_types ->
-          Ok ()
-        | Some d ->
-          Error
-            (Printf.sprintf "zone %s: unknown type '%s'" origin
-               (Conftree.Node.value_or ~default:"" d))
-        | None -> Error (Printf.sprintf "zone %s: missing 'type'" origin)
-      in
-      let* file =
-        match find "file" with
-        | Some d -> Ok (unquote (Conftree.Node.value_or ~default:"" d))
-        | None -> Error (Printf.sprintf "zone %s: missing 'file'" origin)
-      in
-      Ok (file, origin)
-    in
-    List.fold_left
-      (fun acc (n : Conftree.Node.t) ->
-        let* decls = acc in
-        if n.kind <> Conftree.Node.kind_section then Ok decls
-        else
-          match String.lowercase_ascii n.name with
-          | "options" ->
-            let* () = check_options n in
-            Ok decls
-          | "zone" ->
-            let* decl = read_zone n in
-            Ok (decls @ [ decl ])
-          | other -> Error (Printf.sprintf "named.conf: unknown block '%s'" other))
-      (Ok []) tree.children
+    (match find "type" with
+     | Some (_, t) when List.mem t known_zone_types -> ()
+     | Some (j, t) ->
+       problem [ i; j ] (Printf.sprintf "zone %s: unknown type '%s'" origin t)
+     | None -> problem [ i ] (Printf.sprintf "zone %s: missing 'type'" origin));
+    match find "file" with
+    | Some (j, f) -> [ { zone_file = unquote f; origin; file_site = [ i; j ] } ]
+    | None ->
+      problem [ i ] (Printf.sprintf "zone %s: missing 'file'" origin);
+      []
+  in
+  List.concat
+    (List.mapi
+       (fun i (n : Node.t) ->
+         if n.kind <> Node.kind_section then []
+         else
+           match String.lowercase_ascii n.name with
+           | "options" ->
+             check_options i n;
+             []
+           | "zone" -> read_zone i n
+           | other ->
+             problem [ i ]
+               ?suggestion:
+                 (if List.mem other [ "option"; "zones"; "optons" ] then Some "options"
+                  else None)
+               (Printf.sprintf "named.conf: unknown block '%s'" other);
+             [])
+       tree.children)
+
+(* a typo in a zone's file path is a startup failure *)
+let check_zone_files (report : Sut.report) ~exists decls =
+  List.iter
+    (fun d ->
+      if not (exists d.zone_file) then
+        report
+          {
+            Sut.file = "named.conf";
+            path = d.file_site;
+            message =
+              Printf.sprintf "zone %s: loading from master file %s failed: file not found"
+                d.origin d.zone_file;
+            suggestion = None;
+          })
+    decls
 
 let load_zones ~zones configs =
   (* named's zone loader: parse each master file, build the zone, run the
@@ -220,25 +234,20 @@ let boot configs =
   match List.assoc_opt "named.conf" configs with
   | None -> Error "named.conf not found"
   | Some conf_text ->
-    (match read_named_conf conf_text with
-     | Error msg -> Error msg
-     | Ok declared_zones ->
-       (* a typo in a zone's file path is a startup failure *)
-       (match
-          List.find_opt
-            (fun (file, _) -> not (List.mem_assoc file configs))
-            declared_zones
-        with
-        | Some (file, origin) ->
-          Error
-            (Printf.sprintf "zone %s: loading from master file %s failed: file not \
-                             found" origin file)
-        | None ->
-          (match load_zones ~zones:declared_zones configs with
-           | Error msg -> Error msg
-           | Ok built ->
-             let resolver = Dnsmodel.Resolver.create built in
-             Ok { Sut.run_tests = functional_tests resolver; shutdown = (fun () -> ()) })))
+    (match Formats.Namedconf.parse conf_text with
+     | Error e -> Error (Printf.sprintf "named.conf: %s" (Formats.Parse_error.to_string e))
+     | Ok tree ->
+       let ( let* ) = Result.bind in
+       let* decls = Sut.first_problem (fun report -> read_named_conf report tree) in
+       let* () =
+         Sut.first_problem (fun report ->
+             check_zone_files report ~exists:(fun f -> List.mem_assoc f configs) decls)
+       in
+       let* built =
+         load_zones ~zones:(List.map (fun d -> (d.zone_file, d.origin)) decls) configs
+       in
+       let resolver = Dnsmodel.Resolver.create built in
+       Ok { Sut.run_tests = functional_tests resolver; shutdown = (fun () -> ()) })
 
 let sut =
   {

@@ -23,8 +23,17 @@ val zones : (string * string) list
 
 (** {1 Exposed for the static rule set ({!Lint_rules.bind})} *)
 
-val existing_directories : string list
-(** Directories the simulated host has; [options { directory ... }] must
-    name one of them. *)
+type zone_decl = {
+  zone_file : string;
+  origin : string;
+  file_site : Conftree.Path.t;  (** the zone's [file] statement in named.conf *)
+}
 
-val known_zone_types : string list
+val read_named_conf : Sut.report -> Conftree.Node.t -> zone_decl list
+(** named's reading of the parsed named.conf: reports each problem
+    with its site (unknown blocks and options, a missing directory, a
+    bad [recursion], a zone without a known [type] or a [file]) and
+    returns the zones declared with a file, in order. *)
+
+val check_zone_files : Sut.report -> exists:(string -> bool) -> zone_decl list -> unit
+(** named's next check: every declared master file must exist. *)

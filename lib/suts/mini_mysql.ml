@@ -47,8 +47,6 @@ let existing_paths =
 (* The quirky value parsers (paper §5.2)                                *)
 (* ------------------------------------------------------------------ *)
 
-type parsed = Accepted of int64 | Defaulted | Rejected of string
-
 let multiplier c =
   match Char.uppercase_ascii c with
   | 'K' -> Some kb
@@ -58,40 +56,65 @@ let multiplier c =
 
 let is_digit c = c >= '0' && c <= '9'
 
-let clamp { min; max; default = _ } n = n >= min && n <= max
+(* How mysqld reads a value, and why: the one classification behind the
+   server's startup and the lint rules that tell its silent cases
+   apart. *)
+type reading =
+  | Exact of int64
+  | Truncated of int64 * char
+  | Valueless
+  | Leading_multiplier
+  | Out_of_bounds of int64 * bool
+  | Ignored_value
+  | Taken
+  | Refused of string
 
-let parse_size ~default ~min ~max v =
-  let bounds = { min; max; default } in
+let not_a_number v = Refused (Printf.sprintf "Wrong value: %S is not a number" v)
+
+let in_bounds b ~scaled n =
+  if n >= b.min && n <= b.max then Exact n else Out_of_bounds (n, scaled)
+
+let read_size b v =
   let v = Strutil.trim v in
-  if v = "" then Defaulted (* flaw: valueless directive accepted *)
+  if v = "" then Valueless (* flaw: valueless directive accepted *)
   else if multiplier v.[0] <> None then
-    Defaulted (* flaw: value starting with a multiplier silently ignored *)
-  else if not (is_digit v.[0]) then
-    Rejected (Printf.sprintf "Wrong value: %S is not a number" v)
+    Leading_multiplier (* flaw: value starting with a multiplier silently ignored *)
+  else if not (is_digit v.[0]) then not_a_number v
   else begin
     let len = String.length v in
     let rec digits i = if i < len && is_digit v.[i] then digits (i + 1) else i in
     let stop = digits 0 in
-    let n = Int64.of_string (String.sub v 0 stop) in
-    if stop = len then if clamp bounds n then Accepted n else Defaulted
-    else
+    match Int64.of_string_opt (String.sub v 0 stop) with
+    | None -> not_a_number v
+    | Some n when stop = len -> in_bounds b ~scaled:false n
+    | Some n -> (
       match multiplier v.[stop] with
-      | Some m ->
+      | None -> not_a_number v
+      | Some m -> (
         (* flaw: parsing stops at the first multiplier symbol, so
            "1M0" is accepted as 1M and the trailing junk is ignored *)
-        let n = Int64.mul n m in
-        if clamp bounds n then Accepted n else Defaulted
-      | None -> Rejected (Printf.sprintf "Wrong value: %S is not a number" v)
+        match in_bounds b ~scaled:true (Int64.mul n m) with
+        | Exact n when stop + 1 < len -> Truncated (n, v.[stop])
+        | r -> r))
   end
 
-let parse_int ~default ~min ~max v =
-  let bounds = { min; max; default } in
+let read_int b v =
   let v = Strutil.trim v in
-  if v = "" then Defaulted
+  if v = "" then Valueless
   else if String.for_all is_digit v && String.length v <= 18 then
-    let n = Int64.of_string v in
-    if clamp bounds n then Accepted n else Defaulted (* flaw: silent *)
-  else Rejected (Printf.sprintf "Wrong value: %S is not a number" v)
+    in_bounds b ~scaled:false (Int64.of_string v) (* flaw: out of bounds is silent *)
+  else not_a_number v
+
+type parsed = Accepted of int64 | Defaulted | Rejected of string
+
+let parsed = function
+  | Exact n | Truncated (n, _) -> Accepted n
+  | Refused m -> Rejected m
+  | Valueless | Leading_multiplier | Out_of_bounds _ | Ignored_value | Taken -> Defaulted
+
+let parse_size ~default ~min ~max v = parsed (read_size { min; max; default } v)
+
+let parse_int ~default ~min ~max v = parsed (read_int { min; max; default } v)
 
 let fold_dashes s = String.map (fun c -> if c = '-' then '_' else c) s
 
@@ -143,62 +166,41 @@ let sections_of_text text =
 let section_directives sections name =
   List.filter (fun (s, _) -> s = name) sections |> List.concat_map snd
 
-type state = {
-  mutable port : int64;
-  mutable datadir : string;
-  vars : (string, int64) Hashtbl.t;
-}
+let read_value full spec value =
+  match spec with
+  | Size b -> read_size b (Option.value ~default:"" value)
+  | Int b -> read_int b (Option.value ~default:"" value)
+  | Flag -> (
+    (* flaw: a spurious value after a flag is silently ignored *)
+    match value with Some v when Strutil.trim v <> "" -> Ignored_value | _ -> Taken)
+  | Bool _ -> (
+    match Option.map String.uppercase_ascii value with
+    | None | Some ("ON" | "TRUE" | "1" | "OFF" | "FALSE" | "0") -> Taken
+    | Some other -> Refused (Printf.sprintf "invalid boolean value '%s' for %s" other full))
+  | Path_any _ -> (
+    match value with
+    | Some v when v <> "" && v.[0] <> '/' ->
+      Refused (Printf.sprintf "%s must be an absolute path, got '%s'" full v)
+    | Some _ | None -> Taken)
+  | Path_existing _ -> (
+    match value with
+    | Some v when not (List.mem v existing_paths) ->
+      Refused (Printf.sprintf "can't read dir of '%s' (Errcode: 2)" v)
+    | Some _ | None -> Taken)
+
+type state = { mutable port : int64 }
 
 let apply_mysqld_directive state (name, value) =
   match resolve_name name with
   | `Unknown -> Error (Printf.sprintf "unknown variable '%s'" name)
   | `Ambiguous -> Error (Printf.sprintf "ambiguous option '%s'" name)
-  | `Known full ->
-    let spec = List.assoc full mysqld_specs in
-    (match spec with
-     | Flag ->
-       (* flaw: a spurious value after a flag is silently ignored *)
-       Ok ()
-     | Bool default ->
-       (match Option.map String.uppercase_ascii value with
-        | None -> Ok ()
-        | Some ("ON" | "TRUE" | "1") -> Ok ()
-        | Some ("OFF" | "FALSE" | "0") ->
-          ignore default;
-          Ok ()
-        | Some other -> Error (Printf.sprintf "invalid boolean value '%s' for %s" other full))
-     | Path_any _ ->
-       (match value with
-        | Some v when v <> "" && v.[0] <> '/' ->
-          Error (Printf.sprintf "%s must be an absolute path, got '%s'" full v)
-        | Some _ | None -> Ok ())
-     | Path_existing _ ->
-       (match value with
-        | Some v when not (List.mem v existing_paths) ->
-          Error (Printf.sprintf "can't read dir of '%s' (Errcode: 2)" v)
-        | Some v ->
-          state.datadir <- v;
-          Ok ()
-        | None -> Ok ())
-     | Size { min; max; default } ->
-       (match parse_size ~default ~min ~max (Option.value ~default:"" value) with
-        | Accepted n ->
-          Hashtbl.replace state.vars full n;
-          Ok ()
-        | Defaulted ->
-          Hashtbl.replace state.vars full default;
-          Ok ()
-        | Rejected msg -> Error msg)
-     | Int { min; max; default } ->
-       (match parse_int ~default ~min ~max (Option.value ~default:"" value) with
-        | Accepted n ->
-          if full = "port" then state.port <- n else Hashtbl.replace state.vars full n;
-          Ok ()
-        | Defaulted ->
-          if full = "port" then state.port <- 3306L
-          else Hashtbl.replace state.vars full default;
-          Ok ()
-        | Rejected msg -> Error msg))
+  | `Known full -> (
+    match read_value full (List.assoc full mysqld_specs) value with
+    | Refused msg -> Error msg
+    | reading ->
+      if full = "port" then
+        state.port <- (match parsed reading with Accepted n -> n | _ -> 3306L);
+      Ok ())
 
 let functional_tests state () =
   (* The diagnosis script connects with explicit parameters
@@ -226,18 +228,24 @@ let functional_tests state () =
      | Error msg -> [ Sut.passed "db-connect"; Sut.failed "db-crud" msg ]
      | Ok _ -> [ Sut.passed "db-connect"; Sut.passed "db-crud" ])
 
+(* my_load_defaults refuses options that precede any [group] header:
+   [orphans sections] returns them in file order, each with its site and
+   the message, from (group, (site, option name) list) pairs. *)
+let orphans sections =
+  List.concat_map (fun (group, options) -> if group = "" then options else []) sections
+  |> List.map (fun (site, name) ->
+         (site, Printf.sprintf "Found option without preceding group in config file: %s" name))
+
 let boot configs =
   match List.assoc_opt "my.cnf" configs with
   | None -> Error "my.cnf not found"
   | Some text ->
     let sections = sections_of_text text in
-    let state = { port = 3306L; datadir = "/var/lib/mysql"; vars = Hashtbl.create 16 } in
-    (* my_load_defaults refuses options that precede any [group] header *)
-    (match section_directives sections "" with
-     | (orphan, _) :: _ ->
-       Error
-         (Printf.sprintf
-            "[ERROR] Found option without preceding group in config file: %s" orphan)
+    let state = { port = 3306L } in
+    (match
+       orphans (List.map (fun (s, ds) -> (s, List.map (fun (n, _) -> ((), n)) ds)) sections)
+     with
+     | ((), msg) :: _ -> Error ("[ERROR] " ^ msg)
      | [] ->
        let daemon_directives = section_directives sections "mysqld" in
        let rec apply = function
@@ -257,24 +265,31 @@ let boot configs =
    from an unattended cron job, long after the error was introduced. *)
 let mysqldump_options = [ "quick"; "max_allowed_packet"; "single_transaction"; "opt" ]
 
+type tool_problem = Unknown_option of string | Bad_value of string
+
+let check_mysqldump_option name value =
+  let folded = fold_dashes name in
+  if not (List.mem folded mysqldump_options) then
+    Some (Unknown_option (Printf.sprintf "mysqldump: unknown option '--%s'" name))
+  else if folded = "max_allowed_packet" then
+    match
+      read_size
+        { min = kb; max = gb; default = Int64.mul 16L mb }
+        (Option.value ~default:"" value)
+    with
+    | Refused msg -> Some (Bad_value (Printf.sprintf "mysqldump: %s" msg))
+    | _ -> None
+  else None
+
 let run_mysqldump text =
-  let sections = sections_of_text text in
   let rec check = function
     | [] -> Ok ()
-    | (name, value) :: rest ->
-      let folded = fold_dashes name in
-      if not (List.mem folded mysqldump_options) then
-        Error (Printf.sprintf "mysqldump: unknown option '--%s'" name)
-      else if folded = "max_allowed_packet" then
-        match
-          parse_size ~default:(Int64.mul 16L mb) ~min:kb ~max:gb
-            (Option.value ~default:"" value)
-        with
-        | Accepted _ | Defaulted -> check rest
-        | Rejected msg -> Error (Printf.sprintf "mysqldump: %s" msg)
-      else check rest
+    | (name, value) :: rest -> (
+      match check_mysqldump_option name value with
+      | Some (Unknown_option msg | Bad_value msg) -> Error msg
+      | None -> check rest)
   in
-  check (section_directives sections "mysqldump")
+  check (section_directives (sections_of_text text) "mysqldump")
 
 let default_config =
   String.concat "\n"

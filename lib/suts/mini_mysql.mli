@@ -41,7 +41,8 @@ val run_mysqldump : string -> (unit, string) result
 type parsed = Accepted of int64 | Defaulted | Rejected of string
 
 val parse_size : default:int64 -> min:int64 -> max:int64 -> string -> parsed
-(** The quirky size parser (multiplier suffixes). *)
+(** The quirky size parser (multiplier suffixes): {!read_value}'s
+    reading of a [Size] value, projected to what the server stores. *)
 
 val parse_int : default:int64 -> min:int64 -> max:int64 -> string -> parsed
 
@@ -64,11 +65,35 @@ type spec =
 val mysqld_specs : (string * spec) list
 (** The [\[mysqld\]] variable namespace (underscore-folded names). *)
 
-val existing_paths : string list
-(** The simulated host filesystem. *)
+(** How the daemon reads one [\[mysqld\]] value, and why. *)
+type reading =
+  | Exact of int64  (** a number, accepted as written *)
+  | Truncated of int64 * char
+      (** a number, accepted; the text after this multiplier is dropped *)
+  | Valueless  (** a number variable without a value: the default applies *)
+  | Leading_multiplier  (** starts with a multiplier: the default applies *)
+  | Out_of_bounds of int64 * bool
+      (** this number ([true]: scaled by a multiplier) is outside the
+          bounds: the default applies *)
+  | Ignored_value  (** a flag's value, dropped *)
+  | Taken  (** any other accepted value *)
+  | Refused of string  (** startup aborts with this message *)
 
-val mysqldump_options : string list
-(** The option namespace of the [\[mysqldump\]] tool section. *)
+val read_value : string -> spec -> string option -> reading
+(** [read_value name spec value]: the daemon's reading of variable
+    [name] (resolved, with spec [spec]). *)
+
+val orphans : (string * ('site * string) list) list -> ('site * string) list
+(** [orphans sections]: the options that precede any [\[group\]]
+    header, which the server refuses at startup, in file order, each
+    with its site and message.  A section is its group name ([""] before
+    the first header) and its options, each a site and a name. *)
+
+type tool_problem = Unknown_option of string | Bad_value of string
+
+val check_mysqldump_option : string -> string option -> tool_problem option
+(** [mysqldump]'s check of one option of its section; the message is
+    what the tool prints when it next runs. *)
 
 val fold_dashes : string -> string
 (** ['-'] to ['_'], MySQL's name normalization. *)

@@ -74,137 +74,167 @@ let split_number_unit v =
   if stop = start then None
   else Some (String.sub v 0 stop, Strutil.trim (String.sub v stop (len - stop)))
 
+let requires_numeric name =
+  Error (Printf.sprintf "parameter \"%s\" requires a numeric value" name)
+
 let parse_mem name v =
   match split_number_unit v with
-  | None -> Error (Printf.sprintf "parameter \"%s\" requires a numeric value" name)
-  | Some (digits, unit_text) ->
-    let n = int_of_string digits in
-    (* 8.2 accepts only exactly-spelled units; "24mb" is invalid. *)
-    (match unit_text with
-     | "" -> Ok (n * 8) (* bare numbers are 8kB pages, as in 8.2 *)
-     | "kB" -> Ok n
-     | "MB" -> Ok (n * 1024)
-     | "GB" -> Ok (n * 1024 * 1024)
-     | _ ->
-       Error
-         (Printf.sprintf
-            "invalid value for parameter \"%s\": \"%s\" (valid units are kB, MB, GB)"
-            name v))
+  | None -> requires_numeric name
+  | Some (digits, unit_text) -> (
+    match int_of_string_opt digits with
+    | None -> requires_numeric name
+    | Some n -> (
+      (* 8.2 accepts only exactly-spelled units; "24mb" is invalid. *)
+      match unit_text with
+      | "" -> Ok (n * 8) (* bare numbers are 8kB pages, as in 8.2 *)
+      | "kB" -> Ok n
+      | "MB" -> Ok (n * 1024)
+      | "GB" -> Ok (n * 1024 * 1024)
+      | _ ->
+        Error
+          (Printf.sprintf
+             "invalid value for parameter \"%s\": \"%s\" (valid units are kB, MB, GB)"
+             name v)))
 
 let parse_time name v =
   match split_number_unit v with
-  | None -> Error (Printf.sprintf "parameter \"%s\" requires a numeric value" name)
-  | Some (digits, unit_text) ->
-    let n = int_of_string digits in
-    (match unit_text with
-     | "" | "ms" -> Ok n
-     | "s" -> Ok (n * 1000)
-     | "min" -> Ok (n * 60_000)
-     | "h" -> Ok (n * 3600_000)
-     | "d" -> Ok (n * 86_400_000)
-     | _ ->
-       Error
-         (Printf.sprintf
-            "invalid value for parameter \"%s\": \"%s\" (valid units are ms, s, min, \
-             h, d)"
-            name v))
+  | None -> requires_numeric name
+  | Some (digits, unit_text) -> (
+    match int_of_string_opt digits with
+    | None -> requires_numeric name
+    | Some n -> (
+      match unit_text with
+      | "" | "ms" -> Ok n
+      | "s" -> Ok (n * 1000)
+      | "min" -> Ok (n * 60_000)
+      | "h" -> Ok (n * 3600_000)
+      | "d" -> Ok (n * 86_400_000)
+      | _ ->
+        Error
+          (Printf.sprintf
+             "invalid value for parameter \"%s\": \"%s\" (valid units are ms, s, \
+              min, h, d)"
+             name v)))
 
 let parse_strict_int name v =
-  if v <> "" && String.for_all is_digit v then Ok (int_of_string v)
-  else if
-    String.length v > 1 && v.[0] = '-' && String.for_all is_digit (String.sub v 1 (String.length v - 1))
-  then Ok (int_of_string v)
-  else Error (Printf.sprintf "parameter \"%s\" requires an integer value" name)
+  let digits =
+    if String.length v > 1 && v.[0] = '-' then String.sub v 1 (String.length v - 1) else v
+  in
+  match
+    if digits <> "" && String.for_all is_digit digits then int_of_string_opt v else None
+  with
+  | Some n -> Ok n
+  | None -> Error (Printf.sprintf "parameter \"%s\" requires an integer value" name)
 
-let parse_float_strict name v =
-  match float_of_string_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "parameter \"%s\" requires a numeric value" name)
+type number = {
+  unit_label : string;
+  parse : string -> string -> (int, string) result;
+  lo : int;
+  hi : int;
+  default : int;
+}
 
-let out_of_range name v lo hi =
-  Error (Printf.sprintf "%d is outside the valid range for parameter \"%s\" (%d .. %d)" v name lo hi)
+let number = function
+  | Pint { min; max; default } ->
+    Some { unit_label = "count"; parse = parse_strict_int; lo = min; hi = max; default }
+  | Pmem { min_kb; max_kb; default_kb } ->
+    Some
+      { unit_label = "kb"; parse = parse_mem; lo = min_kb; hi = max_kb; default = default_kb }
+  | Ptime { min_ms; max_ms; default_ms } ->
+    Some
+      { unit_label = "ms"; parse = parse_time; lo = min_ms; hi = max_ms; default = default_ms }
+  | Pfloat _ | Pbool _ | Penum _ | Pstring _ -> None
 
-type state = { values : (string, int) Hashtbl.t; mutable port : int }
+(* The server's check of one value: the number it stores for a numeric
+   parameter, or the message startup aborts with. *)
+let check_value name spec v =
+  let invalid () =
+    Error (Printf.sprintf "invalid value for parameter \"%s\": \"%s\"" name v)
+  in
+  match spec with
+  | Pint _ | Pmem _ | Ptime _ -> (
+    let { parse; lo; hi; _ } = Option.get (number spec) in
+    match parse name v with
+    | Error _ as e -> e
+    | Ok n when n < lo || n > hi ->
+      Error
+        (Printf.sprintf "%d is outside the valid range for parameter \"%s\" (%d .. %d)"
+           n name lo hi)
+    | Ok n -> Ok (Some n))
+  | Pfloat { fmin; fmax; _ } -> (
+    match float_of_string_opt v with
+    | None -> requires_numeric name
+    | Some f when f < fmin || f > fmax ->
+      Error (Printf.sprintf "%g is outside the valid range for parameter \"%s\"" f name)
+    | Some _ -> Ok None)
+  | Pbool _ -> (
+    match String.lowercase_ascii v with
+    | "on" | "off" | "true" | "false" | "yes" | "no" | "1" | "0" -> Ok None
+    | _ -> Error (Printf.sprintf "parameter \"%s\" requires a Boolean value" name))
+  | Penum _ when name = "datestyle" -> if valid_datestyle v then Ok None else invalid ()
+  | Penum (allowed, _) ->
+    if List.mem (String.lowercase_ascii v) allowed then Ok None else invalid ()
+  | Pstring (validate, _) -> if validate v then Ok None else invalid ()
 
-let apply_directive state (name, value) =
+let apply_directive values (name, value) =
   let lname = String.lowercase_ascii name in
   match List.assoc_opt lname specs with
-  | None ->
-    Error (Printf.sprintf "unrecognized configuration parameter \"%s\"" name)
-  | Some spec ->
-    let v = Option.value ~default:"" value in
-    let ( let* ) = Result.bind in
-    (match spec with
-     | Pint { min; max; default = _ } ->
-       let* n = parse_strict_int lname v in
-       if n < min || n > max then out_of_range lname n min max
-       else begin
-         Hashtbl.replace state.values lname n;
-         if lname = "port" then state.port <- n;
-         Ok ()
-       end
-     | Pmem { min_kb; max_kb; default_kb = _ } ->
-       let* n = parse_mem lname v in
-       if n < min_kb || n > max_kb then out_of_range lname n min_kb max_kb
-       else begin
-         Hashtbl.replace state.values lname n;
-         Ok ()
-       end
-     | Ptime { min_ms; max_ms; default_ms = _ } ->
-       let* n = parse_time lname v in
-       if n < min_ms || n > max_ms then out_of_range lname n min_ms max_ms
-       else begin
-         Hashtbl.replace state.values lname n;
-         Ok ()
-       end
-     | Pfloat { fmin; fmax; fdefault = _ } ->
-       let* f = parse_float_strict lname v in
-       if f < fmin || f > fmax then
-         Error
-           (Printf.sprintf "%g is outside the valid range for parameter \"%s\"" f lname)
-       else Ok ()
-     | Pbool _ ->
-       (match String.lowercase_ascii v with
-        | "on" | "off" | "true" | "false" | "yes" | "no" | "1" | "0" -> Ok ()
-        | _ ->
-          Error
-            (Printf.sprintf "parameter \"%s\" requires a Boolean value" lname))
-     | Penum (_, _) when lname = "datestyle" ->
-       if valid_datestyle v then Ok ()
-       else Error (Printf.sprintf "invalid value for parameter \"datestyle\": \"%s\"" v)
-     | Penum (allowed, _) ->
-       if List.mem (String.lowercase_ascii v) allowed then Ok ()
-       else Error (Printf.sprintf "invalid value for parameter \"%s\": \"%s\"" lname v)
-     | Pstring (validate, _) ->
-       if validate v then Ok ()
-       else Error (Printf.sprintf "invalid value for parameter \"%s\": \"%s\"" lname v))
+  | None -> Error (Printf.sprintf "unrecognized configuration parameter \"%s\"" name)
+  | Some spec -> (
+    match check_value lname spec (Option.value ~default:"" value) with
+    | Error _ as e -> e
+    | Ok (Some n) ->
+      Hashtbl.replace values lname n;
+      Ok ()
+    | Ok None -> Ok ())
 
-(* Cross-parameter constraints, checked after the whole file is read
+type relation = {
+  tag : string;
+  lhs : string;
+  coeff : int;
+  rhs : string;
+  fatal : int -> int -> string;
+}
+
+(* The cross-parameter constraints, each [lhs >= coeff * rhs] over the
+   values the server runs with, checked after the whole file is read
    (the paper highlights the max_fsm_pages one). *)
-let check_constraints state =
-  let get name default =
-    Option.value ~default (Hashtbl.find_opt state.values name)
-  in
-  let max_fsm_pages = get "max_fsm_pages" 153600 in
-  let max_fsm_relations = get "max_fsm_relations" 1000 in
-  if max_fsm_pages < 16 * max_fsm_relations then
-    Error
-      (Printf.sprintf
-         "FATAL: max_fsm_pages must be at least 16 * max_fsm_relations (%d < 16 * %d)"
-         max_fsm_pages max_fsm_relations)
-  else begin
-    let shared_buffers_kb = get "shared_buffers" (24 * 1024) in
-    let max_connections = get "max_connections" 100 in
+let relations =
+  [
+    {
+      tag = "FSM";
+      lhs = "max_fsm_pages";
+      coeff = 16;
+      rhs = "max_fsm_relations";
+      fatal =
+        Printf.sprintf
+          "FATAL: max_fsm_pages must be at least 16 * max_fsm_relations (%d < 16 * %d)";
+    };
     (* shared memory must hold roughly 16kB of bookkeeping per
-       connection: another inter-parameter relation of 8.2's bootstrap. *)
-    if shared_buffers_kb < max_connections * 16 then
-      Error
-        (Printf.sprintf
-           "FATAL: insufficient shared memory for max_connections = %d (shared_buffers \
-            = %dkB)"
-           max_connections shared_buffers_kb)
-    else Ok ()
-  end
+       connection: another inter-parameter relation of 8.2's bootstrap *)
+    {
+      tag = "SHMEM";
+      lhs = "shared_buffers";
+      coeff = 16;
+      rhs = "max_connections";
+      fatal =
+        (fun shared_kb conns ->
+          Printf.sprintf
+            "FATAL: insufficient shared memory for max_connections = %d \
+             (shared_buffers = %dkB)"
+            conns shared_kb);
+    };
+  ]
+
+let check_constraints values =
+  let get name =
+    match Hashtbl.find_opt values name with
+    | Some n -> n
+    | None -> (Option.get (number (List.assoc name specs))).default
+  in
+  match List.find_opt (fun r -> get r.lhs < r.coeff * get r.rhs) relations with
+  | Some r -> Error (r.fatal (get r.lhs) (get r.rhs))
+  | None -> Ok ()
 
 let parse_line raw =
   let trimmed = Strutil.trim raw in
@@ -239,18 +269,24 @@ let parse_line raw =
     Some (name, Option.map unquote value)
   end
 
+(* A section header is not valid postgresql.conf syntax at all. *)
+let syntax_error name =
+  if String.length name > 0 && name.[0] = '[' then
+    Some (Printf.sprintf "syntax error in configuration near \"%s\"" name)
+  else None
+
 let validate_text text =
-  let state = { values = Hashtbl.create 16; port = 5432 } in
+  let values = Hashtbl.create 16 in
   let directives = List.filter_map parse_line (Strutil.lines text) in
-  (* A section header is not valid postgresql.conf syntax at all. *)
   let rec apply = function
-    | [] -> check_constraints state
-    | (name, _) :: _ when String.length name > 0 && name.[0] = '[' ->
-      Error (Printf.sprintf "syntax error in configuration near \"%s\"" name)
-    | d :: rest ->
-      (match apply_directive state d with
-       | Ok () -> apply rest
-       | Error msg -> Error msg)
+    | [] -> check_constraints values
+    | ((name, _) as d) :: rest ->
+      (match syntax_error name with
+       | Some msg -> Error msg
+       | None ->
+         (match apply_directive values d with
+          | Ok () -> apply rest
+          | Error msg -> Error msg))
   in
   apply directives
 

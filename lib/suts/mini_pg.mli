@@ -40,15 +40,40 @@ val specs : (string * spec) list
 (** Parameter name (lowercase) to validation spec; the first eight are
     the paper's default postgresql.conf. *)
 
-val parse_mem : string -> string -> (int, string) result
-(** [parse_mem name v] is the kB amount, or the server's error message.
-    Bare numbers are 8kB pages; units must be exactly kB/MB/GB. *)
+type number = {
+  unit_label : string;  (** ["count"], ["kb"] or ["ms"] *)
+  parse : string -> string -> (int, string) result;
+      (** [parse name v] is the amount in [unit_label] (bare memory
+          numbers are 8kB pages, bare times ms; units must be spelled
+          exactly), or the server's message *)
+  lo : int;
+  hi : int;
+  default : int;
+}
 
-val parse_time : string -> string -> (int, string) result
-(** Milliseconds; units ms/s/min/h/d, bare numbers are ms. *)
+val number : spec -> number option
+(** The numeric reading of a [Pint], [Pmem] or [Ptime] spec. *)
 
-val parse_strict_int : string -> string -> (int, string) result
-val parse_float_strict : string -> string -> (float, string) result
+val syntax_error : string -> string option
+(** The message startup aborts with on a line named [name] that is not
+    a parameter assignment at all (a [\[section\]] header). *)
 
-val valid_datestyle : string -> bool
-(** Comma-separated list of known datestyle tokens. *)
+val check_value : string -> spec -> string -> (int option, string) result
+(** [check_value name spec v] is the server's own check of one
+    parameter value: [Ok (Some n)] for the number a numeric parameter
+    stores, [Ok None] for an accepted non-numeric value, or the message
+    startup aborts with. *)
+
+(** A cross-parameter constraint [lhs >= coeff * rhs], over the values
+    the server runs with (a parameter's default when it is not set). *)
+type relation = {
+  tag : string;  (** short name, e.g. ["FSM"] *)
+  lhs : string;
+  coeff : int;
+  rhs : string;
+  fatal : int -> int -> string;
+      (** the message startup aborts with, given the lhs and rhs values *)
+}
+
+val relations : relation list
+(** Checked in order after the whole file is read. *)

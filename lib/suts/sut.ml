@@ -20,3 +20,23 @@ let default_config_text t file =
   match List.assoc_opt file t.default_config with
   | Some text -> text
   | None -> raise Not_found
+
+type problem = {
+  file : string;
+  path : Conftree.Path.t;
+  message : string;
+  suggestion : string option;
+}
+
+type report = problem -> unit
+
+let first_problem walk =
+  let exception Stop of string in
+  match walk (fun p -> raise (Stop p.message)) with
+  | v -> Ok v
+  | exception Stop message -> Error message
+
+let all_problems walk =
+  let acc = ref [] in
+  let v = walk (fun p -> acc := p :: !acc) in
+  (List.rev !acc, v)

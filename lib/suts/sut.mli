@@ -40,3 +40,27 @@ val all_passed : test_result list -> bool
 
 val default_config_text : t -> string -> string
 (** Raises [Not_found] for an unknown file name. *)
+
+(** {1 Startup checks with two consumers}
+
+    A simulator writes its startup validation once, as a walk that
+    reports each problem it finds with its site.  [boot] stops at the
+    first report and refuses to start with its message; the SUT's
+    agreement lint rules ({!Lint_rules}) take every report. *)
+
+type problem = {
+  file : string;
+  path : Conftree.Path.t;
+  message : string;  (** what the server prints when it refuses to start *)
+  suggestion : string option;
+}
+
+type report = problem -> unit
+
+val first_problem : (report -> 'a) -> ('a, string) result
+(** [first_problem walk] runs [walk] until it reports its first
+    problem: [Error message] then, [Ok] of the walk's result when it
+    reports none. *)
+
+val all_problems : (report -> 'a) -> problem list * 'a
+(** Every problem [walk] reports, in report order, and its result. *)

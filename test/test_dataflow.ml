@@ -459,6 +459,62 @@ let test_apache_shadowing () =
          && contains ~needle:"shadowed" f.Finding.message)
        findings)
 
+(* 14. BD-GRAPH reads zones the way named does, taking each zone's first
+   `file` statement: a zone that repeats its own is one declaration, two
+   zones sharing one master file are two. *)
+let test_bind_shared_master () =
+  let sut = Suts.Mini_bind.sut in
+  let graph_findings named_conf =
+    let files =
+      List.map
+        (fun (n, t) -> if n = "named.conf" then (n, named_conf) else (n, t))
+        sut.default_config
+    in
+    let set =
+      match Engine.parse_config sut files with
+      | Ok set -> set
+      | Error msg -> Alcotest.failf "bind parse: %s" msg
+    in
+    Checker.run ~nearest ~rules:(deep_rules_of sut) set
+    |> List.filter (fun f -> f.Finding.rule_id = "BD-GRAPH")
+  in
+  let zone ?(extra = []) origin file =
+    String.concat "\n"
+      ([ Printf.sprintf "zone \"%s\" IN {" origin; "  type master;";
+         Printf.sprintf "  file \"%s\";" file ]
+      @ extra @ [ "};" ])
+  in
+  let conf zones =
+    String.concat "\n"
+      ([ "options {"; "  directory \"/var/named\";"; "};" ] @ zones @ [ "" ])
+  in
+  Alcotest.(check int) "a zone repeating its own file statement" 0
+    (List.length
+       (graph_findings
+          (conf
+             [
+               zone ~extra:[ "  file \"example.com.zone\";" ] "example.com"
+                 "example.com.zone";
+               zone "0.0.10.in-addr.arpa" "0.0.10.in-addr.arpa.zone";
+             ])));
+  let shared =
+    graph_findings
+      (conf
+         [
+           zone "example.com" "example.com.zone";
+           zone "example.org" "example.com.zone";
+         ])
+  in
+  Alcotest.(check (list string)) "two zones sharing one master file"
+    [ "zone file 'example.com.zone' is declared by 2 zones; they are served \
+       from the same master data";
+      "zone file 'example.com.zone' is declared by 2 zones; they are served \
+       from the same master data" ]
+    (List.map (fun f -> f.Finding.message) shared);
+  Alcotest.(check (list string)) "one finding at each zone's file statement"
+    [ "/zone[1]/file"; "/zone[2]/file" ]
+    (List.map (fun f -> f.Finding.address) shared)
+
 let suite =
   [
     Alcotest.test_case "stock sets analyze clean" `Quick test_stock_clean;
@@ -484,4 +540,6 @@ let suite =
     Alcotest.test_case "sarif output" `Quick test_sarif;
     Alcotest.test_case "apache cross-file shadowing" `Quick
       test_apache_shadowing;
+    Alcotest.test_case "bind zones sharing a master file" `Quick
+      test_bind_shared_master;
   ]

@@ -91,17 +91,73 @@ let prop_formats_never_raise =
       match fmt.Formats.Registry.parse text with Ok _ | Error _ -> true)
 
 let prop_sut_boot_never_raises =
-  let sut_gen =
-    QCheck2.Gen.oneofl
-      [ Suts.Mini_mysql.sut; Suts.Mini_pg.sut; Suts.Mini_djbdns.sut ]
+  let input =
+    QCheck2.Gen.(
+      oneofl Suts.Catalog.all >>= fun (sut : Suts.Sut.t) ->
+      map
+        (fun text -> (sut, List.map (fun (f, _) -> (f, text)) sut.config_files))
+        (string_size (int_range 0 200)))
   in
-  QCheck2.Test.make ~count:200 ~name:"suts: boot never raises on random single-file input"
-    QCheck2.Gen.(pair sut_gen (string_size (int_range 0 200)))
-    (fun (sut, text) ->
-      let files =
-        List.map (fun (f, _) -> (f, text)) sut.Suts.Sut.config_files
-      in
-      match sut.Suts.Sut.boot files with Ok _ | Error _ -> true)
+  QCheck2.Test.make ~count:400 ~name:"suts: boot never raises on random single-file input"
+    input
+    (fun ((sut : Suts.Sut.t), files) ->
+      match sut.boot files with Ok _ | Error _ -> true)
+
+(* Each SUT's stock configuration with one run of digits (a port, a
+   size, a timer...) widened to 20 to 40 digits, too large for an int:
+   every parser must refuse it rather than raise, in boot and in the
+   SUT's rule set, base and deepened. *)
+let prop_widened_number_never_raises =
+  let digit_runs text =
+    let n = String.length text in
+    let is_digit i = i < n && text.[i] >= '0' && text.[i] <= '9' in
+    let rec go i acc =
+      if i >= n then List.rev acc
+      else if is_digit i then begin
+        let j = ref i in
+        while is_digit !j do incr j done;
+        go !j ((i, !j - i) :: acc)
+      end
+      else go (i + 1) acc
+    in
+    go 0 []
+  in
+  let widened (sut : Suts.Sut.t) =
+    let sites =
+      List.concat_map
+        (fun (file, text) -> List.map (fun run -> (file, run)) (digit_runs text))
+        sut.default_config
+    in
+    QCheck2.Gen.map2
+      (fun (file, (start, len)) width ->
+        List.map
+          (fun (f, text) ->
+            if f <> file then (f, text)
+            else
+              ( f,
+                String.sub text 0 start ^ String.make width '9'
+                ^ String.sub text (start + len) (String.length text - start - len) ))
+          sut.default_config)
+      (QCheck2.Gen.oneofl sites)
+      (QCheck2.Gen.int_range 20 40)
+  in
+  let input =
+    QCheck2.Gen.(
+      oneofl Suts.Catalog.all >>= fun sut -> map (fun files -> (sut, files)) (widened sut))
+  in
+  QCheck2.Test.make ~count:300
+    ~name:"suts: boot and lint never raise on a stock config with a widened number"
+    input
+    (fun ((sut : Suts.Sut.t), files) ->
+      (match sut.boot files with Ok _ | Error _ -> ());
+      match Conferr.Engine.parse_config sut files with
+      | Error _ -> true
+      | Ok set ->
+        let base = Option.get (Suts.Lint_rules.for_sut sut.sut_name) in
+        List.iter
+          (fun rules -> ignore (Conferr_lint.Checker.run ~rules set))
+          [ base; Suts.Dataflow_rules.deepen sut.sut_name base ];
+        true)
 
 (* --- variations property --- *)
 
@@ -165,6 +221,7 @@ let suite =
     Alcotest.test_case "non-ascii bytes" `Quick test_unicode_bytes_in_values;
     QCheck_alcotest.to_alcotest prop_formats_never_raise;
     QCheck_alcotest.to_alcotest prop_sut_boot_never_raises;
+    QCheck_alcotest.to_alcotest prop_widened_number_never_raises;
     QCheck_alcotest.to_alcotest prop_variations_preserve_directive_multiset;
     QCheck_alcotest.to_alcotest prop_minisql_insert_select;
   ]

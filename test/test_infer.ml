@@ -98,10 +98,10 @@ let check_recovered what result must_recover =
 
 let test_pg_acceptance () =
   let result = infer Suts.Mini_pg.sut (Lazy.force pg_campaign) in
-  (* 4 of the 6 postgres ids; PG-SYNTAX and PG-DUP stay
+  (* 5 of the 7 postgres ids; PG-SYNTAX and PG-DUP stay
      missed-by-inference (no faultload scenario exercises them) *)
   check_recovered "pg" result
-    [ "PG-UNKNOWN"; "PG-VALUE"; "PG-REQUIRED"; "PG-CROSS" ];
+    [ "PG-UNKNOWN"; "PG-VALUE"; "PG-REQUIRED"; "PG-REL-FSM"; "PG-REL-SHMEM" ];
   Alcotest.(check (list string))
     "pg: nothing inferred that the hand set lacks entirely" []
     result.Pipeline.diff.Conferr_infer.Differ.missed_by_hand

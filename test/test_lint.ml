@@ -484,6 +484,31 @@ let test_metrics () =
       Alcotest.(check bool) (needle ^ " exported") true (go 0))
     [ "conferr_gap_total"; "conferr_lint_findings_total"; "silent-acceptance" ]
 
+(* The replay's claim-aware classification and the inference differ
+   read one claim and one severity per rule id, so rules sharing an id
+   must agree on both, in every built-in set, base and deepened. *)
+let test_shared_ids_agree () =
+  List.iter
+    (fun (sut, base) ->
+      List.iter
+        (fun (what, rules) ->
+          List.iter
+            (fun id ->
+              match List.filter (fun (r : Rule.t) -> r.id = id) rules with
+              | [] -> ()
+              | first :: rest ->
+                List.iter
+                  (fun (r : Rule.t) ->
+                    Alcotest.(check (pair string string))
+                      (Printf.sprintf "%s %s: every %s rule" sut what id)
+                      ( Rule.claim_label first.claim,
+                        Finding.severity_label first.severity )
+                      (Rule.claim_label r.claim, Finding.severity_label r.severity))
+                  rest)
+            (Suts.Lint_rules.ids rules))
+        [ ("base", base); ("deep", Suts.Dataflow_rules.deepen sut base) ])
+    Suts.Lint_rules.all
+
 let suite =
   [
     Alcotest.test_case "examples byte-equal to stock configs" `Quick
@@ -510,4 +535,6 @@ let suite =
       test_gaps_no_overstrict_on_typos;
     Alcotest.test_case "dashboard gap rows and panel" `Quick test_dashboard_rows;
     Alcotest.test_case "gap metrics exported" `Quick test_metrics;
+    Alcotest.test_case "rules sharing an id share claim and severity" `Quick
+      test_shared_ids_agree;
   ]

@@ -182,7 +182,7 @@ let test_pg_typo_repaired () =
       (List.length v.Validate.candidate.Generate.edits)
 
 (* Both values are individually in range, but max_fsm_pages must be at
-   least 16 * max_fsm_relations (rule PG-CROSS): restoring either
+   least 16 * max_fsm_relations (rule PG-REL-FSM): restoring either
    directive alone still violates the constraint, so the only minimal
    repair is the two-edit candidate grouped by the co-occurrence
    cluster mined from the failure message. *)
