@@ -951,6 +951,98 @@ let print_repair_throughput () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
+(* Generation throughput: the §5.2 typo faultload and reverse typos    *)
+(* ------------------------------------------------------------------ *)
+
+(* Every campaign, daemon submission and journal replay starts by
+   generating the paper faultload, and `conferr repair` runs the typo
+   model backwards once per unknown name.  This section times
+   Campaign.typo_scenarios per SUT and Typo.corrections over the
+   postgres vocabulary, with the lint section's protocol (a warm-up
+   loop, then the best of 3 loops). *)
+let print_generate_throughput () =
+  print_endline "=== Generation throughput (typo faultload, reverse typos) ===\n";
+  let best_of_3 ~runs f =
+    let loop () =
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to runs do
+        f ()
+      done;
+      Unix.gettimeofday () -. t0
+    in
+    ignore (loop ());
+    let best = ref infinity in
+    for _ = 1 to 3 do
+      best := Float.min !best (loop ())
+    done;
+    !best /. float_of_int runs
+  in
+  let rows =
+    List.map
+      (fun (name, sut) ->
+        let base =
+          match Conferr.Engine.parse_default_config sut with
+          | Ok base -> base
+          | Error msg -> failwith msg
+        in
+        let generate () =
+          Conferr.Campaign.typo_scenarios ~rng:(Conferr_util.Rng.create seed)
+            ~faultload:Conferr.Campaign.paper_faultload sut base
+        in
+        let scenarios = List.length (generate ()) in
+        let per_run = best_of_3 ~runs:10 (fun () -> ignore (generate ())) in
+        let us = per_run /. float_of_int scenarios *. 1e6 in
+        Printf.printf "  %-10s %4d scenarios  %8.2f us / scenario\n" name scenarios us;
+        Json.Obj
+          [
+            ("sut", Json.Str name);
+            ("scenarios", Json.Num (float_of_int scenarios));
+            ("us_per_scenario", Json.Num us);
+          ])
+      [
+        ("postgres", Suts.Mini_pg.sut);
+        ("mysql", Suts.Mini_mysql.sut);
+        ("apache", Suts.Mini_apache.sut);
+        ("bind", Suts.Mini_bind.sut);
+        ("djbdns", Suts.Mini_djbdns.sut);
+        ("appserver", Suts.Mini_appserver.sut);
+      ]
+  in
+  (* one seeded typo of every vocabulary word, each to be traced back *)
+  let vocabulary = Suts.Vocabulary.postgres in
+  let rng = Conferr_util.Rng.create seed in
+  let typos =
+    List.filter_map
+      (fun w -> Option.map fst (Errgen.Typo.random_any rng w))
+      vocabulary
+  in
+  let per_sweep =
+    best_of_3 ~runs:3 (fun () ->
+        List.iter
+          (fun w -> ignore (Errgen.Typo.corrections ~vocabulary w))
+          typos)
+  in
+  let corrections_us = per_sweep /. float_of_int (List.length typos) *. 1e6 in
+  Printf.printf "  corrections %d-word vocabulary  %8.1f us / call\n"
+    (List.length vocabulary) corrections_us;
+  write_artifact "BENCH_generate.json"
+    (Json.Obj
+       [
+         ("bench", Json.Str "generate-throughput");
+         ("seed", Json.Num (float_of_int seed));
+         ("suts", Json.Arr rows);
+         ( "corrections",
+           Json.Obj
+             [
+               ("sut", Json.Str "postgres");
+               ("vocabulary", Json.Num (float_of_int (List.length vocabulary)));
+               ("calls", Json.Num (float_of_int (List.length typos)));
+               ("us_per_call", Json.Num corrections_us);
+             ] );
+       ]);
+  print_newline ()
+
+(* ------------------------------------------------------------------ *)
 (* Journal throughput: single-file v2 vs segmented v3 store            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1083,9 +1175,10 @@ let print_journal_throughput () =
   print_newline ()
 
 (* Each measured section is addressable on its own — `bench/main.exe
-   serve` (or executor, tracer, adaptive, lint, infer)
+   serve` (or executor, tracer, adaptive, lint, infer, generate)
    regenerates just that section and its BENCH_*.json artifact without
-   the (slow) full sweep. *)
+   the (slow) full sweep; `bench/main.exe ablation` prints just the
+   ablations. *)
 let sections =
   [
     ("executor", print_executor_scaling);
@@ -1096,17 +1189,19 @@ let sections =
     ("serve", print_serve_throughput);
     ("infer", print_infer_throughput);
     ("repair", print_repair_throughput);
+    ("generate", print_generate_throughput);
     ("journal", print_journal_throughput);
   ]
 
 let () =
   if Array.length Sys.argv > 1 then
-    match List.assoc_opt Sys.argv.(1) sections with
+    let addressable = ("ablation", print_ablations) :: sections in
+    match List.assoc_opt Sys.argv.(1) addressable with
     | Some section -> section ()
     | None ->
       Printf.eprintf "bench: unknown section %S (expected one of: %s)\n"
         Sys.argv.(1)
-        (String.concat ", " (List.map fst sections));
+        (String.concat ", " (List.map fst addressable));
       exit 2
   else begin
     print_tables ();

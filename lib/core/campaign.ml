@@ -58,7 +58,7 @@ let is_field_attr (node : Node.t) (key, value) =
     || key = "type" || key = "ttl"
   else node.kind = Node.kind_element
 
-let typo_scenario ~file ~path ~part rng (node : Node.t) =
+let typo_scenario ~pool_of ~file ~path ~part rng (node : Node.t) =
   let target =
     match part with
     | `Name -> if node.name = "" then None else Some (`Name, node.name)
@@ -74,7 +74,7 @@ let typo_scenario ~file ~path ~part rng (node : Node.t) =
   match target with
   | None -> None
   | Some (slot, w) ->
-    (match Typo.random_any rng w with
+    (match Typo.draw_any rng (pool_of w) with
      | None -> None
      | Some (mutated, what) ->
        let mutated_node =
@@ -92,7 +92,7 @@ let typo_scenario ~file ~path ~part rng (node : Node.t) =
                  (Path.to_string path))
             (Scenario.edit_in_file ~file (fun t -> Node.replace t path mutated_node))))
 
-let section_typo_scenarios ~rng ~faultload ~file ~part directives =
+let section_typo_scenarios ~pool_of ~rng ~faultload ~file ~part directives =
   let eligible =
     match part with
     | `Name -> List.filter (fun (_, (n : Node.t)) -> n.name <> "") directives
@@ -106,12 +106,23 @@ let section_typo_scenarios ~rng ~faultload ~file ~part directives =
   List.concat_map
     (fun (path, node) ->
       List.init faultload.typos_per_directive (fun _ ->
-          typo_scenario ~file ~path ~part rng node)
+          typo_scenario ~pool_of ~file ~path ~part rng node)
       |> List.filter_map Fun.id)
     chosen
 
 let typo_scenarios ~rng ~faultload (sut : Suts.Sut.t) set =
   ignore sut;
+  (* each distinct word's typo pool is built once per call, then shared
+     by every draw on it *)
+  let pools = Hashtbl.create 64 in
+  let pool_of w =
+    match Hashtbl.find_opt pools w with
+    | Some p -> p
+    | None ->
+      let p = Typo.pool w in
+      Hashtbl.add pools w p;
+      p
+  in
   Config_set.to_list set
   |> List.concat_map (fun (file, tree) ->
          let deletions =
@@ -134,7 +145,7 @@ let typo_scenarios ~rng ~faultload (sut : Suts.Sut.t) set =
          let typos part =
            List.concat_map
              (fun (_, directives) ->
-               section_typo_scenarios ~rng ~faultload ~file ~part directives)
+               section_typo_scenarios ~pool_of ~rng ~faultload ~file ~part directives)
              sections
          in
          deletions @ typos `Name @ typos `Value)

@@ -30,8 +30,9 @@ let uniquely_nearest ~vocabulary word =
 
 let recovery_rate ~vocabulary ~rng ?(samples = 50) word =
   let recovered = ref 0 and drawn = ref 0 in
+  let pool = Errgen.Typo.pool word in
   for _ = 1 to samples do
-    match Errgen.Typo.random_any rng word with
+    match Errgen.Typo.draw_any rng pool with
     | None -> ()
     | Some (typoed, _) ->
       incr drawn;

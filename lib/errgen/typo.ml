@@ -16,59 +16,122 @@ let kind_name = function
 
 let default_layout = Layout.us_qwerty
 
-let dedup_variants word variants =
-  let seen = Hashtbl.create 8 in
-  Hashtbl.add seen word ();
-  List.filter
-    (fun (w, _) ->
-      if Hashtbl.mem seen w then false
-      else begin
+(* One concrete slip of the model.  Its description is rendered from the
+   word only when a drawn or listed variant needs it. *)
+type slip =
+  | Omit of int
+  | Double of int
+  | Insert_before of int * char
+  | Insert_after of int * char
+  | Substitute of int * char
+  | Flip of int
+  | Transpose of int
+
+let describe word = function
+  | Omit i -> Printf.sprintf "omit %C at position %d" word.[i] i
+  | Double i -> Printf.sprintf "double %C at position %d" word.[i] i
+  | Insert_before (i, c) -> Printf.sprintf "insert %C before position %d" c i
+  | Insert_after (i, c) -> Printf.sprintf "insert %C after position %d" c i
+  | Substitute (i, c) ->
+    Printf.sprintf "substitute %C for %C at position %d" c word.[i] i
+  | Flip i -> Printf.sprintf "flip case of %C at position %d" word.[i] i
+  | Transpose i -> Printf.sprintf "transpose positions %d and %d" i (i + 1)
+
+type pool = { word : string; by_kind : (kind * (string * slip) array) list }
+
+let pool ?(layout = default_layout) ?(include_doubling = false) word =
+  let n = String.length word in
+  (* The spurious or substituted character comes from a key adjacent to
+     the character being typed (paper §4.1).  Same-key doubling is a
+     realistic extension beyond the paper's model, available opt-in. *)
+  let neighbours = Array.init n (fun i -> Layout.neighbors layout word.[i]) in
+  let seen = Hashtbl.create (16 * n) (* room for the largest kind *) in
+  let of_kind kind =
+    (* first occurrence wins within a kind; the word itself never counts *)
+    Hashtbl.clear seen;
+    Hashtbl.add seen word ();
+    let slips = ref [] in
+    let emit w slip =
+      if not (Hashtbl.mem seen w) then begin
         Hashtbl.add seen w ();
-        true
-      end)
-    variants
+        slips := (w, slip) :: !slips
+      end
+    in
+    for i = 0 to n - 1 do
+      let c = word.[i] in
+      match kind with
+      | Omission -> if n > 1 then emit (Strutil.delete_char word i) (Omit i)
+      | Insertion ->
+        if include_doubling then emit (Strutil.insert_char word i c) (Double i);
+        List.iter
+          (fun k ->
+            emit (Strutil.insert_char word i k) (Insert_before (i, k));
+            emit (Strutil.insert_char word (i + 1) k) (Insert_after (i, k)))
+          neighbours.(i)
+      | Substitution ->
+        List.iter
+          (fun k -> emit (Strutil.replace_char word i k) (Substitute (i, k)))
+          neighbours.(i)
+      | Case_alteration ->
+        if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') then (
+          match Layout.shift_variant layout c with
+          | Some flipped when flipped <> c ->
+            emit (Strutil.replace_char word i flipped) (Flip i)
+          | Some _ | None -> ())
+      | Transposition ->
+        if i + 1 < n && c <> word.[i + 1] then
+          emit (Strutil.swap_chars word i) (Transpose i)
+    done;
+    (kind, Array.of_list (List.rev !slips))
+  in
+  { word; by_kind = List.map of_kind all_kinds }
 
-let omission_variants word =
-  List.init (String.length word) (fun i ->
-      ( Strutil.delete_char word i,
-        Printf.sprintf "omit %C at position %d" word.[i] i ))
+let labelled p kind (w, slip) =
+  (w, Printf.sprintf "%s: %s" (kind_name kind) (describe p.word slip))
 
-let insertion_variants ?(include_doubling = false) layout word =
-  (* The spurious character comes from a key adjacent to the character
-     being typed when the slip happens (paper §4.1).  Same-key doubling
-     is a realistic extension beyond the paper's model, available
-     opt-in. *)
-  List.concat
-    (List.init (String.length word) (fun i ->
-         let doubled =
-           if include_doubling then
-             [
-               ( Strutil.insert_char word i word.[i],
-                 Printf.sprintf "double %C at position %d" word.[i] i );
-             ]
-           else []
-         in
-         doubled
-         @ (Layout.neighbors layout word.[i]
-           |> List.concat_map (fun c ->
-                  [
-                    ( Strutil.insert_char word i c,
-                      Printf.sprintf "insert %C before position %d" c i );
-                    ( Strutil.insert_char word (i + 1) c,
-                      Printf.sprintf "insert %C after position %d" c i );
-                  ]))))
+let pick rng slips =
+  if Array.length slips = 0 then None
+  else Some slips.(Rng.int rng (Array.length slips))
 
-let substitution_variants layout word =
-  List.concat
-    (List.init (String.length word) (fun i ->
-         Layout.neighbors layout word.[i]
-         |> List.map (fun c ->
-                ( Strutil.replace_char word i c,
-                  Printf.sprintf "substitute %C for %C at position %d" c word.[i] i ))))
+let variants ?layout ?include_doubling kind word =
+  Array.to_list (List.assoc kind (pool ?layout ?include_doubling word).by_kind)
+  |> List.map (fun (w, slip) -> (w, describe word slip))
+
+let random_variant ?layout rng kind word =
+  pick rng (List.assoc kind (pool ?layout word).by_kind)
+  |> Option.map (fun (w, slip) -> (w, describe word slip))
+
+(* Uniform over the whole one-letter typo space: kinds with more
+   concrete slips (substitutions, insertions) are proportionally more
+   likely, as when drawing a random subset of typos (paper §4.1). *)
+let draw_any rng p =
+  let rec nth i = function
+    | [] -> None
+    | (kind, slips) :: rest ->
+      if i < Array.length slips then Some (labelled p kind slips.(i))
+      else nth (i - Array.length slips) rest
+  in
+  match List.fold_left (fun n (_, slips) -> n + Array.length slips) 0 p.by_kind with
+  | 0 -> None
+  | size -> nth (Rng.int rng size) p.by_kind
+
+let random_any ?layout rng word = draw_any rng (pool ?layout word)
+
+(* Uniform over kinds first, then over that kind's variants: each
+   submodel is equally represented regardless of how many concrete
+   slips it has (used by the §5.5 benchmark, which draws exactly one
+   typo per experiment). *)
+let random_kind_first ?layout rng word =
+  let p = pool ?layout word in
+  match Rng.pick_opt rng (List.filter (fun (_, s) -> Array.length s > 0) p.by_kind) with
+  | None -> None
+  | Some (kind, slips) -> Option.map (labelled p kind) (pick rng slips)
 
 (* Ablation variant: substitutions drawn from the whole layout instead of
-   the adjacent keys — what a keyboard-oblivious fuzzer would inject. *)
-let uniform_substitution_variants layout word =
+   the adjacent keys — what a keyboard-oblivious fuzzer would inject.
+   Distinct (position, character) pairs give distinct words, none of
+   them the original. *)
+let uniform_substitutions ?(layout = default_layout) word =
   let chars = Layout.all_chars layout in
   List.concat
     (List.init (String.length word) (fun i ->
@@ -78,77 +141,6 @@ let uniform_substitution_variants layout word =
                 ( Strutil.replace_char word i c,
                   Printf.sprintf "substitute %C for %C at position %d (uniform)" c
                     word.[i] i ))))
-
-let case_alteration_variants layout word =
-  List.concat
-    (List.init (String.length word) (fun i ->
-         let c = word.[i] in
-         if
-           (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-         then
-           match Layout.shift_variant layout c with
-           | Some flipped when flipped <> c ->
-             [
-               ( Strutil.replace_char word i flipped,
-                 Printf.sprintf "flip case of %C at position %d" c i );
-             ]
-           | Some _ | None -> []
-         else []))
-
-let transposition_variants word =
-  let n = String.length word in
-  List.concat
-    (List.init (max 0 (n - 1)) (fun i ->
-         if word.[i] = word.[i + 1] then []
-         else
-           [
-             ( Strutil.swap_chars word i,
-               Printf.sprintf "transpose positions %d and %d" i (i + 1) );
-           ]))
-
-let uniform_substitutions ?(layout = default_layout) word =
-  dedup_variants word (uniform_substitution_variants layout word)
-
-let variants ?(layout = default_layout) ?(include_doubling = false) kind word =
-  let raw =
-    match kind with
-    | Omission -> if String.length word <= 1 then [] else omission_variants word
-    | Insertion -> insertion_variants ~include_doubling layout word
-    | Substitution -> substitution_variants layout word
-    | Case_alteration -> case_alteration_variants layout word
-    | Transposition -> transposition_variants word
-  in
-  dedup_variants word raw
-
-let random_variant ?(layout = default_layout) rng kind word =
-  Rng.pick_opt rng (variants ~layout kind word)
-
-let random_any ?(layout = default_layout) rng word =
-  (* Uniform over the whole one-letter typo space: kinds with more
-     concrete slips (substitutions, insertions) are proportionally more
-     likely, as when drawing a random subset of typos (paper §4.1). *)
-  let pool =
-    List.concat_map
-      (fun kind ->
-        List.map
-          (fun (w, d) -> (w, Printf.sprintf "%s: %s" (kind_name kind) d))
-          (variants ~layout kind word))
-      all_kinds
-  in
-  Rng.pick_opt rng pool
-
-let random_kind_first ?(layout = default_layout) rng word =
-  (* Uniform over kinds first, then over that kind's variants: each
-     submodel is equally represented regardless of how many concrete
-     slips it has (used by the §5.5 benchmark, which draws exactly one
-     typo per experiment). *)
-  let non_empty = List.filter (fun k -> variants ~layout k word <> []) all_kinds in
-  match Rng.pick_opt rng non_empty with
-  | None -> None
-  | Some kind ->
-    Option.map
-      (fun (w, d) -> (w, Printf.sprintf "%s: %s" (kind_name kind) d))
-      (random_variant ~layout rng kind word)
 
 type part = Name | Value
 
@@ -221,46 +213,24 @@ let wordview_scenarios ?(layout = default_layout) ~class_prefix ~word_type ~kind
                                    | Ok tree' ->
                                      Ok (Conftree.Config_set.add set file tree')))))))
 
-let sampled_scenarios ?(layout = default_layout) ~rng ~per_target ~class_prefix ~part tgt
-    set =
-  let mutate (n : Node.t) =
-    if not (directive_only n) then []
-    else begin
-      let word =
-        match part with Name -> Some n.name | Value -> n.value
-      in
-      match word with
-      | None -> []
-      | Some w ->
-        List.init per_target (fun _ -> random_any ~layout rng w)
-        |> List.filter_map Fun.id
-        |> List.map (fun (mutated, descr) ->
-               let node =
-                 match part with
-                 | Name -> { n with Node.name = mutated }
-                 | Value -> { n with Node.value = Some mutated }
-               in
-               (node, descr))
-    end
-  in
-  Template.modify ~class_name:(Printf.sprintf "%s/sampled" class_prefix) ~mutate tgt set
-
 (* Reverse mode (doc/repair.md): rank the vocabulary words a typo could
    have come from.  One-slip explanations (the forward model reproduces
    the word exactly) sort ahead of bare edit-distance neighbours. *)
 let corrections ?(layout = default_layout) ?(max_distance = 2) ~vocabulary word =
   let one_slip w =
     List.exists
-      (fun kind ->
-        List.exists (fun (v, _) -> v = word) (variants ~layout kind w))
-      all_kinds
+      (fun (_, slips) -> Array.exists (fun (v, _) -> v = word) slips)
+      (pool ~layout w).by_kind
   in
   vocabulary
   |> List.filter_map (fun w ->
          if w = word then None
          else
            let d = Conferr_util.Strutil.damerau_levenshtein w word in
-           let slip = one_slip w in
+           (* every modelled slip is one edit, so only a word at distance
+              1 (within one character of [word]'s length) can have
+              produced it; no other word's pool is built *)
+           let slip = d = 1 && one_slip w in
            if slip || d <= max_distance then Some (w, d, slip) else None)
   |> List.sort (fun (a, da, sa) (b, db, sb) ->
          match (sa, sb) with

@@ -11,8 +11,9 @@
     - case alteration: the case of a letter flips (Shift miscoordination)
     - transposition: two adjacent characters swap
 
-    Mutations are enumerated exhaustively ({!variants}) or sampled
-    ({!random_variant}); the plugin entry points instantiate the abstract
+    Every reader draws on one {!pool} per word: the enumerator
+    behind {!variants}, the samplers and the reverse mode
+    ({!corrections}); the plugin entry points instantiate the abstract
     modify template over directive names or values. *)
 
 type kind = Omission | Insertion | Substitution | Case_alteration | Transposition
@@ -21,31 +22,56 @@ val all_kinds : kind list
 
 val kind_name : kind -> string
 
+type pool
+(** Every distinct one-letter typo of one word, as (mutated word, kind,
+    slip), grouped by kind in {!all_kinds} order.  Within a kind the
+    slips run over the word's positions left to right and, at each
+    position, over the layout's sorted neighbours of its character
+    (insertions: same-key doubling if enabled, then each neighbour
+    before and after the position).  A slip that repeats an earlier
+    word of the same kind, or gives back the word itself, is dropped,
+    so the first occurrence wins; kinds are deduplicated separately.
+    A slip's description is rendered only when a reader asks for it.
+
+    A pool is an immutable value with no cache behind it: a caller
+    that draws many typos of one word (the §5.2 faultload, the
+    suggester's recovery rate) builds the word's pool once, in a table
+    local to that call, and draws from it. *)
+
+val pool : ?layout:Keyboard.Layout.t -> ?include_doubling:bool -> string -> pool
+(** [pool word] enumerates the word's typos on [layout] (default US
+    QWERTY).  [include_doubling] (default false, beyond the paper's
+    model) adds same-key doubling to the insertion submodel. *)
+
 val variants :
   ?layout:Keyboard.Layout.t -> ?include_doubling:bool -> kind -> string ->
   (string * string) list
-(** [variants kind word] enumerates every distinct one-letter typo of
-    that kind, with a description each.  The original word is never among
-    the results; the list is empty when the word is too short or the
-    layout cannot produce the needed neighbours.  [include_doubling]
-    (default false, beyond the paper's model) adds same-key doubling to
-    the insertion submodel. *)
+(** [variants kind word] is the kind's part of [pool word], with a
+    description each.  The original word is never among the results;
+    the list is empty when the word is too short or the layout cannot
+    produce the needed neighbours. *)
 
 val random_variant :
   ?layout:Keyboard.Layout.t -> Conferr_util.Rng.t -> kind -> string ->
   (string * string) option
 (** One uniformly-chosen variant of that kind, if any exists. *)
 
+val draw_any : Conferr_util.Rng.t -> pool -> (string * string) option
+(** One variant drawn uniformly from the whole pool — kinds with more
+    concrete slips are proportionally likelier, as when sampling the
+    typo space itself.  It draws one [Rng.int] over the pool's size, and
+    nothing from an empty pool.  The description is prefixed with the
+    kind's name. *)
+
 val random_any :
   ?layout:Keyboard.Layout.t -> Conferr_util.Rng.t -> string -> (string * string) option
-(** One variant drawn uniformly from the union of all kinds' variants —
-    kinds with more concrete slips are proportionally likelier, as when
-    sampling the typo space itself. *)
+(** [draw_any] on a fresh pool of the word. *)
 
 val random_kind_first :
   ?layout:Keyboard.Layout.t -> Conferr_util.Rng.t -> string -> (string * string) option
-(** One variant of a uniformly-chosen non-empty kind: every submodel is
-    equally represented. *)
+(** One variant of a uniformly-chosen non-empty kind of the word's pool:
+    every submodel is equally represented.  One [Rng.int] over the
+    non-empty kinds, then one over that kind's variants. *)
 
 val uniform_substitutions :
   ?layout:Keyboard.Layout.t -> string -> (string * string) list
@@ -84,18 +110,6 @@ val wordview_scenarios :
     mapped back through the stored references.  Equivalent to
     {!scenarios} on the corresponding part. *)
 
-val sampled_scenarios :
-  ?layout:Keyboard.Layout.t ->
-  rng:Conferr_util.Rng.t ->
-  per_target:int ->
-  class_prefix:string ->
-  part:part ->
-  Template.target ->
-  Conftree.Config_set.t ->
-  Scenario.t list
-(** The paper's §5.2 faultload shape: for each matched directive, draw
-    [per_target] random typos (random kind, random position). *)
-
 (** {1 Reverse mode (doc/repair.md)}
 
     Repair synthesis runs the typo model backwards: given a word the
@@ -107,8 +121,10 @@ val corrections :
   string -> (string * int) list
 (** [corrections ~vocabulary word] ranks the vocabulary words [word]
     plausibly resulted from, closest first.  A vocabulary word whose
-    forward typo model ({!variants}, any kind) produces [word] exactly
-    is ranked by its true Damerau-Levenshtein distance but always ahead
-    of words merely within [max_distance] (default 2) that no single
-    modelled slip explains; ties break lexicographically.  [word]
-    itself is never returned. *)
+    {!pool} contains [word] is ranked by its true Damerau-Levenshtein
+    distance but always ahead of words merely within [max_distance]
+    (default 2) that no single modelled slip explains; ties break
+    lexicographically.  Every slip is one Damerau-Levenshtein edit, so
+    only vocabulary words at distance 1 from [word] (which includes
+    being within one character of its length) have their pool built.
+    [word] itself is never returned. *)
