@@ -1043,37 +1043,31 @@ let print_generate_throughput () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Journal throughput: single-file v2 vs segmented v3 store            *)
+(* Journal cost on real entries                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The v3 layout exists to take the global append lock off the journal
-   hot path: every worker domain writes its own segment.  This section
-   measures raw appends/sec for both layouts sequentially (the layouts
-   should be within noise of each other — same bytes, same flush per
-   line) and, on multi-core hosts, with 4 domains appending through one
-   writer, where v2 serializes on the mutex and v3 does not. *)
+(* What the journal costs a campaign, on the entries of the seed-42
+   paper faultload of each db SUT (the campaigns where the journal is
+   the largest in-process share): one append to a single-file (v2) and
+   a segmented (v3) writer, one line read back by [Journal.load], a
+   checkpoint that rewrites every line, and [Executor.run_from] at
+   jobs 1 with a v2 journal against without one.  Each measure is the
+   median of [rounds]; the two run_from variants alternate which goes
+   first, so neither always runs warm. *)
 let print_journal_throughput () =
-  print_endline "=== Journal throughput (v2 single file vs v3 segmented store) ===\n";
+  print_endline "=== Journal cost on real entries (seed-42 paper faultloads) ===\n";
   let module Journal = Conferr_exec.Journal in
-  let n = 20_000 in
-  let entry i =
-    {
-      Journal.scenario_id = Printf.sprintf "bench-%06d" i;
-      class_name = "typo/name";
-      description = "journal throughput bench";
-      seed = Int64.of_int i;
-      outcome = Conferr.Outcome.Passed;
-      elapsed_ms = 0.1;
-      attempts = 1;
-      votes = [];
-      phase_ms = [];
-    }
+  let module Executor = Conferr_exec.Executor in
+  let rounds = 15 in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    a.(Array.length a / 2)
   in
-  let entries = Array.init n entry in
-  let temp_path () =
-    let p = Filename.temp_file "conferr_bench_journal" "" in
-    Sys.remove p;
-    p
+  let time f =
+    let t0 = Unix.gettimeofday () in
+    f ();
+    Unix.gettimeofday () -. t0
   in
   let rec rm_rf p =
     if Sys.file_exists p then
@@ -1083,94 +1077,87 @@ let print_journal_throughput () =
       end
       else Sys.remove p
   in
-  let best f =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  let seq ?segment_bytes () =
-    let path = temp_path () in
-    let t =
-      best (fun () ->
-          let w = Journal.open_append ~fresh:true ?segment_bytes path in
-          Array.iter (Journal.append w) entries;
-          Journal.close w)
+  let measure (sut : Suts.Sut.t) =
+    let base =
+      match Conferr.Engine.parse_default_config sut with
+      | Ok base -> base
+      | Error msg -> failwith msg
     in
-    rm_rf path;
-    t
-  in
-  let par ?segment_bytes jobs =
-    let path = temp_path () in
-    let per = n / jobs in
-    let t =
-      best (fun () ->
-          let w = Journal.open_append ~fresh:true ?segment_bytes path in
-          let workers =
-            List.init jobs (fun d ->
-                Domain.spawn (fun () ->
-                    for i = d * per to (d * per) + per - 1 do
-                      Journal.append w entries.(i)
-                    done))
+    let scenarios =
+      Conferr.Campaign.typo_scenarios ~rng:(Conferr_util.Rng.create seed)
+        ~faultload:Conferr.Campaign.paper_faultload sut base
+    in
+    let path = Filename.temp_file "conferr_bench_journal" ".jsonl" in
+    let run journal_path () =
+      ignore
+        (Executor.run_from
+           ~settings:
+             { Executor.default_settings with campaign_seed = seed; journal_path }
+           ~on_event:ignore ~sut ~base ~scenarios ())
+    in
+    run (Some path) ();
+    let entries = Journal.load path in
+    let n = float_of_int (List.length entries) in
+    let appends ?segment_bytes target () =
+      let w = Journal.open_append ~fresh:true ?segment_bytes target in
+      List.iter (Journal.append w) entries;
+      Journal.close w
+    in
+    let store = path ^ ".v3" in
+    let samples =
+      List.init rounds (fun round ->
+          let v2 = time (appends path) in
+          let v3 = time (appends ~segment_bytes:(1 lsl 20) store) in
+          let load = time (fun () -> ignore (Journal.load path)) in
+          let checkpoint = time (fun () -> Journal.checkpoint path entries) in
+          let bare, journaled =
+            if round mod 2 = 0 then
+              let b = time (run None) in
+              (b, time (run (Some path)))
+            else
+              let j = time (run (Some path)) in
+              (time (run None), j)
           in
-          List.iter Domain.join workers;
-          Journal.close w)
+          (v2, v3, load, checkpoint, bare, journaled))
     in
     rm_rf path;
-    t
+    rm_rf store;
+    let pick f = median (List.map f samples) in
+    let us_per_entry t = t *. 1e6 /. n in
+    let append_v2 = us_per_entry (pick (fun (x, _, _, _, _, _) -> x)) in
+    let append_v3 = us_per_entry (pick (fun (_, x, _, _, _, _) -> x)) in
+    let load = us_per_entry (pick (fun (_, _, x, _, _, _) -> x)) in
+    let checkpoint_ms = 1e3 *. pick (fun (_, _, _, x, _, _) -> x) in
+    let bare_ms = 1e3 *. pick (fun (_, _, _, _, x, _) -> x) in
+    let journaled_ms = 1e3 *. pick (fun (_, _, _, _, _, x) -> x) in
+    Printf.printf
+      "  %-10s %4d entries  append v2 %6.2f us  v3 %6.2f us  load %6.2f us  \
+       checkpoint %6.3f ms  run_from %6.3f ms bare, %6.3f ms journaled (%.2fx)\n%!"
+      sut.sut_name (List.length entries) append_v2 append_v3 load checkpoint_ms
+      bare_ms journaled_ms (journaled_ms /. bare_ms);
+    Json.Obj
+      [
+        ("sut", Json.Str sut.sut_name);
+        ("entries", Json.Num n);
+        ("append_us_v2", Json.Num append_v2);
+        ("append_us_v3", Json.Num append_v3);
+        ("load_us_per_entry", Json.Num load);
+        ("checkpoint_ms", Json.Num checkpoint_ms);
+        ("run_from_bare_ms", Json.Num bare_ms);
+        ("run_from_journaled_ms", Json.Num journaled_ms);
+        ("journaled_over_bare", Json.Num (journaled_ms /. bare_ms));
+      ]
   in
-  let rate t = float_of_int n /. t in
-  let v2 = seq () in
-  let v3 = seq ~segment_bytes:(1 lsl 20) () in
-  Printf.printf "  sequential v2 : %8.2f ms   %9.0f appends/s\n%!" (v2 *. 1e3)
-    (rate v2);
-  Printf.printf "  sequential v3 : %8.2f ms   %9.0f appends/s\n%!" (v3 *. 1e3)
-    (rate v3);
-  let parallel =
-    if Conferr_pool.recommended_jobs () = 1 then begin
-      (* 4 domains on one core measure scheduler thrash, not the
-         append-lock contention this section is about *)
-      print_endline
-        "  parallel      : skipped (single-core host — domains would \
-         measure scheduling, not lock contention)";
-      Json.Obj
-        [
-          ("skipped", Json.Bool true);
-          ( "reason",
-            Json.Str
-              "single-core host (recommended_jobs = 1): parallel appends \
-               measure scheduling, not lock contention" );
-        ]
-    end
-    else begin
-      let jobs = 4 in
-      let pv2 = par jobs in
-      let pv3 = par ~segment_bytes:(1 lsl 20) jobs in
-      Printf.printf
-        "  %d domains, v2 : %8.2f ms   %9.0f appends/s  (one file, one lock)\n%!"
-        jobs (pv2 *. 1e3) (rate pv2);
-      Printf.printf
-        "  %d domains, v3 : %8.2f ms   %9.0f appends/s  (a segment per domain)\n%!"
-        jobs (pv3 *. 1e3) (rate pv3);
-      Json.Obj
-        [
-          ("jobs", Json.Num (float_of_int jobs));
-          ("v2_appends_per_s", Json.Num (rate pv2));
-          ("v3_appends_per_s", Json.Num (rate pv3));
-        ]
-    end
-  in
+  let suts = [ Suts.Mini_pg.sut; Suts.Mini_mysql.sut; Suts.Mini_appserver.sut ] in
+  let results = List.map measure suts in
   write_artifact "BENCH_journal.json"
     (Json.Obj
        [
-         ("bench", Json.Str "journal-throughput");
-         ("entries", Json.Num (float_of_int n));
-         ("v2_appends_per_s", Json.Num (rate v2));
-         ("v3_appends_per_s", Json.Num (rate v3));
-         ("parallel", parallel);
+         ("bench", Json.Str "journal-cost");
+         ("seed", Json.Num (float_of_int seed));
+         ("rounds", Json.Num (float_of_int rounds));
+         ("statistic", Json.Str "median");
+         ("suts", Json.Arr results);
        ]);
   print_newline ()
 

@@ -1,36 +1,38 @@
 (* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the same
-   checksum gzip and PNG use, table-driven. *)
+   checksum gzip and PNG use, table-driven.  Checksums are native ints
+   holding the 32-bit value, so hashing a line allocates nothing. *)
 
 let table =
   Array.init 256 (fun n ->
-      let c = ref (Int32.of_int n) in
+      let c = ref n in
       for _ = 0 to 7 do
-        c :=
-          if Int32.logand !c 1l <> 0l then
-            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-          else Int32.shift_right_logical !c 1
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
       done;
       !c)
 
-let update crc s =
-  let crc = ref (Int32.lognot crc) in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8))
-    s;
-  Int32.lognot !crc
+let sub_update crc s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Crc32.sub";
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = off to off + len - 1 do
+    c :=
+      Array.unsafe_get table ((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
+      lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
 
-let string s = update 0l s
+let update crc s = sub_update crc s 0 (String.length s)
+let string s = update 0 s
+let sub s off len = sub_update 0 s off len
 
-let to_hex crc = Printf.sprintf "%08lx" crc
+let hex_digits = "0123456789abcdef"
+
+let to_hex crc =
+  String.init 8 (fun i -> hex_digits.[(crc lsr (28 - (4 * i))) land 0xF])
 
 let of_hex s =
   if String.length s <> 8 then None
   else
-    match Int64.of_string_opt ("0x" ^ s) with
-    | Some v when Int64.unsigned_compare v 0x1_0000_0000L < 0 ->
-      Some (Int64.to_int32 v)
+    match int_of_string_opt ("0x" ^ s) with
+    | Some v when v >= 0 && v <= 0xFFFFFFFF -> Some v
     | _ -> None

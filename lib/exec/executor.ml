@@ -333,7 +333,7 @@ let close_campaign c entries =
   Option.iter
     (fun path ->
       Journal.checkpoint ?io:c.settings.journal_io
-        ?segment_bytes:c.settings.segment_bytes path entries)
+        ?segment_bytes:c.settings.segment_bytes ?writer:c.writer path entries)
     c.settings.journal_path
 
 let with_campaign ?(settings = default_settings) ?(on_event = Progress.log_event)

@@ -135,7 +135,9 @@ val with_campaign :
     over it.  The writer is closed even if [f] raises.  When [f] returns
     the campaign's entries, the campaign is closed: the flaky list is
     written to [quarantine_dir], then the journal is checkpointed to
-    those entries, which are returned with the progress snapshot.
+    those entries from the lines the writer already rendered (no
+    rewrite at all when it appended exactly them, in order, to a fresh
+    file), and they are returned with the progress snapshot.
     [jobs] is used as given; {!run_from} clamps it first. *)
 
 val journaled : campaign -> string -> Journal.entry option

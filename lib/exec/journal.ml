@@ -72,30 +72,27 @@ let outcome_to_json o =
     ]
 
 let entry_to_json e =
-  let base =
-    [
-      ("id", Json.Str e.scenario_id);
-      ("class", Json.Str e.class_name);
-      ("seed", Json.Str (Int64.to_string e.seed));
-      ("outcome", Json.Str (Outcome.label e.outcome));
-      ("detail", Json.Arr (List.map (fun m -> Json.Str m) (outcome_detail e.outcome)));
-      ("ms", Json.Num e.elapsed_ms);
-      ("attempts", Json.Num (float_of_int e.attempts));
-      ("desc", Json.Str e.description);
-    ]
-  in
-  let votes =
-    if e.votes = [] then []
-    else [ ("votes", Json.Arr (List.map outcome_to_json e.votes)) ]
-  in
   (* "phase" arrived with v2.1 (observability); omitted when empty so
      journals written with tracing off are byte-identical to v2. *)
-  let phase =
+  let optional =
     if e.phase_ms = [] then []
     else
       [ ("phase", Json.Obj (List.map (fun (p, ms) -> (p, Json.Num ms)) e.phase_ms)) ]
   in
-  Json.Obj (base @ votes @ phase)
+  let optional =
+    if e.votes = [] then optional
+    else ("votes", Json.Arr (List.map outcome_to_json e.votes)) :: optional
+  in
+  Json.Obj
+    (("id", Json.Str e.scenario_id)
+    :: ("class", Json.Str e.class_name)
+    :: ("seed", Json.Str (Int64.to_string e.seed))
+    :: ("outcome", Json.Str (Outcome.label e.outcome))
+    :: ("detail", Json.Arr (List.map (fun m -> Json.Str m) (outcome_detail e.outcome)))
+    :: ("ms", Json.Num e.elapsed_ms)
+    :: ("attempts", Json.Num (float_of_int e.attempts))
+    :: ("desc", Json.Str e.description)
+    :: optional)
 
 let ( let* ) = Result.bind
 
@@ -163,21 +160,31 @@ let entry_of_json j =
       attempts; votes; phase_ms }
 
 (* v2 line: {"v":2,"crc":"<8 hex>","entry":{...}}.  The CRC covers the
-   canonical serialization of the entry member; the codec round-trips
-   its own output byte-for-byte, so verification re-serializes the
-   parsed member.  A v1 line is the bare entry object.  The v3 store
-   (a directory of segments, see {!Segstore}) keeps this exact line
-   format — v3 is a layout change, not a wire change. *)
-let line_to_json e =
-  let body = entry_to_json e in
-  let crc = Crc32.string (Json.to_string body) in
-  Json.Obj
-    [
-      ("v", Json.Num (float_of_int format_version));
-      ("crc", Json.Str (Crc32.to_hex crc));
-      ("entry", body);
-    ]
+   bytes of the entry member as written, which are its canonical
+   serialization: the writer renders the body once, hashes it and puts
+   the fixed wrapper around it.  A v1 line is the bare entry object.
+   The v3 store (a directory of segments, see {!Segstore}) keeps this
+   exact line format — v3 is a layout change, not a wire change. *)
+let line_prefix = Printf.sprintf {|{"v":%d,"crc":"|} format_version
+let entry_key = {|","entry":|}
+let crc_at = String.length line_prefix
+let body_at = crc_at + 8 + String.length entry_key
 
+let render e =
+  let body = Json.to_string (entry_to_json e) in
+  let n = String.length body in
+  let line = Bytes.create (body_at + n + 2) in
+  Bytes.blit_string line_prefix 0 line 0 crc_at;
+  Bytes.blit_string (Crc32.to_hex (Crc32.string body)) 0 line crc_at 8;
+  Bytes.blit_string entry_key 0 line (crc_at + 8) (String.length entry_key);
+  Bytes.blit_string body 0 line body_at n;
+  Bytes.set line (body_at + n) '}';
+  Bytes.set line (body_at + n + 1) '\n';
+  Bytes.unsafe_to_string line
+
+(* The canonical check, for any line the fast path below does not
+   take: parse the whole line and hash the re-serialized entry member.
+   It accepts v1 lines and v2 lines laid out by other writers. *)
 let entry_of_line j =
   match Json.member "v" j with
   | None -> entry_of_json j
@@ -204,7 +211,56 @@ let entry_of_line j =
     | Some f -> Error (Printf.sprintf "unsupported journal line version %g" f)
     | None -> Error "ill-typed field \"v\"")
 
-let entry_of_string line = Result.bind (Json.of_string line) entry_of_line
+let has_at line off key =
+  let rec go i =
+    i = String.length key || (line.[off + i] = key.[i] && go (i + 1))
+  in
+  go 0
+
+(* The decoder reads the escapes \u0080-\u00ff as UTF-8, not as the raw
+   byte the encoder escaped, so a body holding one does not survive the
+   canonical check (parse, serialize, hash): leave it to that check. *)
+let escapes_high_byte line off len =
+  let rec go i =
+    i + 5 < off + len
+    && ((line.[i] = '\\' && line.[i + 1] = 'u' && line.[i + 2] = '0'
+         && line.[i + 3] = '0'
+         && match line.[i + 4] with '8' .. '9' | 'a' .. 'f' -> true | _ -> false)
+       || go (i + 1))
+  in
+  go off
+
+(* Fast path: a line in exactly {!render}'s layout (newline stripped)
+   whose CRC matches its raw entry bytes; only those bytes are parsed. *)
+let rendered_entry line =
+  let len = String.length line in
+  let body_len = len - body_at - 1 in
+  if
+    body_len > 0
+    && has_at line 0 line_prefix
+    && has_at line (crc_at + 8) entry_key
+    && line.[len - 1] = '}'
+    && Crc32.of_hex (String.sub line crc_at 8) = Some (Crc32.sub line body_at body_len)
+    && not (escapes_high_byte line body_at body_len)
+  then
+    match Json.of_string (String.sub line body_at body_len) with
+    | Ok body -> Result.to_option (entry_of_json body)
+    | Error _ -> None
+  else None
+
+type line_verdict = Blank | Torn | Corrupt | Valid of entry
+
+(* A blank line is harmless.  Torn = not even JSON (the truncated-write
+   shape); corrupt = parses as JSON but fails CRC or decoding. *)
+let decode_line line =
+  if String.trim line = "" then Blank
+  else
+    match rendered_entry line with
+    | Some e -> Valid e
+    | None -> (
+      match Json.of_string line with
+      | Error _ -> Torn
+      | Ok j -> ( match entry_of_line j with Ok e -> Valid e | Error _ -> Corrupt))
 
 let is_store = Segstore.is_store
 
@@ -216,15 +272,10 @@ let is_store = Segstore.is_store
 let reads_as_store path =
   is_store path || (Sys.file_exists path && Sys.is_directory path)
 
-let load_lines lines =
-  List.filter_map
-    (fun line ->
-      if String.trim line = "" then None
-      else match entry_of_string line with Ok e -> Some e | Error _ -> None)
-    lines
+let verified line = match decode_line line with Valid e -> Some e | _ -> None
 
 let load path =
-  if reads_as_store path then load_lines (Segstore.read_lines path)
+  if reads_as_store path then List.filter_map verified (Segstore.read_lines path)
   else
     match open_in_bin path with
     | exception Sys_error _ -> []
@@ -236,14 +287,8 @@ let load path =
             match input_line ic with
             | exception End_of_file -> List.rev acc
             | line ->
-              let acc =
-                if String.trim line = "" then acc
-                else
-                  match entry_of_string line with
-                  | Ok e -> e :: acc
-                  | Error _ -> acc (* torn, corrupt or foreign line: tolerate *)
-              in
-              lines acc
+              (* torn, corrupt or foreign lines are tolerated *)
+              lines (match verified line with Some e -> e :: acc | None -> acc)
           in
           lines [])
 
@@ -260,13 +305,22 @@ let read_text path =
 
 (* ---- writing ---- *)
 
-type writer =
-  | Single of { file : Diskchaos.file; lock : Mutex.t; path : string }
-  | Store of { store : Segstore.t; path : string }
+type sink = File of Diskchaos.file | Segments of Segstore.t
 
-let writer_path = function Single s -> s.path | Store s -> s.path
+type writer = {
+  path : string;
+  sink : sink;
+  fresh_file : bool;
+      (* a single file this writer truncated: it holds exactly the
+         lines appended through it *)
+  lock : Mutex.t;  (* one line at a time into a file *)
+  appended : (entry * string) list Atomic.t;  (* newest first *)
+}
 
 let open_append ?(fresh = false) ?segment_bytes ?io path =
+  let writer ?(fresh_file = false) sink =
+    { path; sink; fresh_file; lock = Mutex.create (); appended = Atomic.make [] }
+  in
   faultable path (fun () ->
       match segment_bytes with
       | Some sb ->
@@ -277,10 +331,10 @@ let open_append ?(fresh = false) ?segment_bytes ?io path =
               ^ ": exists as a single-file journal; a segmented \
                  (--segment-bytes) journal is a directory — remove the file \
                  or choose another path"));
-        Store { store = Segstore.create ?io ~fresh ~segment_bytes:sb path; path }
+        writer (Segments (Segstore.create ?io ~fresh ~segment_bytes:sb path))
       | None ->
         if Segstore.is_store path then
-          Store { store = Segstore.create ?io ~fresh path; path }
+          writer (Segments (Segstore.create ?io ~fresh path))
         else if Sys.file_exists path && Sys.is_directory path then
           raise
             (Sys_error
@@ -289,45 +343,78 @@ let open_append ?(fresh = false) ?segment_bytes ?io path =
                  to write a segmented v3 store there)"))
         else
           let io = Option.value io ~default:Diskchaos.real in
-          Single
-            { file = io.open_file ~append:(not fresh) path;
-              lock = Mutex.create (); path })
+          writer ~fresh_file:fresh (File (io.open_file ~append:(not fresh) path)))
 
+let locked m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+
+(* Lock-free, so a store's domains share no lock on the data path. *)
+let rec remember w appended =
+  let before = Atomic.get w.appended in
+  if not (Atomic.compare_and_set w.appended before (appended :: before)) then
+    remember w appended
+
+(* One write and one flush per line: Diskchaos draws a fault per write.
+   A file's lines are remembered under its lock, in the order they were
+   written, which is what lets the checkpoint leave the file as it is. *)
 let append w e =
-  let line = Json.to_string (line_to_json e) in
-  faultable (writer_path w) (fun () ->
-      match w with
-      | Single s ->
-        Mutex.lock s.lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock s.lock)
-          (fun () ->
-            s.file.write (line ^ "\n");
-            s.file.flush ())
-      | Store s -> Segstore.append_line s.store line)
+  let line = render e in
+  faultable w.path (fun () ->
+      match w.sink with
+      | File f ->
+        locked w.lock (fun () ->
+            f.write line;
+            f.flush ();
+            remember w (e, line))
+      | Segments store ->
+        Segstore.append_line store line;
+        remember w (e, line))
 
 (* Best-effort: the writer is closed in cleanup paths where a raise
    would mask the original failure; unsynced damage is fsck's job. *)
-let close = function
-  | Single s -> s.file.close ()
-  | Store s -> ( try Segstore.close s.store with _ -> ())
+let close w =
+  match w.sink with
+  | File f -> f.close ()
+  | Segments s -> ( try Segstore.close s with _ -> ())
 
-let checkpoint ?io ?segment_bytes path entries =
-  let lines = List.map (fun e -> Json.to_string (line_to_json e)) entries in
-  faultable path (fun () ->
-      if is_store path || segment_bytes <> None then
-        Segstore.checkpoint ?io ?segment_bytes path lines
-      else begin
-        let io = Option.value io ~default:Diskchaos.real in
-        let tmp = path ^ ".tmp" in
-        let f = io.open_file ~append:false tmp in
-        Fun.protect
-          ~finally:(fun () -> f.close ())
-          (fun () ->
-            List.iter (fun line -> f.write (line ^ "\n")) lines;
-            f.flush ());
-        io.rename tmp path
-      end)
+let checkpoint ?io ?segment_bytes ?writer path entries =
+  let appended =
+    match writer with Some w -> List.rev (Atomic.get w.appended) | None -> []
+  in
+  let final =
+    match writer with
+    | Some w ->
+      w.fresh_file && w.path = path
+      && List.compare_lengths appended entries = 0
+      && List.for_all2 (fun (a, _) e -> a == e) appended entries
+    | None -> false
+  in
+  if not final then begin
+    (* reorder the lines already rendered (equal entries render equal
+       lines); render only the rest, the entries a resumed campaign
+       took from the old journal *)
+    let rendered = Hashtbl.create (List.length appended) in
+    List.iter (fun (e, line) -> Hashtbl.replace rendered e line) appended;
+    let line_of e =
+      match Hashtbl.find_opt rendered e with Some line -> line | None -> render e
+    in
+    let lines = List.map line_of entries in
+    faultable path (fun () ->
+        if is_store path || segment_bytes <> None then
+          Segstore.checkpoint ?io ?segment_bytes path lines
+        else begin
+          let io = Option.value io ~default:Diskchaos.real in
+          let tmp = path ^ ".tmp" in
+          let f = io.open_file ~append:false tmp in
+          Fun.protect
+            ~finally:(fun () -> f.close ())
+            (fun () ->
+              List.iter f.write lines;
+              f.flush ());
+          io.rename tmp path
+        end)
+  end
 
 (* ---- fsck ---- *)
 
@@ -339,16 +426,6 @@ type fsck_report = {
 }
 
 let clean r = r.torn = 0 && r.corrupt = 0
-
-(* A blank line is harmless: it extends the valid prefix but counts as
-   no entry.  Torn = not even JSON (the truncated-write shape); corrupt
-   = parses as JSON but fails CRC or decoding. *)
-let classify_line line =
-  if String.trim line = "" then `Blank
-  else
-    match Json.of_string line with
-    | Error _ -> `Torn
-    | Ok j -> ( match entry_of_line j with Ok _ -> `Valid | Error _ -> `Corrupt)
 
 let fsck_text data =
   let len = String.length data in
@@ -362,17 +439,18 @@ let fsck_text data =
       in
       let line = String.sub data pos (nl - pos) in
       let line_end = if nl >= len then len else nl + 1 in
-      match classify_line line with
-      | `Blank ->
+      (* a blank line extends the valid prefix but counts as no entry *)
+      match decode_line line with
+      | Blank ->
         loop line_end valid torn corrupt
           (if prefix_ok then line_end else prefix)
           prefix_ok
-      | `Valid ->
+      | Valid _ ->
         loop line_end (valid + 1) torn corrupt
           (if prefix_ok then line_end else prefix)
           prefix_ok
-      | `Torn -> loop line_end valid (torn + 1) corrupt prefix false
-      | `Corrupt -> loop line_end valid torn (corrupt + 1) prefix false
+      | Torn -> loop line_end valid (torn + 1) corrupt prefix false
+      | Corrupt -> loop line_end valid torn (corrupt + 1) prefix false
   in
   loop 0 0 0 0 0 true
 

@@ -13,10 +13,16 @@
      "ms":0.41,"attempts":1,"desc":"omission of ..."}}
     v}
 
-    The CRC covers the canonical serialization of the ["entry"] member.
-    Version-1 journals (the bare entry object, no wrapper) still load.
-    [seed] is the per-scenario RNG seed as a decimal [int64] string
-    (JSON numbers cannot carry 64 bits losslessly).
+    The CRC covers the bytes of the ["entry"] member as written, which
+    are its canonical serialization: {!render} serializes the entry
+    once, hashes those bytes and puts the fixed wrapper around them,
+    and readers check the CRC over the same bytes in place.  A line in
+    any other layout (another writer's whitespace or key order) is
+    checked the canonical way instead: parsed, the member re-serialized
+    and hashed.  Version-1 journals (the bare entry object, no
+    wrapper) still load.  [seed] is the per-scenario RNG seed as a
+    decimal [int64] string (JSON numbers cannot carry 64 bits
+    losslessly).
 
     Format v2.1 (the observability layer, doc/obsv.md) added one
     optional field: ["phase":{"generate":0.02,…}] records per-phase
@@ -75,8 +81,24 @@ val entry_of_json : Conferr_obsv.Json.t -> (entry, string) result
 (** Decode a bare (v1-style) entry object; [attempts] defaults to 1 and
     [votes] to [[]] when absent. *)
 
-val entry_of_string : string -> (entry, string) result
-(** Decode one journal line, v2 (wrapper, CRC verified) or v1 (bare). *)
+val render : entry -> string
+(** The entry's v2 line, newline included: one serialization of the
+    entry, its CRC, the wrapper.  What {!append} writes and the
+    closing {!checkpoint} reuses. *)
+
+type line_verdict =
+  | Blank          (** whitespace only: no entry *)
+  | Torn           (** not even JSON — a truncated write *)
+  | Corrupt        (** JSON, but fails its CRC or entry decoding *)
+  | Valid of entry
+
+val decode_line : string -> line_verdict
+(** Classify one line (newline stripped) — what {!load}, {!fsck} and
+    {!survey} all go through.  A line in {!render}'s exact layout has
+    its CRC checked over the raw ["entry"] bytes and only those bytes
+    parsed; any other line (v1, another writer's layout, one that
+    fails that check, or a body escaping a byte above 0x7f, which the
+    decoder reads back as UTF-8) gets the canonical check. *)
 
 val is_store : string -> bool
 (** The path is a v3 segmented store ({!Segstore.is_store}). *)
@@ -94,8 +116,9 @@ val read_text : string -> string
     journal route serves).  Missing path reads as [""]. *)
 
 type writer
-(** Append handle; internally serialized for a single file, lock-free
-    across domains for a v3 store (each domain owns a segment). *)
+(** Append handle; internally serialized for a single file, while on a
+    v3 store each domain appends to its own segment.  It keeps every
+    line it rendered, with its entry, for the closing {!checkpoint}. *)
 
 val open_append :
   ?fresh:bool ->
@@ -121,12 +144,23 @@ val close : writer -> unit
     {!fsck}'s job to find. *)
 
 val checkpoint :
-  ?io:Conferr_harden.Diskchaos.io -> ?segment_bytes:int -> string -> entry list -> unit
+  ?io:Conferr_harden.Diskchaos.io ->
+  ?segment_bytes:int ->
+  ?writer:writer ->
+  string ->
+  entry list ->
+  unit
 (** Atomically replace the journal with exactly [entries]
     (write-then-rename): compacts duplicate lines from resumed runs
     and guarantees readers never observe a torn file.  On a v3 store
     (or with [segment_bytes] set) the result is a single sealed
-    segment plus a manifest cut over atomically. *)
+    segment plus a manifest cut over atomically.
+
+    [writer] is the campaign's (closed) writer for [path].  Its lines
+    are reused rather than rendered again; only entries it did not
+    append are rendered.  When it opened [path] as a fresh single file
+    and appended exactly [entries], in order (jobs 1 without resume),
+    the file already holds those lines and is left as it is. *)
 
 val validate_path : ?segment_bytes:int -> string -> (unit, string) result
 (** Pre-flight check for CLI commands: would {!open_append} with these

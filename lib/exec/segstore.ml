@@ -4,7 +4,7 @@ module Diskchaos = Conferr_harden.Diskchaos
 let manifest_name = "MANIFEST.json"
 let default_segment_bytes = 1 lsl 20
 
-type sealed = { name : string; lines : int; bytes : int; crc : int32 }
+type sealed = { name : string; lines : int; bytes : int; crc : int }
 
 type manifest = {
   segment_bytes : int;
@@ -306,10 +306,9 @@ let rotate t w =
 let append_line t line =
   let w = writer_for t in
   locked w.wlock (fun () ->
-      let data = line ^ "\n" in
-      w.file.write data;
+      w.file.write line;
       w.file.flush ();
-      w.written <- w.written + String.length data;
+      w.written <- w.written + String.length line;
       if w.written >= t.man.segment_bytes then rotate t w)
 
 let close t =
@@ -356,7 +355,7 @@ let checkpoint ?(io = Diskchaos.real) ?segment_bytes dir lines =
   Fun.protect
     ~finally:(fun () -> f.close ())
     (fun () ->
-      List.iter (fun line -> f.write (line ^ "\n")) lines;
+      List.iter f.write lines;
       f.flush ());
   io.rename tmp path;
   (* The atomic cutover: before this rename the fresh segment is an

@@ -32,7 +32,7 @@ val manifest_name : string
 val default_segment_bytes : int
 (** 1 MiB — the rotation bound when none is configured. *)
 
-type sealed = { name : string; lines : int; bytes : int; crc : int32 }
+type sealed = { name : string; lines : int; bytes : int; crc : int }
 (** A sealed segment's manifest record; [crc] is the CRC-32 of the
     whole file, [lines] its newline count. *)
 
@@ -90,7 +90,7 @@ val create :
     writes go through [io] (default {!Conferr_harden.Diskchaos.real}). *)
 
 val append_line : t -> string -> unit
-(** Append one line (adding the newline) to the calling domain's open
+(** Append one line (newline included) to the calling domain's open
     segment, flushing it to the OS, and rotate the segment if it
     reached the bound.  Safe to call from any domain concurrently. *)
 
@@ -101,7 +101,7 @@ val close : t -> unit
 val checkpoint :
   ?io:Conferr_harden.Diskchaos.io -> ?segment_bytes:int -> string -> string list -> unit
 (** Atomically replace the store's logical content with exactly
-    [lines]: write them to one fresh segment (temp + rename), cut the
+    [lines] (each newline-terminated): write them to one fresh segment (temp + rename), cut the
     manifest over to it alone, then delete the old segments.  A crash
     before the manifest cutover leaves the new segment as an ignored
     orphan; after it, the stale old segments are the orphans —

@@ -10,26 +10,43 @@ type t =
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let hex_digits = "0123456789abcdef"
+
+(* Runs of bytes that need no escape are copied whole, so a plain
+   string costs one [Buffer.add_substring]. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when c < ' ' || c > '~' ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' || c > '~' then begin
+      Buffer.add_substring buf s !start (i - !start);
+      (match c with
+       | '"' -> Buffer.add_string buf "\\\""
+       | '\\' -> Buffer.add_string buf "\\\\"
+       | '\n' -> Buffer.add_string buf "\\n"
+       | '\r' -> Buffer.add_string buf "\\r"
+       | '\t' -> Buffer.add_string buf "\\t"
+       | c ->
+         Buffer.add_string buf "\\u00";
+         Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+         Buffer.add_char buf hex_digits.[Char.code c land 0xF]);
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (n - !start);
   Buffer.add_char buf '"'
 
+(* The C formatter behind [Printf]'s "%g", without its interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Integral values below 1e15 print as integers ("%.0f", which keeps
+   the sign of -0); everything else round-trips through "%.17g". *)
 let number_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+    if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f)
+  else format_float "%.17g" f
 
 let rec encode buf = function
   | Null -> Buffer.add_string buf "null"

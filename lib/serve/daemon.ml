@@ -59,6 +59,23 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
+(* The id after the highest [cNNNN.jsonl] or [cNNNN.v3] journal already
+   in [dir], so a restarted daemon never truncates an old campaign's
+   journal. *)
+let next_free_id dir =
+  let number name =
+    let stem = Filename.remove_extension name in
+    match Filename.extension name with
+    | (".jsonl" | ".v3") when String.length stem > 1 && stem.[0] = 'c' ->
+      int_of_string_opt (String.sub stem 1 (String.length stem - 1))
+    | _ -> None
+  in
+  Array.fold_left
+    (fun next name ->
+      match number name with Some k when k >= 0 -> max next (k + 1) | _ -> next)
+    1
+    (try Sys.readdir dir with Sys_error _ -> [||])
+
 let create ?(jobs = 1) ?(max_campaigns = 4) ?segment_bytes
     ?(journal_io = fun _ -> None) ~state_dir () =
   mkdir_p state_dir;
@@ -84,7 +101,7 @@ let create ?(jobs = 1) ?(max_campaigns = 4) ?segment_bytes
     journal_io;
     disk_faults = 0;
     campaigns = [];
-    next_id = 1;
+    next_id = next_free_id state_dir;
     draining = false;
     threads = [];
   }

@@ -26,9 +26,12 @@ val create :
   unit ->
   t
 (** Start the pool ([jobs] worker domains, default 1) and create
-    [state_dir] if needed.  [max_campaigns] (default 4) bounds the
-    campaigns that may be queued or running at once — the submission
-    queue whose overflow {!handle} answers with 429.
+    [state_dir] if needed.  Campaign ids continue after the highest
+    [cNNNN.jsonl] or [cNNNN.v3] journal already in [state_dir], so a
+    daemon restarted there never truncates an old journal (it does not
+    list or resume the old campaigns).  [max_campaigns] (default 4)
+    bounds the campaigns that may be queued or running at once — the
+    submission queue whose overflow {!handle} answers with 429.
 
     [segment_bytes] makes every campaign journal a v3 segmented store
     ([<id>.v3] directories instead of [<id>.jsonl] files, doc/exec.md).

@@ -1,0 +1,72 @@
+(* Allocation budgets, in a process of its own.  Words allocated per
+   scenario are exact for a given build, where wall-clock ratios on a
+   shared host are not, so they can gate tier-1.
+
+   The journal's budget: what a v2 journal adds to [Executor.run_from]
+   over a bare run, in words per scenario (minor plus directly-major
+   allocations), on the seed-42 paper faultload at jobs 1. *)
+
+module Executor = Conferr_exec.Executor
+
+let journal_budget = 400
+
+let suts = [ Suts.Mini_pg.sut; Suts.Mini_mysql.sut; Suts.Mini_appserver.sut ]
+
+(* Words allocated by the calling domain so far: the minor heap
+   ([Gc.minor_words] counts the current minor heap exactly, where
+   [Gc.counters] lags until the next collection) plus what went straight
+   to the major heap (promotions are not new allocations). *)
+let words () =
+  let s = Gc.quick_stat () in
+  Gc.minor_words () +. (s.Gc.major_words -. s.Gc.promoted_words)
+
+let allocated f =
+  let before = words () in
+  f ();
+  words () -. before
+
+let test_journal_budget () =
+  List.iter
+    (fun (sut : Suts.Sut.t) ->
+      let base =
+        match Conferr.Engine.parse_default_config sut with
+        | Ok base -> base
+        | Error msg -> Alcotest.failf "%s: %s" sut.sut_name msg
+      in
+      let scenarios =
+        Conferr.Campaign.typo_scenarios ~rng:(Conferr_util.Rng.create 42)
+          ~faultload:Conferr.Campaign.paper_faultload sut base
+      in
+      let path = Filename.temp_file "conferr_budget" ".jsonl" in
+      let run journal_path () =
+        ignore
+          (Executor.run_from
+             ~settings:{ Executor.default_settings with journal_path }
+             ~on_event:ignore ~sut ~base ~scenarios ())
+      in
+      (* the first runs pay for one-time initialisation; then the least
+         of three, against stray allocation *)
+      run None ();
+      run (Some path) ();
+      let least f = List.fold_left Float.min infinity (List.init 3 (fun _ -> allocated f)) in
+      let bare = least (run None) in
+      let journaled = least (run (Some path)) in
+      Sys.remove path;
+      let n = float_of_int (List.length scenarios) in
+      let per_scenario = (journaled -. bare) /. n in
+      Printf.printf "%s: %d scenarios, bare %.0f words/scenario, journal adds %.0f\n%!"
+        sut.sut_name (List.length scenarios) (bare /. n) per_scenario;
+      if per_scenario > float_of_int journal_budget then
+        Alcotest.failf "%s: the v2 journal adds %.0f words per scenario, budget %d"
+          sut.sut_name per_scenario journal_budget)
+    suts
+
+let () =
+  Alcotest.run "budget"
+    [
+      ( "allocation",
+        [
+          Alcotest.test_case "journal words per scenario within budget" `Quick
+            test_journal_budget;
+        ] );
+    ]

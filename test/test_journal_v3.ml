@@ -381,6 +381,102 @@ let test_campaign_durability () =
       rm_rf dir)
     Diskchaos.all_faults
 
+(* The same contract for the single-file v2 writer at jobs 1, whose
+   close leaves the appended file as it is instead of rewriting it. *)
+let test_campaign_durability_v2 () =
+  let base = campaign_base () in
+  let scenarios = campaign_scenarios ~limit:60 base in
+  let total = List.length scenarios in
+  List.iter
+    (fun fault ->
+      let label = "v2 " ^ Diskchaos.fault_label fault in
+      let path = Filename.temp_file "conferr_v2_test" ".jsonl" in
+      let io, st = chaos_io ~seed:99 ~rate:0.15 [ fault ] in
+      (try ignore (run_campaign ~journal_io:io ~jobs:1 path scenarios)
+       with Journal.Fault _ -> ());
+      Alcotest.(check bool) (label ^ ": faults were injected") true
+        (Diskchaos.injected st > 0);
+      let damaged = not (Journal.clean (Journal.fsck path)) in
+      ignore (Journal.survey ~repair:true path);
+      Alcotest.(check bool) (label ^ ": fsck --repair leaves a clean journal")
+        true
+        (Journal.survey_clean (Journal.survey path));
+      let durable = ids (Journal.load path) in
+      if fault = Diskchaos.Torn_write then
+        Alcotest.(check bool) (label ^ ": the torn lines stayed for fsck") true damaged;
+      Alcotest.(check int) (label ^ ": no scenario journaled twice")
+        (List.length durable)
+        (List.length (List.sort_uniq compare durable));
+      let _, snap = run_campaign ~resume:true ~jobs:1 path scenarios in
+      Alcotest.(check int) (label ^ ": resume re-executes zero durable scenarios")
+        (total - List.length durable)
+        snap.Progress.finished;
+      Alcotest.(check (list string))
+        (label ^ ": every scenario journaled exactly once")
+        (List.map (fun (s : Errgen.Scenario.t) -> s.id) scenarios)
+        (ids (Journal.load path));
+      Sys.remove path)
+    Diskchaos.all_faults
+
+(* The journal with its wall-clock field and CRC masked. *)
+let masked_lines path =
+  let crc_at = String.length {|{"v":2,"crc":"|} in
+  let ms_key = {|,"ms":|} in
+  let find s key =
+    let n = String.length key in
+    let rec go i =
+      if i + n > String.length s then None
+      else if String.sub s i n = key then Some i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let after s i = String.sub s i (String.length s - i) in
+  List.map
+    (fun line ->
+      let line = String.sub line 0 crc_at ^ "xxxxxxxx" ^ after line (crc_at + 8) in
+      match find line ms_key with
+      | None -> line
+      | Some i ->
+        let stop = String.index_from line (i + String.length ms_key) ',' in
+        String.sub line 0 i ^ ms_key ^ "0" ^ after line stop)
+    (List.filter (( <> ) "") (String.split_on_char '\n' (read_file path)))
+
+(* At jobs 1 without resume the appended file already is the final
+   journal: close renames nothing onto it.  Masked, it is the journal a
+   jobs-2 run of the same campaign checkpoints. *)
+let test_jobs1_close_keeps_file () =
+  let base = campaign_base () in
+  let scenarios = campaign_scenarios base in
+  let path = Filename.temp_file "conferr_v2_test" ".jsonl" in
+  let opened = ref None and renames = ref 0 in
+  let io =
+    {
+      Diskchaos.real with
+      open_file =
+        (fun ~append p ->
+          let f = Diskchaos.real.open_file ~append p in
+          if p = path then opened := Some (Unix.stat p).Unix.st_ino;
+          f);
+      rename =
+        (fun a b ->
+          incr renames;
+          Diskchaos.real.rename a b);
+    }
+  in
+  ignore (run_campaign ~journal_io:io ~jobs:1 path scenarios);
+  Alcotest.(check int) "no rename at close" 0 !renames;
+  Alcotest.(check (option int)) "the closed journal is the file the writer opened"
+    !opened (Some (Unix.stat path).Unix.st_ino);
+  Alcotest.(check int) "one line per scenario" (List.length scenarios)
+    (List.length (masked_lines path));
+  let par = Filename.temp_file "conferr_v2_test" ".jsonl" in
+  ignore (run_campaign ~jobs:2 par scenarios);
+  Alcotest.(check (list string)) "masked, it equals the jobs-2 journal"
+    (masked_lines par) (masked_lines path);
+  Sys.remove path;
+  Sys.remove par
+
 (* -------------------------------------------------------------- *)
 (* (g) serve: a faulting campaign degrades alone                   *)
 (* -------------------------------------------------------------- *)
@@ -547,6 +643,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_kill_anywhere;
     Alcotest.test_case "v3: seeded fault campaigns stay durable" `Slow
       test_campaign_durability;
+    Alcotest.test_case "v2: seeded fault campaigns at jobs 1 stay durable" `Slow
+      test_campaign_durability_v2;
+    Alcotest.test_case "v2: jobs 1 closes without rewriting the journal" `Quick
+      test_jobs1_close_keeps_file;
     Alcotest.test_case "serve: journal fault degrades one campaign" `Slow
       test_serve_fault_isolation;
     Alcotest.test_case "v3: journal path validation" `Quick test_validate_path;

@@ -373,6 +373,29 @@ let test_daemon_determinism () =
     (normalize_entries oneshot) (normalize_entries journal);
   Daemon.drain daemon
 
+let read_file path =
+  In_channel.with_open_bin path In_channel.input_all
+
+(* A daemon restarted on the same state dir continues the id sequence:
+   its first campaign must not reuse c0001 and truncate that journal. *)
+let test_daemon_restart_keeps_journals () =
+  let state_dir = temp_dir () in
+  let first = Daemon.create ~jobs:1 ~state_dir () in
+  let c1 = submit_pg first in
+  Daemon.wait first c1;
+  Daemon.drain first;
+  Alcotest.(check string) "first daemon's id" "c0001" (Daemon.campaign_id c1);
+  let old_journal = Filename.concat state_dir "c0001.jsonl" in
+  let before = read_file old_journal in
+  let second = Daemon.create ~jobs:1 ~state_dir () in
+  let c2 = submit_pg second in
+  Daemon.wait second c2;
+  Daemon.drain second;
+  Alcotest.(check string) "restarted daemon continues the sequence" "c0002"
+    (Daemon.campaign_id c2);
+  Alcotest.(check bool) "the old journal is untouched" true
+    (before = read_file old_journal)
+
 let test_daemon_concurrent_campaigns () =
   let daemon = Daemon.create ~jobs:1 ~state_dir:(temp_dir ()) () in
   let c1 = submit_pg daemon in
@@ -617,4 +640,6 @@ let suite =
     Alcotest.test_case "cli: --jobs grammar" `Quick test_parse_jobs;
     Alcotest.test_case "policy: json codec" `Quick test_policy_roundtrip;
     Alcotest.test_case "progress: event json tags" `Quick test_event_to_json;
+    Alcotest.test_case "daemon: a restart never truncates a journal" `Quick
+      test_daemon_restart_keeps_journals;
   ]
