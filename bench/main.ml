@@ -404,16 +404,18 @@ let print_adaptive_discovery () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Lint throughput: Checker.run over each SUT's stock configuration    *)
+(* Lint throughput: Checker.run over stock sets and faultload mutants   *)
 (* ------------------------------------------------------------------ *)
 
 (* The gap scan (conferr gaps) lints every mutant of a campaign, so the
    static checker sits on an O(scenarios) path; this section times
    Checker.run over each SUT's parsed stock configuration set (best of
-   3 loops of 100 runs) so rule-set growth shows up as a measured
-   regression.  doc/lint.md points here. *)
+   3 loops of 100 runs) and over every mutant of its seed-42 paper
+   faultload, built by apply, serialize and parse as gaps builds it
+   (best of 3 passes).  A stock set has no unknown name, so only the
+   mutants reach the did-you-mean path.  doc/lint.md points here. *)
 let print_lint_throughput () =
-  print_endline "=== Lint throughput (stock configuration sets) ===\n";
+  print_endline "=== Lint throughput (stock sets and seed-42 mutants) ===\n";
   let rows = ref [] in
   List.iter
     (fun (name, sut) ->
@@ -427,23 +429,42 @@ let print_lint_throughput () =
         | Some rules -> rules
         | None -> failwith ("no rule set for " ^ name)
       in
-      let nearest = Conferr.Suggest.nearest in
-      let runs = 100 in
-      let loop () =
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to runs do
-          ignore (Conferr_lint.Checker.run ~nearest ~rules base)
-        done;
-        Unix.gettimeofday () -. t0
+      let mutants =
+        Conferr.Faultload.journal_scenarios ~seed sut base
+        |> List.filter_map (fun (sc : Errgen.Scenario.t) ->
+               match sc.apply base with
+               | Error _ -> None
+               | Ok mutated -> (
+                 match Conferr.Engine.serialize_config sut mutated with
+                 | Error _ -> None
+                 | Ok files -> Result.to_option (Conferr.Engine.parse_config sut files)))
       in
-      ignore (loop ());
-      let best = ref infinity in
-      for _ = 1 to 3 do
-        best := Float.min !best (loop ())
-      done;
-      let per_run_us = !best /. float_of_int runs *. 1e6 in
-      Printf.printf "  %-10s %2d rules  %8.1f us / check  %8.0f checks/s\n"
-        name (List.length rules) per_run_us (1e6 /. per_run_us);
+      let nearest = Conferr.Suggest.nearest in
+      let check set = ignore (Conferr_lint.Checker.run ~nearest ~rules set) in
+      (* best of 3 timed loops after a warm-up, in µs per check *)
+      let best_us ~checks loop =
+        ignore (loop ());
+        let best = ref infinity in
+        for _ = 1 to 3 do
+          let t0 = Unix.gettimeofday () in
+          loop ();
+          best := Float.min !best (Unix.gettimeofday () -. t0)
+        done;
+        !best /. float_of_int checks *. 1e6
+      in
+      let runs = 100 in
+      let per_run_us =
+        best_us ~checks:runs (fun () ->
+            for _ = 1 to runs do
+              check base
+            done)
+      in
+      let mutant_us =
+        best_us ~checks:(List.length mutants) (fun () -> List.iter check mutants)
+      in
+      Printf.printf
+        "  %-10s %2d rules  stock %8.1f us / check  %4d mutants %8.1f us / check\n"
+        name (List.length rules) per_run_us (List.length mutants) mutant_us;
       rows :=
         Json.Obj
           [
@@ -451,6 +472,8 @@ let print_lint_throughput () =
             ("rules", Json.Num (float_of_int (List.length rules)));
             ("us_per_check", Json.Num per_run_us);
             ("checks_per_sec", Json.Num (1e6 /. per_run_us));
+            ("mutants", Json.Num (float_of_int (List.length mutants)));
+            ("mutant_us_per_check", Json.Num mutant_us);
           ]
         :: !rows)
     [
@@ -465,6 +488,7 @@ let print_lint_throughput () =
     (Json.Obj
        [
          ("bench", Json.Str "lint-throughput");
+         ("seed", Json.Num (float_of_int seed));
          ("suts", Json.Arr (List.rev !rows));
        ]);
   print_newline ()

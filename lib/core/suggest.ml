@@ -2,13 +2,19 @@ module Strutil = Conferr_util.Strutil
 module Texttable = Conferr_util.Texttable
 
 let nearest ~vocabulary word =
+  let n = String.length word in
   List.fold_left
     (fun best candidate ->
-      let d = Strutil.damerau_levenshtein word candidate in
       match best with
-      | None -> Some (candidate, d)
-      | Some (b, bd) ->
-        if d < bd || (d = bd && candidate < b) then Some (candidate, d) else best)
+      (* the distance is at least the length difference: a candidate
+         that cannot tie the best so far is not measured *)
+      | Some (_, bd) when abs (String.length candidate - n) > bd -> best
+      | _ -> (
+        let d = Strutil.damerau_levenshtein word candidate in
+        match best with
+        | None -> Some (candidate, d)
+        | Some (b, bd) ->
+          if d < bd || (d = bd && candidate < b) then Some (candidate, d) else best))
     None vocabulary
 
 let suggestions ?(max_distance = 2) ~vocabulary word =

@@ -117,6 +117,8 @@ let tenant ?queue_cap ?max_active ?(name = "tenant") t =
 
 let tenant_name tn = tn.tname
 
+let tenants t = locked t (fun () -> List.map (fun tn -> tn.tname) t.ring)
+
 let submit tn task =
   let t = tn.sched in
   locked t (fun () ->
@@ -140,6 +142,18 @@ let cancel tn =
       Queue.clear tn.queue;
       Condition.broadcast t.idle;
       dropped)
+
+let retire tn =
+  let t = tn.sched in
+  locked t (fun () ->
+      tn.cancelled <- true;
+      Queue.clear tn.queue;
+      Condition.broadcast t.idle;
+      (* drain waits on the ring's running tasks: leave it only idle *)
+      while tn.active > 0 do
+        Condition.wait t.idle t.lock
+      done;
+      t.ring <- List.filter (fun x -> x != tn) t.ring)
 
 let wait tn =
   let t = tn.sched in

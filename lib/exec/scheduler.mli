@@ -43,6 +43,10 @@ val tenant : ?queue_cap:int -> ?max_active:int -> ?name:string -> t -> tenant
 
 val tenant_name : tenant -> string
 
+val tenants : t -> string list
+(** Names of the tenants in the ring — registered and not yet
+    {!retire}d — in the order the next scan visits them. *)
+
 val submit : tenant -> (unit -> unit) -> [ `Queued | `Rejected ]
 (** Enqueue one task.  [`Rejected] when the tenant's queue is full, the
     tenant was cancelled, or the scheduler is draining or shut down —
@@ -54,6 +58,13 @@ val pending : tenant -> int
 val cancel : tenant -> int
 (** Drop every queued task of this tenant (running ones finish) and
     refuse further submissions.  Returns the number of tasks dropped. *)
+
+val retire : tenant -> unit
+(** Take the tenant out of the ring for good: drop its queued tasks,
+    wait for its running ones to finish, and reject every later
+    submission.  A long-lived scheduler retires each tenant when its
+    work is over, so the ring (which every pick scans) holds only live
+    tenants.  Idempotent. *)
 
 val wait : tenant -> unit
 (** Block until the tenant has no queued and no running tasks.  If any

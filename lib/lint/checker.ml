@@ -3,12 +3,15 @@ module Config_set = Conftree.Config_set
 
 type nearest = vocabulary:string list -> string -> (string * int) option
 
-(* One traversal per file: every node with its path, the name of its
+(* One traversal per file: every node with its path, its name
+   lowercased (the canonical name under [Rule.lower], which most rules
+   use, made once per walk rather than once per rule), the name of its
    innermost enclosing section (lowercased, "" at top level) and the
    path of that section (scope key for duplicate detection). *)
 type site = {
   s_path : Conftree.Path.t;
   s_node : Node.t;
+  s_lower : string;
   s_section : string;
   s_scope : Conftree.Path.t;
 }
@@ -16,11 +19,12 @@ type site = {
 let collect root =
   let acc = ref [] in
   let rec go path section scope (node : Node.t) =
-    acc := { s_path = path; s_node = node; s_section = section; s_scope = scope } :: !acc;
+    let lower = String.lowercase_ascii node.name in
+    acc :=
+      { s_path = path; s_node = node; s_lower = lower; s_section = section; s_scope = scope }
+      :: !acc;
     let section, scope =
-      if node.kind = Node.kind_section then
-        (String.lowercase_ascii node.name, path)
-      else (section, scope)
+      if node.kind = Node.kind_section then (lower, path) else (section, scope)
     in
     List.iteri (fun i c -> go (path @ [ i ]) section scope c) node.children
   in
@@ -70,7 +74,16 @@ let finding_at ~rule ~file ~root ~path ?suggestion message =
   Finding.make ?suggestion ~rule_id:rule.Rule.id ~severity:rule.Rule.severity
     ~file ~root ~path message
 
-let eval_rule ?nearest set sites (rule : Rule.t) =
+(* The site walk is itself a view: computed once per checker call, and
+   only when some rule reads nodes directly. *)
+let sites_view = Rule.view (fun subject -> file_sites (Rule.config subject))
+
+(* A site's name under a rule's canonicalizer. *)
+let canonical canon s = if canon == Rule.lower then s.s_lower else canon s.s_node.Node.name
+
+let eval_rule ?nearest subject (rule : Rule.t) =
+  let set = Rule.config subject in
+  let sites () = Rule.read subject sites_view in
   let out = ref [] in
   let emit f = out := f :: !out in
   (match rule.body with
@@ -82,7 +95,7 @@ let eval_rule ?nearest set sites (rule : Rule.t) =
           (fun s ->
             if
               s.s_node.Node.kind = Node.kind_directive
-              && canon s.s_node.name = want
+              && canonical canon s = want
               && target_ok target ~file ~section:s.s_section
             then
               match s.s_node.value with
@@ -97,10 +110,10 @@ let eval_rule ?nearest set sites (rule : Rule.t) =
                 | Some m ->
                   emit (finding_at ~rule ~file ~root ~path:s.s_path m)))
           nodes)
-      sites
+      (sites ())
   | Required { target; file; name; canon } -> (
     let want = canon name in
-    match List.find_opt (fun (f, _, _) -> f = file) sites with
+    match List.find_opt (fun (f, _, _) -> f = file) (sites ()) with
     | None ->
       emit
         {
@@ -120,7 +133,7 @@ let eval_rule ?nearest set sites (rule : Rule.t) =
         List.exists
           (fun s ->
             s.s_node.Node.kind = Node.kind_directive
-            && canon s.s_node.name = want
+            && canonical canon s = want
             && target_ok target ~file ~section:s.s_section)
           nodes
       in
@@ -145,9 +158,9 @@ let eval_rule ?nearest set sites (rule : Rule.t) =
               s.s_node.Node.kind = Node.kind_directive
               && target_ok target ~file ~section:s.s_section
             then begin
-              let cname = canon s.s_node.name in
+              let cname = canonical canon s in
               let matched =
-                match wanted with None -> true | Some l -> List.mem cname l
+                match wanted with None -> true | Some l -> List.exists (String.equal cname) l
               in
               if matched then begin
                 let key = (s.s_scope, cname) in
@@ -172,7 +185,7 @@ let eval_rule ?nearest set sites (rule : Rule.t) =
                             cname n)))
                 occs)
           tbl)
-      sites
+      (sites ())
   | Unknown { target; kind; known; vocabulary; what } ->
     List.iter
       (fun (file, root, nodes) ->
@@ -196,7 +209,7 @@ let eval_rule ?nearest set sites (rule : Rule.t) =
                    (Printf.sprintf "unknown %s '%s'" what s.s_node.name))
             end)
           nodes)
-      sites
+      (sites ())
   | Implies { target; anchor; check; canon } ->
     List.iter
       (fun (file, root, nodes) ->
@@ -213,7 +226,7 @@ let eval_rule ?nearest set sites (rule : Rule.t) =
               let want = canon name in
               List.fold_left
                 (fun acc s ->
-                  if canon s.s_node.Node.name = want then
+                  if canonical canon s = want then
                     Some (Node.value_or ~default:"" s.s_node)
                   else acc)
                 None matched
@@ -228,7 +241,7 @@ let eval_rule ?nearest set sites (rule : Rule.t) =
                   let want = canon a in
                   match
                     List.find_opt
-                      (fun s -> canon s.s_node.Node.name = want)
+                      (fun s -> canonical canon s = want)
                       matched
                   with
                   | Some s -> s.s_path
@@ -237,7 +250,7 @@ let eval_rule ?nearest set sites (rule : Rule.t) =
               emit (finding_at ~rule ~file ~root ~path msg)
           end
         end)
-      sites
+      (sites ())
   | Reference { target; name; canon; what; exists } ->
     let want = canon name in
     List.iter
@@ -246,7 +259,7 @@ let eval_rule ?nearest set sites (rule : Rule.t) =
           (fun s ->
             if
               s.s_node.Node.kind = Node.kind_directive
-              && canon s.s_node.name = want
+              && canonical canon s = want
               && target_ok target ~file ~section:s.s_section
             then
               match s.s_node.value with
@@ -257,7 +270,7 @@ let eval_rule ?nearest set sites (rule : Rule.t) =
                     (finding_at ~rule ~file ~root ~path:s.s_path
                        (Printf.sprintf "dangling %s reference: '%s'" what v)))
           nodes)
-      sites
+      (sites ())
   | Relation { target; canon; op; lhs; rhs; describe; per_file; harvest } ->
     (* Ordered bindings within the evaluation scope: directives in
        document order (files in set order), then harvested
@@ -274,7 +287,7 @@ let eval_rule ?nearest set sites (rule : Rule.t) =
                 && target_ok target ~file ~section:s.s_section
               then
                 Some
-                  ( canon s.s_node.Node.name,
+                  ( canonical canon s,
                     (file, root, s.s_path, s.s_node.Node.value) )
               else None)
             nodes
@@ -360,8 +373,8 @@ let eval_rule ?nearest set sites (rule : Rule.t) =
         end
       end
     in
-    if per_file then List.iter (fun fr -> eval_scope (scope_bindings fr)) sites
-    else eval_scope (List.concat_map scope_bindings sites)
+    if per_file then List.iter (fun fr -> eval_scope (scope_bindings fr)) (sites ())
+    else eval_scope (List.concat_map scope_bindings (sites ()))
   | Check_set f ->
     List.iter
       (fun (raw : Rule.raw) ->
@@ -382,14 +395,24 @@ let eval_rule ?nearest set sites (rule : Rule.t) =
               suggestion = raw.raw_suggestion;
               related = [];
             })
-      (f set));
+      (f subject));
   List.rev !out
 
+(* Every rule against one subject, so each view of the set — the site
+   walk included — is computed at most once for the whole rule list. *)
+let eval_all ?nearest ~rules set =
+  let subject = Rule.subject set in
+  List.map (fun rule -> (rule, eval_rule ?nearest subject rule)) rules
+
 let run ?nearest ~rules set =
-  let sites = file_sites set in
-  let findings = List.concat_map (eval_rule ?nearest set sites) rules in
+  let findings = List.concat_map snd (eval_all ?nearest ~rules set) in
+  List.sort_uniq (Finding.compare ~file_order:(Config_set.names set)) findings
+
+let run_by_rule ?nearest ~rules set =
   let file_order = Config_set.names set in
-  List.sort_uniq (Finding.compare ~file_order) findings
+  List.map
+    (fun (rule, findings) -> (rule, List.sort_uniq (Finding.compare ~file_order) findings))
+    (eval_all ?nearest ~rules set)
 
 (* A rule set resolved once and reused across many configuration sets
    (the replay loop evaluates the same rules against every journal

@@ -17,7 +17,16 @@ val run :
   Finding.t list
 (** Evaluate every rule; the result is sorted and duplicate-free.
     Suggestions are attached to {!Rule.Unknown} findings when the
-    nearest vocabulary name is within edit distance 3. *)
+    nearest vocabulary name is within edit distance 3.  One call walks
+    the set once: the node walk and every {!Rule.view} the rules read
+    are computed at most once per call, and by no later call. *)
+
+val run_by_rule :
+  ?nearest:nearest -> rules:Rule.t list -> Conftree.Config_set.t ->
+  (Rule.t * Finding.t list) list
+(** Each rule, in list order, with its own findings — exactly what
+    [run ~rules:[rule]] returns for it — from one walk of the set, as
+    in {!run}. *)
 
 type prepared
 (** A rule set resolved once for evaluation against many configuration

@@ -200,4 +200,5 @@ let taint_raws ~specs ~canon set =
   |> List.rev
 
 let taint_rule ?(id = "DF-TAINT") ?(severity = Finding.Info) ~canon ~specs doc =
-  Rule.make ~id ~severity ~doc (Rule.Check_set (taint_raws ~specs ~canon))
+  Rule.make ~id ~severity ~doc
+    (Rule.Check_set (fun subject -> taint_raws ~specs ~canon (Rule.config subject)))

@@ -64,7 +64,8 @@ let summarize g =
 let dangling_rule ~id ~severity ~doc edges_of =
   Rule.make ~id ~severity ~doc
     (Rule.Check_set
-       (fun set ->
+       (fun subject ->
+         let set = Rule.config subject in
          let g = build set (edges_of set) in
          List.map
            (fun e ->
@@ -83,7 +84,8 @@ let dangling_rule ~id ~severity ~doc edges_of =
 let cycle_rule ~id ~severity ~doc edges_of =
   Rule.make ~id ~severity ~doc
     (Rule.Check_set
-       (fun set ->
+       (fun subject ->
+         let set = Rule.config subject in
          let g = build set (edges_of set) in
          List.map
            (fun cycle ->

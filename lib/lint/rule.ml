@@ -72,6 +72,33 @@ let term ?(coeff = 1) ?(unit_label = "count") ?(masked = fun _ -> false)
     t_masked = masked;
   }
 
+(* A view's value sits next to its type witness, so one list holds the
+   views of every type. *)
+type computed = Computed : 'a Type.Id.t * 'a -> computed
+
+type subject = { config : Conftree.Config_set.t; mutable computed : computed list }
+
+type 'a view = { v_id : 'a Type.Id.t; v_compute : subject -> 'a }
+
+let subject config = { config; computed = [] }
+let config s = s.config
+let view compute = { v_id = Type.Id.make (); v_compute = compute }
+
+let read (type a) s (v : a view) : a =
+  let rec find : computed list -> a option = function
+    | [] -> None
+    | Computed (id, x) :: rest -> (
+      match Type.Id.provably_equal id v.v_id with
+      | Some Type.Equal -> Some x
+      | None -> find rest)
+  in
+  match find s.computed with
+  | Some x -> x
+  | None ->
+    let x = v.v_compute s in
+    s.computed <- Computed (v.v_id, x) :: s.computed;
+    x
+
 type body =
   | Value of {
       target : target;
@@ -123,7 +150,7 @@ type body =
         (string -> Conftree.Node.t -> (string * Conftree.Path.t * string) list)
         option;
     }
-  | Check_set of (Conftree.Config_set.t -> raw list)
+  | Check_set of (subject -> raw list)
 
 type claim = Agreement | Gap | Unspecified
 

@@ -79,6 +79,30 @@ val term :
   ?coeff:int -> ?unit_label:string -> ?masked:(string -> bool) ->
   read:(string -> int option) -> default:int -> string -> term
 
+(** The configuration set one {!Checker} call evaluates, together with
+    the views computed over it so far. *)
+type subject
+
+val subject : Conftree.Config_set.t -> subject
+(** A subject with no view computed yet. *)
+
+val config : subject -> Conftree.Config_set.t
+
+(** An analysis of a whole configuration set that several
+    {!body.Check_set} rules read: a simulator's startup walk, a decoded
+    zone, a resolved section.  Its value is computed at most once per
+    subject, by the first rule that reads it, and lives as long as that
+    subject — that is, one checker call.  Nothing is cached across calls
+    or shared between domains. *)
+type 'a view
+
+val view : (subject -> 'a) -> 'a view
+(** [view compute]; [compute] may read other views of the same
+    subject. *)
+
+val read : subject -> 'a view -> 'a
+(** The view's value for this subject, computing it on first read. *)
+
 type body =
   | Value of {
       target : target;
@@ -149,8 +173,10 @@ type body =
       (** linear/ordering constraint between directives, checked
           statically: violated when [lhs op rhs] is false under the
           values the SUT would actually run with *)
-  | Check_set of (Conftree.Config_set.t -> raw list)
-      (** whole-set analysis; used for cross-file and semantic rules *)
+  | Check_set of (subject -> raw list)
+      (** whole-set analysis; used for cross-file and semantic rules.
+          Rules that need the same analysis of the set read it through
+          one {!view}. *)
 
 (** What a rule asserts about the SUT's own validator: [Agreement]
     mirrors a check the validator performs itself (a violation is

@@ -16,10 +16,8 @@ let default_nearest ~vocabulary word = Conferr.Suggest.nearest ~vocabulary word
 
 let typed_findings ?(nearest = default_nearest) ~rules set =
   List.concat_map
-    (fun rule ->
-      Checker.run ~nearest ~rules:[ rule ] set
-      |> List.map (fun finding -> (rule, finding)))
-    rules
+    (fun (rule, findings) -> List.map (fun finding -> (rule, finding)) findings)
+    (Checker.run_by_rule ~nearest ~rules set)
 
 (* ------------------------------------------------------------------ *)
 (* Tree lookups shared by the generators. *)
@@ -311,8 +309,7 @@ let dedup cands =
     [] cands
   |> List.rev
 
-let candidates ?(nearest = default_nearest) ~sut:_ ~rules ~stock ~broken () =
-  let findings = typed_findings ~nearest ~rules broken in
+let candidates ?(nearest = default_nearest) ~findings ~stock ~broken () =
   let from_findings =
     List.concat_map
       (fun (rule, f) -> per_finding ~nearest ~stock ~broken rule f)

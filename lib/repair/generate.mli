@@ -35,9 +35,10 @@ val typed_findings :
   rules:Conferr_lint.Rule.t list ->
   Conftree.Config_set.t ->
   (Conferr_lint.Rule.t * Conferr_lint.Finding.t) list
-(** Per-rule evaluation of {!Conferr_lint.Checker.run}, pairing every
-    finding with the rule that produced it — the typed input candidate
-    generation needs.  Deterministic (rule order, then finding order). *)
+(** Every finding of {!Conferr_lint.Checker.run_by_rule} paired with the
+    rule that produced it — the typed input candidate generation needs —
+    from one walk of the set.  Deterministic (rule order, then finding
+    order). *)
 
 val restore_name :
   ?canon:(string -> string) ->
@@ -60,13 +61,14 @@ val stock_diff :
 
 val candidates :
   ?nearest:Conferr_lint.Checker.nearest ->
-  sut:Suts.Sut.t ->
-  rules:Conferr_lint.Rule.t list ->
+  findings:(Conferr_lint.Rule.t * Conferr_lint.Finding.t) list ->
   stock:Conftree.Config_set.t ->
   broken:Conftree.Config_set.t ->
   unit ->
   candidate list
-(** Every generated candidate, deduplicated by edit list, sorted by
-    ascending {!Redit.total_cost} (generation order breaks ties — more
-    specific generators first).  The caller appends cluster candidates
+(** Every candidate generated from [findings] (the {!typed_findings} of
+    [broken], which the caller already has) and from the diff against
+    [stock], deduplicated by edit list, sorted by ascending
+    {!Redit.total_cost} (generation order breaks ties — more specific
+    generators first).  The caller appends cluster candidates
     ({!Cluster.candidates}) before validation. *)

@@ -121,7 +121,7 @@ let analyze ~nearest ~specs ~max_candidates ~sut ~rules ~stock tg =
         Cluster.candidates ~specs ~stock ~broken ~messages ()
       in
       let generated =
-        Generate.candidates ~nearest ~sut ~rules ~stock ~broken ()
+        Generate.candidates ~nearest ~findings:typed ~stock ~broken ()
       in
       let all =
         (* clusters first so dedup attributes shared edit sets to them *)

@@ -196,6 +196,8 @@ let run_campaign t c =
       Error (true, "journal fault: " ^ msg)
     | exception exn -> Error (false, Printexc.to_string exn)
   in
+  (* the campaign is over: its tenant leaves the scheduler's ring *)
+  Scheduler.retire c.tenant;
   locked t (fun () ->
       (match result with
        | Ok profile ->
@@ -548,6 +550,9 @@ let listen t ~port ?port_file ?banner () =
      close_out oc);
   Option.iter (fun f -> f bound) banner;
   let conns = ref [] in
+  (* sockets of the connections still open, so the stop can end their
+     input; a connection removes its own before closing it *)
+  let open_fds = ref [] and fds_lock = Mutex.create () in
   (* accept with a short timeout so a signal is noticed promptly even
      when no connection ever arrives *)
   while not (Atomic.get stop_requested) do
@@ -556,11 +561,15 @@ let listen t ~port ?port_file ?banner () =
     | _ :: _, _, _ -> (
       match Unix.accept sock with
       | fd, _ ->
+        Mutex.protect fds_lock (fun () -> open_fds := fd :: !open_fds);
         let th =
           Thread.create
             (fun () ->
               Fun.protect
-                ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+                ~finally:(fun () ->
+                  Mutex.protect fds_lock (fun () ->
+                      open_fds := List.filter (fun f -> f <> fd) !open_fds);
+                  try Unix.close fd with Unix.Unix_error _ -> ())
                 (fun () -> Http.serve_connection (handle t) fd))
             ()
         in
@@ -570,4 +579,11 @@ let listen t ~port ?port_file ?banner () =
   done;
   (try Unix.close sock with Unix.Unix_error _ -> ());
   drain t;
+  (* a connection parked in parse_request on an idle keep-alive socket
+     would wait for its client forever: end its input, so it reads EOF
+     (one mid-response still writes its answer), then join them all *)
+  Mutex.protect fds_lock (fun () ->
+      List.iter
+        (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
+        !open_fds);
   List.iter (fun th -> try Thread.join th with _ -> ()) !conns

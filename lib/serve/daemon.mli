@@ -118,6 +118,9 @@ val listen :
 (** Bind [127.0.0.1:port] ([port = 0] picks an ephemeral port), write
     the bound port to [port_file] if given, call [banner] with it, and
     accept connections (one systhread each) until SIGTERM or SIGINT.
-    On signal: stop accepting, {!drain}, return — the caller exits 0.
+    On signal: stop accepting, {!drain}, end the input side of every
+    connection still open (so a client idling on a keep-alive
+    connection does not hold the stop), join the connection threads and
+    return — the caller exits 0.
     SIGPIPE is ignored for the process (dead peers must not kill the
     daemon). *)

@@ -86,9 +86,9 @@ let ap_xfile =
       "a set-once directive defined in several files is silently \
        last-one-wins (gap)"
     (Rule.Check_set
-       (fun set ->
+       (fun subject ->
          Config_set.cross_file_duplicates ~kind:Node.kind_directive
-           ~canon:Rule.lower set
+           ~canon:Rule.lower (Rule.config subject)
          |> List.concat_map (fun (name, occs) ->
                 if not (List.mem name ap_singletons) then []
                 else
@@ -245,20 +245,24 @@ let bd_rel_expire =
          harvest = Some bd_soa_harvest;
        })
 
+(* One reference edge per zone declaration: named.conf to its file. *)
+let bd_edges_of decls =
+  List.map
+    (fun (d : Mini_bind.zone_decl) ->
+      {
+        Refgraph.e_file = "named.conf";
+        e_path = d.file_site;
+        e_what = "zone file";
+        e_target = d.zone_file;
+      })
+    decls
+
 (* The zone declarations as named reads them (Mini_bind.read_named_conf),
    problems aside. *)
 let bd_zone_edges set =
   match Config_set.find set "named.conf" with
   | None -> []
-  | Some root ->
-    Mini_bind.read_named_conf ignore root
-    |> List.map (fun (d : Mini_bind.zone_decl) ->
-           {
-             Refgraph.e_file = "named.conf";
-             e_path = d.file_site;
-             e_what = "zone file";
-             e_target = d.zone_file;
-           })
+  | Some root -> bd_edges_of (Mini_bind.read_named_conf ignore root)
 
 let bd_graph =
   Rule.make ~id:"BD-GRAPH" ~severity:Finding.Warning
@@ -266,8 +270,9 @@ let bd_graph =
       "two zone declarations serving one master file silently answer \
        from the same data (gap)"
     (Rule.Check_set
-       (fun set ->
-         let edges = bd_zone_edges set in
+       (fun subject ->
+         (* the base rules' reading of named.conf, not a second one *)
+         let edges = bd_edges_of (snd (Rule.read subject Lint_rules.named_conf)) in
          let targets =
            List.fold_left
              (fun acc (e : Refgraph.edge) ->

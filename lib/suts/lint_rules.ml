@@ -50,8 +50,8 @@ let pg_syntax =
   Rule.make ~id:"PG-SYNTAX" ~severity:Finding.Error
     ~doc:"a [section] header is not valid postgresql.conf syntax (agreement)"
     (Rule.Check_set
-       (fun set ->
-         match Config_set.find set pg_file with
+       (fun subject ->
+         match Config_set.find (Rule.config subject) pg_file with
          | None -> []
          | Some root ->
            List.concat
@@ -177,32 +177,50 @@ let my_section_directives set name =
     |> List.filter (fun (_, (s : Node.t)) -> s.name = name)
     |> List.concat_map ini_directives
 
-(* The daemon's own reading of each [mysqld] variable.  Unresolved names
-   are MY-UNKNOWN's and datadir is MY-DATADIR's. *)
+(* The [mysqld] directives with their sites and their names as the
+   daemon resolves them, once per set for every rule that reads them. *)
+let my_mysqld =
+  Rule.view (fun subject ->
+      List.map
+        (fun (path, (d : Node.t)) -> (path, d, Mini_mysql.resolve_name d.name))
+        (my_section_directives (Rule.config subject) "mysqld"))
+
+(* The daemon's own reading of each [mysqld] variable: (site, full name,
+   spec, written value, reading).  Unresolved names are MY-UNKNOWN's and
+   datadir is MY-DATADIR's. *)
+let my_readings =
+  Rule.view (fun subject ->
+      List.filter_map
+        (fun (path, (d : Node.t), resolved) ->
+          match resolved with
+          | `Unknown | `Ambiguous -> None
+          | `Known full -> (
+            match List.assoc full Mini_mysql.mysqld_specs with
+            | Path_existing _ -> None
+            | spec ->
+              Some
+                ( path,
+                  full,
+                  spec,
+                  Option.value ~default:"" d.value,
+                  Mini_mysql.read_value full spec d.value )))
+        (Rule.read subject my_mysqld))
+
 let my_reading_rule ~id ~severity ~doc pick =
   Rule.make ~id ~severity ~doc
     (Rule.Check_set
-       (fun set ->
-         List.concat_map
-           (fun (path, (d : Node.t)) ->
-             match Mini_mysql.resolve_name d.name with
-             | `Unknown | `Ambiguous -> []
-             | `Known full -> (
-               match List.assoc full Mini_mysql.mysqld_specs with
-               | Path_existing _ -> []
-               | spec -> (
-                 let v = Option.value ~default:"" d.value in
-                 match pick full spec v (Mini_mysql.read_value full spec d.value) with
-                 | Some m -> [ raw ~file:my_file ~path m ]
-                 | None -> [])))
-           (my_section_directives set "mysqld")))
+       (fun subject ->
+         List.filter_map
+           (fun (path, full, spec, v, reading) ->
+             Option.map (raw ~file:my_file ~path) (pick full spec v reading))
+           (Rule.read subject my_readings)))
 
 let my_orphan =
   Rule.make ~id:"MY-ORPHAN" ~severity:Finding.Error
     ~doc:"options must follow a [group] header (agreement)"
     (Rule.Check_set
-       (fun set ->
-         match Config_set.find set my_file with
+       (fun subject ->
+         match Config_set.find (Rule.config subject) my_file with
          | None -> [ raw ~file:my_file ~path:[] "my.cnf not found" ]
          | Some root ->
            ini_sections root
@@ -248,18 +266,17 @@ let my_prefix =
       "an unambiguous name prefix is accepted silently; it breaks when a new \
        variable makes it ambiguous (gap)"
     (Rule.Check_set
-       (fun set ->
-         List.concat_map
-           (fun (path, (d : Node.t)) ->
-             match Mini_mysql.resolve_name d.name with
+       (fun subject ->
+         List.filter_map
+           (fun (path, (d : Node.t), resolved) ->
+             match resolved with
              | `Known full when Mini_mysql.fold_dashes d.name <> full ->
-               [
-                 raw ~suggestion:full ~file:my_file ~path
-                   (Printf.sprintf "abbreviated variable name '%s' resolves to '%s'"
-                      d.name full);
-               ]
-             | _ -> [])
-           (my_section_directives set "mysqld")))
+               Some
+                 (raw ~suggestion:full ~file:my_file ~path
+                    (Printf.sprintf "abbreviated variable name '%s' resolves to '%s'"
+                       d.name full))
+             | _ -> None)
+           (Rule.read subject my_mysqld)))
 
 let my_silent =
   my_reading_rule ~id:"MY-SILENT-DEFAULT" ~severity:Finding.Error
@@ -335,7 +352,8 @@ let my_latent =
       "tool sections are parsed only when the tool runs, often from cron — \
        errors there are latent (gap)"
     (Rule.Check_set
-       (fun set ->
+       (fun subject ->
+         let set = Rule.config subject in
          let dump =
            List.concat_map
              (fun (path, (d : Node.t)) ->
@@ -405,16 +423,19 @@ let mysql =
 
 (* httpd's startup checks (Mini_apache.check) over httpd.conf then
    ssl.conf, the order boot concatenates them in: every problem, and
-   what a server that starts runs with.  [None] without httpd.conf. *)
-let ap_check set =
-  if not (List.mem "httpd.conf" (Config_set.names set)) then None
-  else
-    let files =
-      List.filter_map
-        (fun f -> Option.map (fun t -> (f, t)) (Config_set.find set f))
-        [ "httpd.conf"; "ssl.conf" ]
-    in
-    Some (Sut.all_problems (fun report -> Mini_apache.check report files))
+   what a server that starts runs with.  [None] without httpd.conf.  One
+   walk per set, read by the four AP-* set rules. *)
+let ap_check =
+  Rule.view (fun subject ->
+      let set = Rule.config subject in
+      if not (List.mem "httpd.conf" (Config_set.names set)) then None
+      else
+        let files =
+          List.filter_map
+            (fun f -> Option.map (fun t -> (f, t)) (Config_set.find set f))
+            [ "httpd.conf"; "ssl.conf" ]
+        in
+        Some (Sut.all_problems (fun report -> Mini_apache.check report files)))
 
 let ap_conf =
   Rule.make ~id:"AP-CONF" ~severity:Finding.Error
@@ -422,8 +443,8 @@ let ap_conf =
       "directives must be known, provided by a loaded module, and carry valid \
        values (agreement)"
     (Rule.Check_set
-       (fun set ->
-         match ap_check set with
+       (fun subject ->
+         match Rule.read subject ap_check with
          | None -> [ raw ~file:"httpd.conf" ~path:[] "httpd.conf not found" ]
          | Some (problems, _) -> List.map of_problem problems))
 
@@ -432,8 +453,8 @@ let ap_ifmodule =
     ~doc:
       "an <IfModule> naming an unknown module silently hides its whole body (gap)"
     (Rule.Check_set
-       (fun set ->
-         match ap_check set with
+       (fun subject ->
+         match Rule.read subject ap_check with
          | None -> []
          | Some (_, st) ->
            List.rev_map
@@ -449,8 +470,10 @@ let ap_nolisten =
   Rule.make ~id:"AP-NOLISTEN" ~severity:Finding.Error
     ~doc:"without a valid Listen there are no listening sockets (agreement)"
     (Rule.Check_set
-       (fun set ->
-         match Option.map (fun (_, st) -> Mini_apache.listening st) (ap_check set) with
+       (fun subject ->
+         match
+           Option.map (fun (_, st) -> Mini_apache.listening st) (Rule.read subject ap_check)
+         with
          | Some (Error m) -> [ raw ~file:"httpd.conf" ~path:[] m ]
          | Some (Ok ()) | None -> []))
 
@@ -460,8 +483,8 @@ let ap_functional =
       "the HTTP probe GETs port 80 and expects /var/www/html with index.html \
        (gap: survives startup)"
     (Rule.Check_set
-       (fun set ->
-         match ap_check set with
+       (fun subject ->
+         match Rule.read subject ap_check with
          | None -> []
          | Some (_, st) ->
            let out = ref [] in
@@ -636,27 +659,28 @@ let bd_conf_file = "named.conf"
 
 (* named's reading of named.conf (Mini_bind.read_named_conf): every
    problem and the zones declared with a file. *)
-let bd_read set =
-  match Config_set.find set bd_conf_file with
-  | None -> ([ raw ~file:bd_conf_file ~path:[] "named.conf not found" ], [])
-  | Some root ->
-    let problems, decls =
-      Sut.all_problems (fun report -> Mini_bind.read_named_conf report root)
-    in
-    (List.map of_problem problems, decls)
+let named_conf =
+  Rule.view (fun subject ->
+      match Config_set.find (Rule.config subject) bd_conf_file with
+      | None -> ([ raw ~file:bd_conf_file ~path:[] "named.conf not found" ], [])
+      | Some root ->
+        let problems, decls =
+          Sut.all_problems (fun report -> Mini_bind.read_named_conf report root)
+        in
+        (List.map of_problem problems, decls))
 
 let bd_conf =
   Rule.make ~id:"BD-CONF" ~severity:Finding.Error
     ~doc:"named.conf blocks, options and zone declarations are checked (agreement)"
-    (Rule.Check_set (fun set -> fst (bd_read set)))
+    (Rule.Check_set (fun subject -> fst (Rule.read subject named_conf)))
 
 let bd_dangling =
   Rule.make ~id:"BD-FILE" ~severity:Finding.Error
     ~doc:"a declared zone file must exist (agreement)"
     (Rule.Check_set
-       (fun set ->
-         let _, decls = bd_read set in
-         let exists f = List.mem f (Config_set.names set) in
+       (fun subject ->
+         let _, decls = Rule.read subject named_conf in
+         let exists f = List.mem f (Config_set.names (Rule.config subject)) in
          List.map of_problem
            (fst
               (Sut.all_problems (fun report ->
@@ -666,8 +690,8 @@ let bd_unused =
   Rule.make ~id:"BD-UNUSED" ~severity:Finding.Warning
     ~doc:"a zone file not declared in named.conf is never served (gap)"
     (Rule.Check_set
-       (fun set ->
-         let _, decls = bd_read set in
+       (fun subject ->
+         let _, decls = Rule.read subject named_conf in
          let declared = List.map (fun (d : Mini_bind.zone_decl) -> d.zone_file) decls in
          List.concat_map
            (fun f ->
@@ -680,45 +704,48 @@ let bd_unused =
                       f);
                ]
              else [])
-           (Config_set.names set)))
+           (Config_set.names (Rule.config subject))))
 
-(* Decode the declared-and-present zones into the abstract record model;
-   [None] when nothing can be decoded or decoding fails (the failure
+(* The declared-and-present zones decoded into the abstract record
+   model, once per set for BD-LOAD and the record rules; [Error []] when
+   nothing can be decoded, [Error raws] when decoding fails (the failure
    itself is a BD-LOAD raw). *)
-let bd_decode set =
-  let _, decls = bd_read set in
-  let present =
-    List.filter
-      (fun (d : Mini_bind.zone_decl) -> List.mem d.zone_file (Config_set.names set))
-      decls
-  in
-  let zones = List.map (fun (d : Mini_bind.zone_decl) -> (d.zone_file, d.origin)) present in
-  if zones = [] then (present, Error [])
-  else begin
-    let subset =
-      Config_set.of_list
-        (List.filter_map
-           (fun (f, _) ->
-             Option.map (fun t -> (f, t)) (Config_set.find set f))
-           zones)
-    in
-    match (Dnsmodel.Codec.bind ~zones).Dnsmodel.Codec.decode subset with
-    | Error msg ->
-      ( present,
-        Error
-          [
-            raw ~file:(List.hd (List.map fst zones)) ~path:[]
-              (Printf.sprintf "dns_master_load: %s" msg);
-          ] )
-    | Ok records -> (present, Ok records)
-  end
+let bd_decode =
+  Rule.view (fun subject ->
+      let set = Rule.config subject in
+      let _, decls = Rule.read subject named_conf in
+      let present =
+        List.filter
+          (fun (d : Mini_bind.zone_decl) -> List.mem d.zone_file (Config_set.names set))
+          decls
+      in
+      let zones = List.map (fun (d : Mini_bind.zone_decl) -> (d.zone_file, d.origin)) present in
+      if zones = [] then (present, Error [])
+      else begin
+        let subset =
+          Config_set.of_list
+            (List.filter_map
+               (fun (f, _) ->
+                 Option.map (fun t -> (f, t)) (Config_set.find set f))
+               zones)
+        in
+        match (Dnsmodel.Codec.bind ~zones).Dnsmodel.Codec.decode subset with
+        | Error msg ->
+          ( present,
+            Error
+              [
+                raw ~file:(List.hd (List.map fst zones)) ~path:[]
+                  (Printf.sprintf "dns_master_load: %s" msg);
+              ] )
+        | Ok records -> (present, Ok records)
+      end)
 
 let bd_load =
   Rule.make ~id:"BD-LOAD" ~severity:Finding.Error
     ~doc:"zone files must decode into DNS records (agreement)"
     (Rule.Check_set
-       (fun set ->
-         match bd_decode set with _, Error raws -> raws | _, Ok _ -> []))
+       (fun subject ->
+         match Rule.read subject bd_decode with _, Error raws -> raws | _, Ok _ -> []))
 
 (* Anchor a finding on the record node for (owner, rtype) in the zone
    file where the record came from. *)
@@ -745,10 +772,10 @@ let bd_record_path set ~file ~origin ~owner ~rtype =
 
 let bd_with_records f =
   Rule.Check_set
-    (fun set ->
-      match bd_decode set with
+    (fun subject ->
+      match Rule.read subject bd_decode with
       | _, Error _ -> []
-      | decls, Ok records -> f set decls records)
+      | decls, Ok records -> f (Rule.config subject) decls records)
 
 let bd_file_of (r : Dnsmodel.Record.t) (decls : Mini_bind.zone_decl list) =
   match Dnsmodel.Record.tag r Dnsmodel.Codec.tag_file with
@@ -1001,15 +1028,18 @@ let bind =
 
 let dj_file = Mini_djbdns.data_file
 
-let dj_decode set =
-  match Config_set.find set dj_file with
-  | None -> Error [ raw ~file:dj_file ~path:[] "data file not found" ]
-  | Some tree -> (
-    let codec = Dnsmodel.Codec.tinydns ~file:dj_file in
-    match codec.Dnsmodel.Codec.decode (Config_set.of_list [ (dj_file, tree) ]) with
-    | Error msg ->
-      Error [ raw ~file:dj_file ~path:[] (Printf.sprintf "tinydns-data: %s" msg) ]
-    | Ok records -> Ok records)
+(* tinydns-data's compilation of the data file, once per set for DJ-DATA
+   and the record rules. *)
+let dj_decode =
+  Rule.view (fun subject ->
+      match Config_set.find (Rule.config subject) dj_file with
+      | None -> Error [ raw ~file:dj_file ~path:[] "data file not found" ]
+      | Some tree -> (
+        let codec = Dnsmodel.Codec.tinydns ~file:dj_file in
+        match codec.Dnsmodel.Codec.decode (Config_set.of_list [ (dj_file, tree) ]) with
+        | Error msg ->
+          Error [ raw ~file:dj_file ~path:[] (Printf.sprintf "tinydns-data: %s" msg) ]
+        | Ok records -> Ok records))
 
 (* Anchor on the data line whose name field resolves to [owner]. *)
 let dj_path set ~owner =
@@ -1029,13 +1059,17 @@ let dj_path set ~owner =
 
 let dj_with_records f =
   Rule.Check_set
-    (fun set -> match dj_decode set with Error _ -> [] | Ok records -> f set records)
+    (fun subject ->
+      match Rule.read subject dj_decode with
+      | Error _ -> []
+      | Ok records -> f (Rule.config subject) records)
 
 let dj_data =
   Rule.make ~id:"DJ-DATA" ~severity:Finding.Error
     ~doc:"tinydns-data compiles the file: operator and field syntax (agreement)"
     (Rule.Check_set
-       (fun set -> match dj_decode set with Error raws -> raws | Ok _ -> []))
+       (fun subject ->
+         match Rule.read subject dj_decode with Error raws -> raws | Ok _ -> []))
 
 let dj_owns records owner rtype =
   List.exists
@@ -1177,18 +1211,20 @@ let as_element =
 
 (* The server's startup checks over server.xml (Mini_appserver.check):
    every problem, and what a server that starts runs with.  [None]
-   without server.xml. *)
-let as_check set =
-  Option.map
-    (fun root -> Sut.all_problems (fun report -> Mini_appserver.check report root))
-    (Config_set.find set as_file)
+   without server.xml.  One walk per set, read by the three AS-* set
+   rules. *)
+let as_check =
+  Rule.view (fun subject ->
+      Option.map
+        (fun root -> Sut.all_problems (fun report -> Mini_appserver.check report root))
+        (Config_set.find (Rule.config subject) as_file))
 
 let as_attr =
   Rule.make ~id:"AS-ATTR" ~severity:Finding.Error
     ~doc:"attributes of known elements are strictly validated (agreement)"
     (Rule.Check_set
-       (fun set ->
-         match as_check set with
+       (fun subject ->
+         match Rule.read subject as_check with
          | None -> [ raw ~file:as_file ~path:[] "server.xml not found" ]
          | Some (problems, _) -> List.map of_problem problems))
 
@@ -1196,8 +1232,11 @@ let as_noconn =
   Rule.make ~id:"AS-NOCONN" ~severity:Finding.Error
     ~doc:"at least one connector must be configured (agreement)"
     (Rule.Check_set
-       (fun set ->
-         match Option.map (fun (_, st) -> Mini_appserver.connected st) (as_check set) with
+       (fun subject ->
+         match
+           Option.map (fun (_, st) -> Mini_appserver.connected st)
+             (Rule.read subject as_check)
+         with
          | Some (Error m) -> [ raw ~file:as_file ~path:[] m ]
          | Some (Ok ()) | None -> []))
 
@@ -1207,8 +1246,8 @@ let as_functional =
       "the HTTP probe GETs port 8080 and expects appBase /srv/webapps with a \
        default application (gap: survives startup)"
     (Rule.Check_set
-       (fun set ->
-         match as_check set with
+       (fun subject ->
+         match Rule.read subject as_check with
          | None -> []
          | Some (_, st) ->
            let out = ref [] in

@@ -42,6 +42,13 @@ val bind : Conferr_lint.Rule.t list
     the RFC-1912 forward/reverse cross-checks it does {e not} perform
     (missing PTR, PTR to alias, CNAME chains). *)
 
+val named_conf :
+  (Conferr_lint.Rule.raw list * Mini_bind.zone_decl list) Conferr_lint.Rule.view
+(** named's reading of named.conf ({!Mini_bind.read_named_conf}): every
+    problem, as the [BD-CONF] finding it becomes, and the zones declared
+    with a file.  The BD-* rules and the deep reference-graph rule read
+    it once per set. *)
+
 val djbdns : Conferr_lint.Rule.t list
 (** tinydns [data]: syntax (agreement — tinydns-data checks it too) and
     the referential checks tinydns-data never makes (CNAME collisions

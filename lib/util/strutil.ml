@@ -50,25 +50,29 @@ let levenshtein a b =
 
 let damerau_levenshtein a b =
   (* optimal string alignment: substitution, insertion, deletion, and
-     adjacent transposition, all unit cost *)
+     adjacent transposition, all unit cost.  The transposition step reads
+     two rows back, so three rows of the matrix are all it keeps. *)
+  let min (x : int) y = if x < y then x else y in
   let la = String.length a and lb = String.length b in
-  let d = Array.make_matrix (la + 1) (lb + 1) 0 in
-  for i = 0 to la do
-    d.(i).(0) <- i
-  done;
-  for j = 0 to lb do
-    d.(0).(j) <- j
-  done;
+  let before = ref (Array.make (lb + 1) 0) in
+  let prev = ref (Array.init (lb + 1) (fun j -> j)) in
+  let curr = ref (Array.make (lb + 1) 0) in
   for i = 1 to la do
+    let d2 = !before and d1 = !prev and d = !curr in
+    d.(0) <- i;
     for j = 1 to lb do
       let cost = if a.[i - 1] = b.[j - 1] then 0 else 1 in
-      d.(i).(j) <-
-        min (min (d.(i - 1).(j) + 1) (d.(i).(j - 1) + 1)) (d.(i - 1).(j - 1) + cost);
-      if i > 1 && j > 1 && a.[i - 1] = b.[j - 2] && a.[i - 2] = b.[j - 1] then
-        d.(i).(j) <- min d.(i).(j) (d.(i - 2).(j - 2) + 1)
-    done
+      let v = min (min (d1.(j) + 1) (d.(j - 1) + 1)) (d1.(j - 1) + cost) in
+      d.(j) <-
+        (if i > 1 && j > 1 && a.[i - 1] = b.[j - 2] && a.[i - 2] = b.[j - 1] then
+           min v (d2.(j - 2) + 1)
+         else v)
+    done;
+    before := d1;
+    prev := d;
+    curr := d2
   done;
-  d.(la).(lb)
+  !prev.(lb)
 
 let lines s =
   match String.split_on_char '\n' s with

@@ -4,7 +4,9 @@
 
    The journal's budget: what a v2 journal adds to [Executor.run_from]
    over a bare run, in words per scenario (minor plus directly-major
-   allocations), on the seed-42 paper faultload at jobs 1. *)
+   allocations), on the seed-42 paper faultload at jobs 1.  Lint's
+   budget, below: words per checker call over that faultload's
+   mutants. *)
 
 module Executor = Conferr_exec.Executor
 
@@ -61,6 +63,60 @@ let test_journal_budget () =
           sut.sut_name per_scenario journal_budget)
     suts
 
+(* Lint's budget: words per [Checker.run] with the deep rule set over
+   the seed-42 paper-faultload mutants (typo and semantic), built by
+   apply, serialize and parse as `conferr gaps` builds them.  Measured
+   9,696 (bind), 4,099 (djbdns), 4,420 (mysql) and 3,674 (postgres);
+   each budget is about a quarter above.  Rules that each recompute what
+   they read — the site walk, the simulator walk, the decoded zone —
+   instead of sharing one view per call allocate 2.2-4.3 times as
+   much. *)
+let lint_budget =
+  [ ("bind", 12_000); ("djbdns", 5_200); ("mysql", 5_600); ("postgres", 4_600) ]
+
+let lint_suts =
+  [ Suts.Mini_bind.sut; Suts.Mini_djbdns.sut; Suts.Mini_mysql.sut; Suts.Mini_pg.sut ]
+
+let test_lint_budget () =
+  let over =
+    List.filter_map
+      (fun (sut : Suts.Sut.t) ->
+        let base = Result.get_ok (Conferr.Engine.parse_default_config sut) in
+        let rules =
+          Suts.Dataflow_rules.deepen sut.sut_name
+            (Option.get (Suts.Lint_rules.for_sut sut.sut_name))
+        in
+        let sets =
+          Conferr.Faultload.journal_scenarios ~seed:42 sut base
+          |> List.filter_map (fun (sc : Errgen.Scenario.t) ->
+                 match sc.apply base with
+                 | Error _ -> None
+                 | Ok mutated -> (
+                   match Conferr.Engine.serialize_config sut mutated with
+                   | Error _ -> None
+                   | Ok files -> Result.to_option (Conferr.Engine.parse_config sut files)))
+        in
+        let lint () =
+          List.iter
+            (fun set ->
+              ignore (Conferr_lint.Checker.run ~nearest:Conferr.Suggest.nearest ~rules set))
+            sets
+        in
+        lint ();
+        let least = List.fold_left Float.min infinity (List.init 3 (fun _ -> allocated lint)) in
+        let per_run = least /. float_of_int (List.length sets) in
+        let budget = List.assoc sut.sut_name lint_budget in
+        Printf.printf "%s: %d mutants, %.0f words per Checker.run (budget %d)\n%!"
+          sut.sut_name (List.length sets) per_run budget;
+        if per_run > float_of_int budget then
+          Some
+            (Printf.sprintf "%s: Checker.run allocates %.0f words per mutant, budget %d"
+               sut.sut_name per_run budget)
+        else None)
+      lint_suts
+  in
+  if over <> [] then Alcotest.fail (String.concat "; " over)
+
 let () =
   Alcotest.run "budget"
     [
@@ -68,5 +124,7 @@ let () =
         [
           Alcotest.test_case "journal words per scenario within budget" `Quick
             test_journal_budget;
+          Alcotest.test_case "lint words per checker call within budget" `Quick
+            test_lint_budget;
         ] );
     ]

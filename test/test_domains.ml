@@ -32,6 +32,44 @@ let test_parallel_equals_sequential () =
   Alcotest.(check (list (list (triple string string string))))
     "postgres and bind faultloads" sequential parallel
 
+(* The same for lint: `gaps`, `infer` and `repair` lint on pool domains,
+   and a rule's per-set views must stay local to its checker call.  Two
+   domains lint the seed-42 mutants of bind and mysql at once with the
+   deep rule sets. *)
+let lint_findings (sut : Suts.Sut.t) =
+  match Conferr.Engine.parse_default_config sut with
+  | Error msg -> Alcotest.failf "parse: %s" msg
+  | Ok base ->
+    let rules =
+      Suts.Dataflow_rules.deepen sut.sut_name
+        (Option.get (Suts.Lint_rules.for_sut sut.sut_name))
+    in
+    Conferr.Faultload.journal_scenarios ~seed:42 sut base
+    |> List.filter_map (fun (sc : Errgen.Scenario.t) ->
+           match sc.apply base with
+           | Error _ -> None
+           | Ok mutated -> (
+             match Conferr.Engine.serialize_config sut mutated with
+             | Error _ -> None
+             | Ok files -> Result.to_option (Conferr.Engine.parse_config sut files)))
+    |> List.map (fun set ->
+           Conferr_lint.Checker.render_text
+             (Conferr_lint.Checker.run ~nearest:Conferr.Suggest.nearest ~rules set))
+
+let test_lint_parallel_equals_sequential () =
+  let suts = [ Suts.Mini_bind.sut; Suts.Mini_mysql.sut ] in
+  let ready = Atomic.make 0 in
+  let start sut () =
+    Atomic.incr ready;
+    while Atomic.get ready < List.length suts do
+      Domain.cpu_relax ()
+    done;
+    lint_findings sut
+  in
+  let parallel = List.map (fun sut -> Domain.spawn (start sut)) suts |> List.map Domain.join in
+  let sequential = List.map lint_findings suts in
+  Alcotest.(check (list (list string))) "bind and mysql findings" sequential parallel
+
 let () =
   Alcotest.run "domains"
     [
@@ -39,5 +77,10 @@ let () =
         [
           Alcotest.test_case "two domains equal a sequential run" `Quick
             test_parallel_equals_sequential;
+        ] );
+      ( "lint",
+        [
+          Alcotest.test_case "two domains equal a sequential run" `Quick
+            test_lint_parallel_equals_sequential;
         ] );
     ]

@@ -597,6 +597,94 @@ let test_event_to_json () =
   Alcotest.(check string) "breaker" "breaker-tripped"
     (tag (Progress.Breaker_tripped { bucket = "b" }))
 
+(* A retired tenant leaves the ring and rejects submissions; retire
+   waits for a task still running; co-tenants are served as before. *)
+let test_scheduler_retire () =
+  let sched = Scheduler.create ~jobs:1 () in
+  let a = Scheduler.tenant ~name:"a" sched in
+  let b = Scheduler.tenant ~name:"b" sched in
+  let ran = Atomic.make 0 in
+  ignore (Scheduler.submit a (fun () -> Atomic.incr ran));
+  Scheduler.wait a;
+  Scheduler.retire a;
+  Alcotest.(check (list string)) "a left the ring" [ "b" ] (Scheduler.tenants sched);
+  Alcotest.(check bool) "retired tenant rejects" true
+    (Scheduler.submit a (fun () -> Atomic.incr ran) = `Rejected);
+  Alcotest.(check bool) "co-tenant still queues" true
+    (Scheduler.submit b (fun () -> Atomic.incr ran) = `Queued);
+  Scheduler.wait b;
+  Alcotest.(check int) "tasks run" 2 (Atomic.get ran);
+  let gate = Mutex.create () in
+  Mutex.lock gate;
+  let c = Scheduler.tenant ~name:"c" sched in
+  let started = Atomic.make false and finished = Atomic.make false in
+  ignore
+    (Scheduler.submit c (fun () ->
+         Atomic.set started true;
+         Mutex.lock gate;
+         Mutex.unlock gate;
+         Atomic.set finished true));
+  while not (Atomic.get started) do
+    Thread.yield ()
+  done;
+  let retired = Atomic.make false in
+  let retirer =
+    Thread.create (fun () -> Scheduler.retire c; Atomic.set retired true) ()
+  in
+  Thread.delay 0.05;
+  Alcotest.(check bool) "retire waits for the running task" false (Atomic.get retired);
+  Mutex.unlock gate;
+  Thread.join retirer;
+  Alcotest.(check bool) "the running task finished first" true (Atomic.get finished);
+  Scheduler.retire b;
+  Scheduler.retire b;
+  Alcotest.(check (list string)) "empty ring" [] (Scheduler.tenants sched);
+  Scheduler.shutdown sched
+
+(* SIGTERM while a client holds an idle keep-alive connection: listen
+   drains and returns without waiting for the client to hang up. *)
+let test_daemon_sigterm_idle_keepalive () =
+  let daemon = Daemon.create ~jobs:1 ~state_dir:(temp_dir ()) () in
+  let saved = List.map (fun s -> (s, Sys.signal s Sys.Signal_default)) [ Sys.sigterm; Sys.sigint ] in
+  let port = Atomic.make 0 and returned = Atomic.make false in
+  let listener =
+    Thread.create
+      (fun () ->
+        Daemon.listen daemon ~port:0 ~banner:(Atomic.set port) ();
+        Atomic.set returned true)
+      ()
+  in
+  let within seconds cond =
+    let deadline = Unix.gettimeofday () +. seconds in
+    while (not (cond ())) && Unix.gettimeofday () < deadline do
+      Thread.delay 0.01
+    done;
+    cond ()
+  in
+  (* the banner comes after listen installed its signal handlers *)
+  Alcotest.(check bool) "listening" true (within 5. (fun () -> Atomic.get port > 0));
+  let client = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect client (Unix.ADDR_INET (Unix.inet_addr_loopback, Atomic.get port));
+  let request = "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n" in
+  ignore (Unix.write_substring client request 0 (String.length request));
+  let buf = Bytes.create 512 and got = Buffer.create 512 in
+  let answered () =
+    let b = Buffer.contents got in
+    String.length b >= 3 && String.sub b (String.length b - 3) 3 = "ok\n"
+  in
+  while not (answered ()) do
+    let n = Unix.read client buf 0 (Bytes.length buf) in
+    if n = 0 then Alcotest.fail "connection closed before the answer";
+    Buffer.add_subbytes got buf 0 n
+  done;
+  Unix.kill (Unix.getpid ()) Sys.sigterm;
+  let stopped = within 5. (fun () -> Atomic.get returned) in
+  Unix.close client;
+  Thread.join listener;
+  List.iter (fun (s, b) -> Sys.set_signal s b) saved;
+  Alcotest.(check bool) "listen returned while the client held its connection" true
+    stopped
+
 let suite =
   [
     Alcotest.test_case "http: simple request" `Quick test_parse_simple;
@@ -642,4 +730,8 @@ let suite =
     Alcotest.test_case "progress: event json tags" `Quick test_event_to_json;
     Alcotest.test_case "daemon: a restart never truncates a journal" `Quick
       test_daemon_restart_keeps_journals;
+    Alcotest.test_case "scheduler: retired tenants leave the ring" `Quick
+      test_scheduler_retire;
+    Alcotest.test_case "daemon: SIGTERM with an idle keep-alive client" `Quick
+      test_daemon_sigterm_idle_keepalive;
   ]

@@ -92,6 +92,56 @@ let prop_damerau_bounded_by_levenshtein =
     QCheck2.Gen.(pair (string_size (int_range 0 10)) (string_size (int_range 0 10)))
     (fun (a, b) -> Strutil.damerau_levenshtein a b <= Strutil.levenshtein a b)
 
+(* The distance as it was written before it kept three rows of ints:
+   the full matrix and the polymorphic [min].  The oracle for the
+   rewrite. *)
+let oracle_damerau_levenshtein a b =
+  let la = String.length a and lb = String.length b in
+  let d = Array.make_matrix (la + 1) (lb + 1) 0 in
+  for i = 0 to la do
+    d.(i).(0) <- i
+  done;
+  for j = 0 to lb do
+    d.(0).(j) <- j
+  done;
+  for i = 1 to la do
+    for j = 1 to lb do
+      let cost = if a.[i - 1] = b.[j - 1] then 0 else 1 in
+      d.(i).(j) <-
+        min (min (d.(i - 1).(j) + 1) (d.(i).(j - 1) + 1)) (d.(i - 1).(j - 1) + cost);
+      if i > 1 && j > 1 && a.[i - 1] = b.[j - 2] && a.[i - 2] = b.[j - 1] then
+        d.(i).(j) <- min d.(i).(j) (d.(i - 2).(j - 2) + 1)
+    done
+  done;
+  d.(la).(lb)
+
+let prop_damerau_matches_oracle =
+  let open QCheck2.Gen in
+  (* a small alphabet so that characters match and transpose often,
+     next to arbitrary bytes, those >= 0x80 included *)
+  let chars = oneof [ char_range 'a' 'd'; char_range '\x80' '\xff'; char ] in
+  let str n = string_size ~gen:chars n in
+  let transposed =
+    let* s = str (int_range 2 20) in
+    let* i = int_range 0 (String.length s - 2) in
+    let* other = str (int_range 0 3) in
+    return (s, Strutil.swap_chars s i ^ other)
+  in
+  QCheck2.Test.make ~count:400 ~name:"strutil: damerau matches the matrix oracle"
+    ~print:QCheck2.Print.(pair string string)
+    (oneof
+       [
+         pair (str (int_range 0 12)) (str (int_range 0 12));
+         map (fun s -> (s, s)) (str (int_range 0 20));
+         transposed;
+         map (fun s -> ("", s)) (str (int_range 0 300));
+         map (fun s -> (s, "")) (str (int_range 0 300));
+         pair (str (int_range 250 300)) (str (int_range 250 300));
+       ])
+    (fun (a, b) ->
+      Strutil.damerau_levenshtein a b = oracle_damerau_levenshtein a b
+      && Strutil.damerau_levenshtein b a = oracle_damerau_levenshtein b a)
+
 let prop_levenshtein_symmetric =
   QCheck2.Test.make ~name:"strutil: levenshtein is symmetric"
     QCheck2.Gen.(pair (string_size (int_range 0 12)) (string_size (int_range 0 12)))
@@ -123,4 +173,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_levenshtein_symmetric;
     QCheck_alcotest.to_alcotest prop_damerau_bounded_by_levenshtein;
     QCheck_alcotest.to_alcotest prop_swap_involution;
+    QCheck_alcotest.to_alcotest prop_damerau_matches_oracle;
   ]

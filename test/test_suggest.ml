@@ -64,6 +64,38 @@ let test_vocabularies () =
   Alcotest.(check bool) "for_sut postgres" true
     (Suts.Vocabulary.for_sut Suts.Mini_pg.sut = Suts.Vocabulary.postgres)
 
+(* The nearest name as found before candidates the length difference
+   rules out were skipped: every candidate measured. *)
+let oracle_nearest ~vocabulary word =
+  List.fold_left
+    (fun best candidate ->
+      let d = Conferr_util.Strutil.damerau_levenshtein word candidate in
+      match best with
+      | None -> Some (candidate, d)
+      | Some (b, bd) ->
+        if d < bd || (d = bd && candidate < b) then Some (candidate, d) else best)
+    None vocabulary
+
+let prop_nearest_matches_oracle =
+  let open QCheck2.Gen in
+  let word = string_size ~gen:(char_range 'a' 'e') (int_range 0 9) in
+  let vocabularies =
+    oneofl [ Suts.Vocabulary.mysql; Suts.Vocabulary.postgres; Suts.Vocabulary.apache ]
+  in
+  QCheck2.Test.make ~count:300 ~name:"suggest: nearest matches measuring every candidate"
+    ~print:QCheck2.Print.(pair (list string) string)
+    (oneof
+       [
+         pair (list_size (int_range 0 8) word) word;
+         (* typos of real vocabulary words, as the Unknown rules see them *)
+         (let* vocabulary = vocabularies in
+          let* w = oneofl vocabulary in
+          let* i = int_range 0 (String.length w - 1) in
+          let* c = char_range 'a' 'z' in
+          return (vocabulary, Conferr_util.Strutil.replace_char w i c));
+       ])
+    (fun (vocabulary, w) -> Suggest.nearest ~vocabulary w = oracle_nearest ~vocabulary w)
+
 let suite =
   [
     Alcotest.test_case "nearest" `Quick test_nearest;
@@ -73,4 +105,5 @@ let suite =
     Alcotest.test_case "recovery short vs long" `Quick test_recovery_rate_short_name;
     Alcotest.test_case "recoverability summary" `Quick test_recoverability_summary;
     Alcotest.test_case "vocabularies" `Quick test_vocabularies;
+    QCheck_alcotest.to_alcotest prop_nearest_matches_oracle;
   ]
