@@ -40,29 +40,34 @@ let fold_nodes f t acc =
 (* Sites of [kind] nodes grouped by canonical name, document order
    within the set's file order.  [top_level] restricts to direct
    children of each file root — the scope where cross-file last-one-wins
-   shadowing actually happens. *)
+   shadowing actually happens.  One pass groups the sites in a table
+   local to the call: per name, its sites latest first and whether they
+   span two files; the names are kept in first-appearance order. *)
 let cross_file_duplicates ?(top_level = true) ~kind ~canon t =
-  let sites =
-    fold_nodes
-      (fun file path (n : Node.t) acc ->
-        if n.kind = kind && (not top_level || List.length path = 1) then
-          (canon n.name, (file, path)) :: acc
-        else acc)
-      t []
-    |> List.rev
-  in
+  let groups = Hashtbl.create 64 in
   let names =
-    List.fold_left
-      (fun acc (name, _) -> if List.mem name acc then acc else name :: acc)
-      [] sites
-    |> List.rev
+    fold_nodes
+      (fun file path (n : Node.t) names ->
+        if n.kind = kind && (not top_level || List.length path = 1) then begin
+          let name = canon n.name in
+          match Hashtbl.find_opt groups name with
+          | None ->
+            Hashtbl.replace groups name (file, [ (file, path) ], false);
+            name :: names
+          | Some (first_file, sites, spans) ->
+            Hashtbl.replace groups name
+              (first_file, (file, path) :: sites, spans || file <> first_file);
+            names
+        end
+        else names)
+      t []
   in
-  List.filter_map
-    (fun name ->
-      let occs = List.filter (fun (n, _) -> n = name) sites in
-      let files = List.sort_uniq compare (List.map (fun (_, (f, _)) -> f) occs) in
-      if List.length files >= 2 then Some (name, List.map snd occs) else None)
-    names
+  List.fold_left
+    (fun acc name ->
+      match Hashtbl.find groups name with
+      | _, sites, true -> (name, List.rev sites) :: acc
+      | _, _, false -> acc)
+    [] names
 
 let equal a b =
   List.length a = List.length b

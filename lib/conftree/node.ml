@@ -72,8 +72,17 @@ let fold f t init =
 let find_all pred t =
   fold (fun path n acc -> if pred n then (path, n) :: acc else acc) t [] |> List.rev
 
+(* A pre-order search that stops at the first match; only the path to
+   the node it returns is reversed into place. *)
 let find_first pred t =
-  match find_all pred t with [] -> None | x :: _ -> Some x
+  let rec go rpath t =
+    if pred t then Some (List.rev rpath, t) else scan rpath 0 t.children
+  and scan rpath i = function
+    | [] -> None
+    | c :: rest ->
+      (match go (i :: rpath) c with Some _ as found -> found | None -> scan rpath (i + 1) rest)
+  in
+  go [] t
 
 let update t path f =
   let rec go t = function

@@ -83,6 +83,8 @@ val find_all : (t -> bool) -> t -> (Path.t * t) list
 (** All nodes satisfying the predicate, in document order. *)
 
 val find_first : (t -> bool) -> t -> (Path.t * t) option
+(** The first node in document order satisfying the predicate, which is
+    not applied to the nodes after it. *)
 
 (** {1 Edits}
 

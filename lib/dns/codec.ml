@@ -27,10 +27,7 @@ let rec map_result f = function
 
 let fields_of s =
   (* RFC 1035 grouping parentheses are pure layout. *)
-  let s = String.map (fun c -> if c = '(' || c = ')' then ' ' else c) s in
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun f -> f <> "")
+  Strutil.fields (String.map (fun c -> if c = '(' || c = ')' then ' ' else c) s)
 
 let strip_quotes s =
   if String.length s >= 2 && s.[0] = '"' && s.[String.length s - 1] = '"' then

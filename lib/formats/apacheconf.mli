@@ -1,7 +1,8 @@
 (** Apache [httpd.conf]-style configuration files.
 
     Syntax: one directive per line ([Name arg1 arg2 ...]), container
-    sections [<Name arg> ... </Name>] which may nest, [#] comments.
+    sections [<Name arg> ... </Name>] which may nest, [#] comments.  A
+    directive's or a section tag's name ends at the first space or tab.
     The parsed tree is
 
     {v root > (directive | section | comment | blank)*

@@ -54,20 +54,18 @@ let logical_lines text =
 let record_types =
   [ "A"; "AAAA"; "NS"; "CNAME"; "SOA"; "PTR"; "MX"; "TXT"; "RP"; "HINFO"; "SRV"; "NAPTR" ]
 
-let is_class s = List.mem (String.uppercase_ascii s) [ "IN"; "CH"; "HS" ]
+(* the entry of a list of uppercase names that [s] spells in any case *)
+let rec find_upper s = function
+  | [] -> None
+  | upper :: rest -> if Strutil.equal_ci s upper then Some upper else find_upper s rest
+
+let is_class s = Option.is_some (find_upper s [ "IN"; "CH"; "HS" ])
 
 let is_ttl s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
 
-let is_type s = List.mem (String.uppercase_ascii s) record_types
-
-let split_fields s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun f -> f <> "")
-
 let parse_record ~lineno ~prev_owner raw stripped =
   let leading_blank = raw <> "" && (raw.[0] = ' ' || raw.[0] = '\t') in
-  let fields = split_fields stripped in
+  let fields = Strutil.fields stripped in
   match fields with
   | [] -> Error (Parse_error.make ~line:lineno "empty record")
   | first :: rest ->
@@ -79,9 +77,11 @@ let parse_record ~lineno ~prev_owner raw stripped =
     let rec eat ttl cls = function
       | f :: rest when is_ttl f && ttl = None -> eat (Some f) cls rest
       | f :: rest when is_class f && cls = None -> eat ttl (Some f) rest
-      | f :: rest when is_type f ->
-        Ok (ttl, cls, String.uppercase_ascii f, String.concat " " rest)
-      | f :: _ -> Error (Parse_error.make ~line:lineno (Printf.sprintf "unknown record type %S" f))
+      | f :: rest -> (
+        match find_upper f record_types with
+        | Some rtype -> Ok (ttl, cls, rtype, String.concat " " rest)
+        | None ->
+          Error (Parse_error.make ~line:lineno (Printf.sprintf "unknown record type %S" f)))
       | [] -> Error (Parse_error.make ~line:lineno "record is missing a type")
     in
     (match eat None None fields with

@@ -39,7 +39,15 @@ let modules =
     ("disk_cache_module", "modules/mod_disk_cache.so");
   ]
 
-let known_module name = List.mem_assoc name modules
+module SMap = Map.Make (String)
+
+(* A map with the first binding of each name, as [List.assoc_opt] finds
+   it. *)
+let map_of bindings = List.fold_right (fun (k, v) m -> SMap.add k v m) bindings SMap.empty
+
+let module_paths = map_of modules
+
+let known_module name = SMap.mem name module_paths
 
 (* Which module provides each non-core directive. *)
 let directive_modules =
@@ -90,9 +98,6 @@ let directive_modules =
     ("cacheenable", "cache_module");
     ("cacheroot", "disk_cache_module");
   ]
-
-let directive_module name =
-  List.assoc_opt (String.lowercase_ascii name) directive_modules
 
 (* Core directives: name -> value validator.  Most accept anything —
    the laxity the paper criticizes. *)
@@ -225,10 +230,32 @@ let module_directive_validators =
     ("headername", Min_args 1);
   ]
 
-let fields s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun f -> f <> "")
+let fields = Strutil.fields
+
+(* How httpd handles each lowercased directive name: a core directive
+   with its validator, or one provided by a module.  Derived once from
+   the lists above, which stay the single source; the maps are
+   immutable, so domains that boot at once share them. *)
+type handler = Core of validator | Provided_by of string * validator
+
+let handlers =
+  let provided (name, m) =
+    let validator =
+      Option.value ~default:Anything (List.assoc_opt name module_directive_validators)
+    in
+    (name, Provided_by (m, validator))
+  in
+  List.fold_right
+    (fun (name, v) m -> SMap.add name (Core v) m)
+    core_directives
+    (map_of (List.map provided directive_modules))
+
+let directive_module name =
+  match SMap.find_opt (String.lowercase_ascii name) handlers with
+  | Some (Provided_by (m, _)) -> Some m
+  | Some (Core _) | None -> None
+
+let mem_string s l = List.exists (String.equal s) l
 
 type site = string * Conftree.Path.t
 
@@ -249,30 +276,30 @@ let strip_quotes s =
     String.sub s 1 (String.length s - 2)
   else s
 
+(* Only the validators that read a value's fields split it. *)
 let validate_value state name validator value =
-  let args = fields value in
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   match validator with
   | Anything -> Ok ()
   | Number ->
-    (match args with
+    (match fields value with
      | [ v ] when is_digits v -> Ok ()
      | _ -> fail "%s takes one numeric argument" name)
   | On_off ->
-    (match List.map String.lowercase_ascii args with
+    (match List.map String.lowercase_ascii (fields value) with
      | [ "on" ] | [ "off" ] -> Ok ()
      | _ -> fail "%s must be On or Off" name)
   | On_off_or extra ->
-    (match List.map String.lowercase_ascii args with
-     | [ v ] when v = "on" || v = "off" || List.mem v extra -> Ok ()
+    (match List.map String.lowercase_ascii (fields value) with
+     | [ v ] when v = "on" || v = "off" || mem_string v extra -> Ok ()
      | _ -> fail "%s must be On, Off%s" name
               (String.concat "" (List.map (fun e -> " or " ^ e) extra)))
   | Enum allowed ->
-    (match List.map String.lowercase_ascii args with
-     | [ v ] when List.mem v allowed -> Ok ()
+    (match List.map String.lowercase_ascii (fields value) with
+     | [ v ] when mem_string v allowed -> Ok ()
      | _ -> fail "%s must be one of %s" name (String.concat "|" allowed))
   | Port_list ->
-    (match args with
+    (match fields value with
      | [ spec ] ->
        (match parse_port spec with
         | Ok p ->
@@ -281,35 +308,35 @@ let validate_value state name validator value =
         | Error msg -> Error msg)
      | _ -> fail "%s takes one address or port argument" name)
   | Existing_dir ->
-    (match args with
-     | [ d ] when List.mem d existing_dirs -> Ok ()
+    (match fields value with
+     | [ d ] when mem_string d existing_dirs -> Ok ()
      | [ d ] ->
        (* the shipped configs quote paths; unquote before checking *)
        let unq = strip_quotes d in
-       if List.mem unq existing_dirs then Ok ()
+       if mem_string unq existing_dirs then Ok ()
        else fail "%s: could not open directory %s" name d
      | _ -> fail "%s takes one directory argument" name)
   | Existing_file ->
-    (match args with
-     | [ f ] when List.mem (strip_quotes f) existing_files -> Ok ()
+    (match fields value with
+     | [ f ] when mem_string (strip_quotes f) existing_files -> Ok ()
      | [ f ] -> fail "%s: could not open file %s" name f
      | _ -> fail "%s takes one file argument" name)
   | Log_path ->
-    (match args with
+    (match fields value with
      | [ p ] ->
        let p = strip_quotes p in
        if String.length p > 0 && p.[0] = '|' then Ok ()
-       else if List.mem (dir_of_path p) existing_dirs then Ok ()
+       else if mem_string (dir_of_path p) existing_dirs then Ok ()
        else fail "%s: could not open log file %s" name p
      | _ -> fail "%s takes one argument" name)
   | User_name ->
-    (match args with
-     | [ u ] when List.mem u known_users -> Ok ()
+    (match fields value with
+     | [ u ] when mem_string u known_users -> Ok ()
      | [ u ] -> fail "bad user name %s" u
      | _ -> fail "User takes one argument")
   | Group_name ->
-    (match args with
-     | [ g ] when List.mem g known_groups -> Ok ()
+    (match fields value with
+     | [ g ] when mem_string g known_groups -> Ok ()
      | [ g ] -> fail "bad group name %s" g
      | _ -> fail "Group takes one argument")
   | Options_list ->
@@ -322,8 +349,8 @@ let validate_value state name validator value =
               String.sub a 1 (String.length a - 1)
             else a
           in
-          not (List.mem a option_tokens))
-        args
+          not (mem_string a option_tokens))
+        (fields value)
     in
     (match bad with
      | Some a -> fail "Illegal option %s" a
@@ -331,22 +358,22 @@ let validate_value state name validator value =
   | Override_list ->
     let bad =
       List.find_opt
-        (fun a -> not (List.mem (String.lowercase_ascii a) override_tokens))
-        args
+        (fun a -> not (mem_string (String.lowercase_ascii a) override_tokens))
+        (fields value)
     in
     (match bad with
      | Some a -> fail "Illegal override option %s" a
      | None -> Ok ())
   | Order_arg ->
-    (match List.map String.lowercase_ascii args with
+    (match List.map String.lowercase_ascii (fields value) with
      | [ "allow,deny" ] | [ "deny,allow" ] | [ "mutual-failure" ] -> Ok ()
      | _ -> fail "unknown order")
   | From_list ->
-    (match List.map String.lowercase_ascii args with
+    (match List.map String.lowercase_ascii (fields value) with
      | "from" :: _ :: _ -> Ok ()
      | _ -> fail "%s takes 'from <host>' arguments" name)
   | Min_args n ->
-    if List.length args >= n then Ok ()
+    if List.length (fields value) >= n then Ok ()
     else fail "%s takes at least %d argument(s)" name n
 
 (* ------------------------------------------------------------------ *)
@@ -356,7 +383,7 @@ let validate_value state name validator value =
 let load_module args =
   match fields args with
   | [ name; path ] ->
-    (match List.assoc_opt name modules with
+    (match SMap.find_opt name module_paths with
      | Some canonical when strip_quotes path = canonical -> Ok name
      | Some canonical ->
        Error
@@ -369,22 +396,19 @@ let load_module args =
          (Printf.sprintf "Cannot load %s into server: undefined module %s" path name))
   | _ -> Error "LoadModule takes two arguments"
 
+let is_loaded state m = mem_string m state.loaded
+
 let handle_directive state lname name args =
-  match List.assoc_opt lname core_directives with
-  | Some validator -> validate_value state lname validator args
-  | None ->
-    (match directive_module lname with
-     | Some m when List.mem m state.loaded ->
-       let validator =
-         Option.value ~default:Anything (List.assoc_opt lname module_directive_validators)
-       in
-       validate_value state lname validator args
-     | Some _ | None ->
-       Error
-         (Printf.sprintf
-            "Invalid command '%s', perhaps misspelled or defined by a module not \
-             included in the server configuration"
-            name))
+  match SMap.find_opt lname handlers with
+  | Some (Core validator) -> validate_value state lname validator args
+  | Some (Provided_by (m, validator)) when is_loaded state m ->
+    validate_value state lname validator args
+  | Some (Provided_by _) | None ->
+    Error
+      (Printf.sprintf
+         "Invalid command '%s', perhaps misspelled or defined by a module not \
+          included in the server configuration"
+         name)
 
 let ifmodule_ref arg =
   let a = Strutil.trim arg in
@@ -418,15 +442,16 @@ let check (report : Sut.report) files =
   let problem file rpath message =
     report { Sut.file; path = List.rev rpath; message; suggestion = None }
   in
+  let site file rpath = Some (file, List.rev rpath) in
   (* httpd resolves LoadModule before the bulk of the configuration is
      interpreted (the shipped configs rely on this), so module loading
-     is a first pass over every file and section. *)
+     is a first pass over every file and section; it compares names
+     without lowercased copies, and the walk lowercases each once. *)
   let rec preload file rpath (n : Node.t) =
     List.iteri
       (fun i (c : Node.t) ->
         let rpath = i :: rpath in
-        if c.kind = Node.kind_directive && String.lowercase_ascii c.name = "loadmodule"
-        then (
+        if c.kind = Node.kind_directive && Strutil.equal_ci c.name "loadmodule" then (
           match load_module (Node.value_or ~default:"" c) with
           | Ok name -> state.loaded <- name :: state.loaded
           | Error m -> problem file rpath m)
@@ -443,13 +468,13 @@ let check (report : Sut.report) files =
   and directive file rpath ~vhost_port (c : Node.t) =
     let lname = String.lowercase_ascii c.name in
     let args = Node.value_or ~default:"" c in
-    let site () = Some (file, List.rev rpath) in
     if lname <> "loadmodule" then
       match handle_directive state lname c.name args with
       | Error m -> problem file rpath m
       | Ok () -> (
         match lname with
-        | "listen" -> if state.first_listen = None then state.first_listen <- site ()
+        | "listen" ->
+          if state.first_listen = None then state.first_listen <- site file rpath
         | "documentroot" -> (
           let root =
             strip_quotes (Option.value ~default:"" (List.nth_opt (fields args) 0))
@@ -457,11 +482,11 @@ let check (report : Sut.report) files =
           match vhost_port with
           | None ->
             state.document_root <- root;
-            state.document_root_at <- site ()
+            state.document_root_at <- site file rpath
           | Some p -> state.vhost_roots <- (p, root) :: state.vhost_roots)
         | "directoryindex" ->
           state.directory_index <- fields args;
-          state.directory_index_at <- site ()
+          state.directory_index_at <- site file rpath
         | _ -> ())
   and section file rpath ~vhost_port (c : Node.t) =
     let arg = Strutil.trim (Option.value ~default:"" (Node.attr c "arg")) in
@@ -471,7 +496,7 @@ let check (report : Sut.report) files =
       if not (known_module mod_name) then
         state.unknown_ifmodules <- ((file, List.rev rpath), arg) :: state.unknown_ifmodules;
       (* a skipped body is skipped entirely: even invalid commands are ignored *)
-      if List.mem mod_name state.loaded <> negated then walk file rpath ~vhost_port c
+      if is_loaded state mod_name <> negated then walk file rpath ~vhost_port c
     | "virtualhost" ->
       (match parse_port arg with
        | Ok p -> walk file rpath ~vhost_port:(Some p) c
@@ -515,7 +540,7 @@ let functional_tests state () =
     in
     if not (docroot_has_index root) then
       [ Sut.failed "http-get" (Printf.sprintf "404 Not Found (DocumentRoot %s)" root) ]
-    else if not (List.mem "index.html" state.directory_index) then
+    else if not (mem_string "index.html" state.directory_index) then
       [ Sut.failed "http-get" "403 Forbidden (no DirectoryIndex maps /)" ]
     else [ Sut.passed "http-get" ]
   end
@@ -528,7 +553,7 @@ let boot configs =
        one configuration (the paper's multi-file Apache example). *)
     let text =
       match List.assoc_opt "ssl.conf" configs with
-      | Some ssl -> main_text ^ "\n" ^ ssl
+      | Some ssl -> String.concat "\n" [ main_text; ssl ]
       | None -> main_text
     in
     (match Formats.Apacheconf.parse text with

@@ -14,7 +14,26 @@ let split_on_first c s =
 
 let trim = String.trim
 
+let fields s =
+  (* one scan, from the end so that the fields come out in order;
+     [stop] ends the field being read, -1 between fields *)
+  let rec scan acc stop i =
+    if i < 0 then if stop < 0 then acc else String.sub s 0 stop :: acc
+    else if s.[i] = ' ' || s.[i] = '\t' then
+      let acc = if stop < 0 then acc else String.sub s (i + 1) (stop - i - 1) :: acc in
+      scan acc (-1) (i - 1)
+    else scan acc (if stop < 0 then i + 1 else stop) (i - 1)
+  in
+  scan [] (-1) (String.length s - 1)
+
 let lowercase = String.lowercase_ascii
+
+(* from [i] on; a top-level loop, so that a comparison allocates nothing *)
+let rec equal_ci_from a b i =
+  i = String.length a
+  || (Char.lowercase_ascii a.[i] = Char.lowercase_ascii b.[i] && equal_ci_from a b (i + 1))
+
+let equal_ci a b = String.length a = String.length b && equal_ci_from a b 0
 
 let insert_char s i c =
   if i < 0 || i > String.length s then invalid_arg "Strutil.insert_char";

@@ -14,7 +14,15 @@ val split_on_first : char -> string -> (string * string) option
 val trim : string -> string
 (** Like {!String.trim}; provided for qualified-use style. *)
 
+val fields : string -> string list
+(** [fields s] is the maximal runs of [s] free of spaces and tabs, in
+    order: how httpd splits a directive's arguments and a zone file its
+    record fields.  [fields ""] and [fields " \t"] are [[]]. *)
+
 val lowercase : string -> string
+
+val equal_ci : string -> string -> bool
+(** ASCII case-insensitive equality, without lowercased copies. *)
 
 val insert_char : string -> int -> char -> string
 (** [insert_char s i c] inserts [c] before position [i] (0..length). *)

@@ -70,6 +70,43 @@ let test_lint_parallel_equals_sequential () =
   let sequential = List.map lint_findings suts in
   Alcotest.(check (list (list string))) "bind and mysql findings" sequential parallel
 
+(* The same for boot: campaigns boot on pool domains, and the name
+   tables a simulator builds once must be shared without a race.  Two
+   domains boot the seed-42 apache and bind mutants at once. *)
+let boot_results (sut : Suts.Sut.t) =
+  match Conferr.Engine.parse_default_config sut with
+  | Error msg -> Alcotest.failf "parse: %s" msg
+  | Ok base ->
+    Conferr.Campaign.typo_scenarios ~rng:(Rng.create 42)
+      ~faultload:Conferr.Campaign.paper_faultload sut base
+    |> List.filter_map (fun (sc : Errgen.Scenario.t) ->
+           match sc.apply base with
+           | Error _ -> None
+           | Ok mutated -> Result.to_option (Conferr.Engine.serialize_config sut mutated))
+    |> List.map (fun configs ->
+           match sut.boot configs with
+           | Error msg -> "refused: " ^ msg
+           | Ok instance ->
+             String.concat "; "
+               (List.map
+                  (fun (r : Suts.Sut.test_result) ->
+                    Printf.sprintf "%s %b %s" r.test_name r.passed r.detail)
+                  (instance.run_tests ())))
+
+let test_boot_parallel_equals_sequential () =
+  let suts = [ Suts.Mini_apache.sut; Suts.Mini_bind.sut ] in
+  let ready = Atomic.make 0 in
+  let start sut () =
+    Atomic.incr ready;
+    while Atomic.get ready < List.length suts do
+      Domain.cpu_relax ()
+    done;
+    boot_results sut
+  in
+  let parallel = List.map (fun sut -> Domain.spawn (start sut)) suts |> List.map Domain.join in
+  let sequential = List.map boot_results suts in
+  Alcotest.(check (list (list string))) "apache and bind boots" sequential parallel
+
 let () =
   Alcotest.run "domains"
     [
@@ -82,5 +119,10 @@ let () =
         [
           Alcotest.test_case "two domains equal a sequential run" `Quick
             test_lint_parallel_equals_sequential;
+        ] );
+      ( "boot",
+        [
+          Alcotest.test_case "two domains equal a sequential run" `Quick
+            test_boot_parallel_equals_sequential;
         ] );
     ]

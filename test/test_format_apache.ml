@@ -99,6 +99,16 @@ let test_sep_attribute_respected () =
   | Ok text -> Alcotest.(check string) "tab used" "Listen\t80\n" text
   | Error msg -> Alcotest.failf "serialize: %s" msg
 
+(* httpd splits a section tag like a directive: the name ends at the
+   first space or tab *)
+let test_tab_in_section_tag () =
+  let t = parse_exn "<VirtualHost\t*:80>\nListen 80\n</VirtualHost>\n" in
+  match Node.get t [ 0 ] with
+  | Some s ->
+    Alcotest.(check string) "name" "VirtualHost" s.Node.name;
+    Alcotest.(check (option string)) "arg" (Some "*:80") (Node.attr s "arg")
+  | None -> Alcotest.fail "missing"
+
 let suite =
   [
     Alcotest.test_case "parse structure" `Quick test_parse_structure;
@@ -113,4 +123,5 @@ let suite =
     Alcotest.test_case "roundtrip semantics" `Quick test_roundtrip_semantics;
     Alcotest.test_case "serialize indents" `Quick test_serialize_indents;
     Alcotest.test_case "sep attribute" `Quick test_sep_attribute_respected;
+    Alcotest.test_case "tab in section tag" `Quick test_tab_in_section_tag;
   ]

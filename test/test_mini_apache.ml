@@ -144,6 +144,13 @@ let test_ifmodule_negation () =
   in
   Alcotest.(check bool) "negated body processed" true (tests_pass (boot_ok config))
 
+let test_ifmodule_tab_separated () =
+  (* a tab between the section's name and its module, as httpd reads it *)
+  let config =
+    default_text ^ "<IfModule\tmod_userdir.c>\n  UserDir disabled\n</IfModule>\n"
+  in
+  Alcotest.(check bool) "boots" true (tests_pass (boot_ok config))
+
 let test_documentroot_typo_fails_functionally () =
   (* typo both the main and the vhost DocumentRoot *)
   let config =
@@ -249,4 +256,5 @@ let suite =
     Alcotest.test_case "ServerRoot typo" `Quick test_serverroot_typo_detected;
     Alcotest.test_case "Include missing file" `Quick test_include_missing_file_detected;
     Alcotest.test_case "ErrorDocument arity" `Quick test_errordocument_arity;
+    Alcotest.test_case "IfModule tab separated" `Quick test_ifmodule_tab_separated;
   ]

@@ -221,6 +221,14 @@ let prop_duplicate_grows =
          | Some t ->
            Conftree.Node.size t = Conftree.Node.size tree + Conftree.Node.size sub))
 
+let prop_find_first =
+  QCheck2.Test.make ~name:"node: find_first is the head of find_all"
+    QCheck2.Gen.(pair Gen.rooted_tree_gen Gen.name_gen)
+    (fun (tree, name) ->
+      let pred (n : Conftree.Node.t) = n.name = name in
+      Conftree.Node.find_first pred tree
+      = (match Conftree.Node.find_all pred tree with [] -> None | x :: _ -> Some x))
+
 let suite =
   [
     Alcotest.test_case "constructors" `Quick test_constructors;
@@ -244,4 +252,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_delete_shrinks;
     QCheck_alcotest.to_alcotest prop_get_after_update;
     QCheck_alcotest.to_alcotest prop_duplicate_grows;
+    QCheck_alcotest.to_alcotest prop_find_first;
   ]

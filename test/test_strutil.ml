@@ -154,6 +154,15 @@ let prop_swap_involution =
       QCheck2.assume (i + 1 < String.length s);
       Strutil.swap_chars (Strutil.swap_chars s i) i = s)
 
+let prop_equal_ci =
+  QCheck2.Test.make ~count:500 ~name:"equal_ci: equality of the lowercased strings"
+    QCheck2.Gen.(
+      pair
+        (string_size ~gen:(oneofl [ 'a'; 'A'; 'b'; 'B'; '1'; '$' ]) (int_range 0 4))
+        (string_size ~gen:(oneofl [ 'a'; 'A'; 'b'; 'B'; '1'; '$' ]) (int_range 0 4)))
+    (fun (a, b) ->
+      Strutil.equal_ci a b = (String.lowercase_ascii a = String.lowercase_ascii b))
+
 let suite =
   [
     Alcotest.test_case "is_prefix" `Quick test_is_prefix;
@@ -174,4 +183,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_damerau_bounded_by_levenshtein;
     QCheck_alcotest.to_alcotest prop_swap_involution;
     QCheck_alcotest.to_alcotest prop_damerau_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_equal_ci;
   ]
