@@ -1,4 +1,4 @@
-.PHONY: all build test smoke serve-smoke durability-smoke check bench clean
+.PHONY: all build test smoke durability-smoke check bench clean
 
 all: build
 
@@ -39,45 +39,6 @@ smoke: build
 	dune exec bin/main.exe -- report --journal /tmp/conferr-obsv.jsonl \
 	  --html /tmp/conferr-report.html
 	test -s /tmp/conferr-report.html
-
-# Service-mode smoke (doc/serve.md): a real daemon on an ephemeral port.
-#   1. submit a mini-postgres campaign through the client and stream its
-#      progress events to completion;
-#   2. the daemon's journal must equal a one-shot CLI journal for the
-#      same campaign modulo wall-clock fields (the determinism contract);
-#   3. /metrics must expose the serve counters and /dashboard must serve
-#      the live HTML report;
-#   4. SIGTERM must drain gracefully: exit 0 and an fsck-clean journal.
-# The daemon runs the already-built binary directly — a second dune
-# invocation would contend on the build lock while the daemon lives.
-serve-smoke: build
-	rm -rf /tmp/conferr-serve-state /tmp/conferr-serve.port \
-	  /tmp/conferr-serve-cli.jsonl /tmp/conferr-serve-dash.html
-	set -e; \
-	BIN=_build/default/bin/main.exe; \
-	$$BIN serve --port 0 --port-file /tmp/conferr-serve.port \
-	  --state-dir /tmp/conferr-serve-state --jobs 2 & \
-	DPID=$$!; \
-	for i in $$(seq 1 50); do \
-	  test -s /tmp/conferr-serve.port && break; sleep 0.1; \
-	done; \
-	test -s /tmp/conferr-serve.port || { kill $$DPID; exit 1; }; \
-	PORT=$$(cat /tmp/conferr-serve.port); \
-	$$BIN get --port $$PORT /healthz; \
-	$$BIN submit --port $$PORT --sut mini_pg --seed 7; \
-	$$BIN watch --port $$PORT c0001 > /dev/null; \
-	$$BIN status --port $$PORT c0001; \
-	$$BIN results --port $$PORT c0001 > /dev/null; \
-	$$BIN profile --sut mini_pg --seed 7 \
-	  --journal /tmp/conferr-serve-cli.jsonl > /dev/null; \
-	$$BIN journal-diff /tmp/conferr-serve-state/c0001.jsonl \
-	  /tmp/conferr-serve-cli.jsonl; \
-	$$BIN get --port $$PORT /metrics | grep -q conferr_serve_submissions_total; \
-	$$BIN get --port $$PORT /dashboard > /tmp/conferr-serve-dash.html; \
-	grep -q "<!doctype html" /tmp/conferr-serve-dash.html; \
-	kill -TERM $$DPID; \
-	wait $$DPID; \
-	$$BIN fsck /tmp/conferr-serve-state/c0001.jsonl
 
 # Durability smoke (doc/exec.md, doc/harden.md): the v3 segmented
 # journal under storage chaos, end to end through the CLI.
@@ -127,9 +88,9 @@ durability-smoke: build
 	kill -TERM $$DPID; \
 	wait $$DPID
 
-# The lint, analyze, infer and repair smokes are cram tests
-# (test/{lint,analyze,infer,repair}.t), part of `dune runtest`.
-check: build test smoke serve-smoke durability-smoke
+# The lint, analyze, infer, repair and serve smokes are cram tests
+# (test/{lint,analyze,infer,repair,serve}.t), part of `dune runtest`.
+check: build test smoke durability-smoke
 
 bench:
 	dune exec bench/main.exe

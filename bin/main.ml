@@ -815,7 +815,8 @@ let suggest_cmd =
           repair for one SUT.")
     Term.(const run $ sut_arg () $ seed_arg)
 
-(* Write the HTML dashboard [write] renders to the --html path, if any. *)
+(* Write the HTML dashboard [write] renders to the --html path, if any.
+   [write] runs only then, so it is where callers build the page. *)
 let write_dashboard ?code html write =
   Option.iter (fun path -> guard ?code (fun () -> write path)) html
 
@@ -1020,17 +1021,6 @@ let load_replay ~seed sut journals =
   let stock = stock_config sut in
   (entries, stock, Conferr.Faultload.journal_scenarios ~seed sut stock)
 
-let analysis_row (f : Conferr_lint.Finding.t) =
-  {
-    Conferr_obsv.Report.an_rule = f.rule_id;
-    an_severity = Conferr_lint.Finding.severity_label f.severity;
-    an_file = f.file;
-    an_address = f.address;
-    an_message = f.message;
-    an_related =
-      String.concat ", " (List.map (fun (fl, ad) -> fl ^ ":" ^ ad) f.related);
-  }
-
 (* Write the Prometheus snapshot of the counters [record] fills to the
    --metrics path, if any. *)
 let write_metrics metrics record =
@@ -1136,11 +1126,12 @@ let analyze_cmd =
                 ~labels:[ ("rule", f.rule_id); ("sut", sut_name) ]
                 registry "conferr_dataflow_findings_total")
           findings);
-    write_dashboard html
-      (Conferr_obsv.Report.write_file
-         ~title:("conferr analyze \xe2\x80\x94 " ^ sut_name)
-         ~rows:[]
-         ~analysis:(List.map analysis_row findings));
+    write_dashboard html (fun path ->
+        Conferr_obsv.Report.write_file
+          ~title:("conferr analyze \xe2\x80\x94 " ^ sut_name)
+          ~rows:[]
+          ~panels:[ Conferr_lint.Checker.analysis_panel findings ]
+          path);
     if Conferr_lint.Checker.exceeds ~threshold:fail_on findings then exit 1
   in
   Cmd.v
@@ -1188,31 +1179,14 @@ let gaps_cmd =
     in
     print_report format ~text:Conferr_lint_replay.render
       ~json:Conferr_lint_replay.to_json report;
-    let dataflow_ids =
-      if deep then Suts.Dataflow_rules.dataflow_ids sut.Suts.Sut.sut_name else []
-    in
     write_metrics metrics (fun registry ->
-        Conferr_lint_replay.record_metrics ~dataflow_ids registry report);
+        Conferr_lint_replay.record_metrics ~deep registry report);
     write_dashboard html (fun path ->
-        let analysis =
-          if not deep then None
-          else
-            Some
-              (List.concat_map
-                 (fun (r : Conferr_lint_replay.row) ->
-                   List.filter_map
-                     (fun (f : Conferr_lint.Finding.t) ->
-                       if List.mem f.rule_id dataflow_ids then
-                         Some (analysis_row f)
-                       else None)
-                     r.findings)
-                 report.Conferr_lint_replay.rows)
-        in
         Conferr_obsv.Report.write_file
           ~title:("conferr validator gaps \xe2\x80\x94 " ^ Filename.basename jpath)
           ~rows:(Conferr_exec.Dashboard.rows_of_entries entries)
-          ~gaps:(Conferr_lint_replay.dashboard_rows report)
-          ?analysis path);
+          ~panels:(Conferr_lint_replay.panels ~deep report)
+          path);
     if Conferr_lint_replay.gap_total report > 0 then exit 1
   in
   Cmd.v
@@ -1268,13 +1242,14 @@ let infer_cmd =
       emit_rules;
     write_metrics metrics (fun registry ->
         Conferr_infer.Infer_report.record_metrics registry result);
-    write_dashboard html
-      (Conferr_obsv.Report.write_file
-         ~title:
-           ("conferr inferred constraints \xe2\x80\x94 "
-           ^ String.concat ", " (List.map Filename.basename journals))
-         ~rows:(Conferr_exec.Dashboard.rows_of_entries entries)
-         ~infer:(Conferr_infer.Infer_report.dashboard_rows ~hand:rules result));
+    write_dashboard html (fun path ->
+        Conferr_obsv.Report.write_file
+          ~title:
+            ("conferr inferred constraints \xe2\x80\x94 "
+            ^ String.concat ", " (List.map Filename.basename journals))
+          ~rows:(Conferr_exec.Dashboard.rows_of_entries entries)
+          ~panels:[ Conferr_infer.Infer_report.panel ~hand:rules result ]
+          path);
     let diff = result.Conferr_infer.Pipeline.diff in
     if
       diff.Conferr_infer.Differ.contradicted <> []
@@ -1398,11 +1373,12 @@ let repair_cmd =
         result.Conferr_repair.Pipeline.repairs;
     write_metrics metrics (fun registry ->
         Conferr_repair.Repair_report.record_metrics registry result);
-    write_dashboard html
-      (Conferr_obsv.Report.write_file
-         ~title:("conferr repairs \xe2\x80\x94 " ^ sut.Suts.Sut.sut_name)
-         ~rows:[]
-         ~repairs:(Conferr_repair.Repair_report.dashboard_rows result));
+    write_dashboard html (fun path ->
+        Conferr_obsv.Report.write_file
+          ~title:("conferr repairs \xe2\x80\x94 " ^ sut.Suts.Sut.sut_name)
+          ~rows:[]
+          ~panels:[ Conferr_repair.Repair_report.panel result ]
+          path);
     if not (Conferr_repair.Pipeline.all_repaired result) then exit 1
   in
   let ids =

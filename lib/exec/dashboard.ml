@@ -8,19 +8,11 @@ let row_of_entry (e : Journal.entry) =
     }
   in
   let key = Signature.of_entry profile_entry in
-  let detail =
-    match e.Journal.outcome with
-    | Conferr.Outcome.Startup_failure msg -> msg
-    | Conferr.Outcome.Test_failure msgs -> String.concat "; " msgs
-    | Conferr.Outcome.Passed -> ""
-    | Conferr.Outcome.Not_applicable msg -> msg
-    | Conferr.Outcome.Crashed c -> Conferr.Outcome.crash_summary c
-  in
   {
     Conferr_obsv.Report.id = e.Journal.scenario_id;
     class_name = e.Journal.class_name;
     outcome = Conferr.Outcome.label e.Journal.outcome;
-    detail;
+    detail = Signature.outcome_message e.Journal.outcome;
     signature =
       Printf.sprintf "%s | %s | %s" key.Signature.class_name key.Signature.label
         key.Signature.message;

@@ -217,19 +217,6 @@ let has_at line off key =
   in
   go 0
 
-(* The decoder reads the escapes \u0080-\u00ff as UTF-8, not as the raw
-   byte the encoder escaped, so a body holding one does not survive the
-   canonical check (parse, serialize, hash): leave it to that check. *)
-let escapes_high_byte line off len =
-  let rec go i =
-    i + 5 < off + len
-    && ((line.[i] = '\\' && line.[i + 1] = 'u' && line.[i + 2] = '0'
-         && line.[i + 3] = '0'
-         && match line.[i + 4] with '8' .. '9' | 'a' .. 'f' -> true | _ -> false)
-       || go (i + 1))
-  in
-  go off
-
 (* Fast path: a line in exactly {!render}'s layout (newline stripped)
    whose CRC matches its raw entry bytes; only those bytes are parsed. *)
 let rendered_entry line =
@@ -241,7 +228,6 @@ let rendered_entry line =
     && has_at line (crc_at + 8) entry_key
     && line.[len - 1] = '}'
     && Crc32.of_hex (String.sub line crc_at 8) = Some (Crc32.sub line body_at body_len)
-    && not (escapes_high_byte line body_at body_len)
   then
     match Json.of_string (String.sub line body_at body_len) with
     | Ok body -> Result.to_option (entry_of_json body)

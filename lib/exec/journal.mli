@@ -96,9 +96,8 @@ val decode_line : string -> line_verdict
 (** Classify one line (newline stripped) — what {!load}, {!fsck} and
     {!survey} all go through.  A line in {!render}'s exact layout has
     its CRC checked over the raw ["entry"] bytes and only those bytes
-    parsed; any other line (v1, another writer's layout, one that
-    fails that check, or a body escaping a byte above 0x7f, which the
-    decoder reads back as UTF-8) gets the canonical check. *)
+    parsed; any other line (v1, another writer's layout, or one that
+    fails that check) gets the canonical check. *)
 
 val is_store : string -> bool
 (** The path is a v3 segmented store ({!Segstore.is_store}). *)

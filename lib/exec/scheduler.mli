@@ -16,8 +16,8 @@
     - [max_active] caps how many of its tasks run concurrently (the
       per-campaign job cap), and
     - [queue_cap] bounds its submission queue; a full queue {e rejects}
-      instead of growing, which is what the daemon turns into HTTP 429
-      backpressure.
+      instead of growing.  The daemon's campaigns leave it unbounded:
+      its HTTP 429 comes from [--max-campaigns].
 
     Tasks are [unit -> unit] thunks and must do their own result
     plumbing; an escaping exception is caught, recorded as the tenant's

@@ -144,7 +144,20 @@ let diff ~hand ~(replay : Conferr_lint_replay.report) ~candidates =
     matches_of;
   }
 
-let verdict_label id t =
-  if List.mem id t.contradicted then "contradicted"
-  else if List.mem id t.recovered then "recovered"
-  else "missed-by-inference"
+type verdict = Recovered | Missed_by_inference | Contradicted | Missed_by_hand
+
+let verdict_label = function
+  | Recovered -> "recovered"
+  | Missed_by_inference -> "missed-by-inference"
+  | Contradicted -> "contradicted"
+  | Missed_by_hand -> "missed-by-hand"
+
+let rule_verdict id t =
+  if List.mem id t.contradicted then Contradicted
+  else if List.mem id t.recovered then Recovered
+  else Missed_by_inference
+
+let candidate_verdict id t =
+  match List.assoc_opt id t.matches_of with
+  | Some [] | None -> Missed_by_hand
+  | Some _ -> Recovered

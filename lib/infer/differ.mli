@@ -42,6 +42,16 @@ val diff :
   replay:Conferr_lint_replay.report ->
   candidates:Candidate.t list -> t
 
-val verdict_label : string -> t -> string
-(** For a hand rule id: ["recovered"], ["missed-by-inference"] or
-    ["contradicted"] (contradiction wins over recovery). *)
+type verdict = Recovered | Missed_by_inference | Contradicted | Missed_by_hand
+
+val verdict_label : verdict -> string
+(** ["recovered"], ["missed-by-inference"], ["contradicted"],
+    ["missed-by-hand"]. *)
+
+val rule_verdict : string -> t -> verdict
+(** For a hand rule id: [Recovered], [Missed_by_inference] or
+    [Contradicted] (contradiction wins over recovery). *)
+
+val candidate_verdict : string -> t -> verdict
+(** For a candidate id: [Recovered] when it matches a hand rule,
+    [Missed_by_hand] otherwise. *)

@@ -10,11 +10,6 @@ let majority r =
   let recovered, total = recovery r in
   total > 0 && 2 * recovered >= total
 
-let candidate_verdict (r : Pipeline.result) (c : Candidate.t) =
-  match List.assoc_opt c.id r.diff.matches_of with
-  | Some [] | None -> "missed-by-hand"
-  | Some _ -> "recovered"
-
 let render (r : Pipeline.result) =
   let buf = Buffer.create 2048 in
   Printf.bprintf buf "constraint inference: %s\n" r.evidence.sut_name;
@@ -86,7 +81,8 @@ let candidate_to_json r (c : Candidate.t) =
           (List.map
              (fun s -> Json.Str s)
              (Option.value ~default:[] (List.assoc_opt c.id r.Pipeline.diff.matches_of))) );
-      ("verdict", Json.Str (candidate_verdict r c));
+      ( "verdict",
+        Json.Str (Differ.verdict_label (Differ.candidate_verdict c.id r.diff)) );
     ]
 
 let rule_to_json (r : Pipeline.result) (rv : Differ.rule_verdict) =
@@ -98,7 +94,8 @@ let rule_to_json (r : Pipeline.result) (rv : Differ.rule_verdict) =
       ("matched", Json.Arr (List.map (fun s -> Json.Str s) rv.matched));
       ( "contradicting",
         Json.Arr (List.map (fun s -> Json.Str s) rv.contradicting) );
-      ("verdict", Json.Str (Differ.verdict_label rv.rule_id r.diff));
+      ( "verdict",
+        Json.Str (Differ.verdict_label (Differ.rule_verdict rv.rule_id r.diff)) );
     ]
 
 let to_json (r : Pipeline.result) =
@@ -162,30 +159,43 @@ let record_metrics metrics (r : Pipeline.result) =
         ~labels:
           [
             ("sut", sut);
-            ("verdict", Differ.verdict_label rv.rule_id r.diff);
+            ("verdict", Differ.verdict_label (Differ.rule_verdict rv.rule_id r.diff));
           ]
         metrics "conferr_infer_rule_diff_total")
     r.diff.rules;
   List.iter
     (fun _ ->
       M.inc
-        ~labels:[ ("sut", sut); ("verdict", "missed-by-hand") ]
+        ~labels:[ ("sut", sut); ("verdict", Differ.verdict_label Missed_by_hand) ]
         metrics "conferr_infer_rule_diff_total")
     r.diff.missed_by_hand
 
-let dashboard_rows ~hand (r : Pipeline.result) =
-  let cand_rows =
+let panel ~hand (r : Pipeline.result) =
+  let tone : Differ.verdict -> Conferr_obsv.Report.tone = function
+    | Recovered -> Good
+    | Missed_by_hand -> Serious
+    | Missed_by_inference -> Muted
+    | Contradicted -> Critical
+  in
+  let row verdict id kind target support confidence doc =
+    ( verdict,
+      [
+        Conferr_obsv.Report.Mono id;
+        Text kind;
+        Mono target;
+        Num (string_of_int support);
+        Num (Printf.sprintf "%.2f" confidence);
+        Badge (tone verdict, Differ.verdict_label verdict);
+        Mono doc;
+      ] )
+  in
+  let candidates =
     List.map
       (fun (c : Candidate.t) ->
-        {
-          Conferr_obsv.Report.inf_id = c.id;
-          inf_kind = Candidate.kind_label c.kind;
-          inf_target = Candidate.target_string c;
-          inf_doc = c.doc;
-          inf_support = List.length c.support;
-          inf_confidence = Candidate.confidence c;
-          inf_verdict = candidate_verdict r c;
-        })
+        row
+          (Differ.candidate_verdict c.id r.diff)
+          c.id (Candidate.kind_label c.kind) (Candidate.target_string c)
+          (List.length c.support) (Candidate.confidence c) c.doc)
       r.candidates
   in
   let doc_of id =
@@ -193,22 +203,41 @@ let dashboard_rows ~hand (r : Pipeline.result) =
     | Some ru -> ru.doc
     | None -> ""
   in
-  let rule_rows =
+  (* hand-written rules inference did not recover *)
+  let rules =
     List.filter_map
       (fun (rv : Differ.rule_verdict) ->
-        let verdict = Differ.verdict_label rv.rule_id r.diff in
-        if verdict = "recovered" then None
-        else
+        match Differ.rule_verdict rv.rule_id r.diff with
+        | Recovered -> None
+        | v ->
           Some
-            {
-              Conferr_obsv.Report.inf_id = rv.rule_id;
-              inf_kind = "hand-rule";
-              inf_target = "-";
-              inf_doc = doc_of rv.rule_id;
-              inf_support = List.length rv.fired;
-              inf_confidence = 0.;
-              inf_verdict = verdict;
-            })
+            (row v rv.rule_id "hand-rule" "-" (List.length rv.fired) 0.
+               (doc_of rv.rule_id)))
       r.diff.rules
   in
-  cand_rows @ rule_rows
+  let rows = candidates @ rules in
+  let n v = List.length (List.filter (fun (v', _) -> v' = v) rows) in
+  {
+    Conferr_obsv.Report.heading = "Inferred constraints";
+    blurb =
+      "constraint candidates mined from the campaign journal, diffed \
+       against the hand-written rule set (doc/infer.md)";
+    tiles =
+      [
+        ("recovered", n Recovered, "hand-written rules re-derived from journals");
+        ( "missed by hand", n Missed_by_hand,
+          "mined candidates with no hand-written rule" );
+        ( "missed by inference", n Missed_by_inference,
+          "hand-written rules the journals never exercised" );
+        ("contradicted", n Contradicted, "hand-written rules the evidence refutes");
+      ];
+    columns =
+      [ ("id", false); ("kind", false); ("target", false); ("support", true);
+        ("confidence", true); ("verdict", false); ("constraint", false) ];
+    rows = List.map snd rows;
+    empty =
+      "no inferred candidates: the journal holds no usable evidence at the \
+       current thresholds.";
+    noun = "row";
+    command = "conferr infer --format json";
+  }

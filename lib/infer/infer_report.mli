@@ -24,8 +24,7 @@ val record_metrics : Conferr_obsv.Metrics.t -> Pipeline.result -> unit
 (** [conferr_infer_candidates_total{sut,kind,claim}] and
     [conferr_infer_rule_diff_total{sut,verdict}]. *)
 
-val dashboard_rows :
-  hand:Conferr_lint.Rule.t list -> Pipeline.result ->
-  Conferr_obsv.Report.infer_row list
-(** Candidate rows (verdict recovered / missed-by-hand) followed by the
-    hand-written rules inference missed or contradicted. *)
+val panel : hand:Conferr_lint.Rule.t list -> Pipeline.result -> Conferr_obsv.Report.panel
+(** The dashboard's inferred-constraints panel: verdict tiles, the
+    candidate rows (recovered / missed-by-hand), then the hand-written
+    rules inference missed or contradicted. *)

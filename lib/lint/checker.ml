@@ -464,3 +464,43 @@ let to_json findings =
       ("warnings", Num (float_of_int w));
       ("info", Num (float_of_int i));
     ]
+
+let analysis_panel findings =
+  let e, w, i = summary findings in
+  let tone : Finding.severity -> Conferr_obsv.Report.tone = function
+    | Error -> Critical
+    | Warning -> Serious
+    | Info -> Series
+  in
+  {
+    Conferr_obsv.Report.heading = "Corpus analysis";
+    blurb =
+      "abstract interpretation over the whole configuration set: relation \
+       checks, cross-file reference graph, silent-default taint (doc/lint.md)";
+    tiles =
+      [
+        ("findings", List.length findings, "corpus-level (dataflow) findings");
+        ("errors", e, "relation violations");
+        ("warnings", w, "shadowing, ordering, graph");
+        ("info", i, "silent-default taint");
+      ];
+    columns =
+      [ ("rule", false); ("severity", false); ("site", false); ("finding", false);
+        ("related", false) ];
+    rows =
+      List.map
+        (fun (f : Finding.t) ->
+          [
+            Conferr_obsv.Report.Mono f.rule_id;
+            Badge (tone f.severity, Finding.severity_label f.severity);
+            Mono (f.file ^ ":" ^ f.address);
+            Mono f.message;
+            Mono (String.concat ", " (List.map (fun (fl, ad) -> fl ^ ":" ^ ad) f.related));
+          ])
+        findings;
+    empty =
+      "no dataflow findings: every relation holds and no written value is \
+       masked.";
+    noun = "finding";
+    command = "conferr analyze --format json";
+  }

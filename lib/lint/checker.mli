@@ -51,3 +51,8 @@ val render_text : Finding.t list -> string
 
 val to_json : Finding.t list -> Conferr_obsv.Json.t
 (** [{"findings":[...],"errors":E,"warnings":W,"info":I}]. *)
+
+val analysis_panel : Finding.t list -> Conferr_obsv.Report.panel
+(** The dashboard's corpus-analysis panel: severity tiles and one row
+    per finding, as [conferr analyze --html] and [conferr gaps --deep
+    --html] show them. *)

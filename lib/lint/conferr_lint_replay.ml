@@ -239,7 +239,11 @@ let to_json report =
       ("rows", Arr (List.map row_to_json report.rows));
     ]
 
-let record_metrics ?(dataflow_ids = []) metrics report =
+let dataflow_ids ~deep report =
+  if deep then Suts.Dataflow_rules.dataflow_ids report.sut_name else []
+
+let record_metrics ?(deep = false) metrics report =
+  let dataflow_ids = dataflow_ids ~deep report in
   let module M = Conferr_obsv.Metrics in
   M.declare ~help:"Validator-gap rows by kind" metrics M.Counter
     "conferr_gap_total";
@@ -270,25 +274,70 @@ let record_metrics ?(dataflow_ids = []) metrics report =
         r.findings)
     report.rows
 
-let dashboard_rows report =
-  List.filter_map
-    (fun r ->
-      if r.gap = Gap.Not_comparable then None
-      else
-        Some
-          {
-            Conferr_obsv.Report.gap_id = r.entry.Journal.scenario_id;
-            gap_class = r.entry.Journal.class_name;
-            gap_static = Gap.static_label r.static;
-            gap_outcome = Conferr.Outcome.label r.entry.Journal.outcome;
-            gap_kind = Gap.kind_label r.gap;
-            gap_detail =
-              (match r.findings with
-              | f :: _ -> f.Finding.message
-              | [] -> (
-                match r.static with
-                | Gap.Unparseable m -> m
-                | _ -> ""));
-          }
-    )
-    report.rows
+(* The dashboard's validator-gaps panel: kind tiles and one row per
+   disagreeing entry; under [deep], the corpus-analysis panel over the
+   dataflow rules' findings follows it. *)
+let panels ?(deep = false) report =
+  let tone : Gap.kind -> Conferr_obsv.Report.tone = function
+    | Silent_acceptance -> Critical
+    | Late_failure -> Serious
+    | Over_strict -> Series
+    | _ -> Muted
+  in
+  let gaps =
+    {
+      Conferr_obsv.Report.heading = "Validator gaps";
+      blurb =
+        "static lint verdict \xc3\x97 dynamic outcome for every replayed \
+         mutant (doc/lint.md)";
+      tiles =
+        [
+          ( "silent acceptance", count Gap.Silent_acceptance report,
+            "lint error, SUT started fine" );
+          ( "late failure", count Gap.Late_failure report,
+            "lint error, functional test failed" );
+          ("over-strict", count Gap.Over_strict report, "lint clean, SUT rejected");
+          ( "agreement",
+            count Gap.Agree_detected report + count Gap.Agree_clean report,
+            "static and dynamic verdicts match" );
+        ];
+      columns =
+        [ ("scenario", false); ("class", false); ("static", false);
+          ("dynamic", false); ("gap", false); ("detail", false) ];
+      rows =
+        List.filter_map
+          (fun r ->
+            if not (Gap.is_gap r.gap) then None
+            else
+              Some
+                [
+                  Conferr_obsv.Report.Mono r.entry.Journal.scenario_id;
+                  Mono r.entry.Journal.class_name;
+                  Text (Gap.static_label r.static);
+                  Text (Conferr.Outcome.label r.entry.Journal.outcome);
+                  Badge (tone r.gap, Gap.kind_label r.gap);
+                  Mono
+                    (match (r.findings, r.static) with
+                    | f :: _, _ -> f.Finding.message
+                    | [], Gap.Unparseable m -> m
+                    | [], _ -> "");
+                ])
+          report.rows;
+      empty =
+        "no validator gaps: the static verdict matched the dynamic outcome \
+         on every replayed mutant.";
+      noun = "disagreement";
+      command = "conferr gaps --format json";
+    }
+  in
+  if not deep then [ gaps ]
+  else
+    let ids = dataflow_ids ~deep report in
+    [
+      gaps;
+      Checker.analysis_panel
+        (List.concat_map
+           (fun r ->
+             List.filter (fun (f : Finding.t) -> List.mem f.rule_id ids) r.findings)
+           report.rows);
+    ]

@@ -147,9 +147,9 @@ let parse_string c =
        | Some 'u' ->
          advance c;
          let n = parse_hex4 c in
-         (* we only emit \u00XX for raw bytes; decode anything wider as
-            UTF-8 so foreign journals still load *)
-         if n < 0x80 then Buffer.add_char buf (Char.chr n)
+         (* \u0000-\u00ff is the raw byte the encoder escaped; decode
+            anything wider as UTF-8 so foreign journals still load *)
+         if n < 0x100 then Buffer.add_char buf (Char.chr n)
          else if n < 0x800 then begin
            Buffer.add_char buf (Char.chr (0xC0 lor (n lsr 6)));
            Buffer.add_char buf (Char.chr (0x80 lor (n land 0x3F)))

@@ -25,7 +25,8 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Parse one value; trailing garbage is an error.  Only the constructs
-    [to_string] emits are guaranteed to round-trip. *)
+    [to_string] emits are guaranteed to round-trip.  A [\u0000]–[\u00ff]
+    escape reads back as that byte; a wider one as its UTF-8 encoding. *)
 
 (** {1 Accessors} — all total, returning [None] on shape mismatch. *)
 

@@ -25,18 +25,28 @@ let esc s =
 
 let fnum v = Printf.sprintf "%g" v
 
+type tone = Good | Series | Serious | Critical | Muted
+
+let tone_class = function
+  | Good -> "o-startup"
+  | Series -> "o-functional"
+  | Serious -> "o-ignored"
+  | Critical -> "o-crashed"
+  | Muted -> "o-na"
+
 (* Outcome identity: fixed order, status colors reserved for state
    (startup = detected cleanly, crashed = took the harness down),
    series blue for functional detection, muted for n/a. *)
 let outcome_order = [ "startup"; "functional"; "ignored"; "crashed"; "n/a" ]
 
 let outcome_class o =
-  match o with
-  | "startup" -> "o-startup"
-  | "functional" -> "o-functional"
-  | "ignored" -> "o-ignored"
-  | "crashed" -> "o-crashed"
-  | _ -> "o-na"
+  tone_class
+    (match o with
+    | "startup" -> Good
+    | "functional" -> Series
+    | "ignored" -> Serious
+    | "crashed" -> Critical
+    | _ -> Muted)
 
 let count pred rows = List.length (List.filter pred rows)
 
@@ -306,259 +316,62 @@ let hardening_section rows metrics_text =
       end));
   Buffer.contents b
 
-type gap_row = {
-  gap_id : string;
-  gap_class : string;
-  gap_static : string;
-  gap_outcome : string;
-  gap_kind : string;
-  gap_detail : string;
+type cell = Text of string | Mono of string | Num of string | Badge of tone * string
+
+type panel = {
+  heading : string;
+  blurb : string;
+  tiles : (string * int * string) list;
+  columns : (string * bool) list;
+  rows : cell list list;
+  empty : string;
+  noun : string;
+  command : string;
 }
 
-let gap_kind_class = function
-  | "silent-acceptance" -> "o-crashed"
-  | "late-failure" -> "o-ignored"
-  | "over-strict" -> "o-functional"
-  | _ -> "o-na"
+let cell_html = function
+  | Text s -> "<td>" ^ esc s ^ "</td>"
+  | Mono s -> "<td class=\"mono\">" ^ esc s ^ "</td>"
+  | Num s -> "<td class=\"num\">" ^ esc s ^ "</td>"
+  | Badge (tone, label) ->
+    Printf.sprintf
+      "<td><span class=\"key\"><span class=\"swatch %s\"></span>%s</span></td>"
+      (tone_class tone) (esc label)
 
-let gaps_section gaps =
-  let b = Buffer.create 2048 in
-  let is_gap g =
-    match g.gap_kind with
-    | "silent-acceptance" | "late-failure" | "over-strict" -> true
-    | _ -> false
-  in
-  let kcount k = count (fun g -> g.gap_kind = k) gaps in
-  Buffer.add_string b "<section class=\"tiles\">";
-  Buffer.add_string b
-    (tile "silent acceptance" (string_of_int (kcount "silent-acceptance"))
-       "lint error, SUT started fine");
-  Buffer.add_string b
-    (tile "late failure" (string_of_int (kcount "late-failure"))
-       "lint error, functional test failed");
-  Buffer.add_string b
-    (tile "over-strict" (string_of_int (kcount "over-strict"))
-       "lint clean, SUT rejected");
-  Buffer.add_string b
-    (tile "agreement"
-       (string_of_int (kcount "agree-detected" + kcount "agree-clean"))
-       "static and dynamic verdicts match");
+(* Tables show their first [shown] rows; the note names the command
+   that lists the rest. *)
+let shown = 40
+
+let panel_section b p =
+  Printf.bprintf b "<section><h2>%s</h2><p class=\"muted\">%s</p><section class=\"tiles\">"
+    (esc p.heading) (esc p.blurb);
+  List.iter (fun (label, n, sub) -> Buffer.add_string b (tile label (string_of_int n) sub)) p.tiles;
   Buffer.add_string b "</section>";
-  let disagreements = List.filter is_gap gaps in
-  (if disagreements = [] then
-     Buffer.add_string b
-       "<p class=\"muted\">no validator gaps: the static verdict matched the \
-        dynamic outcome on every replayed mutant.</p>"
-   else begin
-     Buffer.add_string b
-       "<table><thead><tr><th>scenario</th><th>class</th><th>static</th><th>dynamic</th><th>gap</th><th>detail</th></tr></thead><tbody>";
-     let shown = 40 in
-     List.iteri
-       (fun i g ->
-         if i < shown then
-           Buffer.add_string b
-             (Printf.sprintf
-                "<tr><td class=\"mono\">%s</td><td class=\"mono\">%s</td><td>%s</td><td>%s</td><td><span class=\"key\"><span class=\"swatch %s\"></span>%s</span></td><td class=\"mono\">%s</td></tr>"
-                (esc g.gap_id) (esc g.gap_class) (esc g.gap_static)
-                (esc g.gap_outcome)
-                (gap_kind_class g.gap_kind)
-                (esc g.gap_kind) (esc g.gap_detail)))
-       disagreements;
-     Buffer.add_string b "</tbody></table>";
-     if List.length disagreements > shown then
-       Buffer.add_string b
-         (Printf.sprintf
-            "<p class=\"muted\">%d further disagreement(s) not shown \xe2\x80\x94 use <code>conferr gaps --format json</code> for the full list.</p>"
-            (List.length disagreements - shown))
-   end);
-  Buffer.contents b
-
-type infer_row = {
-  inf_id : string;
-  inf_kind : string;
-  inf_target : string;
-  inf_doc : string;
-  inf_support : int;
-  inf_confidence : float;
-  inf_verdict : string;
-}
-
-let infer_verdict_class = function
-  | "recovered" -> "o-startup"
-  | "missed-by-hand" -> "o-ignored"
-  | "missed-by-inference" -> "o-na"
-  | "contradicted" -> "o-crashed"
-  | _ -> "o-functional"
-
-let infer_section infs =
-  let b = Buffer.create 2048 in
-  let vcount v = count (fun r -> r.inf_verdict = v) infs in
-  Buffer.add_string b "<section class=\"tiles\">";
-  Buffer.add_string b
-    (tile "recovered" (string_of_int (vcount "recovered"))
-       "hand-written rules re-derived from journals");
-  Buffer.add_string b
-    (tile "missed by hand" (string_of_int (vcount "missed-by-hand"))
-       "mined candidates with no hand-written rule");
-  Buffer.add_string b
-    (tile "missed by inference" (string_of_int (vcount "missed-by-inference"))
-       "hand-written rules the journals never exercised");
-  Buffer.add_string b
-    (tile "contradicted" (string_of_int (vcount "contradicted"))
-       "hand-written rules the evidence refutes");
-  Buffer.add_string b "</section>";
-  if infs = [] then
-    Buffer.add_string b
-      "<p class=\"muted\">no inferred candidates: the journal holds no \
-       usable evidence at the current thresholds.</p>"
-  else begin
-    Buffer.add_string b
-      "<table><thead><tr><th>id</th><th>kind</th><th>target</th><th class=\"num\">support</th><th class=\"num\">confidence</th><th>verdict</th><th>constraint</th></tr></thead><tbody>";
-    let shown = 40 in
+  (match p.rows with
+  | [] -> Printf.bprintf b "<p class=\"muted\">%s</p>" (esc p.empty)
+  | rows ->
+    Buffer.add_string b "<table><thead><tr>";
+    List.iter
+      (fun (label, numeric) ->
+        Printf.bprintf b "<th%s>%s</th>" (if numeric then " class=\"num\"" else "") (esc label))
+      p.columns;
+    Buffer.add_string b "</tr></thead><tbody>";
     List.iteri
-      (fun i r ->
-        if i < shown then
-          Buffer.add_string b
-            (Printf.sprintf
-               "<tr><td class=\"mono\">%s</td><td>%s</td><td class=\"mono\">%s</td><td class=\"num\">%d</td><td class=\"num\">%.2f</td><td><span class=\"key\"><span class=\"swatch %s\"></span>%s</span></td><td class=\"mono\">%s</td></tr>"
-               (esc r.inf_id) (esc r.inf_kind) (esc r.inf_target)
-               r.inf_support r.inf_confidence
-               (infer_verdict_class r.inf_verdict)
-               (esc r.inf_verdict) (esc r.inf_doc)))
-      infs;
+      (fun i cells ->
+        if i < shown then begin
+          Buffer.add_string b "<tr>";
+          List.iter (fun c -> Buffer.add_string b (cell_html c)) cells;
+          Buffer.add_string b "</tr>"
+        end)
+      rows;
     Buffer.add_string b "</tbody></table>";
-    if List.length infs > shown then
-      Buffer.add_string b
-        (Printf.sprintf
-           "<p class=\"muted\">%d further row(s) not shown \xe2\x80\x94 use \
-            <code>conferr infer --format json</code> for the full list.</p>"
-           (List.length infs - shown))
-  end;
-  Buffer.contents b
-
-type repair_row = {
-  rep_id : string;
-  rep_class : string;
-  rep_status : string;
-  rep_distance : int;
-  rep_edits : int;
-  rep_stock : bool;
-  rep_detail : string;
-}
-
-let repair_status_class = function
-  | "repaired" -> "o-startup"
-  | "already-clean" -> "o-functional"
-  | "unrepairable" -> "o-crashed"
-  | _ -> "o-na"
-
-let repairs_section reps =
-  let b = Buffer.create 2048 in
-  let scount s = count (fun r -> r.rep_status = s) reps in
-  Buffer.add_string b "<section class=\"tiles\">";
-  Buffer.add_string b
-    (tile "repaired" (string_of_int (scount "repaired"))
-       "lint-clean and SUT-accepted after the edits");
-  Buffer.add_string b
-    (tile "already clean" (string_of_int (scount "already-clean"))
-       "no repair needed");
-  Buffer.add_string b
-    (tile "unrepairable" (string_of_int (scount "unrepairable"))
-       "no candidate passed validation");
-  Buffer.add_string b
-    (tile "back to stock"
-       (string_of_int (count (fun r -> r.rep_stock) reps))
-       "repaired set equals the stock configuration");
-  Buffer.add_string b "</section>";
-  if reps = [] then
-    Buffer.add_string b "<p class=\"muted\">no repair targets.</p>"
-  else begin
-    Buffer.add_string b
-      "<table><thead><tr><th>target</th><th>class</th><th>status</th><th \
-       class=\"num\">edits</th><th class=\"num\">distance</th><th>stock</th><th>repair</th></tr></thead><tbody>";
-    let shown = 40 in
-    List.iteri
-      (fun i r ->
-        if i < shown then
-          Buffer.add_string b
-            (Printf.sprintf
-               "<tr><td class=\"mono\">%s</td><td class=\"mono\">%s</td><td><span class=\"key\"><span class=\"swatch %s\"></span>%s</span></td><td class=\"num\">%d</td><td class=\"num\">%d</td><td>%s</td><td class=\"mono\">%s</td></tr>"
-               (esc r.rep_id) (esc r.rep_class)
-               (repair_status_class r.rep_status)
-               (esc r.rep_status) r.rep_edits r.rep_distance
-               (if r.rep_stock then "yes" else "\xe2\x80\x94")
-               (esc r.rep_detail)))
-      reps;
-    Buffer.add_string b "</tbody></table>";
-    if List.length reps > shown then
-      Buffer.add_string b
-        (Printf.sprintf
-           "<p class=\"muted\">%d further target(s) not shown \xe2\x80\x94 use \
-            <code>conferr repair --format json</code> for the full list.</p>"
-           (List.length reps - shown))
-  end;
-  Buffer.contents b
-
-type analysis_row = {
-  an_rule : string;
-  an_severity : string;
-  an_file : string;
-  an_address : string;
-  an_message : string;
-  an_related : string;
-}
-
-let analysis_severity_class = function
-  | "error" -> "o-crashed"
-  | "warning" -> "o-ignored"
-  | _ -> "o-functional"
-
-let analysis_section ans =
-  let b = Buffer.create 2048 in
-  let scount s = count (fun r -> r.an_severity = s) ans in
-  Buffer.add_string b "<section class=\"tiles\">";
-  Buffer.add_string b
-    (tile "findings" (string_of_int (List.length ans))
-       "corpus-level (dataflow) findings");
-  Buffer.add_string b
-    (tile "errors" (string_of_int (scount "error")) "relation violations");
-  Buffer.add_string b
-    (tile "warnings" (string_of_int (scount "warning"))
-       "shadowing, ordering, graph");
-  Buffer.add_string b
-    (tile "info" (string_of_int (scount "info")) "silent-default taint");
-  Buffer.add_string b "</section>";
-  if ans = [] then
-    Buffer.add_string b
-      "<p class=\"muted\">no dataflow findings: every relation holds and no \
-       written value is masked.</p>"
-  else begin
-    Buffer.add_string b
-      "<table><thead><tr><th>rule</th><th>severity</th><th>site</th><th>finding</th><th>related</th></tr></thead><tbody>";
-    let shown = 40 in
-    List.iteri
-      (fun i r ->
-        if i < shown then
-          Buffer.add_string b
-            (Printf.sprintf
-               "<tr><td class=\"mono\">%s</td><td><span class=\"key\"><span \
-                class=\"swatch %s\"></span>%s</span></td><td \
-                class=\"mono\">%s:%s</td><td class=\"mono\">%s</td><td \
-                class=\"mono\">%s</td></tr>"
-               (esc r.an_rule)
-               (analysis_severity_class r.an_severity)
-               (esc r.an_severity) (esc r.an_file) (esc r.an_address)
-               (esc r.an_message) (esc r.an_related)))
-      ans;
-    Buffer.add_string b "</tbody></table>";
-    if List.length ans > shown then
-      Buffer.add_string b
-        (Printf.sprintf
-           "<p class=\"muted\">%d further finding(s) not shown \xe2\x80\x94 use \
-            <code>conferr analyze --format json</code> for the full list.</p>"
-           (List.length ans - shown))
-  end;
-  Buffer.contents b
+    let n = List.length rows in
+    if n > shown then
+      Printf.bprintf b
+        "<p class=\"muted\">%d further %s(s) not shown \xe2\x80\x94 use <code>%s</code> for \
+         the full list.</p>"
+        (n - shown) (esc p.noun) (esc p.command));
+  Buffer.add_string b "</section>"
 
 let css =
   {|
@@ -616,7 +429,7 @@ pre { background: var(--card); border: 1px solid var(--grid); border-radius: 8px
 code { font-family: ui-monospace, monospace; }
 |}
 
-let html ~title ~rows ?metrics_text ?gaps ?infer ?repairs ?analysis () =
+let html ~title ~rows ?metrics_text ?(panels = []) () =
   let total = List.length rows in
   let na = count (fun r -> r.outcome = "n/a") rows in
   let detected =
@@ -661,43 +474,7 @@ let html ~title ~rows ?metrics_text ?gaps ?infer ?repairs ?analysis () =
   Buffer.add_string b "<section><h2>Hardening</h2>";
   Buffer.add_string b (hardening_section rows metrics_text);
   Buffer.add_string b "</section>";
-  (match gaps with
-  | None -> ()
-  | Some gaps ->
-    Buffer.add_string b "<section><h2>Validator gaps</h2>";
-    Buffer.add_string b
-      "<p class=\"muted\">static lint verdict \xc3\x97 dynamic outcome for every \
-       replayed mutant (doc/lint.md)</p>";
-    Buffer.add_string b (gaps_section gaps);
-    Buffer.add_string b "</section>");
-  (match infer with
-  | None -> ()
-  | Some infs ->
-    Buffer.add_string b "<section><h2>Inferred constraints</h2>";
-    Buffer.add_string b
-      "<p class=\"muted\">constraint candidates mined from the campaign \
-       journal, diffed against the hand-written rule set (doc/infer.md)</p>";
-    Buffer.add_string b (infer_section infs);
-    Buffer.add_string b "</section>");
-  (match repairs with
-  | None -> ()
-  | Some reps ->
-    Buffer.add_string b "<section><h2>Repairs</h2>";
-    Buffer.add_string b
-      "<p class=\"muted\">synthesized minimal edits making each broken \
-       configuration lint-clean and SUT-accepted (doc/repair.md)</p>";
-    Buffer.add_string b (repairs_section reps);
-    Buffer.add_string b "</section>");
-  (match analysis with
-  | None -> ()
-  | Some ans ->
-    Buffer.add_string b "<section><h2>Corpus analysis</h2>";
-    Buffer.add_string b
-      "<p class=\"muted\">abstract interpretation over the whole \
-       configuration set: relation checks, cross-file reference graph, \
-       silent-default taint (doc/lint.md)</p>";
-    Buffer.add_string b (analysis_section ans);
-    Buffer.add_string b "</section>");
+  List.iter (panel_section b) panels;
   (match metrics_text with
   | Some text when String.trim text <> "" ->
     Buffer.add_string b "<details><summary>Raw metrics snapshot</summary><pre>";
@@ -707,10 +484,9 @@ let html ~title ~rows ?metrics_text ?gaps ?infer ?repairs ?analysis () =
   Buffer.add_string b "</body></html>\n";
   Buffer.contents b
 
-let write_file ~title ~rows ?metrics_text ?gaps ?infer ?repairs ?analysis path =
+let write_file ~title ~rows ?metrics_text ?panels path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc
-        (html ~title ~rows ?metrics_text ?gaps ?infer ?repairs ?analysis ()))
+      output_string oc (html ~title ~rows ?metrics_text ?panels ()))

@@ -5,13 +5,14 @@
     snapshot ({!Metrics.expose} text).  Sections: headline stat tiles,
     the per-class resilience profile as a table with stacked outcome
     bars, per-phase and end-to-end latency histograms (log-2 buckets),
-    the explore signature-frontier timeline, and a hardening panel
-    (crash clusters, flaky retries, breaker and chaos counters pulled
-    from the metrics text).
+    the explore signature-frontier timeline, a hardening panel (crash
+    clusters, flaky retries, breaker and chaos counters pulled from the
+    metrics text), then any analysis {!panel}s.
 
     The row type deliberately repeats the journal fields as plain
     strings/floats so this module sits at the bottom of the dependency
-    stack; [bin/main.ml] maps [Journal.entry] values into it. *)
+    stack; [Conferr_exec.Dashboard] maps [Journal.entry] values into
+    it. *)
 
 type row = {
   id : string;                      (** scenario id *)
@@ -25,71 +26,44 @@ type row = {
   phase_ms : (string * float) list; (** per-phase wall time, journal v2.1 *)
 }
 
-type gap_row = {
-  gap_id : string;       (** scenario id *)
-  gap_class : string;    (** fault class *)
-  gap_static : string;   (** static lint verdict label: clean/warning/error/syntax *)
-  gap_outcome : string;  (** dynamic outcome label *)
-  gap_kind : string;     (** taxonomy label, e.g. ["silent-acceptance"] *)
-  gap_detail : string;   (** first lint finding message, possibly empty *)
-}
-(** One replayed journal entry for the validator-gaps panel
-    (doc/lint.md).  Plain strings for the same dependency-order reason
-    as {!row}; [conferr gaps] maps its scan rows into it. *)
+type tone = Good | Series | Serious | Critical | Muted
+(** A badge's color, from the outcome palette: [Good] is a clean
+    startup detection, [Series] a functional one, [Serious] an ignored
+    error, [Critical] a crash, [Muted] not applicable. *)
 
-type infer_row = {
-  inf_id : string;         (** candidate or hand-written rule id *)
-  inf_kind : string;       (** value/required/unknown/implies, or "hand-rule" *)
-  inf_target : string;     (** [file\[#section\]:name] the constraint scopes to *)
-  inf_doc : string;        (** one-line statement of the mined constraint *)
-  inf_support : int;       (** supporting journal entries *)
-  inf_confidence : float;  (** support / (support + contradictions) *)
-  inf_verdict : string;
-      (** differ verdict label: recovered / missed-by-hand /
-          missed-by-inference / contradicted *)
-}
-(** One row of the inferred-constraints panel (doc/infer.md); [conferr
-    infer] maps its candidates and rule-diff verdicts into it. *)
+type cell =
+  | Text of string
+  | Mono of string  (** monospace: ids, sites, messages *)
+  | Num of string  (** a formatted number, right-aligned *)
+  | Badge of tone * string  (** a swatch of the tone before the label *)
 
-type repair_row = {
-  rep_id : string;      (** target id: scenario id or file label *)
-  rep_class : string;   (** fault class, or ["file"] *)
-  rep_status : string;
-      (** repaired / already-clean / unrepairable / skipped *)
-  rep_distance : int;   (** character edit distance of the chosen repair *)
-  rep_edits : int;      (** edits in the chosen repair *)
-  rep_stock : bool;     (** repaired set equals the stock configuration *)
-  rep_detail : string;  (** chosen-candidate description or skip reason *)
+type panel = {
+  heading : string;
+  blurb : string;  (** one muted line under the heading *)
+  tiles : (string * int * string) list;  (** label, count, sub-line *)
+  columns : (string * bool) list;  (** header, numeric *)
+  rows : cell list list;  (** the first 40 are shown *)
+  empty : string;  (** shown instead of the table when [rows] is empty *)
+  noun : string;
+  command : string;
+      (** the note under a capped table reads "N further [noun](s) not
+          shown — use [command] for the full list." *)
 }
-(** One row of the repairs panel (doc/repair.md); [conferr repair] maps
-    its pipeline results into it. *)
-
-type analysis_row = {
-  an_rule : string;     (** rule id, e.g. ["PG-REL-FSM"] *)
-  an_severity : string; (** severity label: error/warning/info *)
-  an_file : string;
-  an_address : string;  (** ConfPath address of the anchor site *)
-  an_message : string;
-  an_related : string;  (** other participating sites, pre-rendered *)
-}
-(** One row of the corpus-analysis panel (doc/lint.md's dataflow
-    section); [conferr analyze] maps its findings into it. *)
+(** One analysis section below the campaign sections: validator gaps
+    ([Conferr_lint_replay]), inferred constraints ([Infer_report]),
+    repairs ([Repair_report]), corpus analysis ([Checker]).  Each
+    analysis builds its panel next to its own types, choosing each
+    badge's tone from the verdict it shows. *)
 
 val html :
   title:string -> rows:row list -> ?metrics_text:string ->
-  ?gaps:gap_row list -> ?infer:infer_row list ->
-  ?repairs:repair_row list -> ?analysis:analysis_row list -> unit -> string
+  ?panels:panel list -> unit -> string
 (** The complete document.  [rows] in journal order (the frontier
     timeline reads order as campaign progress); [metrics_text] is a
     Prometheus exposition snapshot to mine for breaker/chaos panels and
-    embed verbatim in a collapsible section; [gaps] adds the validator
-    gaps panel (static verdict × dynamic outcome disagreements);
-    [infer] adds the inferred-constraints panel (mined candidates vs
-    hand-written rules); [repairs] adds the repairs panel (synthesized
-    fixes per target); [analysis] adds the corpus-analysis panel
-    (relation/reference-graph/taint findings). *)
+    embed verbatim in a collapsible section; [panels] follow the
+    campaign sections in list order. *)
 
 val write_file :
   title:string -> rows:row list -> ?metrics_text:string ->
-  ?gaps:gap_row list -> ?infer:infer_row list ->
-  ?repairs:repair_row list -> ?analysis:analysis_row list -> string -> unit
+  ?panels:panel list -> string -> unit

@@ -125,16 +125,46 @@ let record_metrics registry (result : Pipeline.result) =
     "conferr_repair_candidates_total"
     ~labels:[ ("sut", sut); ("result", "rejected") ]
 
-let dashboard_rows (result : Pipeline.result) =
-  List.map
-    (fun (r : Pipeline.repair) ->
-      {
-        Conferr_obsv.Report.rep_id = r.r_id;
-        rep_class = r.r_class;
-        rep_status = Pipeline.status_label r.r_status;
-        rep_distance = chosen_distance r;
-        rep_edits = List.length r.r_edits;
-        rep_stock = r.r_matches_stock;
-        rep_detail = r.r_detail;
-      })
-    result.repairs
+let panel (result : Pipeline.result) =
+  let repaired, clean, unrepaired, _ = Pipeline.counts result in
+  let tone : Pipeline.status -> Conferr_obsv.Report.tone = function
+    | Repaired -> Good
+    | Already_clean -> Series
+    | Unrepaired -> Critical
+    | Skipped -> Muted
+  in
+  {
+    Conferr_obsv.Report.heading = "Repairs";
+    blurb =
+      "synthesized minimal edits making each broken configuration \
+       lint-clean and SUT-accepted (doc/repair.md)";
+    tiles =
+      [
+        ("repaired", repaired, "lint-clean and SUT-accepted after the edits");
+        ("already clean", clean, "no repair needed");
+        ("unrepairable", unrepaired, "no candidate passed validation");
+        ( "back to stock",
+          List.length
+            (List.filter (fun (r : Pipeline.repair) -> r.r_matches_stock) result.repairs),
+          "repaired set equals the stock configuration" );
+      ];
+    columns =
+      [ ("target", false); ("class", false); ("status", false); ("edits", true);
+        ("distance", true); ("stock", false); ("repair", false) ];
+    rows =
+      List.map
+        (fun (r : Pipeline.repair) ->
+          [
+            Conferr_obsv.Report.Mono r.r_id;
+            Mono r.r_class;
+            Badge (tone r.r_status, Pipeline.status_label r.r_status);
+            Num (string_of_int (List.length r.r_edits));
+            Num (string_of_int (chosen_distance r));
+            Text (if r.r_matches_stock then "yes" else "\xe2\x80\x94");
+            Mono r.r_detail;
+          ])
+        result.repairs;
+    empty = "no repair targets.";
+    noun = "target";
+    command = "conferr repair --format json";
+  }

@@ -16,6 +16,6 @@ val record_metrics : Conferr_obsv.Metrics.t -> Pipeline.result -> unit
     by chosen / rejected) and [conferr_repair_edits_total{sut,op}] over
     the applied repairs. *)
 
-val dashboard_rows : Pipeline.result -> Conferr_obsv.Report.repair_row list
-(** One row per target for the dashboard's repairs panel
+val panel : Pipeline.result -> Conferr_obsv.Report.panel
+(** The dashboard's repairs panel: status tiles and one row per target
     (doc/obsv.md). *)

@@ -239,6 +239,67 @@ let prop_mine_masks_volatile_spans =
       let msg w n = Printf.sprintf "unknown key \"%s\" on line %d" w n in
       Template.mine (msg w1 n1) = Template.mine (msg w2 n2))
 
+(* ---------------- dashboard pages ---------------- *)
+
+(* The gaps, gaps --deep and infer pages, assembled as the CLI
+   assembles them, from in-process campaigns with their wall-clock
+   fields zeroed.  Each page's MD5 locks every byte of its panels. *)
+module Replay = Conferr_lint_replay
+
+let zeroed (base, scenarios, entries) =
+  ( base,
+    scenarios,
+    List.map
+      (fun (e : Conferr_exec.Journal.entry) ->
+        { e with elapsed_ms = 0.; phase_ms = [] })
+      entries )
+
+let bind_semantic_campaign =
+  campaign Suts.Mini_bind.sut (fun base ->
+      Dnsmodel.Rfc1912.scenarios
+        ~codec:(Dnsmodel.Codec.bind ~zones:Suts.Mini_bind.zones)
+        ~faults:Dnsmodel.Rfc1912.all_faults base
+      |> Errgen.Scenario.relabel_ids ~prefix:"semantic")
+
+let gaps_page ?(deep = false) (sut : Suts.Sut.t) journal (base, scenarios, entries)
+    =
+  let report =
+    Replay.scan ~nearest ~deep ~sut ~rules:(rules_of sut) ~scenarios ~entries
+      ~base ()
+  in
+  Conferr_obsv.Report.html
+    ~title:("conferr validator gaps \xe2\x80\x94 " ^ journal)
+    ~rows:(Conferr_exec.Dashboard.rows_of_entries entries)
+    ~panels:(Replay.panels ~deep report) ()
+
+let infer_page (sut : Suts.Sut.t) journal ((_, _, entries) as campaign) =
+  Conferr_obsv.Report.html
+    ~title:("conferr inferred constraints \xe2\x80\x94 " ^ journal)
+    ~rows:(Conferr_exec.Dashboard.rows_of_entries entries)
+    ~panels:[ Infer_report.panel ~hand:(rules_of sut) (infer sut campaign) ]
+    ()
+
+let test_dashboard_pages () =
+  let pg = zeroed (Lazy.force pg_campaign) in
+  let bind = zeroed (Lazy.force bind_semantic_campaign) in
+  List.iter
+    (fun (what, page, want) ->
+      Alcotest.(check string) what want (Digest.to_hex (Digest.string page)))
+    [
+      ( "gaps, pg typo journal",
+        gaps_page Suts.Mini_pg.sut "pg.jsonl" pg,
+        "e7d61dc9d7efec7676378a23c0f7b7a5" );
+      ( "gaps, bind semantic journal",
+        gaps_page Suts.Mini_bind.sut "bind.jsonl" bind,
+        "892c4a53c23df43836de9126a1aadea7" );
+      ( "gaps --deep, pg typo journal",
+        gaps_page ~deep:true Suts.Mini_pg.sut "pg.jsonl" pg,
+        "6b2d6b56cdb860f336e749103af02f7d" );
+      ( "infer, pg typo journal",
+        infer_page Suts.Mini_pg.sut "pg.jsonl" pg,
+        "c931c1d4956ef0d36b577248bf018677" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "inference acceptance: mini_pg paper faultload" `Quick
@@ -257,4 +318,6 @@ let suite =
       test_edit_diff;
     QCheck_alcotest.to_alcotest prop_mine_idempotent;
     QCheck_alcotest.to_alcotest prop_mine_masks_volatile_spans;
+    Alcotest.test_case "gaps, gaps --deep and infer pages byte-stable" `Quick
+      test_dashboard_pages;
   ]

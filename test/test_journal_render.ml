@@ -382,6 +382,41 @@ let test_crc_covers_bytes_as_written () =
   Alcotest.(check string) "canonical CRC: still valid"
     (show_verdict (`Valid e)) (show_verdict (verdict hashed_canonically))
 
+(* Every byte string survives [to_string] then [of_string]: bytes
+   above 0x7f are written as \u0080-\u00ff and read back as that byte,
+   not as its UTF-8 encoding. *)
+let prop_string_round_trip =
+  QCheck2.Test.make ~count:2000 ~name:"json: a string of any bytes round-trips"
+    ~print:String.escaped bytes (fun s ->
+      match Json.of_string (Json.to_string (Json.Str s)) with
+      | Ok (Json.Str s') when s' = s -> true
+      | Ok v -> QCheck2.Test.fail_reportf "read back %s" (Oracle.to_string v)
+      | Error e -> QCheck2.Test.fail_reportf "unreadable: %s" e)
+
+(* A journal entry holding non-ASCII bytes loads back unchanged and
+   fscks clean, so a resume never re-runs it. *)
+let test_non_ascii_entry () =
+  let e =
+    {
+      Journal.scenario_id = "typo-0001"; class_name = "typo/value";
+      description = "set 'client_encoding' to 'caf\xc3\xa9' (\xff)"; seed = 3L;
+      outcome = Outcome.Startup_failure "invalid value \xc3\xa9"; elapsed_ms = 0.5;
+      attempts = 1; votes = []; phase_ms = [];
+    }
+  in
+  let path = Filename.temp_file "conferr_non_ascii" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let w = Journal.open_append ~fresh:true path in
+      Journal.append w e;
+      Journal.close w;
+      Alcotest.(check (list string)) "load returns the entry"
+        [ Oracle.to_string (Journal.entry_to_json e) ]
+        (List.map (fun e -> Oracle.to_string (Journal.entry_to_json e)) (Journal.load path));
+      let r = Journal.fsck path in
+      Alcotest.(check (pair int int)) "fsck: valid, corrupt" (1, 0) (r.valid, r.corrupt))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_encoder;
@@ -391,4 +426,7 @@ let suite =
       `Slow test_single_byte_verdicts;
     Alcotest.test_case "journal: the CRC covers the entry bytes as written" `Quick
       test_crc_covers_bytes_as_written;
+    QCheck_alcotest.to_alcotest prop_string_round_trip;
+    Alcotest.test_case "journal: a non-ASCII entry loads and fscks clean" `Quick
+      test_non_ascii_entry;
   ]
