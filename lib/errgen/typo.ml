@@ -213,24 +213,51 @@ let wordview_scenarios ?(layout = default_layout) ~class_prefix ~word_type ~kind
                                    | Ok tree' ->
                                      Ok (Conftree.Config_set.add set file tree')))))))
 
+(* [pool intended] holds [typed] exactly when the two words differ as
+   one slip says.  Compared through their common prefix [p] and suffix
+   [s]; the keyboard is read only where they differ. *)
+let is_slip ?(layout = default_layout) ~intended typed =
+  let n = String.length intended and m = String.length typed in
+  let rec prefix i =
+    if i < n && i < m && intended.[i] = typed.[i] then prefix (i + 1) else i
+  in
+  let rec suffix k =
+    if k < n && k < m && intended.[n - 1 - k] = typed.[m - 1 - k] then suffix (k + 1)
+    else k
+  in
+  let p = prefix 0 and s = suffix 0 in
+  let neighbour c k = List.mem k (Layout.neighbors layout c) in
+  if m = n then
+    if p = n then false
+    else if p + s = n - 1 then
+      (* one position differs: a neighbour key, or the case flipped *)
+      let c = intended.[p] and k = typed.[p] in
+      let letter = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') in
+      neighbour c k || (letter && Layout.shift_variant layout c = Some k)
+    else p + s = n - 2 && intended.[p] = typed.[p + 1] && intended.[p + 1] = typed.[p]
+  else if m = n - 1 then n > 1 && p + s >= m
+  else if m = n + 1 && p + s >= n then
+    (* [typed] is [intended] with [k] inserted anywhere in [n - s .. p];
+       inside that range [k] repeats [intended]'s own characters, which
+       are never their own neighbours, so only its ends can match *)
+    let k = typed.[p] in
+    (p < n && neighbour intended.[p] k) || (n - s > 0 && neighbour intended.[n - s - 1] k)
+  else false
+
 (* Reverse mode (doc/repair.md): rank the vocabulary words a typo could
    have come from.  One-slip explanations (the forward model reproduces
    the word exactly) sort ahead of bare edit-distance neighbours. *)
 let corrections ?(layout = default_layout) ?(max_distance = 2) ~vocabulary word =
-  let one_slip w =
-    List.exists
-      (fun (_, slips) -> Array.exists (fun (v, _) -> v = word) slips)
-      (pool ~layout w).by_kind
-  in
+  (* the length difference bounds the distance from below: past it a
+     word is neither within [max_distance] nor one slip away *)
+  let reach = max max_distance 1 in
   vocabulary
   |> List.filter_map (fun w ->
-         if w = word then None
+         if w = word || abs (String.length w - String.length word) > reach then None
          else
            let d = Conferr_util.Strutil.damerau_levenshtein w word in
-           (* every modelled slip is one edit, so only a word at distance
-              1 (within one character of [word]'s length) can have
-              produced it; no other word's pool is built *)
-           let slip = d = 1 && one_slip w in
+           (* every modelled slip is one edit *)
+           let slip = d = 1 && is_slip ~layout ~intended:w word in
            if slip || d <= max_distance then Some (w, d, slip) else None)
   |> List.sort (fun (a, da, sa) (b, db, sb) ->
          match (sa, sb) with

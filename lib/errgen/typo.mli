@@ -11,10 +11,12 @@
     - case alteration: the case of a letter flips (Shift miscoordination)
     - transposition: two adjacent characters swap
 
-    Every reader draws on one {!pool} per word: the enumerator
-    behind {!variants}, the samplers and the reverse mode
-    ({!corrections}); the plugin entry points instantiate the abstract
-    modify template over directive names or values. *)
+    The forward readers draw on one {!pool} per word: the enumerator
+    behind {!variants} and the samplers.  The reverse mode
+    ({!corrections}) builds no pool: {!is_slip} compares a vocabulary
+    word with the typed one directly.  The plugin entry points
+    instantiate the abstract modify template over directive names or
+    values. *)
 
 type kind = Omission | Insertion | Substitution | Case_alteration | Transposition
 
@@ -116,15 +118,26 @@ val wordview_scenarios :
     SUT's vocabulary does not know, which vocabulary words could a
     one-letter slip have produced it from? *)
 
+val is_slip : ?layout:Keyboard.Layout.t -> intended:string -> string -> bool
+(** [is_slip ~intended typed] holds when one modelled slip turns
+    [intended] into [typed]: exactly when [typed] is in
+    [intended]'s {!pool} (without same-key doubling).  It compares the
+    two words directly, by their common prefix and suffix, and reads
+    the layout only where they differ: one character omitted; a
+    neighbour key of the character before or after it inserted; one
+    character replaced by a neighbour key, or one letter's case
+    flipped; two adjacent characters swapped. *)
+
 val corrections :
   ?layout:Keyboard.Layout.t -> ?max_distance:int -> vocabulary:string list ->
   string -> (string * int) list
 (** [corrections ~vocabulary word] ranks the vocabulary words [word]
-    plausibly resulted from, closest first.  A vocabulary word whose
-    {!pool} contains [word] is ranked by its true Damerau-Levenshtein
+    plausibly resulted from, closest first.  A vocabulary word that
+    {!is_slip} explains is ranked by its true Damerau-Levenshtein
     distance but always ahead of words merely within [max_distance]
     (default 2) that no single modelled slip explains; ties break
     lexicographically.  Every slip is one Damerau-Levenshtein edit, so
-    only vocabulary words at distance 1 from [word] (which includes
-    being within one character of its length) have their pool built.
-    [word] itself is never returned. *)
+    only vocabulary words at distance 1 from [word] are checked for a
+    slip, and no pool is built; a word whose length differs from
+    [word]'s by more than [max max_distance 1] gets no distance
+    computed at all.  [word] itself is never returned. *)

@@ -224,7 +224,7 @@ let panel ~hand (r : Pipeline.result) =
        against the hand-written rule set (doc/infer.md)";
     tiles =
       [
-        ("recovered", n Recovered, "hand-written rules re-derived from journals");
+        ("recovered", fst (recovery r), "hand-written rules re-derived from journals");
         ( "missed by hand", n Missed_by_hand,
           "mined candidates with no hand-written rule" );
         ( "missed by inference", n Missed_by_inference,

@@ -70,6 +70,7 @@ type result = {
   sut_name : string;
   repairs : repair list;
   validated : int;
+  judged : int;
 }
 
 let outcome_messages = function
@@ -79,15 +80,18 @@ let outcome_messages = function
   | Outcome.Passed | Outcome.Not_applicable _ -> []
 
 (* Per-target analysis: lint + boot the broken set, decide whether it
-   needs repair, and if so generate the ranked candidate list. *)
+   needs repair, and if so generate the ranked candidate list, each
+   candidate applied and serialized. *)
 type analysis =
   | A_skip of string
   | A_clean of { findings : int; outcome : string }
   | A_cands of {
       findings : int;
       outcome : string;
-      candidates : Generate.candidate list;
+      staged : Validate.staged list;
     }
+
+let staged_of = function A_cands { staged; _ } -> staged | A_skip _ | A_clean _ -> []
 
 let analyze ~nearest ~specs ~max_candidates ~sut ~rules ~stock tg =
   match tg.tg_config with
@@ -138,7 +142,12 @@ let analyze ~nearest ~specs ~max_candidates ~sut ~rules ~stock tg =
                  (Redit.total_cost ~broken b.edits))
         |> List.filteri (fun i _ -> i < max_candidates)
       in
-      A_cands { findings; outcome = outcome_label; candidates = all }
+      A_cands
+        {
+          findings;
+          outcome = outcome_label;
+          staged = List.map (Validate.stage ~sut ~broken) all;
+        }
     end
 
 let equal_stock ~stock repaired =
@@ -154,39 +163,35 @@ let equal_stock ~stock repaired =
 let run ?(jobs = 1) ?(nearest = Generate.default_nearest) ?(specs = [])
     ?(max_candidates = 24) ~sut ~rules ~stock targets =
   let targets_a = Array.of_list targets in
-  (* phase A: lint + boot each broken set, generate candidates *)
+  (* phase A: lint + boot each broken set, generate and stage candidates *)
   let analyses =
     Conferr_pool.map ~jobs
       (fun _ tg -> analyze ~nearest ~specs ~max_candidates ~sut ~rules ~stock tg)
       targets_a
   in
-  (* phase B: validate every (target, candidate) pair in one flat map *)
-  let pairs =
-    Array.to_list analyses
-    |> List.mapi (fun i a ->
-           match a with
-           | A_cands { candidates; _ } -> List.map (fun c -> (i, c)) candidates
-           | _ -> [])
-    |> List.concat
-  in
-  let verdicts =
-    Conferr_pool.map ~jobs
-      (fun _ (i, cand) ->
-        let broken =
-          match targets_a.(i).tg_config with
-          | Ok b -> b
-          | Error _ -> assert false
-        in
-        (i, Validate.check ~nearest ~sut ~rules ~broken cand))
-      (Array.of_list pairs)
-  in
-  (* phase C: per target, first valid candidate in rank order wins *)
-  let per_target = Hashtbl.create (Array.length targets_a) in
+  (* phase B: judge each distinct serialized configuration once, in
+     first-appearance order; most candidates of a journal serialize to
+     a few configurations (the stock one above all) *)
+  let index = Hashtbl.create 64 in
+  let distinct = ref [] in
   Array.iter
-    (fun (i, v) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt per_target i) in
-      Hashtbl.replace per_target i (v :: prev))
-    verdicts;
+    (fun a ->
+      List.iter
+        (fun (s : Validate.staged) ->
+          match s.serialized with
+          | Ok files when not (Hashtbl.mem index files) ->
+            Hashtbl.add index files (Hashtbl.length index);
+            distinct := files :: !distinct
+          | Ok _ | Error _ -> ())
+        (staged_of a))
+    analyses;
+  let judgements =
+    Conferr_pool.map ~jobs
+      (fun _ files -> Validate.judge ~nearest ~sut ~rules files)
+      (Array.of_list (List.rev !distinct))
+  in
+  let judgement files = judgements.(Hashtbl.find index files) in
+  (* phase C: per target, first valid candidate in rank order wins *)
   let repairs =
     Array.to_list
       (Array.mapi
@@ -219,12 +224,12 @@ let run ?(jobs = 1) ?(nearest = Generate.default_nearest) ?(specs = [])
              base ~status:Already_clean
                ~detail:"lints clean and passes the SUT's tests as-is"
                ~findings ~outcome ~cands:0 ~chosen:None ~stock_eq ()
-           | A_cands { findings; outcome; candidates } ->
-             let ranked =
-               Option.value ~default:[] (Hashtbl.find_opt per_target i)
-               |> List.rev
+           | A_cands { findings; outcome; staged } ->
+             let chosen =
+               List.to_seq staged
+               |> Seq.map (Validate.verdict ~judgement)
+               |> Seq.find Validate.ok
              in
-             let chosen = List.find_opt Validate.ok ranked in
              (match chosen with
              | Some v ->
                let stock_eq =
@@ -248,21 +253,23 @@ let run ?(jobs = 1) ?(nearest = Generate.default_nearest) ?(specs = [])
                in
                base ~edits ~status:Repaired
                  ~detail:v.Validate.candidate.Generate.description
-                 ~findings ~outcome ~cands:(List.length candidates)
+                 ~findings ~outcome ~cands:(List.length staged)
                  ~chosen ~stock_eq ()
              | None ->
                base ~status:Unrepaired
                  ~detail:
                    (Printf.sprintf "%d candidate(s) failed validation"
-                      (List.length candidates))
-                 ~findings ~outcome ~cands:(List.length candidates)
+                      (List.length staged))
+                 ~findings ~outcome ~cands:(List.length staged)
                  ~chosen:None ~stock_eq:false ()))
          targets_a)
   in
   {
     sut_name = sut.Suts.Sut.sut_name;
     repairs;
-    validated = Array.length verdicts;
+    validated =
+      Array.fold_left (fun n a -> n + List.length (staged_of a)) 0 analyses;
+    judged = Array.length judgements;
   }
 
 let counts result =

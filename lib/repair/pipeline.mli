@@ -5,11 +5,13 @@
     [conferr repair], or one journal entry's mutation re-applied to the
     stock configuration.  For each target the pipeline lints and boots
     the broken set, generates repair candidates ({!Generate},
-    {!Cluster}), validates every candidate in the sandbox
-    ({!Validate}), and picks the valid candidate with the smallest edit
-    distance (generation order breaks ties).  Both parallel phases go
-    through {!Conferr_pool.map}, so the whole result — and any report
-    rendered from it — is byte-identical for any [jobs] value. *)
+    {!Cluster}) and serializes each one ({!Validate.stage}).  Each
+    distinct serialized configuration among all targets' candidates is
+    then judged once in the sandbox ({!Validate.judge}), and each target
+    takes the valid candidate with the smallest edit distance
+    (generation order breaks ties).  Both parallel phases go through
+    {!Conferr_pool.map}, so the whole result — and any report rendered
+    from it — is byte-identical for any [jobs] value. *)
 
 type status = Repaired | Already_clean | Unrepaired | Skipped
 
@@ -67,6 +69,9 @@ type result = {
   sut_name : string;
   repairs : repair list;  (** target order *)
   validated : int;        (** candidate validations across all targets *)
+  judged : int;
+      (** distinct serialized configurations among those candidates;
+          each was re-parsed, linted and booted once *)
 }
 
 val run :

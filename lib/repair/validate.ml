@@ -14,10 +14,38 @@ type verdict = {
 
 let ok v = v.lint_clean && v.sut_ok
 
-let failed candidate ~distance error =
+type staged = {
+  candidate : Generate.candidate;
+  distance : int;
+  serialized : ((string * string) list, string) result;
+}
+
+let stage ~sut ~broken (candidate : Generate.candidate) =
   {
     candidate;
-    distance;
+    distance = Redit.total_cost ~broken candidate.edits;
+    serialized =
+      Result.bind (Redit.apply broken candidate.edits)
+        (Conferr.Engine.serialize_config sut);
+  }
+
+type judgement = {
+  reparsed : Conftree.Config_set.t;
+  clean : bool;
+  booted : Conferr.Outcome.t;
+}
+
+let judge ?(nearest = Generate.default_nearest) ~sut ~rules files =
+  Conferr.Engine.parse_config sut files
+  |> Result.map (fun reparsed ->
+         let findings = Checker.run ~nearest ~rules reparsed in
+         let clean = not (Checker.exceeds ~threshold:Finding.Warning findings) in
+         { reparsed; clean; booted = Conferr.Engine.boot_and_test sut files })
+
+let failed (s : staged) error : verdict =
+  {
+    candidate = s.candidate;
+    distance = s.distance;
     lint_clean = false;
     sut_ok = false;
     outcome = "";
@@ -26,29 +54,20 @@ let failed candidate ~distance error =
     error = Some error;
   }
 
-let check ?(nearest = Generate.default_nearest) ~sut ~rules ~broken candidate =
-  let distance = Redit.total_cost ~broken candidate.Generate.edits in
-  match Redit.apply broken candidate.Generate.edits with
-  | Error msg -> failed candidate ~distance msg
-  | Ok repaired_tree -> (
-    match Conferr.Engine.serialize_config sut repaired_tree with
-    | Error msg -> failed candidate ~distance msg
-    | Ok files -> (
-      match Conferr.Engine.parse_config sut files with
-      | Error msg -> failed candidate ~distance msg
-      | Ok reparsed ->
-        let findings = Checker.run ~nearest ~rules reparsed in
-        let lint_clean =
-          not (Checker.exceeds ~threshold:Finding.Warning findings)
-        in
-        let outcome = Conferr.Engine.boot_and_test sut files in
-        {
-          candidate;
-          distance;
-          lint_clean;
-          sut_ok = outcome = Conferr.Outcome.Passed;
-          outcome = Conferr.Outcome.label outcome;
-          files;
-          repaired = Some reparsed;
-          error = None;
-        }))
+let verdict ~judgement (s : staged) : verdict =
+  match s.serialized with
+  | Error msg -> failed s msg
+  | Ok files -> (
+    match judgement files with
+    | Error msg -> failed s msg
+    | Ok j ->
+      {
+        candidate = s.candidate;
+        distance = s.distance;
+        lint_clean = j.clean;
+        sut_ok = j.booted = Conferr.Outcome.Passed;
+        outcome = Conferr.Outcome.label j.booted;
+        files;
+        repaired = Some j.reparsed;
+        error = None;
+      })

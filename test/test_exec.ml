@@ -258,6 +258,19 @@ let test_pool_map () =
   Alcotest.(check bool) "deterministic slots" true (seq = par);
   Alcotest.(check bool) "empty input" true (Conferr_pool.map ~jobs:4 (fun _ x -> x) [||] = [||])
 
+exception Boom of int
+
+(* One raising element: [map] re-raises that exception in the caller,
+   whether the elements ran in the calling domain or in workers. *)
+let test_pool_map_raises () =
+  let input = Array.init 100 Fun.id in
+  List.iter
+    (fun jobs ->
+      match Conferr_pool.map ~jobs (fun _ x -> if x = 37 then raise (Boom x) else x) input with
+      | _ -> Alcotest.failf "jobs %d: map returned past a raising element" jobs
+      | exception Boom x -> Alcotest.(check int) (Printf.sprintf "jobs %d" jobs) 37 x)
+    [ 1; 2 ]
+
 let test_pool_timeout () =
   (match Conferr_pool.with_timeout ~timeout_s:5.0 (fun () -> 1 + 1) with
    | Some 2 -> ()
@@ -312,4 +325,6 @@ let suite =
     Alcotest.test_case "pool timeout" `Quick test_pool_timeout;
     Alcotest.test_case "executor classifies timeouts" `Quick
       test_executor_timeout_classified;
+    Alcotest.test_case "pool map re-raises an element's exception" `Quick
+      test_pool_map_raises;
   ]

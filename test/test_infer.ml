@@ -297,7 +297,7 @@ let test_dashboard_pages () =
         "6b2d6b56cdb860f336e749103af02f7d" );
       ( "infer, pg typo journal",
         infer_page Suts.Mini_pg.sut "pg.jsonl" pg,
-        "c931c1d4956ef0d36b577248bf018677" );
+        "233454d02cc6757996bbe1e574e3457d" );
     ]
 
 let suite =

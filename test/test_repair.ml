@@ -295,6 +295,54 @@ let test_deterministic_across_jobs () =
     (Conferr_obsv.Json.to_string (Repair_report.to_json r1))
     (Conferr_obsv.Json.to_string (Repair_report.to_json r4))
 
+(* Journal-mode repair over the seed-42 faultload of every SUT, at jobs
+   1 and 2: MD5s of the JSON report and of the text render.  They were
+   recorded with a validator that judged every (target, candidate) pair
+   on its own, so judging each distinct configuration once must give
+   the same bytes.  A change in which candidate wins, in a verdict or
+   in the [validated] count shows here. *)
+let locked_digests =
+  [
+    ( Suts.Mini_appserver.sut,
+      campaign Suts.Mini_appserver.sut,
+      "f207176a63c7826b493166675c83503f",
+      "0ec1491d5c4206b6df97c0108ea73c8c" );
+    ( Suts.Mini_pg.sut,
+      pg_campaign,
+      "5d166dcb5ae21d281aff7bdaaba5332f",
+      "37e86ec52af9349a4b2997e700be11b9" );
+    ( Suts.Mini_mysql.sut,
+      campaign Suts.Mini_mysql.sut,
+      "6ea0d57f56eac5bf575e86df26d953c8",
+      "bcb24fb87c9c37237d3361b0bd6f4cd4" );
+    ( Suts.Mini_djbdns.sut,
+      campaign Suts.Mini_djbdns.sut,
+      "57146a0fd2c5200eb3fcfd9ff8fae0e4",
+      "a588acd9d82ffdf3139f0e9b85f33cda" );
+    ( Suts.Mini_bind.sut,
+      bind_campaign,
+      "c32bf527a30509a0e14d388b9e01fba1",
+      "deeedafb7616a5ac205887d104467842" );
+    ( Suts.Mini_apache.sut,
+      campaign Suts.Mini_apache.sut,
+      "cd052435a1bd146ae57aecf535ee22ea",
+      "d7bb65facfea56b4fc173ffcb30e8118" );
+  ]
+
+let test_output_locked () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun ((sut : Suts.Sut.t), c, json, text) ->
+      List.iter
+        (fun jobs ->
+          let r = repair_journal ~jobs sut (Lazy.force c) in
+          let what part = Printf.sprintf "%s jobs %d: %s" sut.sut_name jobs part in
+          Alcotest.(check string) (what "json") json
+            (md5 (Conferr_obsv.Json.to_string (Repair_report.to_json r)));
+          Alcotest.(check string) (what "text") text (md5 (Repair_report.render r)))
+        [ 1; 2 ])
+    locked_digests
+
 (* ---------------- property: repairs are surgical ---------------- *)
 
 (* Applying a chosen repair must (a) leave the configuration lint-clean
@@ -424,4 +472,6 @@ let suite =
     Alcotest.test_case "faultload: shared regenerator" `Quick
       test_faultload_matches_inline_derivation;
     QCheck_alcotest.to_alcotest prop_repair_is_surgical;
+    Alcotest.test_case "journal mode: output locked on six SUTs" `Slow
+      test_output_locked;
   ]

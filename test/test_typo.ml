@@ -458,13 +458,14 @@ let prop_corrections_match_oracle =
   let letters = QCheck2.Gen.oneofl [ 'a'; 's'; 'q'; 'b'; 'A'; '1' ] in
   let dense = QCheck2.Gen.(string_size ~gen:letters (int_range 0 4)) in
   QCheck2.Test.make ~count:50 ~name:"typo: corrections rank as the oracle does"
-    ~print:(fun (layout, seed, (word, (small, vocabulary))) ->
-      Printf.sprintf "%s seed=%d %S in [%s]" (print_case layout word) seed small
+    ~print:(fun ((layout, max_distance), seed, (word, (small, vocabulary))) ->
+      Printf.sprintf "%s max_distance=%d seed=%d %S in [%s]" (print_case layout word)
+        max_distance seed small
         (String.concat "; " vocabulary))
     QCheck2.Gen.(
-      triple layout_gen int
+      triple (pair layout_gen (int_range 0 3)) int
         (pair word_gen (pair dense (list_size (int_range 1 12) dense))))
-    (fun ((_, layout), seed, (word, (small, dense_vocabulary))) ->
+    (fun (((_, layout), max_distance), seed, (word, (small, dense_vocabulary))) ->
       List.for_all
         (fun vocabulary ->
           let rng = Rng.create seed in
@@ -475,8 +476,8 @@ let prop_corrections_match_oracle =
           in
           List.for_all
             (fun q ->
-              Typo.corrections ~layout ~vocabulary q
-              = Oracle.corrections ~layout ~vocabulary q)
+              Typo.corrections ~layout ~max_distance ~vocabulary q
+              = Oracle.corrections ~layout ~max_distance ~vocabulary q)
             [ word; typo; small ])
         [ Suts.Vocabulary.postgres; Suts.Vocabulary.mysql; dense_vocabulary ])
 
@@ -499,6 +500,55 @@ let test_corrections_match_oracle_on_vocabulary () =
             queries)
         vocabulary)
     [ Suts.Vocabulary.postgres; Suts.Vocabulary.mysql ]
+
+(* The reverse mode's slip check against the pool it replaces: for a
+   word, every typed string one character edit away (an omission, an
+   insertion or a substitution of a character of the word, of one of
+   its layout neighbours or of a byte no layout has; a swap of two
+   adjacent characters) and every pool member is a slip exactly when
+   the word's pool without doubling holds it. *)
+let prop_is_slip_matches_pool =
+  QCheck2.Test.make ~count:300 ~name:"typo: is_slip agrees with pool membership"
+    ~print:(fun (layout, word) -> print_case layout word)
+    QCheck2.Gen.(pair layout_gen word_gen)
+    (fun ((_, layout), intended) ->
+      let pool = Hashtbl.create 64 in
+      List.iter
+        (fun kind ->
+          List.iter
+            (fun (w, _) -> Hashtbl.replace pool w ())
+            (Typo.variants ~layout kind intended))
+        Typo.all_kinds;
+      let n = String.length intended in
+      let own = List.init n (String.get intended) in
+      let chars =
+        List.sort_uniq Char.compare
+          (own
+          @ List.concat_map (Keyboard.Layout.neighbors layout) own
+          @ [ 'a'; 'Q'; '1'; '_'; ' '; '\x00'; '\x7f'; '\xa7'; '\xe8'; '\xff' ])
+      in
+      let sub i j = String.sub intended i (j - i) in
+      let edits =
+        List.concat
+          [
+            List.init n (fun i -> sub 0 i ^ sub (i + 1) n);
+            List.concat_map
+              (fun c ->
+                List.init (n + 1) (fun i -> sub 0 i ^ String.make 1 c ^ sub i n)
+                @ List.init n (fun i -> sub 0 i ^ String.make 1 c ^ sub (i + 1) n))
+              chars;
+            List.init (max 0 (n - 1)) (fun i ->
+                sub 0 i ^ String.make 1 intended.[i + 1] ^ String.make 1 intended.[i]
+                ^ sub (i + 2) n);
+            intended :: List.of_seq (Hashtbl.to_seq_keys pool);
+          ]
+      in
+      List.for_all
+        (fun typed ->
+          Typo.is_slip ~layout ~intended typed = Hashtbl.mem pool typed
+          || QCheck2.Test.fail_reportf "%S -> %S: is_slip %b" intended typed
+               (Typo.is_slip ~layout ~intended typed))
+        edits)
 
 let suite =
   [
@@ -528,4 +578,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_corrections_match_oracle;
     Alcotest.test_case "corrections oracle on vocabularies" `Quick
       test_corrections_match_oracle_on_vocabulary;
+    QCheck_alcotest.to_alcotest prop_is_slip_matches_pool;
   ]
