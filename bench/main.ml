@@ -733,93 +733,164 @@ let print_benchmarks () =
            | Some _ | None -> Printf.printf "%-40s (no estimate)\n" name)
 
 (* ------------------------------------------------------------------ *)
-(* Serve throughput: the daemon's campaign service (doc/serve.md)       *)
+(* Serve against the CLI: what the daemon adds to a campaign            *)
 (* ------------------------------------------------------------------ *)
 
-(* An in-process daemon (Daemon.handle, no sockets — this measures the
-   service, not the loopback stack): submission latency, then aggregate
-   scenario throughput for one campaign vs two concurrent campaigns
-   multiplexed over the same single-domain scheduler pool.  On one
-   worker the concurrent number documents the multiplexing overhead of
-   round-robin tenancy (it should stay close to 1.0x); on a multi-core
-   host it shows two tenants sharing the pool fairly.  Results are also
-   written machine-readable to BENCH_serve.json, which is tracked
-   in-repo — regenerate it with `dune exec bench/main.exe serve`. *)
+(* An in-process daemon (Daemon.handle, no sockets: this measures the
+   service, not the loopback stack) against the CLI's path for the same
+   campaigns, generation plus Executor.run_from with a journal.  A lone
+   postgres campaign, then a burst of the three db campaigns (postgres,
+   mysql, appserver) submitted together; each campaign is timed from
+   its submission until it closes, and the CLI runs the three back to
+   back, each timed from the start of the round.  Rounds alternate which
+   side runs first; the artifact keeps the medians over the rounds (of
+   the burst's middle campaign) and their daemon/CLI ratio, plus the
+   202's latency, which includes the submission's generation.  The
+   daemon runs the campaigns with its metrics on, the CLI path without
+   (as `conferr profile` does).  bench/e2e pins its daemon to one CPU;
+   run this section the same way (`taskset -c 1 dune exec
+   bench/main.exe serve`), or the daemon's worker domain and its caller
+   share two.  It writes BENCH_serve.json. *)
 let print_serve_throughput () =
-  print_endline "=== Serve throughput (in-process daemon, doc/serve.md) ===\n";
+  print_endline "=== Serve against the CLI (in-process daemon, doc/serve.md) ===\n";
   let module Daemon = Conferr_serve.Daemon in
-  let state_dir =
+  let module Http = Conferr_serve.Http in
+  let rounds = 21 in
+  let work =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "conferr-bench-serve.%d" (Unix.getpid ()))
   in
-  let submission =
-    Json.Obj [ ("sut", Json.Str "mini_pg"); ("seed", Json.Num (float_of_int seed)) ]
+  let rec rm_rf p =
+    if Sys.file_exists p then
+      if Sys.is_directory p then begin
+        Array.iter (fun x -> rm_rf (Filename.concat p x)) (Sys.readdir p);
+        Sys.rmdir p
+      end
+      else Sys.remove p
   in
-  let submit daemon =
-    match Daemon.submit daemon submission with
-    | Ok c -> c
-    | Error _ -> failwith "bench submission rejected"
-  in
-  let total_of c =
-    match Json.member "total" (Daemon.summary_json c) with
-    | Some (Json.Num n) -> int_of_float n
-    | _ -> 0
-  in
-  (* n concurrent campaigns over one pool: submission wall time, then
-     end-to-end wall time until every journal is checkpointed *)
-  let run_campaigns n =
-    let daemon =
-      Daemon.create ~jobs:1 ~max_campaigns:(max 4 n) ~state_dir ()
+  let ms_since t0 = (Unix.gettimeofday () -. t0) *. 1e3 in
+  (* each campaign's ms from its submission to its close, and each
+     submission's ms until its 202 *)
+  let daemon_round suts =
+    let daemon = Daemon.create ~jobs:1 ~state_dir:(Filename.concat work "state") () in
+    let submitted =
+      List.map
+        (fun sut ->
+          let body = Printf.sprintf {|{"sut":%S,"seed":%d}|} sut seed in
+          let t0 = Unix.gettimeofday () in
+          match
+            Daemon.handle daemon
+              { Http.meth = "POST"; target = "/campaigns"; path = "/campaigns"; query = [];
+                version = "HTTP/1.1"; headers = []; body }
+          with
+          | `Response { Http.status = 202; resp_body; _ } ->
+            let ack = ms_since t0 in
+            let id =
+              Option.bind (Result.to_option (Json.of_string resp_body)) (fun j ->
+                  Option.bind (Json.member "id" j) Json.str)
+            in
+            (t0, ack, Option.get (Option.bind id (Daemon.find daemon)))
+          | _ -> failwith "bench submission refused")
+        suts
     in
-    let t0 = Unix.gettimeofday () in
-    let cs = List.init n (fun _ -> submit daemon) in
-    let submit_s = Unix.gettimeofday () -. t0 in
-    List.iter (fun c -> Daemon.wait daemon c) cs;
-    let total_s = Unix.gettimeofday () -. t0 in
-    let scenarios = List.fold_left (fun acc c -> acc + total_of c) 0 cs in
+    (* polled every 0.2 ms, as bench/e2e's load generator polls a
+       campaign's status, rather than blocking in Daemon.wait *)
+    let closed = Array.make (List.length submitted) nan in
+    while Array.exists Float.is_nan closed do
+      List.iteri
+        (fun i (t0, _, c) ->
+          if Float.is_nan closed.(i) && Daemon.finished c then closed.(i) <- ms_since t0)
+        submitted;
+      Unix.sleepf 0.0002
+    done;
+    let latencies = Array.to_list closed in
     Daemon.drain daemon;
-    (submit_s, total_s, scenarios)
+    rm_rf work;
+    (latencies, List.map (fun (_, ack, _) -> ack) submitted)
   in
-  ignore (run_campaigns 1) (* warm up: page in the SUT code paths *);
-  let sub1, wall1, scen1 = run_campaigns 1 in
-  let sub2, wall2, scen2 = run_campaigns 2 in
-  let rate1 = float_of_int scen1 /. wall1 in
-  let rate2 = float_of_int scen2 /. wall2 in
-  let submissions_per_sec = 2.0 /. sub2 in
-  Printf.printf "  1 campaign : %4d scenarios in %7.2f ms  (%8.0f scenarios/s)\n"
-    scen1 (wall1 *. 1e3) rate1;
-  Printf.printf "  2 campaigns: %4d scenarios in %7.2f ms  (%8.0f scenarios/s, %.2fx)\n"
-    scen2 (wall2 *. 1e3) rate2 (rate2 /. rate1);
-  Printf.printf "  submissions: %.0f accepted/s (scenario generation included)\n"
-    submissions_per_sec;
-  let obj =
-    Json.Obj
-      [
-        ("bench", Json.Str "serve-throughput");
-        ("sut", Json.Str "postgres");
-        ("seed", Json.Num (float_of_int seed));
-        ("pool_jobs", Json.Num 1.);
-        ("submissions_per_sec", Json.Num submissions_per_sec);
-        ( "single_campaign",
+  let cli_round suts =
+    let t0 = Unix.gettimeofday () in
+    let latencies =
+      List.map
+        (fun name ->
+          let sut = Option.get (Suts.Catalog.find name) in
+          let base = Result.get_ok (Conferr.Engine.parse_default_config sut) in
+          let scenarios =
+            Conferr.Campaign.typo_scenarios ~rng:(Conferr_util.Rng.create seed)
+              ~faultload:Conferr.Campaign.paper_faultload sut base
+          in
+          if not (Sys.file_exists work) then Unix.mkdir work 0o755;
+          let settings =
+            { Conferr_exec.Executor.default_settings with
+              campaign_seed = seed; journal_path = Some (Filename.concat work (name ^ ".jsonl")) }
+          in
+          ignore (Conferr_exec.Executor.run_from ~settings ~sut ~base ~scenarios ());
+          ms_since t0)
+        suts
+    in
+    rm_rf work;
+    latencies
+  in
+  let db = [ "mini_pg"; "mini_mysql"; "mini_appserver" ] in
+  let shapes = [ ("lone", [ "mini_pg" ]); ("burst", db) ] in
+  (* one round of both shapes on both sides, in the given order *)
+  let round daemon_first =
+    List.map
+      (fun (_, suts) ->
+        let daemon () = Gc.full_major (); daemon_round suts in
+        let cli () = Gc.full_major (); cli_round suts in
+        if daemon_first then
+          let d = daemon () in
+          (d, cli ())
+        else
+          let c = cli () in
+          (daemon (), c))
+      shapes
+  in
+  ignore (round true) (* warm up: page in the SUT code paths *);
+  let results = List.init rounds (fun i -> round (i mod 2 = 0)) in
+  let scenarios suts =
+    List.fold_left
+      (fun acc name ->
+        let sut = Option.get (Suts.Catalog.find name) in
+        let base = Result.get_ok (Conferr.Engine.parse_default_config sut) in
+        acc
+        + List.length
+            (Conferr.Campaign.typo_scenarios ~rng:(Conferr_util.Rng.create seed)
+               ~faultload:Conferr.Campaign.paper_faultload sut base))
+      0 suts
+  in
+  let rows =
+    List.mapi
+      (fun k (shape, suts) ->
+        let per_round = List.map (fun r -> List.nth r k) results in
+        let daemon_ms = median (List.map (fun ((l, _), _) -> median l) per_round) in
+        let cli_ms = median (List.map (fun (_, l) -> median l) per_round) in
+        let submit_ms = median (List.concat_map (fun ((_, acks), _) -> acks) per_round) in
+        Printf.printf "  %-5s %d campaign(s): daemon %7.2f ms  cli %7.2f ms  (%.2fx), 202 in %.2f ms\n"
+          shape (List.length suts) daemon_ms cli_ms (daemon_ms /. cli_ms) submit_ms;
+        ( shape,
           Json.Obj
             [
-              ("scenarios", Json.Num (float_of_int scen1));
-              ("wall_s", Json.Num wall1);
-              ("scenarios_per_sec", Json.Num rate1);
-              ("submit_s", Json.Num sub1);
-            ] );
-        ( "concurrent_2",
-          Json.Obj
-            [
-              ("scenarios", Json.Num (float_of_int scen2));
-              ("wall_s", Json.Num wall2);
-              ("scenarios_per_sec", Json.Num rate2);
-              ("submit_s", Json.Num sub2);
-              ("vs_single", Json.Num (rate2 /. rate1));
-            ] );
-      ]
+              ("campaigns", Json.Arr (List.map (fun s -> Json.Str s) suts));
+              ("scenarios", Json.Num (float_of_int (scenarios suts)));
+              ("daemon_ms", Json.Num daemon_ms);
+              ("cli_ms", Json.Num cli_ms);
+              ("ratio", Json.Num (daemon_ms /. cli_ms));
+              ("submit_ms", Json.Num submit_ms);
+            ] ))
+      shapes
   in
-  write_artifact "BENCH_serve.json" obj;
+  write_artifact "BENCH_serve.json"
+    (Json.Obj
+       ([
+          ("bench", Json.Str "serve-vs-cli");
+          ("seed", Json.Num (float_of_int seed));
+          ("pool_jobs", Json.Num 1.);
+          ("rounds", Json.Num (float_of_int rounds));
+          ("statistic", Json.Str "median");
+        ]
+       @ rows));
   print_newline ()
 
 (* ------------------------------------------------------------------ *)

@@ -16,15 +16,16 @@ let kind_name = function
 
 let default_layout = Layout.us_qwerty
 
-(* One concrete slip of the model.  Its description is rendered from the
-   word only when a drawn or listed variant needs it. *)
+(* One concrete slip of the model.  The mutated word and the
+   description are built from the word only when a drawn or listed
+   variant needs them. *)
 type slip =
   | Omit of int
   | Double of int
   | Insert_before of int * char
   | Insert_after of int * char
   | Substitute of int * char
-  | Flip of int
+  | Flip of int * char
   | Transpose of int
 
 let describe word = function
@@ -34,72 +35,80 @@ let describe word = function
   | Insert_after (i, c) -> Printf.sprintf "insert %C after position %d" c i
   | Substitute (i, c) ->
     Printf.sprintf "substitute %C for %C at position %d" c word.[i] i
-  | Flip i -> Printf.sprintf "flip case of %C at position %d" word.[i] i
+  | Flip (i, _) -> Printf.sprintf "flip case of %C at position %d" word.[i] i
   | Transpose i -> Printf.sprintf "transpose positions %d and %d" i (i + 1)
 
-type pool = { word : string; by_kind : (kind * (string * slip) array) list }
+let apply word = function
+  | Omit i -> Strutil.delete_char word i
+  | Double i -> Strutil.insert_char word i word.[i]
+  | Insert_before (i, c) -> Strutil.insert_char word i c
+  | Insert_after (i, c) -> Strutil.insert_char word (i + 1) c
+  | Substitute (i, c) | Flip (i, c) -> Strutil.replace_char word i c
+  | Transpose i -> Strutil.swap_chars word i
+
+type pool = { word : string; by_kind : (kind * slip array) list }
 
 let pool ?(layout = default_layout) ?(include_doubling = false) word =
   let n = String.length word in
   (* The spurious or substituted character comes from a key adjacent to
      the character being typed (paper §4.1).  Same-key doubling is a
      realistic extension beyond the paper's model, available opt-in. *)
-  let neighbours = Array.init n (fun i -> Layout.neighbors layout word.[i]) in
-  let seen = Hashtbl.create (16 * n) (* room for the largest kind *) in
+  let near i = Layout.neighbors layout word.[i] in
+  (* Inserting [k] at gap [g] (before position [g]) gives the word of
+     the insertion at [s], the leftmost gap of the run of [k]s ending at
+     [g].  The first slip with that word comes from position [s - 1]
+     (inserting after it), else from [s] (doubling it), else it is this
+     one: no set of words is needed to keep the first occurrence. *)
+  let first_insertion g k =
+    let rec start s = if s > 0 && word.[s - 1] = k then start (s - 1) else s in
+    let s = start g in
+    (not (s > 0 && List.mem k (near (s - 1)))) && not (include_doubling && s < g)
+  in
   let of_kind kind =
-    (* first occurrence wins within a kind; the word itself never counts *)
-    Hashtbl.clear seen;
-    Hashtbl.add seen word ();
     let slips = ref [] in
-    let emit w slip =
-      if not (Hashtbl.mem seen w) then begin
-        Hashtbl.add seen w ();
-        slips := (w, slip) :: !slips
-      end
-    in
+    let emit slip = slips := slip :: !slips in
     for i = 0 to n - 1 do
       let c = word.[i] in
       match kind with
-      | Omission -> if n > 1 then emit (Strutil.delete_char word i) (Omit i)
+      | Omission ->
+        (* omitting any character of a run gives the same word *)
+        if n > 1 && (i = 0 || word.[i - 1] <> c) then emit (Omit i)
       | Insertion ->
-        if include_doubling then emit (Strutil.insert_char word i c) (Double i);
+        if include_doubling && first_insertion i c then emit (Double i);
         List.iter
           (fun k ->
-            emit (Strutil.insert_char word i k) (Insert_before (i, k));
-            emit (Strutil.insert_char word (i + 1) k) (Insert_after (i, k)))
-          neighbours.(i)
+            if first_insertion i k then emit (Insert_before (i, k));
+            (* [c] is not [k], so no earlier slip inserts [k] at [i + 1] *)
+            emit (Insert_after (i, k)))
+          (near i)
       | Substitution ->
-        List.iter
-          (fun k -> emit (Strutil.replace_char word i k) (Substitute (i, k)))
-          neighbours.(i)
+        List.iter (fun k -> if k <> c then emit (Substitute (i, k))) (near i)
       | Case_alteration ->
         if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') then (
           match Layout.shift_variant layout c with
-          | Some flipped when flipped <> c ->
-            emit (Strutil.replace_char word i flipped) (Flip i)
+          | Some flipped when flipped <> c -> emit (Flip (i, flipped))
           | Some _ | None -> ())
-      | Transposition ->
-        if i + 1 < n && c <> word.[i + 1] then
-          emit (Strutil.swap_chars word i) (Transpose i)
+      | Transposition -> if i + 1 < n && c <> word.[i + 1] then emit (Transpose i)
     done;
     (kind, Array.of_list (List.rev !slips))
   in
   { word; by_kind = List.map of_kind all_kinds }
 
-let labelled p kind (w, slip) =
-  (w, Printf.sprintf "%s: %s" (kind_name kind) (describe p.word slip))
+let labelled p kind slip =
+  (apply p.word slip, Printf.sprintf "%s: %s" (kind_name kind) (describe p.word slip))
 
 let pick rng slips =
   if Array.length slips = 0 then None
   else Some slips.(Rng.int rng (Array.length slips))
 
+let variant word slip = (apply word slip, describe word slip)
+
 let variants ?layout ?include_doubling kind word =
   Array.to_list (List.assoc kind (pool ?layout ?include_doubling word).by_kind)
-  |> List.map (fun (w, slip) -> (w, describe word slip))
+  |> List.map (variant word)
 
 let random_variant ?layout rng kind word =
-  pick rng (List.assoc kind (pool ?layout word).by_kind)
-  |> Option.map (fun (w, slip) -> (w, describe word slip))
+  pick rng (List.assoc kind (pool ?layout word).by_kind) |> Option.map (variant word)
 
 (* Uniform over the whole one-letter typo space: kinds with more
    concrete slips (substitutions, insertions) are proportionally more

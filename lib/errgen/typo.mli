@@ -25,15 +25,19 @@ val all_kinds : kind list
 val kind_name : kind -> string
 
 type pool
-(** Every distinct one-letter typo of one word, as (mutated word, kind,
-    slip), grouped by kind in {!all_kinds} order.  Within a kind the
-    slips run over the word's positions left to right and, at each
-    position, over the layout's sorted neighbours of its character
-    (insertions: same-key doubling if enabled, then each neighbour
-    before and after the position).  A slip that repeats an earlier
-    word of the same kind, or gives back the word itself, is dropped,
-    so the first occurrence wins; kinds are deduplicated separately.
-    A slip's description is rendered only when a reader asks for it.
+(** Every distinct one-letter typo of one word, as slips (a kind, a
+    position, a character), grouped by kind in {!all_kinds} order.
+    Within a kind the slips run over the word's positions left to right
+    and, at each position, over the layout's sorted neighbours of its
+    character (insertions: same-key doubling if enabled, then each
+    neighbour before and after the position).  A slip that repeats an
+    earlier word of the same kind, or gives back the word itself, is
+    dropped, so the first occurrence wins; kinds are deduplicated
+    separately, by position and character: an omission inside a run of
+    one character repeats the run's first, and an insertion of [k]
+    repeats the one at the leftmost gap of the run of [k]s before it.
+    A slip's word and description are built only when it is drawn or
+    listed.  The neighbours come from the layout's table.
 
     A pool is an immutable value with no cache behind it: a caller
     that draws many typos of one word (the §5.2 faultload, the

@@ -114,6 +114,27 @@ let executed_crash = function
   | Outcome.Crashed c -> Some c
   | _ -> None
 
+(* A campaign's metric handles, each label set resolved at its first
+   use: the exposition gains exactly the series the updates touch. *)
+type meters = {
+  outcomes : (string * string, Metrics.counter) Metrics.handles;  (* class, outcome *)
+  scenario_ms : (string, Metrics.histogram) Metrics.handles;  (* class *)
+  attempts : (string, Metrics.counter) Metrics.handles;  (* class *)
+  phase_ms : (string, Metrics.histogram) Metrics.handles;  (* phase *)
+}
+
+let meters reg ~sut_name =
+  let counter name labels = Metrics.counter reg name ~labels:(("sut", sut_name) :: labels)
+  and histogram name labels = Metrics.histogram reg name ~labels:(("sut", sut_name) :: labels) in
+  {
+    outcomes =
+      Metrics.handles (fun (c, label) ->
+          counter "conferr_scenario_outcomes_total" [ ("class", c); ("outcome", label) ]);
+    scenario_ms = Metrics.handles (fun c -> histogram "conferr_scenario_ms" [ ("class", c) ]);
+    attempts = Metrics.handles (fun c -> counter "conferr_quorum_attempts_total" [ ("class", c) ]);
+    phase_ms = Metrics.handles (fun p -> histogram "conferr_phase_ms" [ ("phase", p) ]);
+  }
+
 (* An open campaign: what every batch of it shares. *)
 type campaign = {
   settings : settings;
@@ -127,6 +148,7 @@ type campaign = {
   resume_table : (string, Journal.entry) Hashtbl.t;
   writer : Journal.writer option;
   observing : bool;
+  meters : meters option;
 }
 
 (* Observability is inert unless asked for: with both [trace] and
@@ -182,6 +204,7 @@ let open_campaign ~settings ~on_event ~sut ~base ~total =
     resume_table;
     writer;
     observing = settings.trace <> None || settings.metrics <> None;
+    meters = Option.map (meters ~sut_name:sut.Suts.Sut.sut_name) settings.metrics;
   }
 
 let journaled c id = Hashtbl.find_opt c.resume_table id
@@ -278,27 +301,14 @@ let run_one c (index, (s : Scenario.t)) =
   (match (settings.trace, clock) with
    | Some tr, Some c -> Trace.record tr ~id:s.id ~class_name:s.class_name c
    | _ -> ());
-  (match settings.metrics with
+  (match c.meters with
    | None -> ()
-   | Some reg ->
-     (* label lists in canonical key order, the shared one built once:
-        the registry's sortedness fast path then never re-allocates *)
-     let sut_name = sut.Suts.Sut.sut_name in
-     let class_sut = [ ("class", s.class_name); ("sut", sut_name) ] in
-     Metrics.inc reg "conferr_scenario_outcomes_total"
-       ~labels:
-         [ ("class", s.class_name); ("outcome", Outcome.label outcome);
-           ("sut", sut_name) ];
-     Metrics.observe reg "conferr_scenario_ms" ~labels:class_sut elapsed_ms;
-     List.iter
-       (fun (phase, ms) ->
-         Metrics.observe reg "conferr_phase_ms"
-           ~labels:[ ("phase", phase); ("sut", sut_name) ]
-           ms)
-       phase_ms;
+   | Some m ->
+     Metrics.add (Metrics.handle m.outcomes (s.class_name, Outcome.label outcome)) 1.0;
+     Metrics.record (Metrics.handle m.scenario_ms s.class_name) elapsed_ms;
+     List.iter (fun (phase, ms) -> Metrics.record (Metrics.handle m.phase_ms phase) ms) phase_ms;
      if !attempts > 0 then
-       Metrics.inc reg "conferr_quorum_attempts_total"
-         ~by:(float_of_int !attempts) ~labels:class_sut);
+       Metrics.add (Metrics.handle m.attempts s.class_name) (float_of_int !attempts));
   Option.iter (fun w -> Journal.append w entry) c.writer;
   emit
     (Progress.Finished

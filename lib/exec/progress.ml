@@ -16,7 +16,14 @@ type event =
 (* The counters live in a metrics registry (doc/obsv.md) instead of a
    private record, so a campaign run with [--metrics] exports exactly
    the numbers the progress block prints — one source of truth. *)
-type t = { total : int; t0 : float; reg : Metrics.t }
+type t = {
+  total : int;
+  t0 : float;
+  reg : Metrics.t;
+  (* the per-scenario counters, each resolved at its first use *)
+  started : (unit, Metrics.counter) Metrics.handles;
+  finished : (string, Metrics.counter) Metrics.handles;  (* by outcome *)
+}
 
 let m_started = "conferr_scenarios_started_total"
 let m_finished = "conferr_scenarios_finished_total"
@@ -39,12 +46,14 @@ let create ?metrics ~total () =
     ~help:"Scenarios classified without execution while a breaker was open";
   Metrics.declare reg Metrics.Counter m_breaker_trips
     ~help:"Circuit-breaker trips, by (SUT x fault class) bucket";
-  { total; t0 = Unix.gettimeofday (); reg }
+  let finished label = Metrics.counter reg m_finished ~labels:[ ("outcome", label) ] in
+  { total; t0 = Unix.gettimeofday (); reg; finished = Metrics.handles finished;
+    started = Metrics.handles (fun () -> Metrics.counter reg m_started) }
 
 let note t event =
   match event with
-  | Started _ -> Metrics.inc t.reg m_started
-  | Finished { label; _ } -> Metrics.inc t.reg m_finished ~labels:[ ("outcome", label) ]
+  | Started _ -> Metrics.add (Metrics.handle t.started ()) 1.0
+  | Finished { label; _ } -> Metrics.add (Metrics.handle t.finished label) 1.0
   | Timed_out { attempt; _ } ->
     Metrics.inc t.reg m_timeouts;
     if attempt > 1 then Metrics.inc t.reg m_retries

@@ -75,7 +75,9 @@ let worker_loop t =
           tn.active <- tn.active - 1;
           (* finishing may unblock this tenant's next queued task *)
           Condition.signal t.work;
-          Condition.broadcast t.idle);
+          (* wait, retire and drain all wait for a tenant with nothing
+             queued or running: wake them only then, not per task *)
+          if tn.active = 0 && Queue.is_empty tn.queue then Condition.broadcast t.idle);
       loop ()
   in
   loop ()

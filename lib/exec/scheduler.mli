@@ -69,7 +69,10 @@ val retire : tenant -> unit
 val wait : tenant -> unit
 (** Block until the tenant has no queued and no running tasks.  If any
     of its tasks raised, the first such exception is re-raised here
-    (once — subsequent waits return normally). *)
+    (once — subsequent waits return normally).  The wake protocol: a
+    finished task wakes {!wait}, {!retire} and {!drain} only when its
+    tenant is left with nothing queued or running, so a waiter wakes
+    once per idle tenant, not once per task. *)
 
 val drain : t -> unit
 (** Graceful stop: refuse new submissions, drop every {e queued} task of

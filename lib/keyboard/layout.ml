@@ -1,6 +1,8 @@
 type key = { row : int; col : float; unshifted : char; shifted : char option }
 
-type t = { name : string; keys : key list }
+(* [near.(code c)]: [c]'s neighbours at the default radius, once looked
+   up.  Racing domains store the same list, so a race costs a scan. *)
+type t = { name : string; keys : key list; near : char list option Atomic.t array }
 
 type modifier = Plain | Shifted
 
@@ -16,7 +18,7 @@ let make ~name rows =
           shifted = Some shifted.[i];
         })
   in
-  { name; keys = List.concat_map keys_of_row rows }
+  { name; keys = List.concat_map keys_of_row rows; near = Array.init 256 (fun _ -> Atomic.make None) }
 
 (* ANSI staggering: each letter row shifts right relative to the digit
    row. *)
@@ -65,7 +67,9 @@ let char_under_modifier k = function
   | Plain -> Some k.unshifted
   | Shifted -> k.shifted
 
-let neighbors ?(radius = 1.35) t c =
+let default_radius = 1.35
+
+let scan_neighbors radius t c =
   match find t c with
   | None -> []
   | Some (key, modifier) ->
@@ -74,6 +78,15 @@ let neighbors ?(radius = 1.35) t c =
     |> List.filter_map (fun k -> char_under_modifier k modifier)
     |> List.filter (fun ch -> ch <> c)
     |> List.sort_uniq Char.compare
+
+let neighbors ?(radius = default_radius) t c =
+  let slot = t.near.(Char.code c) in
+  match Atomic.get slot with
+  | Some near when radius = default_radius -> near
+  | _ ->
+    let near = scan_neighbors radius t c in
+    if radius = default_radius then Atomic.set slot (Some near);
+    near
 
 let shift_variant t c =
   match find t c with

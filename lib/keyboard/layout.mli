@@ -7,7 +7,10 @@
     an operator's finger landing one key off.
 
     A layout is a set of keys with planar coordinates (keyboard rows are
-    staggered, so columns are fractional). *)
+    staggered, so columns are fractional).  Each layout keeps a table of
+    its characters' neighbours: a character's list is computed on its
+    first lookup, by whichever domain asks first, and read from the
+    table after that.  Nothing is computed when a layout is made. *)
 
 type key = {
   row : int;                (** 0 = digit row, 3 = bottom letter row *)
@@ -16,7 +19,7 @@ type key = {
   shifted : char option;
 }
 
-type t = { name : string; keys : key list }
+type t
 
 val make : name:string -> (int * float * string * string) list -> t
 (** [make ~name rows] builds a layout from row specs
@@ -46,7 +49,8 @@ val neighbors : ?radius:float -> t -> char -> char list
     adjacent to [c]'s key while holding [c]'s modifiers.  Characters a
     neighbouring key cannot produce under those modifiers are omitted.
     Result is deduplicated, never contains [c], sorted for determinism.
-    [radius] defaults to 1.35 key-widths. *)
+    [radius] defaults to 1.35 key-widths; at the default the list comes
+    from the layout's table. *)
 
 val shift_variant : t -> char -> char option
 (** The character the same key yields with Shift toggled; [None] when the

@@ -61,13 +61,8 @@ let declare ?help ?buckets t kind name =
       let f = get_fam t kind ?buckets name in
       match help with Some _ -> f.help <- help | None -> ())
 
-(* Hot updates pass literal label lists that are already in canonical
-   order; checking beats re-sorting (and re-allocating) on every call. *)
-let rec is_sorted = function
-  | a :: (b :: _ as rest) -> compare a b <= 0 && is_sorted rest
-  | _ -> true
-
-let norm_labels labels = if is_sorted labels then labels else List.sort compare labels
+(* Hot updates go through handles, which sort their labels once. *)
+let norm_labels labels = List.sort compare labels
 
 let scalar_cell f labels =
   match Hashtbl.find_opt f.cells labels with
@@ -78,12 +73,46 @@ let scalar_cell f labels =
     Hashtbl.add f.cells labels (Scalar r);
     r
 
-let inc ?(by = 1.0) ?(labels = []) t name =
-  if by < 0.0 then invalid_arg ("Metrics: negative increment of counter " ^ name);
+let hist_cell f labels =
+  match Hashtbl.find_opt f.cells labels with
+  | Some (Hist h) -> h
+  | Some (Scalar _) -> assert false
+  | None ->
+    let bounds = Array.of_list f.buckets in
+    let h = { bounds; counts = Array.make (Array.length bounds) 0.0; sum = 0.0; count = 0.0 } in
+    Hashtbl.add f.cells labels (Hist h);
+    h
+
+(* A handle is a resolved cell and the registry lock that guards it: an
+   update through it looks nothing up. *)
+type 'cell handle = { guard : Mutex.t; metric : string; cell : 'cell }
+type counter = float ref handle
+type histogram = hist handle
+
+let resolve kind cell ?(labels = []) t name =
   with_lock t (fun () ->
-      let f = get_fam t Counter name in
-      let r = scalar_cell f (norm_labels labels) in
-      r := !r +. by)
+      { guard = t.lock; metric = name; cell = cell (get_fam t kind name) (norm_labels labels) })
+
+let counter ?labels t name = resolve Counter scalar_cell ?labels t name
+let histogram ?labels t name = resolve Histogram hist_cell ?labels t name
+
+let add c by =
+  if by < 0.0 then invalid_arg ("Metrics: negative increment of counter " ^ c.metric);
+  Mutex.lock c.guard;
+  c.cell := !(c.cell) +. by;
+  Mutex.unlock c.guard
+
+let record { guard; cell = h; _ } v =
+  Mutex.lock guard;
+  (* Buckets are le-inclusive: the first bound >= v takes the hit. *)
+  let n = Array.length h.bounds in
+  let rec place i = if i < n then if v <= h.bounds.(i) then h.counts.(i) <- h.counts.(i) +. 1.0 else place (i + 1) in
+  place 0;
+  h.sum <- h.sum +. v;
+  h.count <- h.count +. 1.0;
+  Mutex.unlock guard
+
+let inc ?(by = 1.0) ?labels t name = add (counter ?labels t name) by
 
 let set ?(labels = []) t name v =
   with_lock t (fun () ->
@@ -91,26 +120,21 @@ let set ?(labels = []) t name v =
       let r = scalar_cell f (norm_labels labels) in
       r := v)
 
-let observe ?(labels = []) t name v =
-  with_lock t (fun () ->
-      let f = get_fam t Histogram name in
-      let labels = norm_labels labels in
-      let h =
-        match Hashtbl.find_opt f.cells labels with
-        | Some (Hist h) -> h
-        | Some (Scalar _) -> assert false
-        | None ->
-          let bounds = Array.of_list f.buckets in
-          let h = { bounds; counts = Array.make (Array.length bounds) 0.0; sum = 0.0; count = 0.0 } in
-          Hashtbl.add f.cells labels (Hist h);
-          h
-      in
-      (* Buckets are le-inclusive: the first bound >= v takes the hit. *)
-      let n = Array.length h.bounds in
-      let rec place i = if i < n then if v <= h.bounds.(i) then h.counts.(i) <- h.counts.(i) +. 1.0 else place (i + 1) in
-      place 0;
-      h.sum <- h.sum +. v;
-      h.count <- h.count +. 1.0)
+let observe ?labels t name v = record (histogram ?labels t name) v
+
+(* Lock-free reads: the list only grows, by compare-and-set, and a key
+   resolved twice by racing domains names the same cell. *)
+type ('k, 'h) handles = { make : 'k -> 'h; made : ('k * 'h) list Atomic.t }
+
+let handles make = { make; made = Atomic.make [] }
+
+let rec handle hs key =
+  let seen = Atomic.get hs.made in
+  match List.assoc key seen with
+  | h -> h
+  | exception Not_found ->
+    let h = hs.make key in
+    if Atomic.compare_and_set hs.made seen ((key, h) :: seen) then h else handle hs key
 
 let value ?(labels = []) t name =
   with_lock t (fun () ->

@@ -32,16 +32,45 @@ val default_ms_buckets : float list
 (** The log-2 millisecond ladder used for duration histograms:
     [0.0625, 0.125, 0.25, …, 16384] (a [+Inf] bucket is implicit). *)
 
+type counter
+(** A counter cell, its family and label set resolved once: an update
+    through it takes the registry lock and looks nothing up. *)
+
+type histogram
+
+val counter : ?labels:(string * string) list -> t -> string -> counter
+(** Resolve a counter cell, declaring its family and creating it (at 0)
+    if new: resolve a label set at its first update, or the exposition
+    gains a zero-valued series. *)
+
+val histogram : ?labels:(string * string) list -> t -> string -> histogram
+(** Resolve a histogram cell likewise ({!default_ms_buckets} if new). *)
+
+val add : counter -> float -> unit
+(** Increment a counter cell by a non-negative amount. *)
+
+val record : histogram -> float -> unit
+(** Record one histogram observation. *)
+
 val inc : ?by:float -> ?labels:(string * string) list -> t -> string -> unit
-(** Increment a counter (auto-declared on first use).  [by] defaults
-    to 1 and must be non-negative. *)
+(** [add (counter ?labels t name) by], [by] defaulting to 1. *)
 
 val set : ?labels:(string * string) list -> t -> string -> float -> unit
 (** Set a gauge (auto-declared on first use). *)
 
 val observe : ?labels:(string * string) list -> t -> string -> float -> unit
-(** Record one histogram observation (auto-declared on first use with
-    {!default_ms_buckets}). *)
+(** [record (histogram ?labels t name) v]. *)
+
+type ('k, 'h) handles
+(** Handles by key, each made at the key's first lookup and kept, so a
+    campaign resolves each of its label sets once.  Lookups take no
+    lock: domains that look a new key up at once may each make it, so
+    making must be idempotent, as resolving a cell is. *)
+
+val handles : ('k -> 'h) -> ('k, 'h) handles
+
+val handle : ('k, 'h) handles -> 'k -> 'h
+(** The key's handle (keys compare structurally). *)
 
 val value : ?labels:(string * string) list -> t -> string -> float option
 (** Current value of one counter/gauge cell; [None] if the cell does

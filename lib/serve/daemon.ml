@@ -28,14 +28,16 @@ type campaign = {
   mutable done_count : int;  (* finished + resumed scenarios *)
   mutable cancel_requested : bool;
   mutable profile : Conferr.Profile.t option;
-  mutable events_rev : string list;  (* newest first *)
+  (* events are kept as values and rendered when a reader asks *)
+  mutable events_rev : Progress.event list;  (* newest first *)
   mutable events_n : int;
-  mutable closed : bool;  (* terminal event appended *)
+  mutable terminal : string option;  (* the terminal line, once closed *)
 }
 
 type t = {
   lock : Mutex.t;
   changed : Condition.t;  (* any event append or status change *)
+  closed : Condition.t;  (* a campaign's terminal event *)
   sched : Scheduler.t;
   reg : Metrics.t;
   state_dir : string;
@@ -93,6 +95,7 @@ let create ?(jobs = 1) ?(max_campaigns = 4) ?segment_bytes
   {
     lock = Mutex.create ();
     changed = Condition.create ();
+    closed = Condition.create ();
     sched = Scheduler.create ~jobs ();
     reg;
     state_dir;
@@ -130,8 +133,8 @@ let active_count t =
   List.length (List.filter (fun c -> not (terminal c.cstatus)) t.campaigns)
 
 (* Caller holds the lock. *)
-let push_event t c line =
-  c.events_rev <- line :: c.events_rev;
+let push_event t c ev =
+  c.events_rev <- ev :: c.events_rev;
   c.events_n <- c.events_n + 1;
   Condition.broadcast t.changed
 
@@ -180,7 +183,7 @@ let run_campaign t c =
          | Progress.Finished _ -> c.done_count <- c.done_count + 1
          | Progress.Resumed { count } -> c.done_count <- c.done_count + count
          | _ -> ());
-        push_event t c (Json.to_string (Progress.event_to_json ev)))
+        push_event t c ev)
   in
   let result =
     match
@@ -214,8 +217,9 @@ let run_campaign t c =
              (float_of_int t.disk_faults)
          end;
          c.cstatus <- Failed msg);
-      push_event t c (Json.to_string (terminal_event c));
-      c.closed <- true;
+      c.terminal <- Some (Json.to_string (terminal_event c));
+      Condition.broadcast t.changed;
+      Condition.broadcast t.closed;
       Metrics.set t.reg "conferr_serve_active_campaigns"
         (float_of_int (active_count t)))
 
@@ -294,7 +298,7 @@ let submit t body =
                         profile = None;
                         events_rev = [];
                         events_n = 0;
-                        closed = false;
+                        terminal = None;
                       }
                     in
                     t.campaigns <- t.campaigns @ [ c ];
@@ -318,8 +322,8 @@ let cancel t c =
 
 let wait t c =
   locked t (fun () ->
-      while not c.closed do
-        Condition.wait t.changed t.lock
+      while c.terminal = None do
+        Condition.wait t.closed t.lock
       done)
 
 let drain t =
@@ -341,7 +345,7 @@ let summary_json c =
       ("status", Json.Str (status_of c.cstatus));
       ("total", Json.Num (float_of_int c.total));
       ("finished", Json.Num (float_of_int c.done_count));
-      ("events", Json.Num (float_of_int c.events_n));
+      ("events", Json.Num (float_of_int (c.events_n + Bool.to_int (c.terminal <> None))));
       ("policy", Policy.to_json c.policy);
       ("journal", Json.Str c.journal_path);
     ]
@@ -380,12 +384,21 @@ let results_json c profile =
              entries) );
     ]
 
+(* Index [events_n] is the terminal line.  Only the events after [from]
+   are walked, and they are rendered outside the lock. *)
 let events_after t c from =
-  locked t (fun () ->
-      let fresh =
-        List.filteri (fun i _ -> i < c.events_n - from) c.events_rev
-      in
-      (List.rev fresh, c.closed))
+  (* the [k] newest of a newest-first list, oldest first *)
+  let rec take k acc = function
+    | ev :: rest when k > 0 -> take (k - 1) (ev :: acc) rest
+    | _ -> acc
+  in
+  let fresh, terminal, closed =
+    locked t (fun () ->
+        ( take (c.events_n - from) [] c.events_rev,
+          (if from <= c.events_n then Option.to_list c.terminal else []),
+          c.terminal <> None ))
+  in
+  (List.map (fun ev -> Json.to_string (Progress.event_to_json ev)) fresh @ terminal, closed)
 
 (* ------------------------------------------------------------------ *)
 (* HTTP surface                                                        *)
@@ -421,7 +434,7 @@ let stream_events t c ~from write =
        if closed then continue := false
        else
          locked t (fun () ->
-             if c.events_n <= !i && not c.closed then
+             if c.events_n <= !i && c.terminal = None then
                Condition.wait t.changed t.lock)
      | _ ->
        List.iter (fun line -> write (line ^ "\n")) lines;

@@ -85,17 +85,20 @@ val cancel : t -> campaign -> int
     campaign is terminal. *)
 
 val wait : t -> campaign -> unit
-(** Block until the campaign is terminal.  Test/bench helper — the HTTP
-    surface streams [/events] instead. *)
+(** Block until the campaign is terminal; woken when a campaign closes,
+    not per event.  Test/bench helper — the HTTP surface streams
+    [/events] instead. *)
 
 val summary_json : campaign -> Conferr_obsv.Json.t
 (** The list/status object: id, sut, seed, status, total, finished,
     events, policy, journal path. *)
 
 val events_after : t -> campaign -> int -> string list * bool
-(** Under the daemon lock: event JSON lines strictly after the given
-    index, and whether the stream is closed (terminal event written).
-    Building block of the [/events] chunked stream. *)
+(** The event JSON lines from the given index on, and whether the
+    stream is closed (terminal event written).  A campaign keeps its
+    events as values; only the ones asked for are walked, and they are
+    rendered here, outside the daemon lock.  Building block of the
+    [/events] chunked stream. *)
 
 (** {1 HTTP surface} *)
 

@@ -164,13 +164,17 @@ let test_boot_budget () =
   if over <> [] then Alcotest.fail (String.concat "; " over)
 
 (* Generation's budget: words per scenario of [Campaign.typo_scenarios]
-   drawing each SUT's seed-42 paper faultload.  Measured 1,572
-   (apache), 1,438 (bind), 1,518 (djbdns), 1,502 (postgres), 1,622
-   (mysql) and 1,787 (appserver); each budget is about 15% above. *)
+   drawing each SUT's seed-42 paper faultload.  Measured 986 (apache),
+   931 (bind), 973 (djbdns), 965 (postgres), 1,034 (mysql) and 1,097
+   (appserver) with pools of slips; each budget is about 15% above.
+   Pools that build every slip's word and deduplicate by string read
+   1,314, 1,213, 1,254, 1,247, 1,351 and 1,466 (1,572, 1,438, 1,518,
+   1,502, 1,622 and 1,787 when each lookup also scanned the layout for
+   neighbours). *)
 let generate_budget =
   [
-    ("apache", 1_810); ("bind", 1_650); ("djbdns", 1_750); ("postgres", 1_730);
-    ("mysql", 1_870); ("appserver", 2_060);
+    ("apache", 1_135); ("bind", 1_070); ("djbdns", 1_120); ("postgres", 1_110);
+    ("mysql", 1_190); ("appserver", 1_260);
   ]
 
 let test_generate_budget () =
@@ -242,6 +246,58 @@ let test_repair_budget () =
   in
   if over <> [] then Alcotest.fail (String.concat "; " over)
 
+(* The observers' budget: words per scenario that [metrics] plus
+   [trace] add to a bare [Executor.run_from] on every SUT's seed-42
+   faultload, with a fresh registry and trace per run as a campaign
+   gets them (the trace's ring, 1,024 scenarios, counts too): the
+   clock's phase marks, the trace's spans and the metric updates.
+   Measured 246 (apache), 278 (bind), 297 (djbdns), 237 (postgres),
+   245 (mysql) and 282 (appserver), down from 408, 458, 482, 385, 400
+   and 451 when every update looked its cell up by family name and
+   label list; each budget is about 15% above.  Looking the executor's
+   cells up by label list again, per scenario, reads 647, 724, 757,
+   610, 633 and 707. *)
+let observer_budget =
+  [
+    ("apache", 285); ("bind", 320); ("djbdns", 340); ("postgres", 275);
+    ("mysql", 285); ("appserver", 325);
+  ]
+
+let test_observer_budget () =
+  let over =
+    List.filter_map
+      (fun (sut : Suts.Sut.t) ->
+        let base, scenarios = paper_faultload sut in
+        let run settings () =
+          ignore (Executor.run_from ~settings ~on_event:ignore ~sut ~base ~scenarios ())
+        in
+        let bare = Executor.default_settings in
+        let observed () =
+          run
+            {
+              bare with
+              trace = Some (Conferr_obsv.Trace.create ~capacity:1024 ());
+              metrics = Some (Conferr_obsv.Metrics.create ());
+            }
+            ()
+        in
+        run bare ();
+        observed ();
+        let per_scenario =
+          (least observed -. least (run bare)) /. float_of_int (List.length scenarios)
+        in
+        let budget = List.assoc sut.sut_name observer_budget in
+        Printf.printf "%s: %d scenarios, the observers add %.0f words/scenario (budget %d)\n%!"
+          sut.sut_name (List.length scenarios) per_scenario budget;
+        if per_scenario > float_of_int budget then
+          Some
+            (Printf.sprintf "%s: metrics and trace add %.0f words per scenario, budget %d"
+               sut.sut_name per_scenario budget)
+        else None)
+      boot_suts
+  in
+  if over <> [] then Alcotest.fail (String.concat "; " over)
+
 let () =
   Alcotest.run "budget"
     [
@@ -257,5 +313,7 @@ let () =
             test_generate_budget;
           Alcotest.test_case "repair words per target within budget" `Quick
             test_repair_budget;
+          Alcotest.test_case "observer words per scenario within budget" `Quick
+            test_observer_budget;
         ] );
     ]

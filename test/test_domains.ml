@@ -32,6 +32,32 @@ let test_parallel_equals_sequential () =
   Alcotest.(check (list (list (triple string string string))))
     "postgres and bind faultloads" sequential parallel
 
+(* A layout's neighbour table is filled on first use: two domains look
+   every byte up at once on one fresh layout, and must read what a
+   sequential run on another fresh layout reads. *)
+let test_neighbour_table () =
+  let fresh () =
+    Keyboard.Layout.make ~name:"qwerty"
+      [
+        (0, 0.0, "`1234567890-=", "~!@#$%^&*()_+");
+        (1, 1.5, "qwertyuiop[]\\", "QWERTYUIOP{}|");
+        (2, 1.75, "asdfghjkl;'", "ASDFGHJKL:\"");
+        (3, 2.25, "zxcvbnm,./", "ZXCVBNM<>?");
+      ]
+  in
+  let lookups layout = List.init 256 (fun code -> Keyboard.Layout.neighbors layout (Char.chr code)) in
+  let shared = fresh () and ready = Atomic.make 0 in
+  let start () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    lookups shared
+  in
+  let parallel = List.map Domain.join (List.init 2 (fun _ -> Domain.spawn start)) in
+  let sequential = lookups (fresh ()) in
+  List.iter (Alcotest.(check (list (list char))) "neighbours of every byte" sequential) parallel
+
 (* The same for lint: `gaps`, `infer` and `repair` lint on pool domains,
    and a rule's per-set views must stay local to its checker call.  Two
    domains lint the seed-42 mutants of bind and mysql at once with the
@@ -114,6 +140,8 @@ let () =
         [
           Alcotest.test_case "two domains equal a sequential run" `Quick
             test_parallel_equals_sequential;
+          Alcotest.test_case "two domains fill one neighbour table" `Quick
+            test_neighbour_table;
         ] );
       ( "lint",
         [

@@ -73,6 +73,20 @@ let test_make_validates () =
     (Invalid_argument "Layout.make: row strings must have equal length") (fun () ->
       ignore (Layout.make ~name:"bad" [ (0, 0.0, "ab", "A") ]))
 
+(* The neighbour table answers as a scan does: every byte on the three
+   layouts, looked up twice (computed, then read back), against a scan
+   at a radius that no key distance separates from the default. *)
+let test_neighbor_table_matches_scan () =
+  List.iter
+    (fun layout ->
+      for code = 0 to 255 do
+        let c = Char.chr code in
+        let scan = Layout.neighbors ~radius:(1.35 +. 1e-9) layout c in
+        Alcotest.(check (list char)) (Printf.sprintf "%C first" c) scan (Layout.neighbors layout c);
+        Alcotest.(check (list char)) (Printf.sprintf "%C again" c) scan (Layout.neighbors layout c)
+      done)
+    Layout.[ us_qwerty; us_dvorak; ch_qwertz ]
+
 let prop_shift_involution =
   QCheck2.Test.make ~name:"keyboard: shift_variant is an involution on letters"
     QCheck2.Gen.(char_range 'a' 'z')
@@ -101,6 +115,8 @@ let suite =
     Alcotest.test_case "all_chars" `Quick test_all_chars;
     Alcotest.test_case "qwertz differs" `Quick test_qwertz_differs;
     Alcotest.test_case "make validates" `Quick test_make_validates;
+    Alcotest.test_case "neighbour table matches a scan" `Quick
+      test_neighbor_table_matches_scan;
     QCheck_alcotest.to_alcotest prop_shift_involution;
     QCheck_alcotest.to_alcotest prop_neighbors_symmetric;
   ]

@@ -685,6 +685,140 @@ let test_daemon_sigterm_idle_keepalive () =
   Alcotest.(check bool) "listen returned while the client held its connection" true
     stopped
 
+
+(* -------------------------------------------------------------- *)
+(* The daemon's outputs, locked byte for byte                      *)
+(* -------------------------------------------------------------- *)
+
+(* [line] with the value after each ["k":], for [k] in [keys],
+   replaced by [_]: a number, or a quoted string. *)
+let mask_values keys line =
+  let n = String.length line in
+  let b = Buffer.create n in
+  let key_at i =
+    List.find_opt
+      (fun k ->
+        let p = Printf.sprintf "%S:" k in
+        i + String.length p <= n && String.sub line i (String.length p) = p)
+      keys
+  in
+  let rec skip_number j =
+    if j < n && String.contains "0123456789.eE+-" line.[j] then skip_number (j + 1) else j
+  in
+  let rec go i =
+    if i < n then
+      match key_at i with
+      | Some k ->
+        let p = Printf.sprintf "%S:" k in
+        Buffer.add_string b p;
+        Buffer.add_char b '_';
+        let j = i + String.length p in
+        go
+          (if j < n && line.[j] = '"' then String.index_from line (j + 1) '"' + 1
+           else skip_number j)
+      | None ->
+        Buffer.add_char b line.[i];
+        go (i + 1)
+  in
+  go 0;
+  Buffer.contents b
+
+let md5 text = Digest.to_hex (Digest.string text)
+
+(* The exposition with the wall-clock samples of the timing histograms
+   masked: their [_bucket] and [_sum] values.  Every series, every
+   counter and every [_count] line stays. *)
+let mask_exposition text =
+  String.split_on_char '\n' text
+  |> List.map (fun line ->
+         let timing =
+           List.exists
+             (fun prefix -> String.starts_with ~prefix line)
+             [ "conferr_scenario_ms_bucket"; "conferr_scenario_ms_sum";
+               "conferr_phase_ms_bucket"; "conferr_phase_ms_sum" ]
+         in
+         if timing then String.sub line 0 (String.rindex line ' ') ^ " _" else line)
+  |> String.concat "\n"
+
+(* An in-process pg seed-7 campaign: its event stream ("ms" masked),
+   the /metrics exposition (timing-histogram values masked) and its
+   journal (crc, "ms" and phase durations masked), against digests
+   recorded before events were kept as values and metrics went through
+   handles.  A byte that rendering events on read changes, or a series
+   that a handle adds or merges, shows here. *)
+let test_daemon_outputs_locked () =
+  let daemon = Daemon.create ~jobs:1 ~state_dir:(temp_dir ()) () in
+  let c = submit_pg daemon in
+  Daemon.wait daemon c;
+  let events =
+    match Daemon.handle daemon (get ("/campaigns/" ^ Daemon.campaign_id c ^ "/events")) with
+    | `Stream (_, produce) ->
+      let buf = Buffer.create 4096 in
+      produce (Buffer.add_string buf);
+      Buffer.contents buf
+    | `Response _ -> Alcotest.fail "events endpoint did not stream"
+  in
+  let metrics = (response_of (Daemon.handle daemon (get "/metrics"))).Http.resp_body in
+  let journal = read_file (str_member "journal" (Daemon.summary_json c)) in
+  let phases = List.map Conferr_obsv.Span.label Conferr_obsv.Span.all in
+  let masked keys text =
+    String.concat "\n" (List.map (mask_values keys) (String.split_on_char '\n' text))
+  in
+  Daemon.drain daemon;
+  Alcotest.(check string) "events, ms masked" "08e3d6f7e2e9944c9a75f46ea76f1370" (md5 (masked [ "ms" ] events));
+  Alcotest.(check string) "metrics, timing values masked" "d01d00059ff29921ed89303b9ef10ed1"
+    (md5 (mask_exposition metrics));
+  Alcotest.(check string) "journal, crc, ms and phases masked" "08217a2611427f9198f942a1684fffa9"
+    (md5 (masked ("crc" :: "ms" :: phases) journal))
+
+(* A burst of the three db campaigns: the outcome counters of the
+   shared registry are the sums over the three campaigns' results. *)
+let test_daemon_burst_counters () =
+  let daemon = Daemon.create ~jobs:1 ~state_dir:(temp_dir ()) () in
+  let campaigns =
+    List.map
+      (fun sut ->
+        let resp =
+          response_of
+            (Daemon.handle daemon
+               (post "/campaigns" (Printf.sprintf {|{"sut":%S,"seed":7}|} sut)))
+        in
+        Alcotest.(check int) (sut ^ " accepted") 202 resp.Http.status;
+        Option.get (Daemon.find daemon (str_member "id" (json_of resp))))
+      [ "mini_pg"; "mini_mysql"; "mini_appserver" ]
+  in
+  List.iter (Daemon.wait daemon) campaigns;
+  let tally = Hashtbl.create 64 and by_outcome = Hashtbl.create 8 in
+  let bump tbl key = Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key)) in
+  List.iter
+    (fun c ->
+      let results =
+        json_of
+          (response_of
+             (Daemon.handle daemon (get ("/campaigns/" ^ Daemon.campaign_id c ^ "/results"))))
+      in
+      let sut = str_member "sut" results in
+      match Json.member "scenarios" results with
+      | Some (Json.Arr scenarios) ->
+        List.iter
+          (fun s ->
+            let outcome = str_member "outcome" s in
+            bump tally [ ("class", str_member "class" s); ("outcome", outcome); ("sut", sut) ];
+            bump by_outcome [ ("outcome", outcome) ])
+          scenarios
+      | _ -> Alcotest.fail "results without scenarios")
+    campaigns;
+  let expected tbl =
+    List.sort compare (Hashtbl.fold (fun k n acc -> (k, float_of_int n) :: acc) tbl [])
+  in
+  let reg = Daemon.registry daemon in
+  Daemon.drain daemon;
+  let cells = Alcotest.(list (pair (list (pair string string)) (float 0.))) in
+  Alcotest.check cells "conferr_scenario_outcomes_total" (expected tally)
+    (Metrics.family reg "conferr_scenario_outcomes_total");
+  Alcotest.check cells "conferr_scenarios_finished_total" (expected by_outcome)
+    (Metrics.family reg "conferr_scenarios_finished_total")
+
 let suite =
   [
     Alcotest.test_case "http: simple request" `Quick test_parse_simple;
@@ -732,6 +866,10 @@ let suite =
       test_daemon_restart_keeps_journals;
     Alcotest.test_case "scheduler: retired tenants leave the ring" `Quick
       test_scheduler_retire;
+    Alcotest.test_case "daemon: outputs locked byte for byte" `Slow
+      test_daemon_outputs_locked;
+    Alcotest.test_case "daemon: burst counters sum the campaigns" `Slow
+      test_daemon_burst_counters;
     Alcotest.test_case "daemon: SIGTERM with an idle keep-alive client" `Quick
       test_daemon_sigterm_idle_keepalive;
   ]

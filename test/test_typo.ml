@@ -367,7 +367,11 @@ let layouts =
 (* Words that exercise every edge of the model: empty and one-character
    words, runs of a repeated letter, digits, punctuation, upper case,
    and bytes outside ASCII (some typeable on ch-qwertz, some on no
-   layout). *)
+   layout).  The last branch draws config values at the lengths
+   campaigns mutate (paths, log prefixes, up to about 40 characters):
+   runs of one to three of a character over an alphabet of letters
+   next to each other on the keyboard, '/', '_', '.' and '%', so that
+   slips land inside and beside runs of their own character. *)
 let word_gen =
   QCheck2.Gen.(
     oneof
@@ -380,6 +384,13 @@ let word_gen =
                          'z'; 'y'; '\xa7'; '\xe8'; '\xc3'; '\xa9' ])
           (int_range 0 8);
         string_size ~gen:char (int_range 0 6);
+        (let run =
+           map2 String.make (oneofl [ 1; 1; 1; 2; 3 ])
+             (oneofl [ 'a'; 's'; 'd'; 'l'; 'o'; 'p'; 'g'; 'S'; '/'; '_'; '.'; '-'; '0'; '%' ])
+         in
+         map2
+           (fun len runs -> String.sub (String.concat "" runs) 0 len)
+           (int_range 9 40) (list_repeat 40 run));
       ])
 
 let layout_gen = QCheck2.Gen.oneofl layouts
