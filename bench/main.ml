@@ -365,8 +365,8 @@ let print_adaptive_discovery () =
       let settings =
         {
           Conferr_adapt.Explore.default_settings with
+          exec = { Conferr_exec.Executor.default_settings with campaign_seed = seed };
           batch = 16;
-          campaign_seed = seed;
         }
       in
       let r =

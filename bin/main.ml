@@ -458,21 +458,12 @@ let explore_cmd =
     let explore (s : Conferr_exec.Executor.settings) =
       let settings =
         {
-          Conferr_adapt.Explore.default_settings with
-          jobs = s.jobs;
+          Conferr_adapt.Explore.exec = { s with timeout_s = timeout; retries };
           batch;
           budget;
           plateau;
           wallclock_s = wallclock;
-          timeout_s = timeout;
-          retries;
-          campaign_seed = seed;
-          journal_path = s.journal_path;
-          segment_bytes = s.segment_bytes;
-          resume = s.resume;
           quarantine_path = quarantine;
-          trace = s.trace;
-          metrics = s.metrics;
         }
       in
       Conferr_adapt.Explore.run ~settings ~sut:c.sut ~stream ()

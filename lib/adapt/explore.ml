@@ -7,44 +7,25 @@ module Journal = Conferr_exec.Journal
 module Signature = Conferr_exec.Signature
 module Texttable = Conferr_util.Texttable
 module Repro = Conferr_harden.Repro
-module Trace = Conferr_obsv.Trace
 module Metrics = Conferr_obsv.Metrics
 
 type settings = {
-  jobs : int;
+  exec : Executor.settings;
   batch : int;
   budget : int option;
   wallclock_s : float option;
   plateau : int;
-  timeout_s : float option;
-  retries : int;
-  campaign_seed : int;
-  journal_path : string option;
-  segment_bytes : int option;
-  resume : bool;
   quarantine_path : string option;
-  fuel : int option;
-  trace : Trace.t option;
-  metrics : Metrics.t option;
 }
 
 let default_settings =
   {
-    jobs = 1;
+    exec = Executor.default_settings;
     batch = 32;
     budget = None;
     wallclock_s = None;
     plateau = 4;
-    timeout_s = None;
-    retries = 0;
-    campaign_seed = 42;
-    journal_path = None;
-    segment_bytes = None;
-    resume = false;
     quarantine_path = None;
-    fuel = None;
-    trace = None;
-    metrics = None;
   }
 
 type stop_reason =
@@ -115,25 +96,6 @@ let energy_floor = 0.05
 (* ------------------------------------------------------------------ *)
 (* The search loop                                                     *)
 (* ------------------------------------------------------------------ *)
-
-(* The search runs each batch on the executor, with the executor's
-   defaults for what it does not configure: quorum 1, no breaker, no
-   quarantine writes (a quarantine directory is only read, for its
-   flaky list). *)
-let executor_settings (settings : settings) =
-  {
-    Executor.default_settings with
-    jobs = settings.jobs;
-    timeout_s = settings.timeout_s;
-    retries = settings.retries;
-    campaign_seed = settings.campaign_seed;
-    journal_path = settings.journal_path;
-    segment_bytes = settings.segment_bytes;
-    resume = settings.resume;
-    fuel = settings.fuel;
-    trace = settings.trace;
-    metrics = settings.metrics;
-  }
 
 (* A scheduled scenario after classification, in scheduling order. *)
 type classified =
@@ -356,11 +318,11 @@ let run_from ?(settings = default_settings) ?on_event ~sut ~base ~stream () =
       end
   in
   ignore
-    (Executor.with_campaign ~settings:(executor_settings settings) ?on_event
+    (Executor.with_campaign ~settings:settings.exec ?on_event
        ~sut ~base ~total:0 (fun campaign ->
          loop campaign;
          List.rev !journal_entries_rev));
-  (match settings.metrics with
+  (match settings.exec.metrics with
    | None -> ()
    | Some reg ->
      (* final search state as gauges: exact values, resume-safe *)

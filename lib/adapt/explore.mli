@@ -13,9 +13,7 @@
     which it was found.
 
     Each batch runs on {!Conferr_exec.Executor} ([run_batch] inside one
-    [with_campaign]), with the executor's defaults for everything these
-    settings do not configure: quorum 1, no circuit breaker, no
-    quarantine writes.
+    [with_campaign]) with the settings' [exec], handed over unchanged.
 
     Determinism: batch composition, energies, the frontier, and the
     profile derive only from the campaign seed and the (deterministic)
@@ -25,7 +23,11 @@
     time-dependent batch boundary. *)
 
 type settings = {
-  jobs : int;  (** worker domains for each batch; 1 = sequential *)
+  exec : Conferr_exec.Executor.settings;
+      (** the executor settings every batch runs with: jobs, deadline,
+          retries, seed, journal and resume, fuel, trace and metrics.
+          [metrics] also receives the final search state
+          ([conferr_explore_*] gauges, including per-bucket energies) *)
   batch : int;  (** scenarios scheduled per batch *)
   budget : int option;
       (** stop once this many SUT executions have run (checked at batch
@@ -37,43 +39,15 @@ type settings = {
   plateau : int;
       (** stop after this many consecutive batches with zero new
           signatures; [0] disables the plateau rule *)
-  timeout_s : float option;  (** per-scenario deadline, as in the executor *)
-  retries : int;  (** re-runs after a timeout *)
-  campaign_seed : int;
-  journal_path : string option;
-  segment_bytes : int option;
-      (** write the journal as a v3 segmented store rotating at this
-          byte bound (doc/exec.md); [None] keeps the single-file
-          layout unless the path already is a store *)
-  resume : bool;
-      (** reuse journaled outcomes: the loop replays deterministically,
-          so already-executed scenarios are spliced in without booting
-          the SUT *)
   quarantine_path : string option;
       (** a hardened campaign's quarantine directory; scenario ids in
           its [flaky.txt] are deferred to the back of the schedule and
           only run once every regular bucket has drained *)
-  fuel : int option;
-      (** cooperative step budget per execution
-          ({!Conferr_harden.Sandbox.tick}); [None] = unlimited *)
-  trace : Conferr_obsv.Trace.t option;
-      (** span tracer for the scenarios the executor runs (doc/obsv.md):
-          all five phases, generate/serialize/spawn/run/classify.
-          [None] (default) records nothing *)
-  metrics : Conferr_obsv.Metrics.t option;
-      (** metrics registry: the executor's per-scenario families
-          (progress counters, outcomes, latencies, phases,
-          [conferr_quorum_attempts_total]) plus the final search state
-          ([conferr_explore_*] gauges, including per-bucket energies);
-          [None] (default) records nothing *)
 }
 
 val default_settings : settings
-(** [{ jobs = 1; batch = 32; budget = None; wallclock_s = None;
-      plateau = 4; timeout_s = None; retries = 0; campaign_seed = 42;
-      journal_path = None; segment_bytes = None; resume = false;
-      quarantine_path = None;
-      fuel = None; trace = None; metrics = None }] *)
+(** [{ exec = Executor.default_settings; batch = 32; budget = None;
+      wallclock_s = None; plateau = 4; quarantine_path = None }] *)
 
 type stop_reason =
   | Budget_exhausted
@@ -108,12 +82,6 @@ type report = {
   energies : ((string * string) * float) list;
       (** final (fault class, target file) bucket energies, sorted *)
 }
-
-val bucket_of_scenario : Errgen.Scenario.t -> string * string
-(** The (fault class, target file) novelty bucket a scenario feeds.
-    The target file is recovered from the [... at <file>:<path>]
-    convention of generator descriptions; scenarios without one fall
-    into the ["-"] file bucket. *)
 
 val run_from :
   ?settings:settings ->

@@ -31,10 +31,6 @@ val classify :
     by content digest.  A [Fresh] verdict registers the digest under the
     scenario's id. *)
 
-val digest_files : (string * string) list -> string
-(** Hex digest of a serialized configuration set (order-sensitive, which
-    is fine: [serialize_config] emits files in declaration order). *)
-
 val size : t -> int
 (** Distinct mutants registered so far. *)
 

@@ -10,10 +10,6 @@
 
 type bin = Poor | Fair | Good | Excellent
 
-val bin_name : bin -> string
-
-val all_bins : bin list
-
 val bin_of_rate : float -> bin
 (** [0, 0.25] poor, (0.25, 0.5] fair, (0.5, 0.75] good, (0.75, 1]
     excellent. *)

@@ -102,40 +102,35 @@ let run_scenario ?probe ~sut ~base (scenario : Errgen.Scenario.t) =
   | Error msg -> Outcome.Not_applicable msg
   | Ok files -> boot_and_test ?probe sut files
 
-let run_from ?(jobs = 1) ~sut ~base ~scenarios () =
+let run_from ~sut ~base ~scenarios () =
   Log.info (fun m ->
-      m "running %d scenarios against %s on %d domain(s)" (List.length scenarios)
-        sut.Suts.Sut.sut_name (max 1 jobs));
-  (* the campaign loop is a pure map over scenarios, so it goes through
-     the shared scheduler: jobs = 1 runs in this domain in list order
-     (the classic sequential path), jobs > 1 shards across domains with
-     results landing in their input slot — same profile either way *)
+      m "running %d scenarios against %s" (List.length scenarios)
+        sut.Suts.Sut.sut_name);
   let entries =
-    Conferr_pool.map ~jobs
-      (fun _ (s : Errgen.Scenario.t) ->
+    List.map
+      (fun (s : Errgen.Scenario.t) ->
         let outcome = run_scenario ~sut ~base s in
-        if jobs <= 1 then
-          Log.debug (fun m ->
-              m "%s [%s] %s" s.id (Outcome.label outcome) s.description);
+        Log.debug (fun m ->
+            m "%s [%s] %s" s.id (Outcome.label outcome) s.description);
         {
           Profile.scenario_id = s.id;
           class_name = s.class_name;
           description = s.description;
           outcome;
         })
-      (Array.of_list scenarios)
+      scenarios
   in
-  Profile.make ~sut_name:sut.Suts.Sut.sut_name (Array.to_list entries)
+  Profile.make ~sut_name:sut.Suts.Sut.sut_name entries
 
 type config_error = { sut_name : string; message : string }
 
 let config_error_to_string { sut_name; message } =
   Printf.sprintf "default configuration of %s does not parse: %s" sut_name message
 
-let run ?jobs ~sut ~scenarios () =
+let run ~sut ~scenarios () =
   match parse_default_config sut with
   | Error message -> Error { sut_name = sut.Suts.Sut.sut_name; message }
-  | Ok base -> Ok (run_from ?jobs ~sut ~base ~scenarios ())
+  | Ok base -> Ok (run_from ~sut ~base ~scenarios ())
 
 let baseline_ok (sut : Suts.Sut.t) =
   let* base = parse_default_config sut in

@@ -65,21 +65,17 @@ type config_error = { sut_name : string; message : string }
 val config_error_to_string : config_error -> string
 
 val run :
-  ?jobs:int -> sut:Suts.Sut.t -> scenarios:Errgen.Scenario.t list -> unit ->
+  sut:Suts.Sut.t -> scenarios:Errgen.Scenario.t list -> unit ->
   (Profile.t, config_error) result
-(** Runs every scenario against the SUT's default configuration.
-    [jobs] (default 1) selects the number of worker domains; see
-    {!run_from} for the determinism guarantee. *)
+(** Runs every scenario against the SUT's default configuration. *)
 
 val run_from :
-  ?jobs:int -> sut:Suts.Sut.t -> base:Conftree.Config_set.t ->
+  sut:Suts.Sut.t -> base:Conftree.Config_set.t ->
   scenarios:Errgen.Scenario.t list -> unit -> Profile.t
-(** Campaign over an already-parsed base configuration.  The scenario
-    loop goes through {!Conferr_pool.map}: [jobs = 1] (default) is the
-    classic sequential path, [jobs > 1] shards scenarios across that
-    many domains.  Entries are always in scenario-list order and each
-    scenario's outcome is independent of scheduling, so the profile is
-    identical for any [jobs]. *)
+(** Campaign over an already-parsed base configuration: the classic
+    sequential loop, one {!run_scenario} per scenario in list order.
+    The parallel, journaled campaign is [Conferr_exec.Executor.run_from];
+    [test_oracle] checks the two agree on every outcome. *)
 
 val baseline_ok : Suts.Sut.t -> (unit, string) result
 (** Sanity check: the unmodified default configuration must boot and

@@ -68,9 +68,6 @@ val cause_to_string : crash_cause -> string
 val cause_of_string : string -> crash_cause option
 (** Exact inverse of {!cause_to_string}. *)
 
-val cause_summary : crash_cause -> string
-(** Human-readable one-liner for a cause. *)
-
 val crash_summary : crash -> string
 (** ["<cause summary> [<phase>]"] — stable across runs (no backtrace),
     so it can feed signature clustering. *)

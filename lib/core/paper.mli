@@ -57,8 +57,6 @@ val figure_dns : ?seed:int -> ?experiments:int -> unit -> Profile.t list
     no deletions), comparing how much of a zone's data each server
     validates. *)
 
-val render_figure_dns : Profile.t list -> string
-
 (** {1 Configuration-process benchmark (§5.5's procedure)} *)
 
 val mysql_tasks : Process_bench.task list

@@ -155,13 +155,9 @@ let to_csv t =
   String.concat "\n"
     (("scenario_id,outcome,class,description" :: List.map line t.entries) @ [ "" ])
 
-let render_entries ?(only_detected = false) t =
-  let entries =
-    if only_detected then List.filter (fun e -> Outcome.detected e.outcome) t.entries
-    else t.entries
-  in
+let render_entries t =
   let row e =
     [ e.scenario_id; Outcome.label e.outcome; e.class_name; e.description ]
   in
   Texttable.render ~header:[ "id"; "outcome"; "class"; "description" ]
-    (List.map row entries)
+    (List.map row t.entries)

@@ -45,7 +45,7 @@ val render : t -> string
     {!Outcome.Crashed} entry, so crash-free campaigns render exactly as
     they did before the hardening layer existed. *)
 
-val render_entries : ?only_detected:bool -> t -> string
+val render_entries : t -> string
 (** Per-injection listing (the raw profile). *)
 
 val render_by_cognitive_level : t -> string

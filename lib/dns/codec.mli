@@ -32,4 +32,3 @@ val tinydns : file:string -> t
 
 val tag_file : string
 val tag_combined : string
-val tag_group : string

@@ -25,8 +25,6 @@ val all_faults : fault list
 val paper_faults : fault list
 (** The four rows of the paper's Table 3, in order. *)
 
-val fault_name : fault -> string
-
 val fault_description : fault -> string
 (** The paper's wording where applicable. *)
 

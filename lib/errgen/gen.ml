@@ -143,8 +143,3 @@ let of_generator ?rounds ~prefix ~seed generate set =
           end
       in
       go 0)
-
-let of_plugin ?rounds plugin ~seed set =
-  of_generator ?rounds ~prefix:plugin.Plugin.name ~seed
-    (fun ~rng set -> Plugin.generate plugin ~rng set)
-    set

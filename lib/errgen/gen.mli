@@ -65,8 +65,3 @@ val of_generator :
     ["<prefix>-r<round>-NNNN"] to keep them campaign-unique.  Each
     round's list is only generated when the previous one is drained —
     nothing is materialized up front beyond one round. *)
-
-val of_plugin :
-  ?rounds:int -> Plugin.t -> seed:int -> Conftree.Config_set.t -> Scenario.t t
-(** [of_generator] over {!Plugin.generate}, prefixed with the plugin
-    name. *)

@@ -14,34 +14,16 @@ let duplicate_directives ?(query = directives_query) ~file set =
   Template.duplicate ~class_name:"structural/duplicate-directive"
     (Template.target ~file query) set
 
-let misplace_directives ?(src_query = directives_query) ?(dst_query = sections_query)
-    ~file set =
+let misplace_directives ~file set =
   Template.move ~class_name:"structural/misplace-directive"
-    ~src:(Template.target ~file src_query)
-    ~dst:(Template.target ~file dst_query)
+    ~src:(Template.target ~file directives_query)
+    ~dst:(Template.target ~file sections_query)
     set
 
-let duplicate_into_other_sections ?(src_query = directives_query)
-    ?(dst_query = sections_query) ~file set =
-  Template.copy_into ~class_name:"structural/copy-directive"
-    ~src:(Template.target ~file src_query)
-    ~dst:(Template.target ~file dst_query)
-    set
-
-let borrow_foreign_directive ~donor_name ~directive ~file ?(dst_query = sections_query)
-    set =
+let borrow_foreign_directive ~donor_name ~directive ~file set =
   Template.insert_foreign ~class_name:"structural/borrow-foreign"
     ~node:directive
     ~description:
       (Printf.sprintf "borrow %s directive %S" donor_name directive.Conftree.Node.name)
-    ~dst:(Template.target ~file dst_query)
+    ~dst:(Template.target ~file sections_query)
     set
-
-let all_skill_based ~file set =
-  Template.union
-    [
-      omit_directives ~file set;
-      omit_sections ~file set;
-      duplicate_directives ~file set;
-      misplace_directives ~file set;
-    ]

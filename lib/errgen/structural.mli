@@ -16,22 +16,11 @@ val omit_sections :
 val duplicate_directives :
   ?query:string -> file:string -> Conftree.Config_set.t -> Scenario.t list
 
-val misplace_directives :
-  ?src_query:string -> ?dst_query:string -> file:string ->
-  Conftree.Config_set.t -> Scenario.t list
+val misplace_directives : file:string -> Conftree.Config_set.t -> Scenario.t list
 (** Move each directive into each other section of the same file. *)
-
-val duplicate_into_other_sections :
-  ?src_query:string -> ?dst_query:string -> file:string ->
-  Conftree.Config_set.t -> Scenario.t list
-(** Copy each directive into other sections (copy-paste gone wrong). *)
 
 val borrow_foreign_directive :
   donor_name:string -> directive:Conftree.Node.t -> file:string ->
-  ?dst_query:string -> Conftree.Config_set.t -> Scenario.t list
+  Conftree.Config_set.t -> Scenario.t list
 (** Insert a directive taken from [donor_name]'s configuration format
-    into each matched section. *)
-
-val all_skill_based :
-  file:string -> Conftree.Config_set.t -> Scenario.t list
-(** Union of omissions, duplications and misplacements for one file. *)
+    into each section of the file. *)

@@ -2,11 +2,10 @@ module Scheduler = Scheduler
 
 let recommended_jobs () = Domain.recommended_domain_count ()
 
-(* [map] is now a thin one-tenant wrapper over the extracted
-   {!Scheduler} (doc/serve.md): the same worker-domain pool that the
-   campaign daemon multiplexes many campaigns over also serves the
-   one-shot CLI path, so there is exactly one scheduling code path to
-   trust.  Semantics are unchanged: results land in their input slot,
+(* [map] is a one-tenant wrapper over {!Scheduler} (doc/serve.md): the
+   worker-domain pool that the campaign daemon multiplexes many
+   campaigns over also serves the one-shot CLI path, so there is one
+   scheduling code path to trust.  Results land in their input slot,
    the first exception wins and aborts the remaining work, and
    [jobs <= 1] is the plain sequential loop. *)
 let map ?(jobs = 1) f a =
@@ -19,7 +18,7 @@ let map ?(jobs = 1) f a =
     let sched = Scheduler.create ~jobs:(min jobs n) () in
     let tenant = Scheduler.tenant ~name:"map" sched in
     Fun.protect
-      ~finally:(fun () -> Scheduler.shutdown sched)
+      ~finally:(fun () -> Scheduler.drain sched)
       (fun () ->
         for i = 0 to n - 1 do
           ignore

@@ -7,12 +7,11 @@
     slot, so the output array is identical whatever the interleaving —
     [map ~jobs:4 f a] is byte-for-byte the same as [map ~jobs:1 f a].
 
-    Since the service pass (doc/serve.md) the pool is a thin wrapper
-    over {!Scheduler}, the multi-tenant layer that lets one domain pool
-    serve several concurrent campaigns; [map] is the one-tenant special
-    case.  The module is deliberately generic (no dependency on the
-    engine) so that [lib/core] can route its sequential path through the
-    same scheduler without a dependency cycle. *)
+    The pool is a thin wrapper over {!Scheduler}, the multi-tenant
+    layer that lets one domain pool serve several concurrent campaigns
+    (doc/serve.md); [map] is the one-tenant special case.  The module
+    knows nothing of campaigns: the executor, the lint replay, infer's
+    evidence pass and repair validation map over it. *)
 
 module Scheduler = Scheduler
 (** The extracted multi-tenant scheduler; see [scheduler.mli]. *)

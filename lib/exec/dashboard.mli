@@ -7,8 +7,6 @@
     [conferr gaps]) and the live daemon dashboard ([GET /dashboard],
     doc/serve.md). *)
 
-val row_of_entry : Journal.entry -> Conferr_obsv.Report.row
-
 val rows_of_entries : Journal.entry list -> Conferr_obsv.Report.row list
-(** [List.map row_of_entry], preserving journal order (the dashboard's
+(** One row per entry, preserving journal order (the dashboard's
     frontier timeline reads order as campaign progress). *)

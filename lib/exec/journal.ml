@@ -3,7 +3,6 @@ module Outcome = Conferr.Outcome
 module Diskchaos = Conferr_harden.Diskchaos
 
 let format_version = 2
-let store_version = 3
 
 exception Fault of string
 

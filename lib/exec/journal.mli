@@ -46,9 +46,6 @@ val format_version : int
 (** Line format, currently 2 (v2.1 is the same wire version plus the
     optional ["phase"] field). *)
 
-val store_version : int
-(** Store layout version: 3 (the segmented directory layout). *)
-
 exception Fault of string
 (** A storage-level failure while writing the journal — [Sys_error] or
     an injected {!Conferr_harden.Diskchaos} fault, re-labelled so

@@ -3,7 +3,6 @@ type task = unit -> unit
 type tenant = {
   tname : string;
   queue : task Queue.t;
-  queue_cap : int option;
   max_active : int;
   mutable active : int;
   mutable cancelled : bool;
@@ -101,12 +100,11 @@ let create ?(jobs = 1) () =
 
 let jobs t = t.pool_jobs
 
-let tenant ?queue_cap ?max_active ?(name = "tenant") t =
+let tenant ?max_active ?(name = "tenant") t =
   let tn =
     {
       tname = name;
       queue = Queue.create ();
-      queue_cap;
       max_active = (match max_active with Some n -> max 1 n | None -> t.pool_jobs);
       active = 0;
       cancelled = false;
@@ -117,21 +115,17 @@ let tenant ?queue_cap ?max_active ?(name = "tenant") t =
   locked t (fun () -> t.ring <- t.ring @ [ tn ]);
   tn
 
-let tenant_name tn = tn.tname
-
 let tenants t = locked t (fun () -> List.map (fun tn -> tn.tname) t.ring)
 
 let submit tn task =
   let t = tn.sched in
   locked t (fun () ->
       if t.draining || t.stopped || tn.cancelled then `Rejected
-      else
-        match tn.queue_cap with
-        | Some cap when Queue.length tn.queue >= cap -> `Rejected
-        | _ ->
-          Queue.push task tn.queue;
-          Condition.signal t.work;
-          `Queued)
+      else begin
+        Queue.push task tn.queue;
+        Condition.signal t.work;
+        `Queued
+      end)
 
 let pending tn =
   locked tn.sched (fun () -> Queue.length tn.queue + tn.active)
@@ -190,5 +184,3 @@ let drain t =
         ws)
   in
   List.iter Domain.join workers
-
-let shutdown = drain

@@ -11,13 +11,10 @@
     scan resumes {e after} [T] — so one full rotation of the tenant ring
     (an {e epoch}) serves every tenant that has queued work and spare
     concurrency.  No tenant can starve another, whatever their queue
-    lengths.  Two knobs bound a tenant's appetite:
-
-    - [max_active] caps how many of its tasks run concurrently (the
-      per-campaign job cap), and
-    - [queue_cap] bounds its submission queue; a full queue {e rejects}
-      instead of growing.  The daemon's campaigns leave it unbounded:
-      its HTTP 429 comes from [--max-campaigns].
+    lengths.  One knob bounds a tenant's appetite: [max_active] caps how
+    many of its tasks run concurrently (the per-campaign job cap).  A
+    tenant's queue is unbounded; the daemon's HTTP 429 comes from
+    [--max-campaigns].
 
     Tasks are [unit -> unit] thunks and must do their own result
     plumbing; an escaping exception is caught, recorded as the tenant's
@@ -31,26 +28,23 @@ type tenant
 
 val create : ?jobs:int -> unit -> t
 (** Spawn the pool.  [jobs] (default 1) worker domains are started
-    eagerly and live until {!shutdown}; values below 1 are clamped
+    eagerly and live until {!drain}; values below 1 are clamped
     to 1. *)
 
 val jobs : t -> int
 
-val tenant : ?queue_cap:int -> ?max_active:int -> ?name:string -> t -> tenant
-(** Register a tenant.  [queue_cap] bounds the submission queue
-    (default: unbounded); [max_active] caps concurrently running tasks
+val tenant : ?max_active:int -> ?name:string -> t -> tenant
+(** Register a tenant.  [max_active] caps concurrently running tasks
     (default: the pool size); [name] is for diagnostics. *)
-
-val tenant_name : tenant -> string
 
 val tenants : t -> string list
 (** Names of the tenants in the ring — registered and not yet
     {!retire}d — in the order the next scan visits them. *)
 
 val submit : tenant -> (unit -> unit) -> [ `Queued | `Rejected ]
-(** Enqueue one task.  [`Rejected] when the tenant's queue is full, the
-    tenant was cancelled, or the scheduler is draining or shut down —
-    the caller decides whether that is backpressure or a fatal race. *)
+(** Enqueue one task.  [`Rejected] when the tenant was cancelled or
+    retired, or the scheduler is draining or stopped — the caller
+    decides whether that is a clean stop or a fatal race. *)
 
 val pending : tenant -> int
 (** Queued (not yet started) plus currently running tasks. *)
@@ -79,7 +73,3 @@ val drain : t -> unit
     every tenant, wait for all {e running} tasks to finish, then stop
     and join the worker domains.  Tenant {!wait}ers are woken as their
     tenants empty.  Idempotent. *)
-
-val shutdown : t -> unit
-(** {!drain} under another name, for the one-shot [map] path where the
-    queues are already empty. *)

@@ -382,9 +382,6 @@ let truncate_segment ?(io = Diskchaos.real) ~dir name n =
       f.flush ());
   io.rename tmp path
 
-let remove_segment ?(io = Diskchaos.real) ~dir name =
-  io.remove (Filename.concat dir name)
-
 let reseal ?(io = Diskchaos.real) ?segment_bytes dir =
   let sb =
     match (segment_bytes, load_manifest dir) with

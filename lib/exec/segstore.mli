@@ -26,12 +26,6 @@
       {!read_lines} — its content is always covered by the listed
       segments on one side of the checkpoint's atomic cutover. *)
 
-val manifest_name : string
-(** ["MANIFEST.json"]. *)
-
-val default_segment_bytes : int
-(** 1 MiB — the rotation bound when none is configured. *)
-
 type sealed = { name : string; lines : int; bytes : int; crc : int }
 (** A sealed segment's manifest record; [crc] is the CRC-32 of the
     whole file, [lines] its newline count. *)
@@ -112,8 +106,6 @@ val checkpoint :
 val truncate_segment :
   ?io:Conferr_harden.Diskchaos.io -> dir:string -> string -> int -> unit
 (** Truncate segment [name] to its first [n] bytes, atomically. *)
-
-val remove_segment : ?io:Conferr_harden.Diskchaos.io -> dir:string -> string -> unit
 
 val reseal : ?io:Conferr_harden.Diskchaos.io -> ?segment_bytes:int -> string -> unit
 (** Rebuild the manifest from the segment files on disk: every

@@ -8,10 +8,12 @@ type bucket = {
 
 module Metrics = Conferr_obsv.Metrics
 
+(* No skip window grows past this many scenarios. *)
+let max_backoff = 1024
+
 type t = {
   threshold : int;
   base_backoff : int;
-  max_backoff : int;
   lock : Mutex.t;
   buckets : (string * string, bucket) Hashtbl.t;
   metrics : Metrics.t option;
@@ -25,12 +27,11 @@ type trip = {
   consecutive : int;
 }
 
-let create ?(threshold = 5) ?(base_backoff = 8) ?(max_backoff = 1024) ?metrics () =
+let create ?(threshold = 5) ?(base_backoff = 8) ?metrics () =
   if threshold < 1 then invalid_arg "Breaker.create: threshold must be >= 1";
   {
     threshold;
     base_backoff = max 1 base_backoff;
-    max_backoff = max 1 max_backoff;
     lock = Mutex.create ();
     buckets = Hashtbl.create 16;
     metrics;
@@ -89,7 +90,7 @@ let note t ~sut_name ~class_name ~crashed =
                next [backoff] scenarios of this bucket, then probe again
                with a doubled window queued behind it *)
             b.countdown <- b.backoff;
-            b.backoff <- min (b.backoff * 2) t.max_backoff;
+            b.backoff <- min (b.backoff * 2) max_backoff;
             b.trips <- b.trips + 1;
             `Tripped (bucket_name key)
           end

@@ -22,12 +22,11 @@ type trip = {
 val create :
   ?threshold:int ->
   ?base_backoff:int ->
-  ?max_backoff:int ->
   ?metrics:Conferr_obsv.Metrics.t ->
   unit ->
   t
 (** Defaults: [threshold = 5] consecutive crashes, first skip window
-    [base_backoff = 8] scenarios, windows capped at [max_backoff = 1024].
+    [base_backoff = 8] scenarios; windows are capped at 1024.
     With [?metrics] the breaker publishes its live per-bucket state as
     gauges ([conferr_breaker_consecutive] / [_backoff] / [_open],
     labeled [sut]/[class]); skip and trip {e counters} stay with the

@@ -19,9 +19,6 @@ val write :
 (** Write [dir/<scenario-id>/{crash.txt,repro.sh,faulty-*}].  Returns
     the bundle path, or [None] if anything failed. *)
 
-val flaky_path : string -> string
-(** [flaky_path dir] is [dir/flaky.txt]. *)
-
 val load_flaky : string -> string list
 (** Scenario ids quarantined so far (one per line, blanks skipped);
     empty when the list does not exist or cannot be read. *)

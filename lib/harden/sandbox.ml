@@ -29,11 +29,11 @@ let with_fuel fuel f =
       ~finally:(fun () -> with_lock (fun () -> Hashtbl.remove cells tid))
       f
 
-let tick ?(cost = 1) () =
+let tick () =
   match current_cell () with
   | None -> ()
   | Some (remaining, budget) ->
-    remaining := !remaining - cost;
+    decr remaining;
     if !remaining < 0 then raise (Out_of_fuel budget)
 
 let fuel_left () =

@@ -11,8 +11,8 @@ exception Out_of_fuel of int
 (** {!Conferr.Engine.Out_of_fuel}, raised by {!tick} when the current
     call's budget runs out; the payload is the initial budget. *)
 
-val tick : ?cost:int -> unit -> unit
-(** Burn [cost] (default 1) units of the calling thread's fuel budget.
+val tick : unit -> unit
+(** Burn one unit of the calling thread's fuel budget.
     A no-op when the caller is not running under {!boot_and_test} or
     {!run_scenario} with a fuel budget — simulators can call it
     unconditionally. *)

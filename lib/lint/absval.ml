@@ -8,10 +8,7 @@ type t =
   | Sval of shape
   | Top
 
-let bot = Bot
 let top = Top
-
-let ival lo hi = if lo > hi then Bot else Ival (lo, hi)
 let point n = Ival (n, n)
 
 let eset members =
@@ -20,7 +17,6 @@ let eset members =
   | ms -> Eset ms
 
 let bval b = Bval (Some b)
-let any_bool = Bval None
 
 let shape_label = function
   | Sh_any -> "string"
@@ -52,19 +48,6 @@ let join a b =
   | Bval b1, Bval b2 -> if b1 = b2 then Bval b1 else Bval None
   | Sval s1, Sval s2 -> Sval (shape_join s1 s2)
   | _ -> Top
-
-let leq a b =
-  match (a, b) with
-  | Bot, _ -> true
-  | _, Top -> true
-  | Top, _ -> false
-  | _, Bot -> false
-  | Ival (l1, h1), Ival (l2, h2) -> l2 <= l1 && h1 <= h2
-  | Eset m1, Eset m2 -> List.for_all (fun m -> List.mem m m2) m1
-  | Bval _, Bval None -> true
-  | Bval b1, Bval b2 -> b1 = b2
-  | Sval s1, Sval s2 -> s1 = s2 || s2 = Sh_any
-  | _ -> false
 
 let contains_int v n =
   match v with

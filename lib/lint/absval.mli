@@ -19,31 +19,18 @@ type t =
   | Sval of shape
   | Top  (** any value *)
 
-val bot : t
 val top : t
-
-val ival : int -> int -> t
-(** [ival lo hi] is [Bot] when [lo > hi]. *)
-
 val point : int -> t
 
 val eset : string list -> t
 (** Members are lowercased and deduplicated; empty list is [Bot]. *)
 
 val bval : bool -> t
-val any_bool : t
-
-val classify_shape : string -> shape
 val sval : string -> t
 
 val join : t -> t -> t
 (** Least upper bound. *)
 
-val leq : t -> t -> bool
-(** Lattice order: [leq a b] iff every concrete value of [a] is one of
-    [b].  [join] is the lub for this order. *)
-
-val contains_int : t -> int -> bool
 val contains_string : t -> string -> bool
 
 val to_string : t -> string

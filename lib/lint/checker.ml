@@ -313,21 +313,16 @@ let eval_rule ?nearest subject (rule : Rule.t) =
         in
         (* The value that flows into the relation is the one the SUT
            would run with: the parsed written value, or the built-in
-           default when the directive is absent, unreadable, or masked
+           default when the directive is absent or its value unreadable
            (silently rejected and defaulted). *)
         let resolve (t : Rule.term) =
           match lookup (canon t.t_name) with
           | None -> (t, None, t.t_default, true)
           | Some (bfile, broot, bpath, vopt) -> (
             let site = Some (bfile, broot, bpath) in
-            match vopt with
-            | None -> (t, site, t.t_default, true)
-            | Some v ->
-              if t.t_masked v then (t, site, t.t_default, true)
-              else (
-                match t.t_read v with
-                | Some n -> (t, site, n, false)
-                | None -> (t, site, t.t_default, true)))
+            match Option.bind vopt t.t_read with
+            | Some n -> (t, site, n, false)
+            | None -> (t, site, t.t_default, true))
         in
         let eval_linexp (e : Rule.linexp) =
           let rs = List.map resolve e.Rule.l_terms in

@@ -16,14 +16,6 @@
 val read_count : string -> int option
 (** Plain decimal integer, no suffix. *)
 
-val read_kb : string -> int option
-(** Size normalized to kB; accepts [B/kB/MB/GB/TB] (case-insensitive),
-    bare numbers are kB. *)
-
-val read_ms : string -> int option
-(** Duration normalized to ms; accepts [ms/s/min/h/d], bare numbers are
-    ms. *)
-
 val unit_labels : string list
 (** [\["count"; "kb"; "ms"\]] — the unit classes {!read_of_unit}
     understands; also the vocabulary [Rule_file] serializes. *)

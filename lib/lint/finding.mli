@@ -13,9 +13,6 @@ val severity_label : severity -> string
 
 val severity_of_label : string -> severity option
 
-val severity_rank : severity -> int
-(** [Info] = 0, [Warning] = 1, [Error] = 2. *)
-
 val at_least : threshold:severity -> severity -> bool
 
 type t = {

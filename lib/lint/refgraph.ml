@@ -60,42 +60,3 @@ let summarize g =
     (List.length g.g_files) (List.length g.g_edges)
     (List.length (dangling g))
     (List.length (cycles g))
-
-let dangling_rule ~id ~severity ~doc edges_of =
-  Rule.make ~id ~severity ~doc
-    (Rule.Check_set
-       (fun subject ->
-         let set = Rule.config subject in
-         let g = build set (edges_of set) in
-         List.map
-           (fun e ->
-             {
-               Rule.raw_file = e.e_file;
-               raw_path = e.e_path;
-               raw_message =
-                 Printf.sprintf
-                   "dangling %s reference: '%s' is not part of the \
-                    configuration set"
-                   e.e_what e.e_target;
-               raw_suggestion = None;
-             })
-           (dangling g)))
-
-let cycle_rule ~id ~severity ~doc edges_of =
-  Rule.make ~id ~severity ~doc
-    (Rule.Check_set
-       (fun subject ->
-         let set = Rule.config subject in
-         let g = build set (edges_of set) in
-         List.map
-           (fun cycle ->
-             let first = List.hd cycle in
-             {
-               Rule.raw_file = first;
-               raw_path = [];
-               raw_message =
-                 Printf.sprintf "reference cycle: %s"
-                   (String.concat " -> " (cycle @ [ first ]));
-               raw_suggestion = None;
-             })
-           (cycles g)))

@@ -27,15 +27,3 @@ val cycles : t -> string list list
 
 val summarize : t -> string
 (** ["reference graph: F file(s), E edge(s), D dangling, C cycle(s)"]. *)
-
-val dangling_rule :
-  id:string -> severity:Finding.severity -> doc:string ->
-  (Conftree.Config_set.t -> edge list) -> Rule.t
-(** A {!Rule.body.Check_set} rule reporting every dangling edge at its
-    reference site. *)
-
-val cycle_rule :
-  id:string -> severity:Finding.severity -> doc:string ->
-  (Conftree.Config_set.t -> edge list) -> Rule.t
-(** A {!Rule.body.Check_set} rule reporting each cycle once, anchored at
-    its first file's root. *)

@@ -54,22 +54,19 @@ type term = {
   t_unit : string;
   t_read : string -> int option;
   t_default : int;
-  t_masked : string -> bool;
 }
 
 type linexp = { l_const : int; l_terms : term list }
 
 let linexp ?(const = 0) terms = { l_const = const; l_terms = terms }
 
-let term ?(coeff = 1) ?(unit_label = "count") ?(masked = fun _ -> false)
-    ~read ~default name =
+let term ?(coeff = 1) ?(unit_label = "count") ~read ~default name =
   {
     t_coeff = coeff;
     t_name = name;
     t_unit = unit_label;
     t_read = read;
     t_default = default;
-    t_masked = masked;
   }
 
 (* A view's value sits next to its type witness, so one list holds the
@@ -186,7 +183,5 @@ let claim_of_doc doc =
 let make ?claim ~id ~severity ~doc body =
   let claim = match claim with Some c -> c | None -> claim_of_doc doc in
   { id; severity; doc; claim; body }
-
-let id_string s = s
 
 let lower = String.lowercase_ascii

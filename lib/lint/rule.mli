@@ -58,16 +58,15 @@ val rel_holds : rel_op -> int -> int -> bool
 (** One directive reference inside a linear expression.  The term reads
     the directive's written value with [t_read] (a unit-normalizing
     parser: bytes to kB, durations to ms, ...); when the directive is
-    absent, or [t_masked] says the SUT would silently fall back to its
-    built-in default (the MySQL-class flaw), [t_default] flows into the
-    relation instead of the written value. *)
+    absent, or [t_read] rejects its value so the SUT would silently fall
+    back to its built-in default (the MySQL-class flaw), [t_default]
+    flows into the relation instead of the written value. *)
 type term = {
   t_coeff : int;  (** multiplier, e.g. 16 in [pages >= 16 * relations] *)
   t_name : string;  (** canonicalized directive name *)
   t_unit : string;  (** unit class label: ["count"], ["kb"], ["ms"] *)
   t_read : string -> int option;
   t_default : int;
-  t_masked : string -> bool;
 }
 
 (** Linear expression [l_const + sum(coeff_i * value_i)]. *)
@@ -76,7 +75,7 @@ type linexp = { l_const : int; l_terms : term list }
 val linexp : ?const:int -> term list -> linexp
 
 val term :
-  ?coeff:int -> ?unit_label:string -> ?masked:(string -> bool) ->
+  ?coeff:int -> ?unit_label:string ->
   read:(string -> int option) -> default:int -> string -> term
 
 (** The configuration set one {!Checker} call evaluates, together with
@@ -209,9 +208,6 @@ val make :
   ?claim:claim -> id:string -> severity:Finding.severity -> doc:string ->
   body -> t
 (** [claim] defaults to {!claim_of_doc} applied to [doc]. *)
-
-val id_string : string -> string
-(** Identity; convenience canonicalizer for case-sensitive rule sets. *)
 
 val lower : string -> string
 (** [String.lowercase_ascii]. *)

@@ -43,7 +43,7 @@ let result (f : Finding.t) =
   in
   Json.Obj (base @ related)
 
-let to_json ?(tool = "conferr") findings =
+let to_json findings =
   let rule_ids =
     List.sort_uniq compare (List.map (fun f -> f.Finding.rule_id) findings)
   in
@@ -62,7 +62,7 @@ let to_json ?(tool = "conferr") findings =
                       ( "driver",
                         Json.Obj
                           [
-                            ("name", Json.Str tool);
+                            ("name", Json.Str "conferr");
                             ( "rules",
                               Json.Arr
                                 (List.map
@@ -76,4 +76,4 @@ let to_json ?(tool = "conferr") findings =
           ] );
     ]
 
-let render ?tool findings = Json.to_string (to_json ?tool findings) ^ "\n"
+let render findings = Json.to_string (to_json findings) ^ "\n"

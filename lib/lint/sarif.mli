@@ -8,8 +8,6 @@
     [relatedLocations].  Deterministic — byte-identical output for
     identical findings. *)
 
-val to_json : ?tool:string -> Finding.t list -> Conferr_obsv.Json.t
-(** [tool] is the driver name, default ["conferr"]. *)
-
-val render : ?tool:string -> Finding.t list -> string
-(** The SARIF log followed by a newline. *)
+val render : Finding.t list -> string
+(** The SARIF log, with driver name ["conferr"], followed by a
+    newline. *)

@@ -9,14 +9,6 @@ let label = function
   | Run -> "run"
   | Classify -> "classify"
 
-let of_label = function
-  | "generate" -> Some Generate
-  | "serialize" -> Some Serialize
-  | "spawn" -> Some Spawn
-  | "run" -> Some Run
-  | "classify" -> Some Classify
-  | _ -> None
-
 let index = function
   | Generate -> 0
   | Serialize -> 1

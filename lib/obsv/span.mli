@@ -19,9 +19,6 @@ val all : phase list
 val label : phase -> string
 (** ["generate"], ["serialize"], ["spawn"], ["run"], ["classify"]. *)
 
-val of_label : string -> phase option
-(** Inverse of {!label}. *)
-
 val index : phase -> int
 (** Position in {!all} — the canonical sort key. *)
 

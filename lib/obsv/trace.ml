@@ -114,10 +114,10 @@ let chrome ?(mask_wall = false) t =
   Json.to_string
     (Json.Obj [ ("traceEvents", Json.Arr trace_events); ("displayTimeUnit", Json.Str "ms") ])
 
-let write_file ?mask_wall t path =
+let write_file t path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (chrome ?mask_wall t);
+      output_string oc (chrome t);
       output_char oc '\n')

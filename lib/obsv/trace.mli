@@ -41,5 +41,5 @@ val chrome : ?mask_wall:bool -> t -> string
     with ["-"] — used by tests to assert byte-identity across
     [--jobs]. *)
 
-val write_file : ?mask_wall:bool -> t -> string -> unit
+val write_file : t -> string -> unit
 (** [chrome] into a file (truncating), newline-terminated. *)

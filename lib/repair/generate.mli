@@ -51,14 +51,6 @@ val restore_name :
     on it.  [canon] (default {!Conferr_lint.Rule.lower}) normalizes
     names before matching. *)
 
-val stock_diff :
-  stock:Conftree.Config_set.t -> broken:Conftree.Config_set.t -> Redit.t list
-(** The edit sequence turning [broken] back into [stock]: a parallel
-    walk aligning children structurally, inverting each divergence into
-    a {!Redit.t} (insert what was deleted, delete what was inserted,
-    rename / re-value what was altered).  Empty when the sets already
-    agree modulo attributes. *)
-
 val candidates :
   ?nearest:Conferr_lint.Checker.nearest ->
   findings:(Conferr_lint.Rule.t * Conferr_lint.Finding.t) list ->

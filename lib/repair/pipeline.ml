@@ -93,7 +93,10 @@ type analysis =
 
 let staged_of = function A_cands { staged; _ } -> staged | A_skip _ | A_clean _ -> []
 
-let analyze ~nearest ~specs ~max_candidates ~sut ~rules ~stock tg =
+(* Candidates validated per target, cheapest first. *)
+let max_candidates = 24
+
+let analyze ~nearest ~specs ~sut ~rules ~stock tg =
   match tg.tg_config with
   | Error msg -> A_skip msg
   | Ok broken ->
@@ -161,12 +164,12 @@ let equal_stock ~stock repaired =
        ls
 
 let run ?(jobs = 1) ?(nearest = Generate.default_nearest) ?(specs = [])
-    ?(max_candidates = 24) ~sut ~rules ~stock targets =
+    ~sut ~rules ~stock targets =
   let targets_a = Array.of_list targets in
   (* phase A: lint + boot each broken set, generate and stage candidates *)
   let analyses =
     Conferr_pool.map ~jobs
-      (fun _ tg -> analyze ~nearest ~specs ~max_candidates ~sut ~rules ~stock tg)
+      (fun _ tg -> analyze ~nearest ~specs ~sut ~rules ~stock tg)
       targets_a
   in
   (* phase B: judge each distinct serialized configuration once, in

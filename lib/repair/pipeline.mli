@@ -78,16 +78,14 @@ val run :
   ?jobs:int ->
   ?nearest:Conferr_lint.Checker.nearest ->
   ?specs:Conferr_lint.Rule_file.spec list ->
-  ?max_candidates:int ->
   sut:Suts.Sut.t ->
   rules:Conferr_lint.Rule.t list ->
   stock:Conftree.Config_set.t ->
   target list ->
   result
 (** [specs] are loaded mined rules ([--rules]) whose
-    [F_implies_present] bodies seed extra {!Cluster} candidates;
-    [max_candidates] (default 24) caps the candidates validated per
-    target, cheapest first. *)
+    [F_implies_present] bodies seed extra {!Cluster} candidates.  At
+    most 24 candidates are validated per target, cheapest first. *)
 
 val counts : result -> int * int * int * int
 (** [(repaired, already_clean, unrepaired, skipped)]. *)

@@ -79,13 +79,6 @@ val response :
 
 val json_response : ?status:int -> Conferr_obsv.Json.t -> response
 
-val status_reason : int -> string
-
-val write_response :
-  Unix.file_descr -> keep_alive:bool -> response -> unit
-(** Serialize and send; raises [Unix.Unix_error] on a dead peer (the
-    connection loop catches it). *)
-
 (** {1 Connection loop} *)
 
 type handler =

@@ -8,6 +8,7 @@ module Gen = Errgen.Gen
 module Scenario = Errgen.Scenario
 module Signature = Conferr_exec.Signature
 module Progress = Conferr_exec.Progress
+module Executor = Conferr_exec.Executor
 module Mutant_cache = Conferr_adapt.Mutant_cache
 module Explore = Conferr_adapt.Explore
 
@@ -36,11 +37,10 @@ let silent (_ : Progress.event) = ()
 let settings_with ?(jobs = 1) ?(batch = 16) ?budget ?(plateau = 0) () =
   {
     Explore.default_settings with
-    Explore.jobs;
+    Explore.exec = { Executor.default_settings with jobs; campaign_seed = seed };
     batch;
     budget;
     plateau;
-    campaign_seed = seed;
   }
 
 (* -------------------------------------------------------------- *)
@@ -307,10 +307,11 @@ let test_journal_resume () =
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
       let settings journal_resume =
+        let s = settings_with ~batch:16 ~plateau:4 () in
         {
-          (settings_with ~batch:16 ~plateau:4 ()) with
-          Explore.journal_path = Some path;
-          resume = journal_resume;
+          s with
+          Explore.exec =
+            { s.exec with journal_path = Some path; resume = journal_resume };
         }
       in
       let first =

@@ -327,6 +327,51 @@ let test_rule_file_rejects_malformed () =
         mk {|"op":"<=","lhs":{"const":0,"terms":[]},"rhs":{"const":1,"terms":[]}|} );
     ]
 
+(* 8b. A relation term reads its default both when its directive is
+   absent and when the term's reader rejects the written value; the
+   verdict follows those defaults, and the finding's detail marks each
+   defaulted term. *)
+let test_relation_defaults () =
+  let rule op =
+    Rule.make ~id:"T-REL-DEFAULT" ~severity:Finding.Warning
+      ~doc:"max_connections against an absent directive"
+      (Rule.Relation
+         {
+           target = Rule.top_level;
+           canon = Rule.lower;
+           op;
+           lhs =
+             Rule.linexp
+               [
+                 Rule.term ~read:Dataflow.read_count ~default:100
+                   "max_connections";
+               ];
+           rhs =
+             Rule.linexp
+               [ Rule.term ~read:Dataflow.read_count ~default:50 "no_such_knob" ];
+           describe = "max_connections vs no_such_knob";
+           per_file = false;
+           harvest = None;
+         })
+  in
+  let findings op set = Checker.run ~nearest ~rules:[ rule op ] set in
+  let unreadable = pg_with [ ("max_connections", "lots") ] in
+  (match findings Rule.Rle unreadable with
+   | [ f ] ->
+     Alcotest.(check string) "both terms read their default"
+       "relation violated: max_connections vs no_such_knob (max_connections \
+        = 100 (default), no_such_knob = 50 (default))"
+       f.Finding.message;
+     Alcotest.(check string) "anchored at the unreadable directive"
+       "/max_connections" f.Finding.address;
+     Alcotest.(check (list (pair string string)))
+       "the absent directive has no site" [] f.Finding.related
+   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs));
+  Alcotest.(check int) "100 >= 50 from the defaults holds" 0
+    (List.length (findings Rule.Rge unreadable));
+  Alcotest.(check int) "a readable 10 <= default 50 holds" 0
+    (List.length (findings Rule.Rle (pg_with [ ("max_connections", "10") ])))
+
 (* 9. Silent-default taint: a mysql value the lenient parser masks is
    reported, and the environment carries the taint. *)
 let test_mysql_taint () =
@@ -532,6 +577,8 @@ let suite =
       test_rule_file_roundtrip;
     Alcotest.test_case "malformed relation JSON is rejected" `Quick
       test_rule_file_rejects_malformed;
+    Alcotest.test_case "relation terms fall back to their defaults" `Quick
+      test_relation_defaults;
     Alcotest.test_case "mysql silent-default taint" `Quick test_mysql_taint;
     Alcotest.test_case "claim-aware gap classification" `Quick
       test_classify_deep;

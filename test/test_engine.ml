@@ -256,8 +256,13 @@ let test_bad_default_config_reported () =
 let test_run_from_parallel_matches_sequential () =
   let scenarios = [ noop_scenario; failing_scenario; break_port_scenario ] in
   let base = pg_base () in
-  let seq = Engine.run_from ~jobs:1 ~sut:Suts.Mini_pg.sut ~base ~scenarios () in
-  let par = Engine.run_from ~jobs:4 ~sut:Suts.Mini_pg.sut ~base ~scenarios () in
+  let seq = Engine.run_from ~sut:Suts.Mini_pg.sut ~base ~scenarios () in
+  let par, _ =
+    Conferr_exec.Executor.run_from
+      ~settings:{ Conferr_exec.Executor.default_settings with jobs = 4 }
+      ~on_event:(fun _ -> ())
+      ~sut:Suts.Mini_pg.sut ~base ~scenarios ()
+  in
   Alcotest.(check string) "identical rendering"
     (Conferr.Profile.render seq) (Conferr.Profile.render par);
   Alcotest.(check (list string)) "identical entry order"

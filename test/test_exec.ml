@@ -42,7 +42,7 @@ let temp_journal () =
 let test_parallel_equals_sequential () =
   let base = base () in
   let scenarios = scenarios base in
-  let seq = Engine.run_from ~jobs:1 ~sut ~base ~scenarios () in
+  let seq = Engine.run_from ~sut ~base ~scenarios () in
   let par, snapshot =
     Executor.run_from
       ~settings:{ Executor.default_settings with jobs = 4 }

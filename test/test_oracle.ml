@@ -124,7 +124,13 @@ let agree ~fl seed =
            (executor fl ~jobs:4 ~journal_path:path ~resume:true scenarios)));
   let report =
     Explore.run_from
-      ~settings:{ Explore.default_settings with jobs = 4; batch = 8; plateau = 0 }
+      ~settings:
+        {
+          Explore.default_settings with
+          exec = { Executor.default_settings with jobs = 4 };
+          batch = 8;
+          plateau = 0;
+        }
       ~on_event:silent ~sut:fl.sut ~base:fl.base
       ~stream:(Errgen.Gen.of_list scenarios) ()
   in

@@ -158,7 +158,7 @@ let test_serve_connection_handler_exn () =
   Unix.close server
 
 (* -------------------------------------------------------------- *)
-(* Scheduler: fairness, backpressure, cancel, failure propagation  *)
+(* Scheduler: fairness, cancel, failure propagation                *)
 (* -------------------------------------------------------------- *)
 
 (* Round-robin fairness, deterministically: hold the single worker on a
@@ -200,27 +200,10 @@ let test_scheduler_fairness () =
   Mutex.unlock gate_lock;
   Scheduler.wait a;
   Scheduler.wait b;
-  Scheduler.shutdown sched;
+  Scheduler.drain sched;
   Alcotest.(check (list string)) "strict round-robin alternation"
     [ "b"; "a"; "b"; "a"; "b"; "a"; "b"; "a" ]
     (List.rev !trace)
-
-let test_scheduler_queue_cap () =
-  let sched = Scheduler.create ~jobs:1 () in
-  let gate = Mutex.create () in
-  Mutex.lock gate;
-  let tn = Scheduler.tenant ~queue_cap:2 sched in
-  (* the first submission may start running immediately; the cap governs
-     the queue behind it *)
-  ignore (Scheduler.submit tn (fun () -> Mutex.lock gate; Mutex.unlock gate));
-  Thread.delay 0.05;
-  Alcotest.(check bool) "1st queued" true (Scheduler.submit tn ignore = `Queued);
-  Alcotest.(check bool) "2nd queued" true (Scheduler.submit tn ignore = `Queued);
-  Alcotest.(check bool) "3rd rejected" true
-    (Scheduler.submit tn ignore = `Rejected);
-  Mutex.unlock gate;
-  Scheduler.wait tn;
-  Scheduler.shutdown sched
 
 let test_scheduler_cancel_and_failure () =
   let sched = Scheduler.create ~jobs:1 () in
@@ -245,7 +228,7 @@ let test_scheduler_cancel_and_failure () =
      Alcotest.(check string) "first failure re-raised" "task boom" msg);
   (* the failure is delivered exactly once *)
   Scheduler.wait failing;
-  Scheduler.shutdown sched
+  Scheduler.drain sched
 
 (* -------------------------------------------------------------- *)
 (* with_timeout: the watchdog no longer leaks silently             *)
@@ -639,7 +622,7 @@ let test_scheduler_retire () =
   Scheduler.retire b;
   Scheduler.retire b;
   Alcotest.(check (list string)) "empty ring" [] (Scheduler.tenants sched);
-  Scheduler.shutdown sched
+  Scheduler.drain sched
 
 (* SIGTERM while a client holds an idle keep-alive connection: listen
    drains and returns without waiting for the client to hang up. *)
@@ -834,10 +817,10 @@ let suite =
       test_serve_connection_handler_exn;
     Alcotest.test_case "scheduler: round-robin fairness" `Quick
       test_scheduler_fairness;
-    Alcotest.test_case "scheduler: queue cap rejects" `Quick
-      test_scheduler_queue_cap;
     Alcotest.test_case "scheduler: cancel and failure propagation" `Quick
       test_scheduler_cancel_and_failure;
+    Alcotest.test_case "scheduler: retired tenants leave the ring" `Quick
+      test_scheduler_retire;
     Alcotest.test_case "with_timeout: success joins its worker" `Quick
       test_with_timeout_no_leak_on_success;
     Alcotest.test_case "with_timeout: abandoned workers are accounted" `Quick
@@ -864,8 +847,6 @@ let suite =
     Alcotest.test_case "progress: event json tags" `Quick test_event_to_json;
     Alcotest.test_case "daemon: a restart never truncates a journal" `Quick
       test_daemon_restart_keeps_journals;
-    Alcotest.test_case "scheduler: retired tenants leave the ring" `Quick
-      test_scheduler_retire;
     Alcotest.test_case "daemon: outputs locked byte for byte" `Slow
       test_daemon_outputs_locked;
     Alcotest.test_case "daemon: burst counters sum the campaigns" `Slow
