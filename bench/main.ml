@@ -769,6 +769,21 @@ let print_serve_throughput () =
       else Sys.remove p
   in
   let ms_since t0 = (Unix.gettimeofday () -. t0) *. 1e3 in
+  let post_campaign sut =
+    let body = Printf.sprintf {|{"sut":%S,"seed":%d}|} sut seed in
+    { Http.meth = "POST"; target = "/campaigns"; path = "/campaigns"; query = [];
+      version = "HTTP/1.1"; headers = []; body }
+  in
+  let submit daemon sut =
+    match Daemon.handle daemon (post_campaign sut) with
+    | `Response { Http.status = 202; resp_body; _ } ->
+      let id =
+        Option.bind (Result.to_option (Json.of_string resp_body)) (fun j ->
+            Option.bind (Json.member "id" j) Json.str)
+      in
+      Option.get (Option.bind id (Daemon.find daemon))
+    | _ -> failwith "bench submission refused"
+  in
   (* each campaign's ms from its submission to its close, and each
      submission's ms until its 202 *)
   let daemon_round suts =
@@ -776,21 +791,9 @@ let print_serve_throughput () =
     let submitted =
       List.map
         (fun sut ->
-          let body = Printf.sprintf {|{"sut":%S,"seed":%d}|} sut seed in
           let t0 = Unix.gettimeofday () in
-          match
-            Daemon.handle daemon
-              { Http.meth = "POST"; target = "/campaigns"; path = "/campaigns"; query = [];
-                version = "HTTP/1.1"; headers = []; body }
-          with
-          | `Response { Http.status = 202; resp_body; _ } ->
-            let ack = ms_since t0 in
-            let id =
-              Option.bind (Result.to_option (Json.of_string resp_body)) (fun j ->
-                  Option.bind (Json.member "id" j) Json.str)
-            in
-            (t0, ack, Option.get (Option.bind id (Daemon.find daemon)))
-          | _ -> failwith "bench submission refused")
+          let c = submit daemon sut in
+          (t0, ms_since t0, c))
         suts
     in
     (* polled every 0.2 ms, as bench/e2e's load generator polls a
@@ -860,6 +863,56 @@ let print_serve_throughput () =
                ~faultload:Conferr.Campaign.paper_faultload sut base))
       0 suts
   in
+  (* What a closed campaign keeps and what a refusal costs, as
+     test_budget gates them: live words per closed campaign after
+     Gc.full_major, over a window of 12 db campaigns that follows one of
+     each; and the words a refused submission allocates through
+     Daemon.handle (the least of 3), 503 from a draining daemon and 429
+     from one with room for no campaign. *)
+  let kept_words =
+    let daemon = Daemon.create ~jobs:1 ~state_dir:(Filename.concat work "kept") () in
+    let run k = Daemon.wait daemon (submit daemon (List.nth db (k mod 3))) in
+    let live () = Gc.full_major (); (Gc.stat ()).Gc.live_words in
+    for k = 0 to 2 do run k done;
+    let before = live () in
+    for k = 0 to 11 do run k done;
+    let kept = (live () - before) / 12 in
+    Daemon.drain daemon;
+    rm_rf work;
+    kept
+  in
+  let refused_words daemon =
+    let words () =
+      Gc.minor ();
+      ignore (Gc.major_slice 0);
+      let s = Gc.quick_stat () in
+      Gc.minor_words () +. (s.Gc.major_words -. s.Gc.promoted_words)
+    in
+    let refuse () = ignore (Daemon.handle daemon (post_campaign "mini_pg")) in
+    refuse ();
+    let least =
+      List.fold_left Float.min infinity
+        (List.init 3 (fun _ ->
+             let before = words () in
+             refuse ();
+             words () -. before))
+    in
+    Daemon.drain daemon;
+    rm_rf work;
+    least
+  in
+  let draining_words =
+    let daemon = Daemon.create ~jobs:1 ~state_dir:(Filename.concat work "draining") () in
+    Daemon.drain daemon;
+    refused_words daemon
+  in
+  let full_words =
+    refused_words
+      (Daemon.create ~jobs:1 ~max_campaigns:0 ~state_dir:(Filename.concat work "full") ())
+  in
+  Printf.printf
+    "  a closed campaign keeps %d live words; a refused submission allocates %.0f (503) and %.0f (429)\n"
+    kept_words draining_words full_words;
   let rows =
     List.mapi
       (fun k (shape, suts) ->
@@ -889,6 +942,9 @@ let print_serve_throughput () =
           ("pool_jobs", Json.Num 1.);
           ("rounds", Json.Num (float_of_int rounds));
           ("statistic", Json.Str "median");
+          ("closed_campaign_live_words", Json.Num (float_of_int kept_words));
+          ( "refused_submission_words",
+            Json.Obj [ ("draining_503", Json.Num draining_words); ("full_429", Json.Num full_words) ] );
         ]
        @ rows));
   print_newline ()

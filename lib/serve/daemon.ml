@@ -14,6 +14,12 @@ type status =
   | Cancelled
   | Failed of string
 
+(* What [/results] prints of one profile entry. *)
+type row = { scenario_id : string; class_name : string; outcome : string }
+
+(* The faultload is not kept: [run_campaign] gets it as arguments, so it
+   dies when the executor returns.  A closed campaign keeps these fields,
+   its events and its result rows. *)
 type campaign = {
   cid : string;
   sut : Suts.Sut.t;
@@ -21,13 +27,12 @@ type campaign = {
   policy : Policy.t;
   tenant : Scheduler.tenant;
   journal_path : string;
-  base : Conftree.Config_set.t;
-  scenarios : Errgen.Scenario.t list;
   total : int;
+  lock : Mutex.t;  (* the daemon's: the mutable fields change under it *)
   mutable cstatus : status;
   mutable done_count : int;  (* finished + resumed scenarios *)
   mutable cancel_requested : bool;
-  mutable profile : Conferr.Profile.t option;
+  mutable rows : row array option;  (* set with the terminal status *)
   (* events are kept as values and rendered when a reader asks *)
   mutable events_rev : Progress.event list;  (* newest first *)
   mutable events_n : int;
@@ -45,10 +50,12 @@ type t = {
   segment_bytes : int option;
   journal_io : string -> Conferr_harden.Diskchaos.io option;
   mutable disk_faults : int;  (* campaigns failed by a journal fault *)
-  mutable campaigns : campaign list;  (* oldest first *)
+  by_id : (string, campaign) Hashtbl.t;
+  mutable order : campaign list;  (* newest first *)
+  mutable active : int;  (* slots held: admitted, not yet terminal *)
   mutable next_id : int;
   mutable draining : bool;
-  mutable threads : Thread.t list;
+  mutable threads : (campaign * Thread.t) list;  (* not joined yet *)
 }
 
 let locked t f =
@@ -103,7 +110,9 @@ let create ?(jobs = 1) ?(max_campaigns = 4) ?segment_bytes
     segment_bytes;
     journal_io;
     disk_faults = 0;
-    campaigns = [];
+    by_id = Hashtbl.create 64;
+    order = [];
+    active = 0;
     next_id = next_free_id state_dir;
     draining = false;
     threads = [];
@@ -129,17 +138,18 @@ let terminal = function
 
 let finished c = terminal c.cstatus
 
-let active_count t =
-  List.length (List.filter (fun c -> not (terminal c.cstatus)) t.campaigns)
-
 (* Caller holds the lock. *)
 let push_event t c ev =
   c.events_rev <- ev :: c.events_rev;
   c.events_n <- c.events_n + 1;
   Condition.broadcast t.changed
 
-let campaigns t = locked t (fun () -> t.campaigns)
-let find t id = locked t (fun () -> List.find_opt (fun c -> c.cid = id) t.campaigns)
+(* Caller holds the lock. *)
+let set_active_gauge t =
+  Metrics.set t.reg "conferr_serve_active_campaigns" (float_of_int t.active)
+
+let campaigns t = locked t (fun () -> List.rev t.order)
+let find t id = locked t (fun () -> Hashtbl.find_opt t.by_id id)
 
 (* ------------------------------------------------------------------ *)
 (* Campaign execution                                                  *)
@@ -175,7 +185,11 @@ let terminal_event c =
     | Failed msg -> [ ("error", Json.Str msg) ]
     | _ -> [])
 
-let run_campaign t c =
+let row_of (e : Conferr.Profile.entry) =
+  { scenario_id = e.scenario_id; class_name = e.class_name;
+    outcome = Conferr.Outcome.label e.outcome }
+
+let run_campaign t c ~base ~scenarios =
   locked t (fun () -> if c.cstatus = Queued then c.cstatus <- Running);
   let on_event ev =
     locked t (fun () ->
@@ -187,10 +201,11 @@ let run_campaign t c =
   in
   let result =
     match
-      Executor.run_from ~settings:(settings_of t c t.reg) ~on_event ~sut:c.sut
-        ~base:c.base ~scenarios:c.scenarios ()
+      Executor.run_from ~settings:(settings_of t c t.reg) ~on_event ~sut:c.sut ~base
+        ~scenarios ()
     with
-    | profile, _snapshot -> Ok profile
+    | profile, _snapshot ->
+      Ok (Array.of_list (List.map row_of profile.Conferr.Profile.entries))
     | exception Journal.Fault msg ->
       (* The campaign's storage is failing, not the service: mark this
          campaign failed, count the fault, leave co-tenants alone. *)
@@ -203,9 +218,9 @@ let run_campaign t c =
   Scheduler.retire c.tenant;
   locked t (fun () ->
       (match result with
-       | Ok profile ->
-         c.profile <- Some profile;
-         let complete = List.length profile.Conferr.Profile.entries >= c.total in
+       | Ok rows ->
+         c.rows <- Some rows;
+         let complete = Array.length rows >= c.total in
          c.cstatus <-
            (if c.cancel_requested then Cancelled
             else if complete then Done
@@ -218,10 +233,10 @@ let run_campaign t c =
          end;
          c.cstatus <- Failed msg);
       c.terminal <- Some (Json.to_string (terminal_event c));
+      t.active <- t.active - 1;
       Condition.broadcast t.changed;
       Condition.broadcast t.closed;
-      Metrics.set t.reg "conferr_serve_active_campaigns"
-        (float_of_int (active_count t)))
+      set_active_gauge t)
 
 (* ------------------------------------------------------------------ *)
 (* Submission                                                          *)
@@ -241,79 +256,109 @@ let submission_count t result =
   Metrics.inc t.reg "conferr_serve_submissions_total"
     ~labels:[ ("result", result) ]
 
+let parse_submission body =
+  let ( let* ) = Result.bind in
+  let* sut =
+    match Json.member "sut" body with
+    | None -> Error "missing required member \"sut\""
+    | Some sut_json -> (
+      match Option.bind (Json.str sut_json) Suts.Catalog.find with
+      | None ->
+        Error
+          (Printf.sprintf "unknown sut (known: %s)"
+             (String.concat ", " Suts.Catalog.names))
+      | Some sut -> Ok sut)
+  in
+  let* seed = int_member "seed" ~default:42 body in
+  let* policy = Policy.of_json body in
+  Ok (sut, seed, policy)
+
+(* Admission comes before the faultload: a slot is taken here and given
+   back if the faultload cannot be built, so a refused submission
+   generates nothing. *)
+let reserve t =
+  locked t (fun () ->
+      if t.draining then Error Unavailable
+      else if t.active >= t.max_campaigns then Error Busy
+      else begin
+        t.active <- t.active + 1;
+        Ok ()
+      end)
+
+let release t = locked t (fun () -> t.active <- t.active - 1)
+
+let faultload sut seed =
+  match Conferr.Engine.parse_default_config sut with
+  | Error _ as e -> e
+  | Ok base ->
+    Ok
+      ( base,
+        Conferr.Campaign.typo_scenarios ~rng:(Conferr_util.Rng.create seed)
+          ~faultload:Conferr.Campaign.paper_faultload sut base )
+
+(* Register the campaign in its reserved slot and start its thread, unless
+   the daemon began draining meanwhile.  The threads of campaigns that
+   ended since are joined here. *)
+let register t ~sut ~seed ~policy ~base ~scenarios =
+  let registered, ended =
+    locked t (fun () ->
+        if t.draining then begin
+          t.active <- t.active - 1;
+          (Error Unavailable, [])
+        end
+        else begin
+          let cid = Printf.sprintf "c%04d" t.next_id in
+          t.next_id <- t.next_id + 1;
+          let c =
+            {
+              cid;
+              sut;
+              seed;
+              policy;
+              tenant = Scheduler.tenant ~max_active:policy.Policy.jobs_cap ~name:cid t.sched;
+              journal_path =
+                Filename.concat t.state_dir
+                  (cid ^ if t.segment_bytes = None then ".jsonl" else ".v3");
+              total = List.length scenarios;
+              lock = t.lock;
+              cstatus = Queued;
+              done_count = 0;
+              cancel_requested = false;
+              rows = None;
+              events_rev = [];
+              events_n = 0;
+              terminal = None;
+            }
+          in
+          Hashtbl.replace t.by_id cid c;
+          t.order <- c :: t.order;
+          let ended, running =
+            List.partition (fun (prev, _) -> prev.terminal <> None) t.threads
+          in
+          let thread = Thread.create (fun () -> run_campaign t c ~base ~scenarios) () in
+          t.threads <- (c, thread) :: running;
+          set_active_gauge t;
+          (Ok c, ended)
+        end)
+  in
+  List.iter (fun (_, thread) -> Thread.join thread) ended;
+  registered
+
 let submit t body =
   let reject kind e = submission_count t kind; Error e in
-  match Json.member "sut" body with
-  | None -> reject "invalid" (Bad_request "missing required member \"sut\"")
-  | Some sut_json -> (
-    match Option.bind (Json.str sut_json) Suts.Catalog.find with
-    | None ->
-      reject "invalid"
-        (Bad_request
-           (Printf.sprintf "unknown sut (known: %s)"
-              (String.concat ", " Suts.Catalog.names)))
-    | Some sut -> (
-      match int_member "seed" ~default:42 body with
-      | Error msg -> reject "invalid" (Bad_request msg)
-      | Ok seed -> (
-        match Policy.of_json body with
-        | Error msg -> reject "invalid" (Bad_request msg)
-        | Ok policy -> (
-          match Conferr.Engine.parse_default_config sut with
-          | Error msg -> reject "invalid" (Bad_request msg)
-          | Ok base ->
-            let scenarios =
-              Conferr.Campaign.typo_scenarios
-                ~rng:(Conferr_util.Rng.create seed)
-                ~faultload:Conferr.Campaign.paper_faultload sut base
-            in
-            let outcome =
-              locked t (fun () ->
-                  if t.draining then Error Unavailable
-                  else if active_count t >= t.max_campaigns then Error Busy
-                  else begin
-                    let cid = Printf.sprintf "c%04d" t.next_id in
-                    t.next_id <- t.next_id + 1;
-                    let c =
-                      {
-                        cid;
-                        sut;
-                        seed;
-                        policy;
-                        tenant =
-                          Scheduler.tenant ~max_active:policy.Policy.jobs_cap
-                            ~name:cid t.sched;
-                        journal_path =
-                          Filename.concat t.state_dir
-                            (cid
-                            ^
-                            if t.segment_bytes = None then ".jsonl"
-                            else ".v3");
-                        base;
-                        scenarios;
-                        total = List.length scenarios;
-                        cstatus = Queued;
-                        done_count = 0;
-                        cancel_requested = false;
-                        profile = None;
-                        events_rev = [];
-                        events_n = 0;
-                        terminal = None;
-                      }
-                    in
-                    t.campaigns <- t.campaigns @ [ c ];
-                    t.threads <-
-                      Thread.create (fun () -> run_campaign t c) () :: t.threads;
-                    Metrics.set t.reg "conferr_serve_active_campaigns"
-                      (float_of_int (active_count t));
-                    Ok c
-                  end)
-            in
-            (match outcome with
-             | Ok _ -> submission_count t "accepted"
-             | Error Busy | Error Unavailable -> submission_count t "rejected"
-             | Error (Bad_request _) -> submission_count t "invalid");
-            outcome))))
+  match parse_submission body with
+  | Error msg -> reject "invalid" (Bad_request msg)
+  | Ok (sut, seed, policy) -> (
+    match reserve t with
+    | Error e -> reject "rejected" e
+    | Ok () -> (
+      match faultload sut seed with
+      | exception exn -> release t; raise exn
+      | Error msg -> release t; reject "invalid" (Bad_request msg)
+      | Ok (base, scenarios) -> (
+        match register t ~sut ~seed ~policy ~base ~scenarios with
+        | Ok c -> submission_count t "accepted"; Ok c
+        | Error e -> reject "rejected" e)))
 
 let cancel t c =
   let dropped = Scheduler.cancel c.tenant in
@@ -330,58 +375,66 @@ let drain t =
   locked t (fun () -> t.draining <- true);
   Scheduler.drain t.sched;
   let threads = locked t (fun () -> let ts = t.threads in t.threads <- []; ts) in
-  List.iter Thread.join threads
+  List.iter (fun (_, thread) -> Thread.join thread) threads
 
 (* ------------------------------------------------------------------ *)
 (* JSON views                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let summary_json c =
+(* Each read takes the fields that change in one critical section, so a
+   terminal status comes with its terminal event counted. *)
+let summary_json (c : campaign) =
+  let status, finished, events =
+    Mutex.protect c.lock (fun () ->
+        (c.cstatus, c.done_count, c.events_n + Bool.to_int (c.terminal <> None)))
+  in
   Json.Obj
     [
       ("id", Json.Str c.cid);
       ("sut", Json.Str c.sut.Suts.Sut.sut_name);
       ("seed", Json.Num (float_of_int c.seed));
-      ("status", Json.Str (status_of c.cstatus));
+      ("status", Json.Str (status_of status));
       ("total", Json.Num (float_of_int c.total));
-      ("finished", Json.Num (float_of_int c.done_count));
-      ("events", Json.Num (float_of_int (c.events_n + Bool.to_int (c.terminal <> None))));
+      ("finished", Json.Num (float_of_int finished));
+      ("events", Json.Num (float_of_int events));
       ("policy", Policy.to_json c.policy);
       ("journal", Json.Str c.journal_path);
     ]
 
-let results_json c profile =
-  let entries = profile.Conferr.Profile.entries in
+(* The results of a closed campaign, from its rows: not from its
+   journal, which a write that reported success without landing (a torn
+   write) can leave a line short. *)
+let results_json c status rows =
   let tally =
-    List.fold_left
-      (fun acc (e : Conferr.Profile.entry) ->
-        let label = Conferr.Outcome.label e.outcome in
-        let n = try List.assoc label acc with Not_found -> 0 in
-        (label, n + 1) :: List.remove_assoc label acc)
-      [] entries
+    Array.fold_left
+      (fun acc r ->
+        let n = Option.value ~default:0 (List.assoc_opt r.outcome acc) in
+        (r.outcome, n + 1) :: List.remove_assoc r.outcome acc)
+      [] rows
     |> List.sort compare
   in
   Json.Obj
     [
       ("id", Json.Str c.cid);
-      ("sut", Json.Str profile.Conferr.Profile.sut_name);
-      ("status", Json.Str (status_of c.cstatus));
+      ("sut", Json.Str c.sut.Suts.Sut.sut_name);
+      ("status", Json.Str (status_of status));
       ("total", Json.Num (float_of_int c.total));
-      ("entries", Json.Num (float_of_int (List.length entries)));
+      ("entries", Json.Num (float_of_int (Array.length rows)));
       ( "outcomes",
         Json.Obj (List.map (fun (l, n) -> (l, Json.Num (float_of_int n))) tally)
       );
       ( "scenarios",
         Json.Arr
-          (List.map
-             (fun (e : Conferr.Profile.entry) ->
+          (Array.fold_right
+             (fun r rest ->
                Json.Obj
                  [
-                   ("id", Json.Str e.scenario_id);
-                   ("class", Json.Str e.class_name);
-                   ("outcome", Json.Str (Conferr.Outcome.label e.outcome));
-                 ])
-             entries) );
+                   ("id", Json.Str r.scenario_id);
+                   ("class", Json.Str r.class_name);
+                   ("outcome", Json.Str r.outcome);
+                 ]
+               :: rest)
+             rows []) );
     ]
 
 (* Index [events_n] is the terminal line.  Only the events after [from]
@@ -409,9 +462,7 @@ let error_json ?(status = 400) ?(headers = []) msg =
     (Json.to_string (Json.Obj [ ("error", Json.Str msg) ]) ^ "\n")
 
 let dashboard_html t =
-  let paths =
-    locked t (fun () -> List.map (fun c -> c.journal_path) t.campaigns)
-  in
+  let paths = locked t (fun () -> List.rev_map (fun c -> c.journal_path) t.order) in
   let rows =
     List.concat_map
       (fun path ->
@@ -516,9 +567,9 @@ let handle t (req : Http.request) =
             fun write -> stream_events t c ~from write ))
   | "GET", [ "campaigns"; id; "results" ] ->
     with_campaign "results" id (fun c ->
-        match c.profile with
-        | Some profile ->
-          respond "results" (Http.json_response (results_json c profile))
+        match locked t (fun () -> Option.map (fun rows -> (c.cstatus, rows)) c.rows) with
+        | Some (status, rows) ->
+          respond "results" (Http.json_response (results_json c status rows))
         | None ->
           respond "results" (error_json ~status:409 "campaign not finished"))
   | "GET", [ "campaigns"; id; "journal" ] ->

@@ -30,7 +30,8 @@ val create :
     [cNNNN.jsonl] or [cNNNN.v3] journal already in [state_dir], so a
     daemon restarted there never truncates an old journal (it does not
     list or resume the old campaigns).  [max_campaigns] (default 4)
-    bounds the campaigns that may be queued or running at once — the
+    bounds the campaigns that may be queued or running at once, counting
+    an admitted submission still generating its faultload — the
     submission queue whose overflow {!handle} answers with 429.
 
     [segment_bytes] makes every campaign journal a v3 segmented store
@@ -60,14 +61,25 @@ type submit_error =
 
 val submit : t -> Conferr_obsv.Json.t -> (campaign, submit_error) result
 (** Accept a submission object — members [sut] (required), [seed]
-    (default 42) and the {!Conferr_harden.Policy} fields — generate its
-    scenario list, register a tenant, and start the campaign on its own
-    thread.  The campaign is visible in {!campaigns} immediately. *)
+    (default 42) and the {!Conferr_harden.Policy} fields.  A bad member
+    is [Bad_request] first.  Then admission: a slot is taken, or the
+    submission is refused ([Unavailable] while draining, [Busy] at
+    [max_campaigns]) before anything is generated, so a refusal costs no
+    faultload.  Only then are the base configuration parsed and the
+    scenario list generated; the slot is given back if that fails, and
+    a drain begun meanwhile still refuses.  The campaign registers a
+    tenant and starts on its own thread, which alone holds the faultload:
+    it dies when the campaign's run returns.  The threads of campaigns
+    that ended since the last submission are joined here.  The campaign
+    is visible in {!campaigns} immediately. *)
 
 val campaigns : t -> campaign list
-(** All campaigns, oldest first. *)
+(** All campaigns, oldest first.  A closed campaign keeps its summary
+    fields, its events and the (id, class, outcome label) rows that
+    [/results] prints: not its faultload, nor its profile. *)
 
 val find : t -> string -> campaign option
+(** The campaign with this id, from a table keyed by id. *)
 
 val campaign_id : campaign -> string
 
@@ -91,7 +103,8 @@ val wait : t -> campaign -> unit
 
 val summary_json : campaign -> Conferr_obsv.Json.t
 (** The list/status object: id, sut, seed, status, total, finished,
-    events, policy, journal path. *)
+    events, policy, journal path.  The fields that change are read in one
+    critical section, so a terminal status counts the terminal event. *)
 
 val events_after : t -> campaign -> int -> string list * bool
 (** The event JSON lines from the given index on, and whether the

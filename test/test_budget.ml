@@ -298,6 +298,102 @@ let test_observer_budget () =
   in
   if over <> [] then Alcotest.fail (String.concat "; " over)
 
+(* The daemon's budgets.  A closed campaign keeps its summary fields,
+   its events and its result rows: live words per closed campaign, after
+   [Gc.full_major], over a window of 12 campaigns (postgres, mysql and
+   appserver in turn, seed 42) that follows one campaign of each, which
+   create their SUTs' metric cells.  Measured 4,611; a campaign that
+   kept its faultload and its whole profile read 14,594.  A refused
+   submission, answered 503 by a draining daemon or 429 by a full one,
+   is decided before the faultload is built: 602-611 words through
+   [Daemon.handle], where generating first read 163,284-163,288.  Each
+   budget is about 15% above. *)
+let closed_campaign_budget = 5_300
+let refused_budget = 700
+
+module Daemon = Conferr_serve.Daemon
+module Http = Conferr_serve.Http
+
+let state_dir () =
+  let path = Filename.temp_file "conferr_budget" ".state" in
+  Sys.remove path;
+  path
+
+let remove_state_dir dir =
+  Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+let post_campaign sut =
+  let body = Printf.sprintf {|{"sut":%S,"seed":42}|} sut in
+  { Http.meth = "POST"; target = "/campaigns"; path = "/campaigns"; query = [];
+    version = "HTTP/1.1"; headers = []; body }
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+let test_closed_campaign_budget () =
+  let dir = state_dir () in
+  let daemon = Daemon.create ~jobs:1 ~state_dir:dir () in
+  let db = [| "mini_pg"; "mini_mysql"; "mini_appserver" |] in
+  let run k =
+    match Daemon.handle daemon (post_campaign db.(k mod 3)) with
+    | `Response { Http.status = 202; resp_body; _ } ->
+      let id =
+        Option.bind (Result.to_option (Conferr_obsv.Json.of_string resp_body)) (fun j ->
+            Option.bind (Conferr_obsv.Json.member "id" j) Conferr_obsv.Json.str)
+      in
+      let c = Option.get (Option.bind id (Daemon.find daemon)) in
+      Daemon.wait daemon c;
+      if Daemon.status_label c <> "done" then
+        Alcotest.failf "campaign %s ended %s" (Option.get id) (Daemon.status_label c)
+    | _ -> Alcotest.fail "the daemon refused a campaign"
+  in
+  for k = 0 to 2 do run k done;
+  let window = 12 in
+  let before = live_words () in
+  for k = 0 to window - 1 do run k done;
+  let per_campaign = (live_words () - before) / window in
+  Daemon.drain daemon;
+  remove_state_dir dir;
+  Printf.printf "a closed campaign keeps %d live words (budget %d)\n%!" per_campaign
+    closed_campaign_budget;
+  if per_campaign > closed_campaign_budget then
+    Alcotest.failf "a closed daemon campaign keeps %d live words, budget %d" per_campaign
+      closed_campaign_budget
+
+let test_refused_budget () =
+  let refused name daemon expected =
+    let submit () =
+      match Daemon.handle daemon (post_campaign "mini_pg") with
+      | `Response { Http.status; _ } when status = expected -> ()
+      | _ -> Alcotest.failf "%s: the submission was not answered %d" name expected
+    in
+    submit ();
+    let words = least submit in
+    Printf.printf "%s: a refused submission allocates %.0f words (budget %d)\n%!" name
+      words refused_budget;
+    if words > float_of_int refused_budget then
+      Some
+        (Printf.sprintf "%s: a refused submission allocates %.0f words, budget %d" name words
+           refused_budget)
+    else None
+  in
+  let draining_dir = state_dir () and full_dir = state_dir () in
+  let draining = Daemon.create ~jobs:1 ~state_dir:draining_dir () in
+  Daemon.drain draining;
+  (* room for no campaign: full from the start, so no campaign runs
+     beside the measurement *)
+  let full = Daemon.create ~jobs:1 ~max_campaigns:0 ~state_dir:full_dir () in
+  let over =
+    List.filter_map Fun.id
+      [ refused "draining (503)" draining 503; refused "full (429)" full 429 ]
+  in
+  Daemon.drain full;
+  remove_state_dir draining_dir;
+  remove_state_dir full_dir;
+  if over <> [] then Alcotest.fail (String.concat "; " over)
+
 let () =
   Alcotest.run "budget"
     [
@@ -315,5 +411,9 @@ let () =
             test_repair_budget;
           Alcotest.test_case "observer words per scenario within budget" `Quick
             test_observer_budget;
+          Alcotest.test_case "daemon live words per closed campaign within budget" `Quick
+            test_closed_campaign_budget;
+          Alcotest.test_case "daemon words per refused submission within budget" `Quick
+            test_refused_budget;
         ] );
     ]

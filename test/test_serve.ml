@@ -727,8 +727,11 @@ let mask_exposition text =
    the /metrics exposition (timing-histogram values masked) and its
    journal (crc, "ms" and phase durations masked), against digests
    recorded before events were kept as values and metrics went through
-   handles.  A byte that rendering events on read changes, or a series
-   that a handle adds or merges, shows here. *)
+   handles; its /results and the /campaigns list once it closed (the
+   journal path masked), against digests recorded while a closed
+   campaign still kept its whole profile.  A byte that rendering events
+   on read changes, a series that a handle adds or merges, or a result
+   that the rows lose, shows here. *)
 let test_daemon_outputs_locked () =
   let daemon = Daemon.create ~jobs:1 ~state_dir:(temp_dir ()) () in
   let c = submit_pg daemon in
@@ -742,6 +745,11 @@ let test_daemon_outputs_locked () =
     | `Response _ -> Alcotest.fail "events endpoint did not stream"
   in
   let metrics = (response_of (Daemon.handle daemon (get "/metrics"))).Http.resp_body in
+  let results =
+    (response_of (Daemon.handle daemon (get ("/campaigns/" ^ Daemon.campaign_id c ^ "/results"))))
+      .Http.resp_body
+  in
+  let listing = (response_of (Daemon.handle daemon (get "/campaigns"))).Http.resp_body in
   let journal = read_file (str_member "journal" (Daemon.summary_json c)) in
   let phases = List.map Conferr_obsv.Span.label Conferr_obsv.Span.all in
   let masked keys text =
@@ -752,7 +760,10 @@ let test_daemon_outputs_locked () =
   Alcotest.(check string) "metrics, timing values masked" "d01d00059ff29921ed89303b9ef10ed1"
     (md5 (mask_exposition metrics));
   Alcotest.(check string) "journal, crc, ms and phases masked" "08217a2611427f9198f942a1684fffa9"
-    (md5 (masked ("crc" :: "ms" :: phases) journal))
+    (md5 (masked ("crc" :: "ms" :: phases) journal));
+  Alcotest.(check string) "results" "a9478e1dc71c471660b13ea5b2dfa759" (md5 results);
+  Alcotest.(check string) "campaign list, journal path masked" "a5ccaea56f165e9da9054c03a6b40df2"
+    (md5 (mask_values [ "journal" ] listing))
 
 (* A burst of the three db campaigns: the outcome counters of the
    shared registry are the sums over the three campaigns' results. *)
@@ -801,6 +812,64 @@ let test_daemon_burst_counters () =
     (Metrics.family reg "conferr_scenario_outcomes_total");
   Alcotest.check cells "conferr_scenarios_finished_total" (expected by_outcome)
     (Metrics.family reg "conferr_scenarios_finished_total")
+
+(* Status polls while a burst of the three db campaigns runs, from this
+   thread as a connection thread polls: through the route, and through
+   [summary_json] of a campaign already found, as a poll that lost the
+   CPU after its lookup reads it.  Every snapshot reads its fields
+   together.  Throughout, finished <= total; a terminal snapshot counts
+   every event line the stream sends, the terminal one included; and a
+   /results that answers carries a terminal status. *)
+let test_daemon_status_snapshots () =
+  let daemon = Daemon.create ~jobs:1 ~state_dir:(temp_dir ()) () in
+  let campaigns =
+    List.map
+      (fun sut ->
+        let resp =
+          response_of
+            (Daemon.handle daemon
+               (post "/campaigns" (Printf.sprintf {|{"sut":%S,"seed":7}|} sut)))
+        in
+        Alcotest.(check int) (sut ^ " accepted") 202 resp.Http.status;
+        Option.get (Daemon.find daemon (str_member "id" (json_of resp))))
+      [ "mini_pg"; "mini_mysql"; "mini_appserver" ]
+  in
+  let num name json =
+    match Option.bind (Json.member name json) Json.num with
+    | Some f -> int_of_float f
+    | None -> Alcotest.failf "status has no number %S" name
+  in
+  let terminal = [ "done"; "interrupted"; "cancelled"; "failed" ] in
+  let closed = Hashtbl.create 3 and polls = ref 0 in
+  let check c snap =
+    let id = Daemon.campaign_id c in
+    incr polls;
+    if num "finished" snap > num "total" snap then
+      Alcotest.failf "%s: finished %d > total %d" id (num "finished" snap) (num "total" snap);
+    if List.mem (str_member "status" snap) terminal then begin
+      let lines, _ = Daemon.events_after daemon c 0 in
+      Alcotest.(check int) (id ^ ": events of a terminal snapshot") (List.length lines)
+        (num "events" snap);
+      Hashtbl.replace closed id ()
+    end
+  in
+  while Hashtbl.length closed < List.length campaigns do
+    (* the direct reads first: the routes' lookups take the daemon lock *)
+    List.iter (fun c -> check c (Daemon.summary_json c)) campaigns;
+    List.iter
+      (fun c ->
+        let path = "/campaigns/" ^ Daemon.campaign_id c in
+        check c (json_of (response_of (Daemon.handle daemon (get path))));
+        let results = response_of (Daemon.handle daemon (get (path ^ "/results"))) in
+        if results.Http.status = 200 then
+          Alcotest.(check bool) (path ^ ": results carry a terminal status") true
+            (List.mem (str_member "status" (json_of results)) terminal))
+      campaigns;
+    Thread.yield ()
+  done;
+  Daemon.drain daemon;
+  Alcotest.(check bool) "polled while the burst ran" true
+    (!polls > 2 * List.length campaigns)
 
 let suite =
   [
@@ -853,4 +922,6 @@ let suite =
       test_daemon_burst_counters;
     Alcotest.test_case "daemon: SIGTERM with an idle keep-alive client" `Quick
       test_daemon_sigterm_idle_keepalive;
+    Alcotest.test_case "daemon: status snapshots agree with the event stream" `Slow
+      test_daemon_status_snapshots;
   ]
