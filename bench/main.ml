@@ -129,21 +129,19 @@ let print_ablations () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Executor scaling: sequential vs parallel campaign execution          *)
+(* Executor scaling: jobs 2 against jobs 1                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The §5.2 typo faultload against mini-postgres, scaled up so each
-   measurement runs long enough to amortize domain spawn-up (~100 us per
-   domain).  Times the same scenario list through the executor at 1, 2
-   and 4 domains and reports the measured speedup — the paper's
-   campaigns are embarrassingly parallel (injections are pure and
-   independent), so on an N-core machine this approaches min(jobs, N).
-   On a single-core host the same measurement documents the cost of
-   oversubscription instead: every OCaml 5 minor collection synchronizes
-   all domains, so extra domains without extra cores slow a campaign
-   down — which is why 1 stays the default for --jobs. *)
+(* A bare [Executor.run_from] (no journal, observers off) over each
+   SUT's seed-42 paper faultload at jobs 1 and 2, and at jobs 4 on
+   apache: more domains than a two-core host has.  The paper's
+   campaigns are embarrassingly parallel (each injection is pure and
+   independent), so on an N-core machine jobs 1 over jobs J approaches
+   min(J, N).  Every round runs each job count once and odd rounds
+   reverse the order, so no count always runs warm; the section records
+   the median of [rounds] wall times per count. *)
 let print_executor_scaling () =
-  print_endline "=== Executor scaling (typo faultload of section 5.2) ===\n";
+  print_endline "=== Executor scaling (bare run_from, seed-42 paper faultloads) ===\n";
   if Conferr_pool.recommended_jobs () = 1 then begin
     (* every OCaml 5 minor collection synchronizes all domains, so extra
        domains without extra cores measure GC lockstep, not scaling — a
@@ -161,70 +159,93 @@ let print_executor_scaling () =
     print_newline ()
   end
   else begin
-  let sut = Suts.Mini_pg.sut in
-  let base =
-    match Conferr.Engine.parse_default_config sut with
-    | Ok base -> base
-    | Error msg -> failwith msg
-  in
-  let scenarios =
-    let rng = Conferr_util.Rng.create seed in
-    let faultload =
-      { Conferr.Campaign.paper_faultload with typos_per_directive = 40 }
+    let rounds = 21 in
+    let cores = Domain.recommended_domain_count () in
+    let campaign ((sut : Suts.Sut.t), jobs_counts) =
+      let base =
+        match Conferr.Engine.parse_default_config sut with
+        | Ok base -> base
+        | Error msg -> failwith msg
+      in
+      let scenarios =
+        Conferr.Campaign.typo_scenarios ~rng:(Conferr_util.Rng.create seed)
+          ~faultload:Conferr.Campaign.paper_faultload sut base
+      in
+      let time jobs =
+        let settings = { Conferr_exec.Executor.default_settings with jobs } in
+        let t0 = Unix.gettimeofday () in
+        ignore
+          (Conferr_exec.Executor.run_from ~settings ~on_event:ignore ~sut ~base
+             ~scenarios ());
+        Unix.gettimeofday () -. t0
+      in
+      (sut.sut_name, List.length scenarios, jobs_counts, time)
     in
-    Conferr.Campaign.typo_scenarios ~rng ~faultload sut base
-  in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "  scenarios: %d, cores available: %d\n%!"
-    (List.length scenarios) cores;
-  let time_run jobs =
-    let settings = { Conferr_exec.Executor.default_settings with jobs } in
-    let silent _ = () in
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      ignore
-        (Conferr_exec.Executor.run_from ~settings ~on_event:silent ~sut ~base
-           ~scenarios ());
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  (* warm up (page in the SUT code paths) before timing *)
-  ignore (time_run 1);
-  let sequential = time_run 1 in
-  Printf.printf "  %d domain(s): %8.2f ms   (baseline)\n%!" 1 (sequential *. 1e3);
-  let runs =
-    (1, sequential)
-    :: List.map
-         (fun jobs ->
-           let t = time_run jobs in
-           Printf.printf "  %d domain(s): %8.2f ms   speedup %.2fx\n%!" jobs
-             (t *. 1e3) (sequential /. t);
-           (jobs, t))
-         [ 2; 4 ]
-  in
-  write_artifact "BENCH_executor.json"
-    (Json.Obj
-       [
-         ("bench", Json.Str "executor-scaling");
-         ("sut", Json.Str "postgres");
-         ("seed", Json.Num (float_of_int seed));
-         ("scenarios", Json.Num (float_of_int (List.length scenarios)));
-         ("cores", Json.Num (float_of_int cores));
-         ( "runs",
-           Json.Arr
-             (List.map
-                (fun (jobs, t) ->
-                  Json.Obj
-                    [
-                      ("jobs", Json.Num (float_of_int jobs));
-                      ("wall_s", Json.Num t);
-                      ("speedup", Json.Num (sequential /. t));
-                    ])
-                runs) );
-       ]);
-  print_newline ()
+    let campaigns =
+      List.map campaign
+        [
+          (Suts.Mini_apache.sut, [ 1; 2; 4 ]);
+          (Suts.Mini_bind.sut, [ 1; 2 ]);
+          (Suts.Mini_djbdns.sut, [ 1; 2 ]);
+          (Suts.Mini_pg.sut, [ 1; 2 ]);
+          (Suts.Mini_mysql.sut, [ 1; 2 ]);
+          (Suts.Mini_appserver.sut, [ 1; 2 ]);
+        ]
+    in
+    (* warm up (page in the SUT code paths) before timing *)
+    List.iter (fun (_, _, counts, time) -> List.iter (fun j -> ignore (time j)) counts) campaigns;
+    (* each round times every campaign at every count, so a slow spell
+       of the shared host lands on all of them alike *)
+    let samples =
+      List.init rounds (fun round ->
+          List.map
+            (fun (_, _, counts, time) ->
+              let order = if round mod 2 = 0 then counts else List.rev counts in
+              List.map (fun jobs -> (jobs, time jobs)) order)
+            campaigns)
+    in
+    let results =
+      List.mapi
+        (fun k (name, scenarios, counts, _) ->
+          let ms jobs =
+            1e3 *. median (List.map (fun round -> List.assoc jobs (List.nth round k)) samples)
+          in
+          let sequential = ms 1 in
+          Printf.printf "  %-10s %4d scenarios  jobs 1 %7.2f ms" name scenarios sequential;
+          let runs =
+            List.map
+              (fun jobs ->
+                let t = ms jobs in
+                if jobs > 1 then
+                  Printf.printf "  jobs %d %7.2f ms (%.2fx)" jobs t (sequential /. t);
+                Json.Obj
+                  [
+                    ("jobs", Json.Num (float_of_int jobs));
+                    ("wall_ms", Json.Num t);
+                    ("speedup", Json.Num (sequential /. t));
+                  ])
+              counts
+          in
+          print_newline ();
+          Json.Obj
+            [
+              ("sut", Json.Str name);
+              ("scenarios", Json.Num (float_of_int scenarios));
+              ("runs", Json.Arr runs);
+            ])
+        campaigns
+    in
+    write_artifact "BENCH_executor.json"
+      (Json.Obj
+         [
+           ("bench", Json.Str "executor-scaling");
+           ("seed", Json.Num (float_of_int seed));
+           ("cores", Json.Num (float_of_int cores));
+           ("rounds", Json.Num (float_of_int rounds));
+           ("statistic", Json.Str "median");
+           ("suts", Json.Arr results);
+         ]);
+    print_newline ()
   end
 
 (* ------------------------------------------------------------------ *)

@@ -59,7 +59,7 @@ let jobs_arg =
         ~doc:
           "Worker domains for the campaign (1 = sequential), or $(b,auto) \
            to size the pool to the machine.  Must be at least 1; values \
-           beyond max(64, scenario count) are clamped with a warning.")
+           beyond 64 are clamped with a warning.")
 
 let timeout_arg =
   Arg.(
@@ -86,15 +86,15 @@ let format_arg ?(docv = "FORMAT") ~doc formats =
 let text_or_json = [ ("text", `Text); ("json", `Json) ]
 
 (* Validate --jobs: parse the grammar (a positive integer or "auto"),
-   then check the number against the scenario count; exit 2 on nonsense
-   (junk text, 0 or negative), warn and clamp on excess. *)
-let checked_jobs ?scenario_count jobs_text =
+   then check the number; exit 2 on nonsense (junk text, 0 or
+   negative), warn and clamp beyond 64. *)
+let checked_jobs jobs_text =
   let parsed =
     match Conferr_exec.Executor.parse_jobs jobs_text with
     | Ok n -> n
     | Error msg -> fail "%s" msg
   in
-  match Conferr_exec.Executor.clamp_jobs ?scenario_count parsed with
+  match Conferr_exec.Executor.clamp_jobs parsed with
   | Error msg -> fail "%s" msg
   | Ok (jobs, warning) ->
     Option.iter (fun w -> Printf.eprintf "conferr: warning: %s\n" w) warning;
@@ -242,7 +242,7 @@ let journal_failed ?(before = ignore) e =
    plausibly open (unwritable parent, directory where a file is
    expected, single file where a --segment-bytes store is requested, ...)
    is a usage error. *)
-let run_campaign ?scenario_count ~seed c f =
+let run_campaign ~seed c f =
   if c.resume && c.journal = None then
     fail "--resume requires --journal PATH (there is no journal to resume from)";
   let segment_bytes = checked_segment_bytes c.segment_bytes in
@@ -252,7 +252,7 @@ let run_campaign ?scenario_count ~seed c f =
       | Ok () -> ()
       | Error msg -> fail "%s" msg)
     c.journal;
-  let jobs = checked_jobs ?scenario_count c.jobs in
+  let jobs = checked_jobs c.jobs in
   let tracer = Option.map (fun _ -> Conferr_obsv.Trace.create ()) c.trace in
   let registry = Option.map (fun _ -> Conferr_obsv.Metrics.create ()) c.metrics in
   let settings =
@@ -314,7 +314,7 @@ let profile_cmd =
     let base = stock_config ~code:1 c.sut in
     let scenarios = typo_scenarios ~rng:(Conferr_util.Rng.create seed) c.sut base in
     let profile, snapshot =
-      run_campaign ~scenario_count:(List.length scenarios) ~seed c (fun s ->
+      run_campaign ~seed c (fun s ->
           Conferr_exec.Executor.run_from
             ~settings:{ s with timeout_s = timeout; retries }
             ~sut:c.sut ~base ~scenarios ())
@@ -433,7 +433,7 @@ let semantic_cmd =
       |> Errgen.Scenario.relabel_ids ~prefix:"semantic"
     in
     let profile, snapshot =
-      run_campaign ~scenario_count:(List.length scenarios) ~seed:42 c
+      run_campaign ~seed:42 c
         (fun settings ->
           Conferr_exec.Executor.run_from ~settings ~sut:c.sut ~base ~scenarios ())
     in
@@ -556,10 +556,11 @@ let chaos_cmd =
        they are the point of the exercise — so the abort is caught here
        and reported after printing them. *)
     let outcome, chaos_stats, disk_stats =
-      run_campaign ~scenario_count:(List.length scenarios) ~seed c (fun s ->
+      run_campaign ~seed c (fun s ->
           let chaotic, chaos_stats =
             Chaos.wrap
-              ~settings:{ Chaos.default_settings with seed = chaos_seed; rate }
+              ~settings:
+                { Chaos.default_settings with seed = chaos_seed; rate; hang_s = 2. *. timeout }
               ?metrics:s.metrics c.sut
           in
           let journal_io, disk_stats =
@@ -637,7 +638,7 @@ let chaos_cmd =
     Arg.(
       value & opt float 1.0
       & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:"Per-scenario deadline (chaos hangs rely on it).")
+          ~doc:"Per-scenario deadline; an injected hang lasts twice as long.")
   in
   let quorum =
     Arg.(
@@ -1068,7 +1069,7 @@ let analyze_cmd =
     let sut_name = sut.Suts.Sut.sut_name in
     let rules, _ = load_rules ~deep:true sut rules_file in
     let set, syntax = parse_files sut files in
-    let jobs = checked_jobs ~scenario_count:(List.length rules) jobs in
+    let jobs = checked_jobs jobs in
     let findings =
       if jobs <= 1 then
         Conferr_lint.Checker.run ~nearest:Conferr.Suggest.nearest ~rules set
@@ -1163,8 +1164,7 @@ let gaps_cmd =
     in
     let entries, base, scenarios = load_replay ~seed sut [ jpath ] in
     let report =
-      Conferr_lint_replay.scan
-        ~jobs:(checked_jobs ~scenario_count:(List.length entries) jobs)
+      Conferr_lint_replay.scan ~jobs:(checked_jobs jobs)
         ~nearest:Conferr.Suggest.nearest ~deep ~sut ~rules ~scenarios ~entries
         ~base ()
     in
@@ -1217,8 +1217,7 @@ let infer_cmd =
       fail "--min-confidence must be within [0; 1]";
     let entries, base, scenarios = load_replay ~seed sut journals in
     let result =
-      Conferr_infer.Pipeline.run
-        ~jobs:(checked_jobs ~scenario_count:(List.length entries) jobs)
+      Conferr_infer.Pipeline.run ~jobs:(checked_jobs jobs)
         ~nearest:Conferr.Suggest.nearest ~sut ~rules ~scenarios ~entries ~base
         ~thresholds:{ Conferr_infer.Confidence.min_support; min_confidence }
         ()
@@ -1340,8 +1339,7 @@ let repair_cmd =
         (stock, Conferr_repair.Pipeline.journal_targets ~ids ~scenarios ~stock entries)
     in
     let result =
-      Conferr_repair.Pipeline.run
-        ~jobs:(checked_jobs ~scenario_count:(List.length targets) jobs)
+      Conferr_repair.Pipeline.run ~jobs:(checked_jobs jobs)
         ~nearest:Conferr.Suggest.nearest ~specs ~sut ~rules ~stock targets
     in
     print_report format ~text:Conferr_repair.Repair_report.render
@@ -1436,8 +1434,8 @@ let serve_cmd =
     let segment_bytes = checked_segment_bytes segment_bytes in
     if Sys.file_exists state_dir && not (Sys.is_directory state_dir) then
       fail "--state-dir %s exists and is not a directory" state_dir;
-    (* Test hook for the durability smoke: the first campaign submitted
-       gets a journal whose storage always reports ENOSPC, so the smoke
+    (* Test hook for test/durability.t: the first campaign submitted
+       gets a journal whose storage always reports ENOSPC, so the test
        can assert it fails while its co-tenant completes untouched. *)
     let journal_io =
       if not inject_disk_fault then fun _ -> None

@@ -2,47 +2,43 @@ module Scheduler = Scheduler
 
 let recommended_jobs () = Domain.recommended_domain_count ()
 
-(* [map] is a one-tenant wrapper over {!Scheduler} (doc/serve.md): the
-   worker-domain pool that the campaign daemon multiplexes many
-   campaigns over also serves the one-shot CLI path, so there is one
-   scheduling code path to trust.  Results land in their input slot,
-   the first exception wins and aborts the remaining work, and
-   [jobs <= 1] is the plain sequential loop. *)
+(* The longest range of indices one domain takes at a time. *)
+let range = 16
+
+(* One loop for every [jobs] (the contract is in the interface): the
+   caller takes ranges too, so a [jobs = 1] map, or one of at most
+   [range] elements, never leaves the caller's domain. *)
 let map ?(jobs = 1) f a =
   let n = Array.length a in
-  if n = 0 then [||]
-  else if jobs <= 1 then Array.mapi f a
-  else begin
-    let results = Array.make n None in
-    let failure = Atomic.make None in
-    let sched = Scheduler.create ~jobs:(min jobs n) () in
-    let tenant = Scheduler.tenant ~name:"map" sched in
-    Fun.protect
-      ~finally:(fun () -> Scheduler.drain sched)
-      (fun () ->
-        for i = 0 to n - 1 do
-          ignore
-            (Scheduler.submit tenant (fun () ->
-                 if Atomic.get failure = None then
-                   match f i a.(i) with
-                   | r -> results.(i) <- Some r
-                   | exception exn ->
-                     (* keep only the first failure; racing CAS losers
-                        drop theirs *)
-                     ignore
-                       (Atomic.compare_and_set failure None
-                          (Some (exn, Printexc.get_raw_backtrace ())))))
-        done;
-        Scheduler.wait tenant);
-    match Atomic.get failure with
-    | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-    | None ->
-      Array.map
-        (function
-          | Some r -> r
-          | None -> invalid_arg "Conferr_pool.map: worker aborted before completion")
-        results
-  end
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let failure = Atomic.make None in
+  let rec work () =
+    let lo = Atomic.fetch_and_add next range in
+    if lo < n && Atomic.get failure = None then begin
+      (try
+         for i = lo to min n (lo + range) - 1 do
+           results.(i) <- Some (f i a.(i))
+         done
+       with exn ->
+         (* keep only the first failure; racing CAS losers drop theirs *)
+         ignore
+           (Atomic.compare_and_set failure None
+              (Some (exn, Printexc.get_raw_backtrace ()))));
+      work ()
+    end
+  in
+  let helpers = ref [] in
+  Fun.protect
+    ~finally:(fun () -> List.iter Domain.join !helpers)
+    (fun () ->
+      for _ = 2 to min jobs ((n + range - 1) / range) do
+        helpers := Domain.spawn work :: !helpers
+      done;
+      work ());
+  match Atomic.get failure with
+  | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
+  | None -> Array.map Option.get results
 
 (* ------------------------------------------------------------------ *)
 (* Watchdogged execution                                               *)

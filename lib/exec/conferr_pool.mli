@@ -1,4 +1,4 @@
-(** Fixed-size parallel worker pool over OCaml 5 domains.
+(** Parallel map over OCaml 5 domains, and a watchdog.
 
     The campaign hot loop is a pure map: each fault scenario is applied,
     serialized, booted and tested independently of every other one, so a
@@ -7,14 +7,14 @@
     slot, so the output array is identical whatever the interleaving —
     [map ~jobs:4 f a] is byte-for-byte the same as [map ~jobs:1 f a].
 
-    The pool is a thin wrapper over {!Scheduler}, the multi-tenant
-    layer that lets one domain pool serve several concurrent campaigns
-    (doc/serve.md); [map] is the one-tenant special case.  The module
-    knows nothing of campaigns: the executor, the lint replay, infer's
-    evidence pass and repair validation map over it. *)
+    The module knows nothing of campaigns: the executor, the lint
+    replay, infer's evidence pass, repair validation and [analyze] map
+    over it.  It also carries {!Scheduler}, the multi-tenant pool the
+    campaign daemon multiplexes its campaigns over (doc/serve.md);
+    [map] does not use it. *)
 
 module Scheduler = Scheduler
-(** The extracted multi-tenant scheduler; see [scheduler.mli]. *)
+(** The multi-tenant scheduler; see [scheduler.mli]. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], the hardware-sized default.
@@ -23,16 +23,19 @@ val recommended_jobs : unit -> int
 val map : ?jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f a] computes [[| f 0 a.(0); ...; f (n-1) a.(n-1) |]].
 
-    With [jobs <= 1] (the default) every call runs in the current domain
-    in index order — the degenerate case is exactly the classic
-    sequential loop.  With [jobs > 1], a private {!Scheduler} with
-    [min jobs (length a)] worker domains drains a single tenant holding
-    every index; element results are written to distinct slots, so no
-    synchronization beyond the scheduler's queue is needed.
+    One loop serves every [jobs] (default 1): one atomic counter hands
+    out ranges of at most 16 consecutive indices, the caller takes
+    ranges itself, and [min jobs ⌈n/16⌉ - 1] spawned domains join it
+    and are joined before [map] returns.  So [jobs <= 1], or a map of
+    at most 16 elements, runs every call in the caller's domain in
+    index order, and no domain outlives the call.  Each result is
+    written to its own slot; no lock is taken.
 
-    If [f] raises, the first exception (in completion order) wins,
-    remaining elements are skipped, and it is re-raised in the caller's
-    domain after all workers have stopped. *)
+    If [f] raises, the first exception (in completion order) stops new
+    ranges from starting; ranges already taken run to their end or
+    their own exception.  The exception is re-raised in the caller's
+    domain, with its backtrace, once every spawned domain has been
+    joined. *)
 
 val with_timeout : timeout_s:float -> (unit -> 'a) -> 'a option
 (** [with_timeout ~timeout_s f] runs [f ()] in a watchdog thread and

@@ -47,29 +47,23 @@ let default_settings =
     tenant = None;
   }
 
-let jobs_floor = 64
+let max_jobs = 64
 
-let clamp_jobs ?scenario_count jobs =
+let clamp_jobs jobs =
   if jobs <= 0 then
     Error
       (Printf.sprintf
          "--jobs must be at least 1, got %d (0 no longer means \"all cores\")"
          jobs)
-  else
-    let cap =
-      match scenario_count with
-      | Some n -> max jobs_floor n
-      | None -> jobs_floor
-    in
-    if jobs > cap then
-      Ok
-        ( cap,
-          Some
-            (Printf.sprintf
-               "clamping --jobs %d to %d (the campaign has no use for more \
-                workers than max %d scenario-count)"
-               jobs cap jobs_floor) )
-    else Ok (jobs, None)
+  else if jobs > max_jobs then
+    Ok
+      ( max_jobs,
+        Some
+          (Printf.sprintf
+             "clamping --jobs %d to %d (the most worker domains a campaign \
+              may use)"
+             jobs max_jobs) )
+  else Ok (jobs, None)
 
 (* The CLI-facing --jobs grammar: a positive integer, or "auto" for the
    hardware-sized default.  Anything else is a usage error (exit 2 at
@@ -357,7 +351,7 @@ let with_campaign ?(settings = default_settings) ?(on_event = Progress.log_event
 
 let run_from ?(settings = default_settings) ?on_event ~sut ~base ~scenarios () =
   let settings =
-    match clamp_jobs ~scenario_count:(List.length scenarios) settings.jobs with
+    match clamp_jobs settings.jobs with
     | Ok (jobs, _) -> { settings with jobs }
     | Error _ -> { settings with jobs = 1 }
   in

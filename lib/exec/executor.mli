@@ -24,8 +24,7 @@
 type settings = {
   jobs : int;
       (** worker domains; 1 = sequential in the calling domain.  Values
-          outside [\[1; max 64 scenario-count\]] are clamped — see
-          {!clamp_jobs} *)
+          outside [\[1; 64\]] are clamped — see {!clamp_jobs} *)
   timeout_s : float option;
       (** per-scenario deadline; [None] disables the watchdog *)
   retries : int;
@@ -94,12 +93,12 @@ val default_settings : settings
     before (profiles and journals are byte-identical to an unobserved
     run). *)
 
-val clamp_jobs :
-  ?scenario_count:int -> int -> (int * string option, string) result
+val clamp_jobs : int -> (int * string option, string) result
 (** Validate a requested worker count.  [jobs <= 0] is an [Error] (the
-    CLI exits 2 on it); a value above [max 64 scenario-count] (64 when
-    the count is unknown) clamps to the cap and returns a warning
-    message.  {!run_from} applies the same clamp internally. *)
+    CLI exits 2 on it); a value above 64 clamps to 64, whatever the
+    scenario count, and returns a warning message.  64 keeps a campaign
+    well below the runtime's limit on live domains (128 in OCaml 5.1).
+    {!run_from} applies the same clamp internally. *)
 
 val parse_jobs : string -> (int, string) result
 (** The CLI-facing [--jobs] grammar: a decimal integer, or ["auto"]

@@ -98,8 +98,6 @@ let create ?(jobs = 1) () =
   t.workers <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let jobs t = t.pool_jobs
-
 let tenant ?max_active ?(name = "tenant") t =
   let tn =
     {
@@ -126,9 +124,6 @@ let submit tn task =
         Condition.signal t.work;
         `Queued
       end)
-
-let pending tn =
-  locked tn.sched (fun () -> Queue.length tn.queue + tn.active)
 
 let cancel tn =
   let t = tn.sched in

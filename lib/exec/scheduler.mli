@@ -1,9 +1,10 @@
 (** Multi-tenant domain-pool scheduler (doc/serve.md).
 
-    Extracted from {!Conferr_pool.map} so that a long-lived process — the
-    [conferr serve] daemon — can own {e one} pool of worker domains and
-    multiplex work from several concurrent campaigns over it, instead of
-    every campaign spawning (and tearing down) a private pool.
+    A long-lived process — the [conferr serve] daemon — owns {e one}
+    pool of worker domains and multiplexes work from several concurrent
+    campaigns over it, instead of every campaign spawning (and tearing
+    down) a private pool.  A one-shot campaign does not use it: it maps
+    over {!Conferr_pool.map}.
 
     The model: a scheduler owns [jobs] worker domains; clients register
     {e tenants} (one per campaign) and submit thunks to them.  Workers
@@ -31,8 +32,6 @@ val create : ?jobs:int -> unit -> t
     eagerly and live until {!drain}; values below 1 are clamped
     to 1. *)
 
-val jobs : t -> int
-
 val tenant : ?max_active:int -> ?name:string -> t -> tenant
 (** Register a tenant.  [max_active] caps concurrently running tasks
     (default: the pool size); [name] is for diagnostics. *)
@@ -45,9 +44,6 @@ val submit : tenant -> (unit -> unit) -> [ `Queued | `Rejected ]
 (** Enqueue one task.  [`Rejected] when the tenant was cancelled or
     retired, or the scheduler is draining or stopped — the caller
     decides whether that is a clean stop or a fatal race. *)
-
-val pending : tenant -> int
-(** Queued (not yet started) plus currently running tasks. *)
 
 val cancel : tenant -> int
 (** Drop every queued task of this tenant (running ones finish) and

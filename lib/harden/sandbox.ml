@@ -19,22 +19,30 @@ let current_cell () =
   let tid = Thread.id (Thread.self ()) in
   with_lock (fun () -> Hashtbl.find_opt cells tid)
 
+(* Cells in the table: while there are none, [tick] skips the lock,
+   which every domain's allocation storm would otherwise contend on. *)
+let fueled = Atomic.make 0
+
 let with_fuel fuel f =
   match fuel with
   | None -> f ()
   | Some budget ->
     let tid = Thread.id (Thread.self ()) in
+    Atomic.incr fueled;
     with_lock (fun () -> Hashtbl.replace cells tid (ref budget, budget));
     Fun.protect
-      ~finally:(fun () -> with_lock (fun () -> Hashtbl.remove cells tid))
+      ~finally:(fun () ->
+        with_lock (fun () -> Hashtbl.remove cells tid);
+        Atomic.decr fueled)
       f
 
 let tick () =
-  match current_cell () with
-  | None -> ()
-  | Some (remaining, budget) ->
-    decr remaining;
-    if !remaining < 0 then raise (Out_of_fuel budget)
+  if Atomic.get fueled > 0 then
+    match current_cell () with
+    | None -> ()
+    | Some (remaining, budget) ->
+      decr remaining;
+      if !remaining < 0 then raise (Out_of_fuel budget)
 
 let fuel_left () =
   match current_cell () with

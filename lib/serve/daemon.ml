@@ -118,7 +118,6 @@ let create ?(jobs = 1) ?(max_campaigns = 4) ?segment_bytes
     threads = [];
   }
 
-let jobs t = Scheduler.jobs t.sched
 let registry t = t.reg
 
 let status_of = function

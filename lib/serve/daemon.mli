@@ -45,8 +45,6 @@ val create :
     [conferr_serve_disk_faults] gauge — co-tenant campaigns are
     untouched (per-tenant failure isolation in the scheduler). *)
 
-val jobs : t -> int
-
 val registry : t -> Conferr_obsv.Metrics.t
 (** The daemon's metrics registry: service counters
     ([conferr_serve_*]) plus the executor families of every campaign.

@@ -251,12 +251,43 @@ let test_scenario_seed_deterministic () =
   Alcotest.(check bool) "id-sensitive" true (a <> c);
   Alcotest.(check bool) "seed-sensitive" true (a <> d)
 
+(* Every size around the range length (16) at every job count: the
+   result equals [Array.mapi], each index is evaluated exactly once, a
+   map of at most 16 elements stays in the caller's domain, and n
+   elements run on at most ceil(n/16) domains. *)
 let test_pool_map () =
-  let input = Array.init 100 Fun.id in
-  let seq = Conferr_pool.map ~jobs:1 (fun i x -> i * x) input in
-  let par = Conferr_pool.map ~jobs:4 (fun i x -> i * x) input in
-  Alcotest.(check bool) "deterministic slots" true (seq = par);
-  Alcotest.(check bool) "empty input" true (Conferr_pool.map ~jobs:4 (fun _ x -> x) [||] = [||])
+  let caller = (Domain.self () :> int) in
+  List.iter
+    (fun n ->
+      let input = Array.init n (fun i -> 3 * i) in
+      List.iter
+        (fun jobs ->
+          let what = Printf.sprintf "n %d, jobs %d" n jobs in
+          let calls = Array.init n (fun _ -> Atomic.make 0) in
+          let domain = Array.make n (-1) in
+          let out =
+            Conferr_pool.map ~jobs
+              (fun i x ->
+                Atomic.incr calls.(i);
+                domain.(i) <- (Domain.self () :> int);
+                i * x)
+              input
+          in
+          Alcotest.(check (array int)) (what ^ ": Array.mapi")
+            (Array.mapi ( * ) input) out;
+          Array.iteri
+            (fun i c ->
+              Alcotest.(check int) (Printf.sprintf "%s: index %d once" what i) 1
+                (Atomic.get c))
+            calls;
+          let used = List.sort_uniq compare (Array.to_list domain) in
+          Alcotest.(check bool) (what ^ ": at most ceil(n/16) domains") true
+            (List.length used <= (n + 15) / 16);
+          if n <= 16 then
+            Alcotest.(check (list int)) (what ^ ": in the caller's domain")
+              (if n = 0 then [] else [ caller ]) used)
+        [ 1; 2; 3; 4; 8 ])
+    [ 0; 1; 15; 16; 17; 33; 100 ]
 
 exception Boom of int
 
@@ -270,6 +301,21 @@ let test_pool_map_raises () =
       | _ -> Alcotest.failf "jobs %d: map returned past a raising element" jobs
       | exception Boom x -> Alcotest.(check int) (Printf.sprintf "jobs %d" jobs) 37 x)
     [ 1; 2 ]
+
+(* At jobs 1 the first raise ends the map: nothing after it runs. *)
+let test_pool_map_stops_at_first_raise () =
+  let calls = ref 0 in
+  (match
+     Conferr_pool.map ~jobs:1
+       (fun _ x ->
+         incr calls;
+         raise (Boom x))
+       (Array.init 100 Fun.id)
+   with
+   | _ -> Alcotest.fail "map returned past a raising element"
+   | exception Boom 0 -> ()
+   | exception Boom x -> Alcotest.failf "raised Boom %d, not Boom 0" x);
+  Alcotest.(check int) "f called once" 1 !calls
 
 let test_pool_timeout () =
   (match Conferr_pool.with_timeout ~timeout_s:5.0 (fun () -> 1 + 1) with
@@ -327,4 +373,6 @@ let suite =
       test_executor_timeout_classified;
     Alcotest.test_case "pool map re-raises an element's exception" `Quick
       test_pool_map_raises;
+    Alcotest.test_case "pool map at jobs 1 stops at the first raise" `Quick
+      test_pool_map_stops_at_first_raise;
   ]

@@ -372,12 +372,14 @@ let test_clamp_jobs () =
     (Executor.clamp_jobs 5 = Ok (5, None));
   (match Executor.clamp_jobs 1000 with
    | Ok (64, Some _) -> ()
-   | _ -> Alcotest.fail "unknown count clamps to 64");
-  (match Executor.clamp_jobs ~scenario_count:100 1000 with
-   | Ok (100, Some _) -> ()
-   | _ -> Alcotest.fail "large campaigns clamp to the scenario count");
-  Alcotest.(check bool) "within the scenario-count cap" true
-    (Executor.clamp_jobs ~scenario_count:100 70 = Ok (70, None))
+   | _ -> Alcotest.fail "1000 clamps to 64");
+  (* 64 whatever the scenario count: 200 domains would exceed the 128
+     that OCaml 5.1 allows at once *)
+  (match Executor.clamp_jobs 200 with
+   | Ok (64, Some _) -> ()
+   | _ -> Alcotest.fail "200 clamps to 64");
+  Alcotest.(check bool) "64 is within the cap" true
+    (Executor.clamp_jobs 64 = Ok (64, None))
 
 (* -------------------------------------------------------------- *)
 (* Chaos acceptance                                                 *)
