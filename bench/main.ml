@@ -768,10 +768,11 @@ let print_benchmarks () =
    the burst's middle campaign) and their daemon/CLI ratio, plus the
    202's latency, which includes the submission's generation.  The
    daemon runs the campaigns with its metrics on, the CLI path without
-   (as `conferr profile` does).  bench/e2e pins its daemon to one CPU;
-   run this section the same way (`taskset -c 1 dune exec
-   bench/main.exe serve`), or the daemon's worker domain and its caller
-   share two.  It writes BENCH_serve.json. *)
+   (as `conferr profile` does).  Both run Executor.run_from on the main
+   domain: the daemon's campaigns on threads of their own, which take
+   turns once per range of the map.  bench/e2e pins its daemon to one
+   CPU; run this section the same way (`taskset -c 1 dune exec
+   bench/main.exe serve`).  It writes BENCH_serve.json. *)
 let print_serve_throughput () =
   print_endline "=== Serve against the CLI (in-process daemon, doc/serve.md) ===\n";
   let module Daemon = Conferr_serve.Daemon in

@@ -1436,7 +1436,7 @@ let serve_cmd =
       fail "--state-dir %s exists and is not a directory" state_dir;
     (* Test hook for test/durability.t: the first campaign submitted
        gets a journal whose storage always reports ENOSPC, so the test
-       can assert it fails while its co-tenant completes untouched. *)
+       can assert it fails while the next campaign completes untouched. *)
     let journal_io =
       if not inject_disk_fault then fun _ -> None
       else fun cid ->
@@ -1467,7 +1467,7 @@ let serve_cmd =
        Conferr_serve.Daemon.listen daemon ~port ?port_file
          ~banner:(fun bound ->
            Printf.printf
-             "conferr serve: listening on 127.0.0.1:%d (%d worker domain(s), \
+             "conferr serve: listening on 127.0.0.1:%d (at most %d domain(s), \
               max %d concurrent campaign(s), state in %s)\n%!"
              bound jobs max_campaigns state_dir)
          ()
@@ -1510,16 +1510,16 @@ let serve_cmd =
           ~doc:
             "Test hook: the first submitted campaign's journal storage \
              always reports ENOSPC, so smoke tests can assert that a \
-             journal fault fails only that campaign while co-tenants \
+             journal fault fails only that campaign while the others \
              complete (doc/harden.md).")
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run the campaign service daemon: one shared pool of worker domains, \
-          multiple concurrent campaigns as round-robin tenants, a JSON API \
-          with streaming progress, live /metrics and /dashboard, graceful \
-          SIGTERM drain (doc/serve.md).")
+         "Run the campaign service daemon: concurrent campaigns, each on \
+          its own thread taking turns with the others, at most $(b,--jobs) \
+          domains in all, a JSON API with streaming progress, live /metrics \
+          and /dashboard, graceful SIGTERM drain (doc/serve.md).")
     Term.(
       const run $ jobs_arg $ port $ port_file $ state_dir $ max_campaigns
       $ segment_bytes_arg $ inject_disk_fault)
@@ -1606,8 +1606,8 @@ let submit_cmd =
           campaign's status object (id, policy, journal path).")
     Term.(
       const run $ daemon_term $ sut $ seed_arg
-      $ opt_int "jobs-cap" "Concurrent scenarios of this campaign on the \
-                            shared pool."
+      $ opt_int "jobs-cap" "Most helper domains this campaign takes of \
+                            those the daemon has free (none: the main one)."
       $ opt_int "quorum" "Total attempts for crash-suspect outcomes (1 = off)."
       $ opt_int "breaker" "Consecutive-crash breaker threshold (0 = off)."
       $ timeout
@@ -1666,8 +1666,8 @@ let watch_cmd =
 let cancel_cmd =
   Cmd.v
     (Cmd.info "cancel"
-       ~doc:"Drop a campaign's queued scenarios (running ones finish); its \
-             journal keeps the completed prefix and stays resumable.")
+       ~doc:"Drop the scenarios not yet started, wait for the running ones (a \
+             hung one holds the reply); the journal stays resumable.")
     Term.(
       const (fun d id ->
           json_request ~body:(Json.Obj []) d ("/campaigns/" ^ id ^ "/cancel"))

@@ -1,5 +1,3 @@
-module Scheduler = Scheduler
-
 let recommended_jobs () = Domain.recommended_domain_count ()
 
 (* The longest range of indices one domain takes at a time. *)
@@ -7,7 +5,9 @@ let range = 16
 
 (* One loop for every [jobs] (the contract is in the interface): the
    caller takes ranges too, so a [jobs = 1] map, or one of at most
-   [range] elements, never leaves the caller's domain. *)
+   [range] elements, never leaves the caller's domain.  Threads on one
+   domain switch only at blocking calls and the runtime's tick, so each
+   range ends with a yield: that is all the daemon's fairness. *)
 let map ?(jobs = 1) f a =
   let n = Array.length a in
   let results = Array.make n None in
@@ -25,6 +25,7 @@ let map ?(jobs = 1) f a =
          ignore
            (Atomic.compare_and_set failure None
               (Some (exn, Printexc.get_raw_backtrace ()))));
+      Thread.yield ();
       work ()
     end
   in

@@ -7,14 +7,9 @@
     slot, so the output array is identical whatever the interleaving —
     [map ~jobs:4 f a] is byte-for-byte the same as [map ~jobs:1 f a].
 
-    The module knows nothing of campaigns: the executor, the lint
-    replay, infer's evidence pass, repair validation and [analyze] map
-    over it.  It also carries {!Scheduler}, the multi-tenant pool the
-    campaign daemon multiplexes its campaigns over (doc/serve.md);
-    [map] does not use it. *)
-
-module Scheduler = Scheduler
-(** The multi-tenant scheduler; see [scheduler.mli]. *)
+    The module knows nothing of campaigns: the executor (and so every
+    CLI and daemon campaign), the lint replay, infer's evidence pass,
+    repair validation and [analyze] map over it. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], the hardware-sized default.
@@ -30,6 +25,11 @@ val map : ?jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
     at most 16 elements, runs every call in the caller's domain in
     index order, and no domain outlives the call.  Each result is
     written to its own slot; no lock is taken.
+
+    After each range its domain calls [Thread.yield], so threads that
+    share a domain take turns once per range: the daemon's concurrent
+    campaigns and its HTTP threads (doc/serve.md).  With no other thread
+    waiting the yield returns at once.
 
     If [f] raises, the first exception (in completion order) stops new
     ranges from starting; ranges already taken run to their end or

@@ -25,7 +25,7 @@ type settings = {
   fuel : int option;
   trace : Trace.t option;
   metrics : Metrics.t option;
-  tenant : Conferr_pool.Scheduler.tenant option;
+  cancel : bool Atomic.t option;
 }
 
 let default_settings =
@@ -44,7 +44,7 @@ let default_settings =
     fuel = None;
     trace = None;
     metrics = None;
-    tenant = None;
+    cancel = None;
   }
 
 let max_jobs = 64
@@ -309,26 +309,15 @@ let run_one c (index, (s : Scenario.t)) =
        { index; id = s.id; label = Outcome.label outcome; elapsed_ms });
   (index, entry)
 
+(* Once the cancel flag is set, a scenario not yet started is skipped:
+   the result keeps the ones that ran, as a resumed run's journal keeps
+   a prefix. *)
 let run_batch c pending =
-  match c.settings.tenant with
-  | None -> Conferr_pool.map ~jobs:c.settings.jobs (fun _ p -> run_one c p) pending
-  | Some tenant ->
-    (* Service mode (doc/serve.md): scenarios are queued on a shared
-       multi-campaign scheduler instead of a private pool.  A cancel or
-       daemon drain drops the queued remainder, so the result array may
-       be partial — exactly like a resumed run whose journal only covers
-       a prefix. *)
-    let slots = Array.make (Array.length pending) None in
-    Array.iteri
-      (fun i p ->
-        match
-          Conferr_pool.Scheduler.submit tenant (fun () ->
-              slots.(i) <- Some (run_one c p))
-        with
-        | `Queued | `Rejected -> ())
-      pending;
-    Conferr_pool.Scheduler.wait tenant;
-    Array.of_list (List.filter_map Fun.id (Array.to_list slots))
+  let cancelled () = Option.fold ~none:false ~some:Atomic.get c.settings.cancel in
+  Conferr_pool.map ~jobs:c.settings.jobs
+    (fun _ p -> if cancelled () then None else Some (run_one c p))
+    pending
+  |> Array.to_seq |> Seq.filter_map Fun.id |> Array.of_seq
 
 let close_campaign c entries =
   (match c.settings.quarantine_dir with

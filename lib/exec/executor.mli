@@ -1,8 +1,9 @@
 (** The campaign executor: parallel, resumable scenario execution.
 
     This is the production path for running a faultload (see
-    [doc/exec.md]): it shards the scenario list across a fixed pool of
-    worker domains ({!Conferr_pool}), journals every finished injection
+    [doc/exec.md]), for the CLI and the [conferr serve] daemon alike:
+    it maps the scenario list over [jobs] domains
+    ({!Conferr_pool.map}), journals every finished injection
     to an append-only JSONL file ({!Journal}), skips already-journaled
     scenarios on restart, guards each scenario with a timeout, and
     streams {!Progress} events.
@@ -73,14 +74,12 @@ type settings = {
           per-scenario outcome/latency families (doc/obsv.md); [None]
           (default) records nothing.  With either observer set, journal
           entries also carry per-phase wall times ([phase_ms]) *)
-  tenant : Conferr_pool.Scheduler.tenant option;
-      (** service mode (doc/serve.md): run scenarios as tasks of this
-          tenant on a shared multi-campaign scheduler instead of a
-          private [Conferr_pool.map] pool.  [jobs] is ignored (the
-          scheduler owns the domain count); a cancel or drain drops the
-          queued remainder and the campaign completes with a partial —
-          but checkpointed and resumable — journal.  [None] (default)
-          keeps the one-shot behaviour *)
+  cancel : bool Atomic.t option;
+      (** once the flag is set, every scenario not yet started is
+          skipped and the campaign closes with the ones that ran: a
+          partial, checkpointed and resumable journal.  The daemon sets
+          it for [/cancel] and for a drain (doc/serve.md); [None]
+          (default) runs every scenario *)
 }
 
 val default_settings : settings
@@ -88,8 +87,8 @@ val default_settings : settings
       journal_path = None; segment_bytes = None; journal_io = None;
       resume = false; quorum = 1; breaker = None;
       quarantine_dir = None; fuel = None; trace = None;
-      metrics = None; tenant = None }] — hardening, observability and
-    service mode off by default, so existing callers behave exactly as
+      metrics = None; cancel = None }] — hardening, observability and
+    cancellation off by default, so existing callers behave exactly as
     before (profiles and journals are byte-identical to an unobserved
     run). *)
 
@@ -147,11 +146,11 @@ val run_batch :
   campaign -> (int * Errgen.Scenario.t) array -> (int * Journal.entry) array
 (** Run one batch through the per-scenario path (breaker, quorum,
     watchdog, {!Conferr.Engine.run_scenario} under the fuel budget,
-    repro bundles, observers, journal append, progress events) on the
-    worker pool, or as tasks of the daemon [tenant].  Each scenario
-    comes with an index, used in its progress events and returned with
-    its entry.  Results are in input order; after a tenant cancel or
-    drain only the finished scenarios are returned. *)
+    repro bundles, observers, journal append, progress events) through
+    {!Conferr_pool.map} at [jobs].  Each scenario comes with an index,
+    used in its progress events and returned with its entry.  Results
+    are in input order; once [cancel] is set only the scenarios that
+    ran are returned. *)
 
 val run_from :
   ?settings:settings ->

@@ -1,18 +1,19 @@
-(** Per-tenant service policy (doc/serve.md).
+(** Per-campaign service policy (doc/serve.md).
 
     The hardening knobs grew up as per-run CLI flags ([--quorum],
     [--breaker], [--timeout], [--retries], [--fuel]); in service mode
     each submitted campaign carries its own copy of them, so one
-    tenant's flaky SUT trips {e its} breaker and burns {e its} retry
+    campaign's flaky SUT trips {e its} breaker and burns {e its} retry
     budget without touching its neighbours.  This module is the policy
     record plus its JSON codec and validation — the daemon folds a
     validated policy into {!Conferr_exec.Executor.settings} (that fold
     lives in [lib/serve]; this library sits below the executor). *)
 
 type t = {
-  jobs_cap : int;          (** max concurrently running scenarios of this
-                               campaign on the shared pool (the
-                               scheduler's [max_active]) *)
+  jobs_cap : int;          (** most helper domains this campaign takes
+                               from the daemon's free ones when it
+                               starts; it runs on those it gets, or on
+                               the main domain if it gets none *)
   quorum : int;            (** total attempts for crash-suspect outcomes;
                                1 disables re-voting *)
   breaker : int option;    (** consecutive-crash trip threshold per

@@ -1,6 +1,5 @@
 module Json = Conferr_obsv.Json
 module Metrics = Conferr_obsv.Metrics
-module Scheduler = Conferr_pool.Scheduler
 module Executor = Conferr_exec.Executor
 module Progress = Conferr_exec.Progress
 module Journal = Conferr_exec.Journal
@@ -25,7 +24,7 @@ type campaign = {
   sut : Suts.Sut.t;
   seed : int;
   policy : Policy.t;
-  tenant : Scheduler.tenant;
+  cancel : bool Atomic.t;  (* the executor's: set by a cancel or a drain *)
   journal_path : string;
   total : int;
   lock : Mutex.t;  (* the daemon's: the mutable fields change under it *)
@@ -43,7 +42,7 @@ type t = {
   lock : Mutex.t;
   changed : Condition.t;  (* any event append or status change *)
   closed : Condition.t;  (* a campaign's terminal event *)
-  sched : Scheduler.t;
+  mutable free_helpers : int;  (* of the [jobs - 1] helper domains *)
   reg : Metrics.t;
   state_dir : string;
   max_campaigns : int;
@@ -103,7 +102,8 @@ let create ?(jobs = 1) ?(max_campaigns = 4) ?segment_bytes
     lock = Mutex.create ();
     changed = Condition.create ();
     closed = Condition.create ();
-    sched = Scheduler.create ~jobs ();
+    free_helpers =
+      (match Executor.clamp_jobs jobs with Ok (jobs, _) -> jobs - 1 | Error _ -> 0);
     reg;
     state_dir;
     max_campaigns;
@@ -154,9 +154,10 @@ let find t id = locked t (fun () -> Hashtbl.find_opt t.by_id id)
 (* Campaign execution                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let settings_of t c reg =
+let settings_of t c ~jobs =
   {
     Executor.default_settings with
+    jobs;
     campaign_seed = c.seed;
     journal_path = Some c.journal_path;
     segment_bytes = t.segment_bytes;
@@ -166,8 +167,8 @@ let settings_of t c reg =
     quorum = c.policy.Policy.quorum;
     breaker = c.policy.Policy.breaker;
     fuel = c.policy.Policy.fuel;
-    metrics = Some reg;
-    tenant = Some c.tenant;
+    metrics = Some t.reg;
+    cancel = Some c.cancel;
   }
 
 let terminal_event c =
@@ -188,8 +189,18 @@ let row_of (e : Conferr.Profile.entry) =
   { scenario_id = e.scenario_id; class_name = e.class_name;
     outcome = Conferr.Outcome.label e.outcome }
 
+(* A campaign takes as many of the free helper domains as its [jobs]
+   asks for and runs [Executor.run_from] on them; one that finds none
+   free runs it on its own thread, on the main domain.  It gives them
+   back when it closes. *)
 let run_campaign t c ~base ~scenarios =
-  locked t (fun () -> if c.cstatus = Queued then c.cstatus <- Running);
+  let helpers =
+    locked t (fun () ->
+        c.cstatus <- Running;
+        let k = min c.policy.Policy.jobs_cap t.free_helpers in
+        t.free_helpers <- t.free_helpers - k;
+        k)
+  in
   let on_event ev =
     locked t (fun () ->
         (match ev with
@@ -198,24 +209,24 @@ let run_campaign t c ~base ~scenarios =
          | _ -> ());
         push_event t c ev)
   in
+  let run () =
+    Executor.run_from ~settings:(settings_of t c ~jobs:(max 1 helpers)) ~on_event
+      ~sut:c.sut ~base ~scenarios ()
+  in
   let result =
-    match
-      Executor.run_from ~settings:(settings_of t c t.reg) ~on_event ~sut:c.sut ~base
-        ~scenarios ()
-    with
+    match if helpers = 0 then run () else Domain.join (Domain.spawn run) with
     | profile, _snapshot ->
       Ok (Array.of_list (List.map row_of profile.Conferr.Profile.entries))
     | exception Journal.Fault msg ->
       (* The campaign's storage is failing, not the service: mark this
-         campaign failed, count the fault, leave co-tenants alone. *)
+         campaign failed, count the fault, leave the others alone. *)
       Metrics.inc t.reg "conferr_journal_faults_total"
         ~labels:[ ("campaign", c.cid) ];
       Error (true, "journal fault: " ^ msg)
     | exception exn -> Error (false, Printexc.to_string exn)
   in
-  (* the campaign is over: its tenant leaves the scheduler's ring *)
-  Scheduler.retire c.tenant;
   locked t (fun () ->
+      t.free_helpers <- t.free_helpers + helpers;
       (match result with
        | Ok rows ->
          c.rows <- Some rows;
@@ -314,7 +325,7 @@ let register t ~sut ~seed ~policy ~base ~scenarios =
               sut;
               seed;
               policy;
-              tenant = Scheduler.tenant ~max_active:policy.Policy.jobs_cap ~name:cid t.sched;
+              cancel = Atomic.make false;
               journal_path =
                 Filename.concat t.state_dir
                   (cid ^ if t.segment_bytes = None then ".jsonl" else ".v3");
@@ -359,10 +370,19 @@ let submit t body =
         | Ok c -> submission_count t "accepted"; Ok c
         | Error e -> reject "rejected" e)))
 
+(* The scenarios in flight finish, then the campaign closes with the ones
+   that ran; the rest are the dropped ones. *)
 let cancel t c =
-  let dropped = Scheduler.cancel c.tenant in
-  locked t (fun () -> if not (terminal c.cstatus) then c.cancel_requested <- true);
-  dropped
+  locked t (fun () ->
+      if terminal c.cstatus then 0
+      else begin
+        c.cancel_requested <- true;
+        Atomic.set c.cancel true;
+        while c.terminal = None do
+          Condition.wait t.closed t.lock
+        done;
+        c.total - c.done_count
+      end)
 
 let wait t c =
   locked t (fun () ->
@@ -371,9 +391,14 @@ let wait t c =
       done)
 
 let drain t =
-  locked t (fun () -> t.draining <- true);
-  Scheduler.drain t.sched;
-  let threads = locked t (fun () -> let ts = t.threads in t.threads <- []; ts) in
+  let threads =
+    locked t (fun () ->
+        t.draining <- true;
+        List.iter (fun (c, _) -> Atomic.set c.cancel true) t.threads;
+        let ts = t.threads in
+        t.threads <- [];
+        ts)
+  in
   List.iter (fun (_, thread) -> Thread.join thread) threads
 
 (* ------------------------------------------------------------------ *)

@@ -1,9 +1,9 @@
 (** The [conferr serve] campaign service (doc/serve.md).
 
-    One daemon owns one {!Conferr_pool.Scheduler} pool of worker
-    domains; every submitted campaign becomes a scheduler tenant, so
-    concurrent campaigns share the domains with round-robin fairness
-    instead of oversubscribing the machine with private pools.  Each
+    Every submitted campaign runs {!Conferr_exec.Executor.run_from}, the
+    CLI's path, from a thread of its own: on a helper domain if the
+    daemon has one free, else on the main domain, where concurrent
+    campaigns take turns once per range of {!Conferr_pool.map}.  Each
     campaign journals to its own file under the state directory with
     the same checkpoint discipline as the one-shot CLI — the journals
     are byte-identical modulo wall-clock fields (the determinism
@@ -25,11 +25,19 @@ val create :
   state_dir:string ->
   unit ->
   t
-(** Start the pool ([jobs] worker domains, default 1) and create
-    [state_dir] if needed.  Campaign ids continue after the highest
-    [cNNNN.jsonl] or [cNNNN.v3] journal already in [state_dir], so a
-    daemon restarted there never truncates an old journal (it does not
-    list or resume the old campaigns).  [max_campaigns] (default 4)
+(** A daemon that runs at most [jobs] domains (default 1, clamped as
+    {!Conferr_exec.Executor.clamp_jobs} clamps it): the main one and
+    [jobs - 1] helpers, counted under the daemon lock.  A campaign
+    takes [min j free] helpers when it starts, where [j] is its
+    submission's [jobs], and gives them back when it closes.  With
+    [k > 0] helpers it runs on them alone, in a domain it spawns (its
+    map spawns the other [k - 1]); with none it runs on the main
+    domain.
+
+    Creates [state_dir] if needed.  Campaign ids continue after the
+    highest [cNNNN.jsonl] or [cNNNN.v3] journal already in [state_dir],
+    so a daemon restarted there never truncates an old journal (it does
+    not list or resume the old campaigns).  [max_campaigns] (default 4)
     bounds the campaigns that may be queued or running at once, counting
     an admitted submission still generating its faultload — the
     submission queue whose overflow {!handle} answers with 429.
@@ -42,8 +50,8 @@ val create :
     campaign's disk with it).  A journal storage fault fails only that
     campaign: status [failed], a terminal event carrying the error, a
     [conferr_journal_faults_total] tick and the
-    [conferr_serve_disk_faults] gauge — co-tenant campaigns are
-    untouched (per-tenant failure isolation in the scheduler). *)
+    [conferr_serve_disk_faults] gauge — the other campaigns, each on
+    its own thread, are untouched. *)
 
 val registry : t -> Conferr_obsv.Metrics.t
 (** The daemon's metrics registry: service counters
@@ -65,8 +73,8 @@ val submit : t -> Conferr_obsv.Json.t -> (campaign, submit_error) result
     [max_campaigns]) before anything is generated, so a refusal costs no
     faultload.  Only then are the base configuration parsed and the
     scenario list generated; the slot is given back if that fails, and
-    a drain begun meanwhile still refuses.  The campaign registers a
-    tenant and starts on its own thread, which alone holds the faultload:
+    a drain begun meanwhile still refuses.  The campaign starts on its
+    own thread, which alone holds the faultload:
     it dies when the campaign's run returns.  The threads of campaigns
     that ended since the last submission are joined here.  The campaign
     is visible in {!campaigns} immediately. *)
@@ -90,9 +98,17 @@ val finished : campaign -> bool
     checkpointed. *)
 
 val cancel : t -> campaign -> int
-(** Drop the campaign's queued scenarios (running ones finish) and mark
-    it cancelled; returns the number dropped.  Idempotent; 0 once the
-    campaign is terminal. *)
+(** Set the campaign's cancel flag and wait for it to close: the
+    scenarios in flight finish, no other starts, and the campaign ends
+    [cancelled] with a checkpointed, resumable journal of the ones that
+    ran.  Returns the number dropped, [total] minus the entries.  0 once
+    the campaign is terminal.
+
+    The wait has no bound of its own.  A scenario that hangs holds it
+    while it runs: for ever with no [timeout] in the policy, and even
+    with one on a campaign that runs on helper domains, whose domain is
+    joined only once its abandoned watchdog threads return
+    ({!Conferr_pool.with_timeout}). *)
 
 val wait : t -> campaign -> unit
 (** Block until the campaign is terminal; woken when a campaign closes,
@@ -122,10 +138,11 @@ val handle : t -> Http.handler
     the wrong method 405, full daemon 429 with [Retry-After]. *)
 
 val drain : t -> unit
-(** Graceful stop: refuse new submissions, drop every queued scenario,
-    let in-flight scenarios finish, wait for every campaign thread to
-    checkpoint its journal and go terminal (partial campaigns become
-    [interrupted]), then join the worker domains.  Idempotent. *)
+(** Graceful stop: refuse new submissions, set every open campaign's
+    cancel flag, and join the campaign threads once in-flight scenarios
+    have finished and each campaign has checkpointed its journal and
+    gone terminal (partial campaigns become [interrupted]).  A hung
+    scenario holds it as it holds {!cancel}.  Idempotent. *)
 
 val listen :
   t -> port:int -> ?port_file:string -> ?banner:(int -> unit) -> unit -> unit

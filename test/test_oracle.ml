@@ -1,13 +1,16 @@
 (* Differential oracle across the campaign loops.  On seeded random
-   subsets of the pg and bind paper faultloads, every scenario's outcome
-   is the same whichever loop runs it:
+   subsets of the pg and bind paper faultloads (up to 96 scenarios, so
+   that jobs 4 runs four domains over ranges of 16), every scenario's
+   outcome is the same whichever loop runs it:
    - the in-memory engine loop ([Engine.run_from]);
    - the executor at 1 and 4 workers, with no journal, a v2 journal file
      and a v3 segmented store;
    - an executor run resumed from a half-written journal;
-   - the explorer over the same scenarios as a finite stream, which
-     skips byte-identical mutants but must agree on everything it runs
-     or classifies as n/a. *)
+   - the explorer over the same scenarios as a finite stream, in
+     batches of 8 (many small batches, duplicates across their
+     boundaries) and of 48 (above one range), which skips
+     byte-identical mutants but must agree on everything it runs or
+     classifies as n/a. *)
 
 module Engine = Conferr.Engine
 module Profile = Conferr.Profile
@@ -96,7 +99,7 @@ let half_write path =
         lines)
 
 let agree ~fl seed =
-  let scenarios = subset ~max_size:32 fl seed in
+  let scenarios = subset ~max_size:96 fl seed in
   let reference = outcomes (Engine.run_from ~sut:fl.sut ~base:fl.base ~scenarios ()) in
   let same what got =
     if got <> reference then
@@ -122,30 +125,34 @@ let agree ~fl seed =
       same "resumed executor"
         (outcomes
            (executor fl ~jobs:4 ~journal_path:path ~resume:true scenarios)));
-  let report =
-    Explore.run_from
-      ~settings:
-        {
-          Explore.default_settings with
-          exec = { Executor.default_settings with jobs = 4 };
-          batch = 8;
-          plateau = 0;
-        }
-      ~on_event:silent ~sut:fl.sut ~base:fl.base
-      ~stream:(Errgen.Gen.of_list scenarios) ()
-  in
-  let explored = outcomes report.Explore.profile in
   List.iter
-    (fun (id, outcome) ->
-      if List.assoc_opt id reference <> Some outcome then
-        QCheck2.Test.fail_reportf "explore disagrees on %s (seed %d)" id seed)
-    explored;
-  if List.length explored + report.Explore.duplicates <> List.length scenarios
-  then
-    QCheck2.Test.fail_reportf
-      "explore accounted for %d of %d scenarios (seed %d)"
-      (List.length explored + report.Explore.duplicates)
-      (List.length scenarios) seed;
+    (fun batch ->
+      let report =
+        Explore.run_from
+          ~settings:
+            {
+              Explore.default_settings with
+              exec = { Executor.default_settings with jobs = 4 };
+              batch;
+              plateau = 0;
+            }
+          ~on_event:silent ~sut:fl.sut ~base:fl.base
+          ~stream:(Errgen.Gen.of_list scenarios) ()
+      in
+      let explored = outcomes report.Explore.profile in
+      List.iter
+        (fun (id, outcome) ->
+          if List.assoc_opt id reference <> Some outcome then
+            QCheck2.Test.fail_reportf "explore batch %d disagrees on %s (seed %d)"
+              batch id seed)
+        explored;
+      if List.length explored + report.Explore.duplicates <> List.length scenarios
+      then
+        QCheck2.Test.fail_reportf
+          "explore batch %d accounted for %d of %d scenarios (seed %d)" batch
+          (List.length explored + report.Explore.duplicates)
+          (List.length scenarios) seed)
+    [ 8; 48 ];
   true
 
 (* The faultload is generated once per property, on first use, by the

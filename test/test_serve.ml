@@ -1,11 +1,11 @@
-(* The serve subsystem (doc/serve.md): HTTP parser totality, scheduler
-   fairness, the with_timeout watchdog leak fix, and the daemon's
-   lifecycle — determinism vs the one-shot CLI path, backpressure,
-   cancel, drain, metrics and dashboard (ISSUE 6 acceptance criteria). *)
+(* The serve subsystem (doc/serve.md): HTTP parser totality, the
+   with_timeout watchdog leak fix, and the daemon's lifecycle —
+   determinism vs the one-shot CLI path, campaigns taking turns on one
+   domain, helper domains, backpressure, a cancel that drops work,
+   drain, metrics and dashboard, and its outputs locked by digest. *)
 
 module Http = Conferr_serve.Http
 module Daemon = Conferr_serve.Daemon
-module Scheduler = Conferr_pool.Scheduler
 module Executor = Conferr_exec.Executor
 module Journal = Conferr_exec.Journal
 module Progress = Conferr_exec.Progress
@@ -158,79 +158,6 @@ let test_serve_connection_handler_exn () =
   Unix.close server
 
 (* -------------------------------------------------------------- *)
-(* Scheduler: fairness, cancel, failure propagation                *)
-(* -------------------------------------------------------------- *)
-
-(* Round-robin fairness, deterministically: hold the single worker on a
-   gate task owned by tenant A, queue four tasks for each tenant, then
-   open the gate.  The ring was rotated past A by the gate pick, so the
-   trace must strictly alternate B A B A … — neither tenant starves
-   within an epoch. *)
-let test_scheduler_fairness () =
-  let sched = Scheduler.create ~jobs:1 () in
-  let a = Scheduler.tenant ~name:"a" sched in
-  let b = Scheduler.tenant ~name:"b" sched in
-  let gate_lock = Mutex.create () in
-  let gate_open = ref false in
-  let gate_cond = Condition.create () in
-  let trace = ref [] in
-  let trace_lock = Mutex.create () in
-  let note tag () =
-    Mutex.lock trace_lock;
-    trace := tag :: !trace;
-    Mutex.unlock trace_lock
-  in
-  let gate () =
-    Mutex.lock gate_lock;
-    while not !gate_open do
-      Condition.wait gate_cond gate_lock
-    done;
-    Mutex.unlock gate_lock
-  in
-  Alcotest.(check bool) "gate queued" true (Scheduler.submit a gate = `Queued);
-  (* give the worker time to pick the gate before the real tasks land *)
-  Thread.delay 0.05;
-  for _ = 1 to 4 do
-    ignore (Scheduler.submit a (note "a"));
-    ignore (Scheduler.submit b (note "b"))
-  done;
-  Mutex.lock gate_lock;
-  gate_open := true;
-  Condition.broadcast gate_cond;
-  Mutex.unlock gate_lock;
-  Scheduler.wait a;
-  Scheduler.wait b;
-  Scheduler.drain sched;
-  Alcotest.(check (list string)) "strict round-robin alternation"
-    [ "b"; "a"; "b"; "a"; "b"; "a"; "b"; "a" ]
-    (List.rev !trace)
-
-let test_scheduler_cancel_and_failure () =
-  let sched = Scheduler.create ~jobs:1 () in
-  let gate = Mutex.create () in
-  Mutex.lock gate;
-  let tn = Scheduler.tenant sched in
-  ignore (Scheduler.submit tn (fun () -> Mutex.lock gate; Mutex.unlock gate));
-  Thread.delay 0.05;
-  ignore (Scheduler.submit tn ignore);
-  ignore (Scheduler.submit tn ignore);
-  let dropped = Scheduler.cancel tn in
-  Mutex.unlock gate;
-  Scheduler.wait tn;
-  Alcotest.(check int) "queued tasks dropped" 2 dropped;
-  Alcotest.(check bool) "cancelled tenant rejects" true
-    (Scheduler.submit tn ignore = `Rejected);
-  let failing = Scheduler.tenant sched in
-  ignore (Scheduler.submit failing (fun () -> failwith "task boom"));
-  (match Scheduler.wait failing with
-   | () -> Alcotest.fail "wait did not re-raise the task failure"
-   | exception Failure msg ->
-     Alcotest.(check string) "first failure re-raised" "task boom" msg);
-  (* the failure is delivered exactly once *)
-  Scheduler.wait failing;
-  Scheduler.drain sched
-
-(* -------------------------------------------------------------- *)
 (* with_timeout: the watchdog no longer leaks silently             *)
 (* -------------------------------------------------------------- *)
 
@@ -295,13 +222,13 @@ let str_member name json =
   | Some s -> s
   | None -> Alcotest.failf "response has no string member %S" name
 
-let submit_pg ?(extra = []) daemon =
+let submit ?(extra = []) ~sut daemon =
   let resp =
     response_of
       (Daemon.handle daemon
          (post "/campaigns"
             (Json.to_string
-               (Json.Obj (("sut", Json.Str "mini_pg")
+               (Json.Obj (("sut", Json.Str sut)
                           :: ("seed", Json.Num 7.) :: extra)))))
   in
   Alcotest.(check int) "submit accepted" 202 resp.Http.status;
@@ -310,28 +237,36 @@ let submit_pg ?(extra = []) daemon =
   | Some c -> c
   | None -> Alcotest.failf "campaign %s not registered" id
 
-(* One-shot CLI-path journal for the same campaign, for determinism
-   comparisons. *)
-let oneshot_journal () =
-  let sut = Suts.Mini_pg.sut in
+let submit_pg ?extra daemon = submit ?extra ~sut:"mini_pg" daemon
+
+(* A seed-7 paper faultload, as the daemon generates it. *)
+let faultload sut =
   let base =
     match Conferr.Engine.parse_default_config sut with
     | Ok base -> base
-    | Error msg -> Alcotest.failf "postgres default config: %s" msg
+    | Error msg -> Alcotest.failf "%s default config: %s" sut.Suts.Sut.sut_name msg
   in
-  let scenarios =
+  ( base,
     Conferr.Campaign.typo_scenarios
       ~rng:(Conferr_util.Rng.create 7)
-      ~faultload:Conferr.Campaign.paper_faultload sut base
-  in
+      ~faultload:Conferr.Campaign.paper_faultload sut base )
+
+(* A seed-7 CLI-path run into [path]: the one-shot journal, or with
+   [resume] the completion of a partial one. *)
+let run_cli ?(resume = false) sut path =
+  let base, scenarios = faultload sut in
+  ignore
+    (Executor.run_from
+       ~settings:
+         { Executor.default_settings with campaign_seed = 7;
+           journal_path = Some path; resume }
+       ~on_event:(fun _ -> ()) ~sut ~base ~scenarios ())
+
+(* One-shot CLI-path journal for the same campaign, for determinism
+   comparisons. *)
+let oneshot_journal ?(sut = Suts.Mini_pg.sut) () =
   let path = Filename.temp_file "conferr_serve_oneshot" ".jsonl" in
-  let _ =
-    Executor.run_from
-      ~settings:
-        { Executor.default_settings with campaign_seed = 7;
-          journal_path = Some path }
-      ~on_event:(fun _ -> ()) ~sut ~base ~scenarios ()
-  in
+  run_cli sut path;
   path
 
 (* The determinism contract: wall-clock fields aside, the daemon's
@@ -390,7 +325,7 @@ let test_daemon_concurrent_campaigns () =
   let n1 = normalize_entries (str_member "journal" (Daemon.summary_json c1)) in
   let n2 = normalize_entries (str_member "journal" (Daemon.summary_json c2)) in
   Alcotest.(check (list string))
-    "concurrent tenants do not perturb each other's journals" n1 n2;
+    "concurrent campaigns do not perturb each other's journals" n1 n2;
   Daemon.drain daemon
 
 let test_daemon_backpressure_429 () =
@@ -456,23 +391,115 @@ let test_daemon_events_and_streaming () =
    | `Response _ -> Alcotest.fail "events endpoint did not stream");
   Daemon.drain daemon
 
+let num_member name json =
+  match Option.bind (Json.member name json) Json.num with
+  | Some f -> int_of_float f
+  | None -> Alcotest.failf "response has no number member %S" name
+
+(* A cancel must drop work.  An apache campaign (785 scenarios) is
+   cancelled right after its 202, on a one-domain daemon and on a
+   two-domain one, where it runs on the helper: the reply says
+   cancelled and counts what it dropped, the journal holds the rest,
+   fsck-clean, and a CLI resume completes it into the one-shot journal.
+   A daemon whose cancel only marks the status drops nothing and fails
+   here. *)
 let test_daemon_cancel () =
+  let oneshot = normalize_entries (oneshot_journal ~sut:Suts.Mini_apache.sut ()) in
+  List.iter
+    (fun jobs ->
+      let label what = Printf.sprintf "jobs %d: %s" jobs what in
+      let daemon = Daemon.create ~jobs ~state_dir:(temp_dir ()) () in
+      let c = submit ~sut:"mini_apache" daemon in
+      let resp =
+        response_of
+          (Daemon.handle daemon
+             (post ("/campaigns/" ^ Daemon.campaign_id c ^ "/cancel") ""))
+      in
+      Alcotest.(check int) (label "cancel accepted") 200 resp.Http.status;
+      let reply = json_of resp in
+      Alcotest.(check string) (label "the reply says cancelled") "cancelled"
+        (str_member "status" reply);
+      let dropped = num_member "dropped" reply in
+      Alcotest.(check bool) (label "cancel dropped scenarios") true (dropped > 0);
+      let summary = Daemon.summary_json c in
+      let journal = str_member "journal" summary in
+      Alcotest.(check int) (label "dropped + journal entries = total")
+        (num_member "total" summary)
+        (dropped + List.length (Journal.load journal));
+      Alcotest.(check bool) (label "journal fsck clean") true
+        (Journal.clean (Journal.fsck journal));
+      Daemon.drain daemon;
+      run_cli ~resume:true Suts.Mini_apache.sut journal;
+      Alcotest.(check (list string))
+        (label "resumed journal == one-shot journal modulo wall-clock") oneshot
+        (normalize_entries journal))
+    [ 1; 2 ]
+
+(* Campaigns take turns on one domain: a pg campaign submitted right
+   behind an apache one sees its first result while apache is still
+   open.  The pg events are read before apache's status, so a pass is
+   sound; campaigns run one after another fail it. *)
+let test_daemon_campaigns_take_turns () =
   let daemon = Daemon.create ~jobs:1 ~state_dir:(temp_dir ()) () in
-  let c = submit_pg daemon in
-  let resp =
-    response_of
-      (Daemon.handle daemon
-         (post ("/campaigns/" ^ Daemon.campaign_id c ^ "/cancel") ""))
+  let apache = submit ~sut:"mini_apache" daemon in
+  let pg = submit_pg daemon in
+  let first_result () =
+    List.exists
+      (fun line -> str_member "event" (Result.get_ok (Json.of_string line)) = "finished")
+      (fst (Daemon.events_after daemon pg 0))
   in
-  Alcotest.(check int) "cancel accepted" 200 resp.Http.status;
-  Daemon.wait daemon c;
-  Alcotest.(check string) "campaign cancelled" "cancelled"
-    (Daemon.status_label c);
-  (* the journal holds the completed prefix, fsck-clean *)
-  let journal = str_member "journal" (Daemon.summary_json c) in
-  Alcotest.(check bool) "journal fsck clean" true
-    (Journal.clean (Journal.fsck journal));
-  Daemon.drain daemon
+  while not (first_result () || Daemon.finished pg) do
+    Thread.delay 0.0005
+  done;
+  let apache_open = not (Daemon.finished apache) in
+  Daemon.wait daemon apache;
+  Daemon.wait daemon pg;
+  Daemon.drain daemon;
+  Alcotest.(check bool) "pg's first result came while apache was open" true apache_open;
+  Alcotest.(check (list string)) "both done" [ "done"; "done" ]
+    (List.map Daemon.status_label [ apache; pg ])
+
+(* The started and finished events of a closed campaign, as (kind,
+   index) in the order they were emitted. *)
+let run_order daemon c =
+  List.filter_map
+    (fun line ->
+      let ev = Result.get_ok (Json.of_string line) in
+      match str_member "event" ev with
+      | ("started" | "finished") as kind -> Some (kind, num_member "index" ev)
+      | _ -> None)
+    (fst (Daemon.events_after daemon c 0))
+
+(* Helper domains: a two-domain daemon has one helper.  Of two campaigns
+   that each ask for two domains, the first to start takes the helper
+   and runs there alone, the other finds none free and runs on the main
+   domain: each runs on one domain, so its scenarios start and finish
+   in index order, and both journals equal the one-shot journal.  A
+   daemon that lets a campaign spawn what it asks for without counting
+   the helpers runs each on two domains and fails here. *)
+let test_daemon_helper_domains () =
+  let daemon = Daemon.create ~jobs:2 ~state_dir:(temp_dir ()) () in
+  let extra = [ ("jobs", Json.Num 2.) ] in
+  let c1 = submit_pg ~extra daemon in
+  let c2 = submit_pg ~extra daemon in
+  Daemon.wait daemon c1;
+  Daemon.wait daemon c2;
+  Daemon.drain daemon;
+  let oneshot = normalize_entries (oneshot_journal ()) in
+  List.iter
+    (fun c ->
+      let id = Daemon.campaign_id c in
+      let summary = Daemon.summary_json c in
+      Alcotest.(check string) (id ^ " done") "done" (Daemon.status_label c);
+      Alcotest.(check (list (pair string int)))
+        (id ^ " ran on one domain: scenarios in index order")
+        (List.concat
+           (List.init (num_member "total" summary) (fun i ->
+                [ ("started", i); ("finished", i) ])))
+        (run_order daemon c);
+      Alcotest.(check (list string)) (id ^ " journal == one-shot journal") oneshot
+        (normalize_entries (str_member "journal" summary)))
+    [ c1; c2 ]
 
 let test_daemon_metrics_and_dashboard () =
   let daemon = Daemon.create ~jobs:1 ~state_dir:(temp_dir ()) () in
@@ -579,50 +606,6 @@ let test_event_to_json () =
     (tag (Progress.Timed_out { index = 0; id = "x"; attempt = 1 }));
   Alcotest.(check string) "breaker" "breaker-tripped"
     (tag (Progress.Breaker_tripped { bucket = "b" }))
-
-(* A retired tenant leaves the ring and rejects submissions; retire
-   waits for a task still running; co-tenants are served as before. *)
-let test_scheduler_retire () =
-  let sched = Scheduler.create ~jobs:1 () in
-  let a = Scheduler.tenant ~name:"a" sched in
-  let b = Scheduler.tenant ~name:"b" sched in
-  let ran = Atomic.make 0 in
-  ignore (Scheduler.submit a (fun () -> Atomic.incr ran));
-  Scheduler.wait a;
-  Scheduler.retire a;
-  Alcotest.(check (list string)) "a left the ring" [ "b" ] (Scheduler.tenants sched);
-  Alcotest.(check bool) "retired tenant rejects" true
-    (Scheduler.submit a (fun () -> Atomic.incr ran) = `Rejected);
-  Alcotest.(check bool) "co-tenant still queues" true
-    (Scheduler.submit b (fun () -> Atomic.incr ran) = `Queued);
-  Scheduler.wait b;
-  Alcotest.(check int) "tasks run" 2 (Atomic.get ran);
-  let gate = Mutex.create () in
-  Mutex.lock gate;
-  let c = Scheduler.tenant ~name:"c" sched in
-  let started = Atomic.make false and finished = Atomic.make false in
-  ignore
-    (Scheduler.submit c (fun () ->
-         Atomic.set started true;
-         Mutex.lock gate;
-         Mutex.unlock gate;
-         Atomic.set finished true));
-  while not (Atomic.get started) do
-    Thread.yield ()
-  done;
-  let retired = Atomic.make false in
-  let retirer =
-    Thread.create (fun () -> Scheduler.retire c; Atomic.set retired true) ()
-  in
-  Thread.delay 0.05;
-  Alcotest.(check bool) "retire waits for the running task" false (Atomic.get retired);
-  Mutex.unlock gate;
-  Thread.join retirer;
-  Alcotest.(check bool) "the running task finished first" true (Atomic.get finished);
-  Scheduler.retire b;
-  Scheduler.retire b;
-  Alcotest.(check (list string)) "empty ring" [] (Scheduler.tenants sched);
-  Scheduler.drain sched
 
 (* SIGTERM while a client holds an idle keep-alive connection: listen
    drains and returns without waiting for the client to hang up. *)
@@ -834,22 +817,18 @@ let test_daemon_status_snapshots () =
         Option.get (Daemon.find daemon (str_member "id" (json_of resp))))
       [ "mini_pg"; "mini_mysql"; "mini_appserver" ]
   in
-  let num name json =
-    match Option.bind (Json.member name json) Json.num with
-    | Some f -> int_of_float f
-    | None -> Alcotest.failf "status has no number %S" name
-  in
   let terminal = [ "done"; "interrupted"; "cancelled"; "failed" ] in
   let closed = Hashtbl.create 3 and polls = ref 0 in
   let check c snap =
     let id = Daemon.campaign_id c in
     incr polls;
-    if num "finished" snap > num "total" snap then
-      Alcotest.failf "%s: finished %d > total %d" id (num "finished" snap) (num "total" snap);
+    if num_member "finished" snap > num_member "total" snap then
+      Alcotest.failf "%s: finished %d > total %d" id (num_member "finished" snap)
+        (num_member "total" snap);
     if List.mem (str_member "status" snap) terminal then begin
       let lines, _ = Daemon.events_after daemon c 0 in
       Alcotest.(check int) (id ^ ": events of a terminal snapshot") (List.length lines)
-        (num "events" snap);
+        (num_member "events" snap);
       Hashtbl.replace closed id ()
     end
   in
@@ -884,12 +863,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_wellformed_roundtrip;
     Alcotest.test_case "http: handler exception becomes 500" `Quick
       test_serve_connection_handler_exn;
-    Alcotest.test_case "scheduler: round-robin fairness" `Quick
-      test_scheduler_fairness;
-    Alcotest.test_case "scheduler: cancel and failure propagation" `Quick
-      test_scheduler_cancel_and_failure;
-    Alcotest.test_case "scheduler: retired tenants leave the ring" `Quick
-      test_scheduler_retire;
     Alcotest.test_case "with_timeout: success joins its worker" `Quick
       test_with_timeout_no_leak_on_success;
     Alcotest.test_case "with_timeout: abandoned workers are accounted" `Quick
@@ -898,14 +871,18 @@ let suite =
       test_daemon_determinism;
     Alcotest.test_case "daemon: concurrent campaigns share the pool" `Slow
       test_daemon_concurrent_campaigns;
-    Alcotest.test_case "daemon: 429 with Retry-After when full" `Quick
-      test_daemon_backpressure_429;
     Alcotest.test_case "daemon: invalid submissions answer 400" `Quick
       test_daemon_rejects_bad_submissions;
     Alcotest.test_case "daemon: event buffer and chunked stream" `Slow
       test_daemon_events_and_streaming;
     Alcotest.test_case "daemon: cancel keeps a clean partial journal" `Quick
       test_daemon_cancel;
+    Alcotest.test_case "daemon: 429 with Retry-After when full" `Quick
+      test_daemon_backpressure_429;
+    Alcotest.test_case "daemon: campaigns take turns on one domain" `Quick
+      test_daemon_campaigns_take_turns;
+    Alcotest.test_case "daemon: campaigns share the helper domains" `Quick
+      test_daemon_helper_domains;
     Alcotest.test_case "daemon: live /metrics and /dashboard" `Slow
       test_daemon_metrics_and_dashboard;
     Alcotest.test_case "daemon: routing table" `Quick test_daemon_routes;
