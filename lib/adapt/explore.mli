@@ -102,8 +102,6 @@ val run :
 (** Parse the SUT's default configuration, build the stream over it, and
     explore. *)
 
-val stop_reason_to_string : stop_reason -> string
-
 val render : report -> string
 (** The frontier report: discovery table, dedup/skip counters, stop
     reason, final bucket energies.  Contains no timing, so it is

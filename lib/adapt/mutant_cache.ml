@@ -1,14 +1,14 @@
 module Engine = Conferr.Engine
 module Scenario = Errgen.Scenario
 
-type t = { table : (string, string) Hashtbl.t; mutable hits : int }
+type t = { table : (string, string) Hashtbl.t }
 
 type verdict =
   | Fresh of string
   | Duplicate_of of { digest : string; first_id : string }
   | Inexpressible of string
 
-let create () = { table = Hashtbl.create 256; hits = 0 }
+let create () = { table = Hashtbl.create 256 }
 
 let digest_files files =
   let buf = Buffer.create 1024 in
@@ -27,13 +27,7 @@ let classify t ~sut ~base (s : Scenario.t) =
   | Ok files ->
     let digest = digest_files files in
     (match Hashtbl.find_opt t.table digest with
-     | Some first_id ->
-       t.hits <- t.hits + 1;
-       Duplicate_of { digest; first_id }
+     | Some first_id -> Duplicate_of { digest; first_id }
      | None ->
        Hashtbl.add t.table digest s.id;
        Fresh digest)
-
-let size t = Hashtbl.length t.table
-
-let hits t = t.hits

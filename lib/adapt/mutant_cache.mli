@@ -30,9 +30,3 @@ val classify :
 (** Apply and serialize the scenario's mutation, then look the result up
     by content digest.  A [Fresh] verdict registers the digest under the
     scenario's id. *)
-
-val size : t -> int
-(** Distinct mutants registered so far. *)
-
-val hits : t -> int
-(** Duplicate lookups answered so far. *)

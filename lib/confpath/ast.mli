@@ -36,6 +36,4 @@ type step = { axis : axis; test : name_test; preds : pred list }
 
 type t = { absolute : bool; steps : step list }
 
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string

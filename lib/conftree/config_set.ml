@@ -37,18 +37,18 @@ let fold_nodes f t acc =
   in
   List.fold_left (fun acc (file, root) -> go file [] root acc) acc t
 
-(* Sites of [kind] nodes grouped by canonical name, document order
-   within the set's file order.  [top_level] restricts to direct
-   children of each file root — the scope where cross-file last-one-wins
-   shadowing actually happens.  One pass groups the sites in a table
+(* Sites of top-level [kind] nodes (direct children of each file root —
+   the scope where cross-file last-one-wins shadowing actually happens)
+   grouped by canonical name, document order within the set's file
+   order.  One pass groups the sites in a table
    local to the call: per name, its sites latest first and whether they
    span two files; the names are kept in first-appearance order. *)
-let cross_file_duplicates ?(top_level = true) ~kind ~canon t =
+let cross_file_duplicates ~kind ~canon t =
   let groups = Hashtbl.create 64 in
   let names =
     fold_nodes
       (fun file path (n : Node.t) names ->
-        if n.kind = kind && (not top_level || List.length path = 1) then begin
+        if n.kind = kind && List.length path = 1 then begin
           let name = canon n.name in
           match Hashtbl.find_opt groups name with
           | None ->
@@ -72,5 +72,3 @@ let cross_file_duplicates ?(top_level = true) ~kind ~canon t =
 let equal a b =
   List.length a = List.length b
   && List.for_all2 (fun (n1, v1) (n2, v2) -> n1 = n2 && Node.equal v1 v2) a b
-
-let cardinal = List.length

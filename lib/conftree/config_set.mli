@@ -33,14 +33,12 @@ val fold_nodes : (string -> Path.t -> Node.t -> 'a -> 'a) -> t -> 'a -> 'a
     cross-file analyses ([lib/lint]'s reference graph) walk. *)
 
 val cross_file_duplicates :
-  ?top_level:bool -> kind:string -> canon:(string -> string) -> t ->
+  kind:string -> canon:(string -> string) -> t ->
   (string * (string * Path.t) list) list
-(** Canonical names of [kind] nodes that appear in two or more distinct
-    files of the set, with every site in document order — the cross-file
-    shadowing a per-file scan cannot see.  [top_level] (default [true])
-    restricts to direct children of each file root, where last-one-wins
-    shadowing across files actually applies. *)
+(** Canonical names of [kind] nodes that appear as direct children of
+    the roots of two or more distinct files of the set, with every site
+    in document order — the cross-file shadowing a per-file scan cannot
+    see (last-one-wins shadowing across files applies at the top level
+    only). *)
 
 val equal : t -> t -> bool
-
-val cardinal : t -> int

@@ -38,8 +38,6 @@ let remove_attr t key = { t with attrs = List.remove_assoc key t.attrs }
 
 let value_or ~default t = Option.value ~default t.value
 
-let rec size t = 1 + List.fold_left (fun acc c -> acc + size c) 0 t.children
-
 let rec equal a b =
   a.kind = b.kind && a.name = b.name && a.value = b.value && a.attrs = b.attrs
   && List.length a.children = List.length b.children
@@ -56,8 +54,6 @@ let rec get t = function
     (match List.nth_opt t.children i with
      | None -> None
      | Some c -> get c rest)
-
-let children_of t path = Option.map (fun n -> n.children) (get t path)
 
 let fold f t init =
   let rec go path t acc =

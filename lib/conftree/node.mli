@@ -60,9 +60,6 @@ val remove_attr : t -> string -> t
 
 val value_or : default:string -> t -> string
 
-val size : t -> int
-(** Total node count, including the node itself. *)
-
 val equal : t -> t -> bool
 (** Structural equality including attribute lists (order-sensitive). *)
 
@@ -73,8 +70,6 @@ val equal_modulo_attrs : t -> t -> bool
 (** {1 Navigation} *)
 
 val get : t -> Path.t -> t option
-
-val children_of : t -> Path.t -> t list option
 
 val fold : (Path.t -> t -> 'a -> 'a) -> t -> 'a -> 'a
 (** Pre-order fold over every node with its path. *)

@@ -1,7 +1,5 @@
 type t = int list
 
-let root = []
-
 let child p i = p @ [ i ]
 
 let parent p =
@@ -14,8 +12,6 @@ let rec is_prefix ~prefix p =
   | [], _ -> true
   | _, [] -> false
   | a :: pre, b :: rest -> a = b && is_prefix ~prefix:pre rest
-
-let is_strict_prefix ~prefix p = is_prefix ~prefix p && List.length prefix < List.length p
 
 let rec compare a b =
   match (a, b) with

@@ -6,8 +6,6 @@
 
 type t = int list
 
-val root : t
-
 val child : t -> int -> t
 (** [child p i] extends [p] with child index [i]. *)
 
@@ -18,8 +16,6 @@ val parent : t -> (t * int) option
 val is_prefix : prefix:t -> t -> bool
 (** [is_prefix ~prefix p] holds when [prefix] is an ancestor-or-self
     of [p]. *)
-
-val is_strict_prefix : prefix:t -> t -> bool
 
 val compare : t -> t -> int
 (** Lexicographic; document order for siblings. *)
@@ -34,8 +30,6 @@ val adjust_after_delete : deleted:t -> t -> t option
 val adjust_after_insert : inserted:t -> t -> t
 (** [adjust_after_insert ~inserted p] rewrites [p] so it designates the
     same node after a new node was inserted at position [inserted]. *)
-
-val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 (** Renders as ["/0/3/1"]; the root is ["/"]. *)

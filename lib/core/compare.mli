@@ -10,10 +10,6 @@
 
 type bin = Poor | Fair | Good | Excellent
 
-val bin_of_rate : float -> bin
-(** [0, 0.25] poor, (0.25, 0.5] fair, (0.5, 0.75] good, (0.75, 1]
-    excellent. *)
-
 type directive_result = { directive : string; experiments : int; detected : int }
 
 type t = { sut_name : string; per_directive : directive_result list }
@@ -27,9 +23,6 @@ val run :
     paper's count).  [sampler] draws one typo of a value word; it
     defaults to {!Errgen.Typo.random_kind_first} and can be replaced for
     ablation studies (e.g. keyboard-oblivious substitutions). *)
-
-val distribution : t -> (bin * float) list
-(** Percentage of directives in each bin (0..100). *)
 
 val render_figure3 : t list -> string
 (** Textual rendering of the stacked distribution, one column per SUT. *)

@@ -126,25 +126,3 @@ type config_error = { sut_name : string; message : string }
 
 let config_error_to_string { sut_name; message } =
   Printf.sprintf "default configuration of %s does not parse: %s" sut_name message
-
-let run ~sut ~scenarios () =
-  match parse_default_config sut with
-  | Error message -> Error { sut_name = sut.Suts.Sut.sut_name; message }
-  | Ok base -> Ok (run_from ~sut ~base ~scenarios ())
-
-let baseline_ok (sut : Suts.Sut.t) =
-  let* base = parse_default_config sut in
-  let* files = serialize_config sut base in
-  match boot_and_test sut files with
-  | Outcome.Passed -> Ok ()
-  | Outcome.Startup_failure msg ->
-    Error (Printf.sprintf "default configuration fails to start: %s" msg)
-  | Outcome.Test_failure msgs ->
-    Error
-      (Printf.sprintf "default configuration fails functional tests: %s"
-         (String.concat "; " msgs))
-  | Outcome.Not_applicable msg -> Error msg
-  | Outcome.Crashed c ->
-    Error
-      (Printf.sprintf "default configuration crashed the harness: %s"
-         (Outcome.crash_summary c))

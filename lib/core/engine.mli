@@ -64,11 +64,6 @@ type config_error = { sut_name : string; message : string }
 
 val config_error_to_string : config_error -> string
 
-val run :
-  sut:Suts.Sut.t -> scenarios:Errgen.Scenario.t list -> unit ->
-  (Profile.t, config_error) result
-(** Runs every scenario against the SUT's default configuration. *)
-
 val run_from :
   sut:Suts.Sut.t -> base:Conftree.Config_set.t ->
   scenarios:Errgen.Scenario.t list -> unit -> Profile.t
@@ -76,7 +71,3 @@ val run_from :
     sequential loop, one {!run_scenario} per scenario in list order.
     The parallel, journaled campaign is [Conferr_exec.Executor.run_from];
     [test_oracle] checks the two agree on every outcome. *)
-
-val baseline_ok : Suts.Sut.t -> (unit, string) result
-(** Sanity check: the unmodified default configuration must boot and
-    pass all functional tests. *)

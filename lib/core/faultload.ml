@@ -15,3 +15,11 @@ let journal_scenarios ~seed sut base =
     | _ -> []
   in
   typo @ semantic
+
+let by_id scenarios =
+  let tbl = Hashtbl.create (List.length scenarios * 2) in
+  List.iter
+    (fun (sc : Errgen.Scenario.t) ->
+      if not (Hashtbl.mem tbl sc.id) then Hashtbl.add tbl sc.id sc)
+    scenarios;
+  Hashtbl.find_opt tbl

@@ -12,3 +12,10 @@ val journal_scenarios :
 (** The paper typo faultload at [seed] plus, for the DNS SUTs, the
     RFC 1912 semantic scenarios with ids relabelled like
     [conferr semantic] ([semantic-0001], ...). *)
+
+val by_id : Errgen.Scenario.t list -> string -> Errgen.Scenario.t option
+(** [by_id scenarios] indexes the list once and returns the lookup from
+    a scenario id to the first scenario with that id: how [gaps],
+    [infer] and [repair] join journal entries to the regenerated
+    faultload.  {!journal_scenarios} ids are unique (checked by
+    [test_repair]), so which duplicate wins changes no output. *)

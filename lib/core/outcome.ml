@@ -81,11 +81,3 @@ let cause_summary = function
 
 let crash_summary c =
   Printf.sprintf "%s [%s]" (cause_summary c.cause) (phase_label c.phase)
-
-let pp fmt = function
-  | Startup_failure msg -> Format.fprintf fmt "startup failure: %s" msg
-  | Test_failure msgs ->
-    Format.fprintf fmt "functional-test failure: %s" (String.concat "; " msgs)
-  | Passed -> Format.pp_print_string fmt "passed (mutation ignored or handled)"
-  | Not_applicable msg -> Format.fprintf fmt "not applicable: %s" msg
-  | Crashed c -> Format.fprintf fmt "crashed: %s" (crash_summary c)

@@ -71,5 +71,3 @@ val cause_of_string : string -> crash_cause option
 val crash_summary : crash -> string
 (** ["<cause summary> [<phase>]"] — stable across runs (no backtrace),
     so it can feed signature clustering. *)
-
-val pp : Format.formatter -> t -> unit

@@ -28,8 +28,6 @@ type verdict = Found | Not_found | Na
 (** Whether the SUT detected the injected fault class, or the fault was
     not expressible in its configuration language. *)
 
-val verdict_label : verdict -> string
-
 type table3_row = {
   fault : Dnsmodel.Rfc1912.fault;
   bind : verdict;
@@ -52,15 +50,7 @@ val render_figure3 : figure3 -> string
 
 (** {1 Extension: the §5.5 comparison method on the DNS pair} *)
 
-val figure_dns : ?seed:int -> ?experiments:int -> unit -> Profile.t list
-(** Typos in record data against BIND and djbdns (value-typo campaign,
-    no deletions), comparing how much of a zone's data each server
-    validates. *)
-
 (** {1 Configuration-process benchmark (§5.5's procedure)} *)
-
-val mysql_tasks : Process_bench.task list
-val postgres_tasks : Process_bench.task list
 
 val process_benchmark : ?seed:int -> ?experiments:int -> unit -> Process_bench.t list
 (** Simulates the administrator's configuration process: valid edits

@@ -17,7 +17,9 @@ let directives_of tree =
 
 (* Apply the administrator's valid edit, then pick typo targets within
    [proximity] positions of it (in document order over directives). *)
-let run_task ~rng ~experiments ~proximity ~sut ~file ~base task =
+let proximity = 2
+
+let run_task ~rng ~experiments ~sut ~file ~base task =
   match Conftree.Config_set.find base file with
   | None -> Error (Printf.sprintf "file %S missing" file)
   | Some tree ->
@@ -88,7 +90,7 @@ let run_task ~rng ~experiments ~proximity ~sut ~file ~base task =
                     detected = List.length (List.filter Outcome.detected outcomes);
                   }))))
 
-let run ~rng ?(experiments = 20) ?(proximity = 2) ~sut ~config ~tasks () =
+let run ~rng ?(experiments = 20) ~sut ~config ~tasks () =
   let file, text = config in
   match Engine.parse_config sut [ (file, text) ] with
   | Error msg -> Error msg
@@ -96,7 +98,7 @@ let run ~rng ?(experiments = 20) ?(proximity = 2) ~sut ~config ~tasks () =
     let rec go acc = function
       | [] -> Ok { sut_name = sut.Suts.Sut.sut_name; task_results = List.rev acc }
       | task :: rest ->
-        (match run_task ~rng ~experiments ~proximity ~sut ~file ~base task with
+        (match run_task ~rng ~experiments ~sut ~file ~base task with
          | Error msg -> Error msg
          | Ok result -> go (result :: acc) rest)
     in

@@ -11,8 +11,8 @@
 
     A {!task} is one valid administrator edit (set a directive to a new,
     valid value).  For each task, the benchmark applies the edit, then
-    injects value typos into directives within [proximity] positions of
-    the edited one, and measures how many injections the system
+    injects value typos into directives within two positions of the
+    edited one, and measures how many injections the system
     detects. *)
 
 type task = { directive : string; new_value : string }
@@ -29,19 +29,14 @@ type t = { sut_name : string; task_results : task_result list }
 val run :
   rng:Conferr_util.Rng.t ->
   ?experiments:int ->
-  ?proximity:int ->
   sut:Suts.Sut.t ->
   config:(string * string) ->
   tasks:task list ->
   unit ->
   (t, string) result
-(** [experiments] typos per task (default 20); [proximity] is the
-    maximum distance, in directives, between the valid edit and the
-    injected typo (default 2; 0 = only the edited directive itself).
+(** [experiments] typos per task (default 20), each injected at most
+    two directives from the valid edit.
     Tasks whose directive is absent from the configuration are
     reported with zero injections. *)
-
-val detection_rate : t -> float
-(** Overall detected / injected across all tasks (0 when empty). *)
 
 val render : t -> string

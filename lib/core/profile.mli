@@ -26,13 +26,6 @@ val make : sut_name:string -> entry list -> t
 
 val summarize : t -> summary
 
-val summarize_class : t -> string -> summary
-(** Summary restricted to entries whose class name starts with the given
-    prefix. *)
-
-val class_names : t -> string list
-(** Distinct class names in first-appearance order. *)
-
 val filter : (entry -> bool) -> t -> t
 
 val detection_rate : summary -> float

@@ -100,14 +100,3 @@ let render t =
     List.map (fun s -> Printf.sprintf "## %s\n\n%s" s.title s.body) t.sections
   in
   String.concat "\n" (header :: body)
-
-let weaknesses t =
-  List.concat_map
-    (fun s ->
-      if
-        Conferr_util.Strutil.is_prefix ~prefix:"Silently accepted" s.title
-      then
-        Conferr_util.Strutil.lines s.body
-        |> List.filter_map (Conferr_util.Strutil.drop_prefix ~prefix:"  - ")
-      else [])
-    t.sections

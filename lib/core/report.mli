@@ -23,6 +23,3 @@ val generate :
 
 val render : t -> string
 (** Markdown-ish rendering with section headers. *)
-
-val weaknesses : t -> string list
-(** The silently-ignored injections, worth a developer's attention. *)

@@ -17,14 +17,6 @@ let nearest ~vocabulary word =
           if d < bd || (d = bd && candidate < b) then Some (candidate, d) else best))
     None vocabulary
 
-let suggestions ?(max_distance = 2) ~vocabulary word =
-  vocabulary
-  |> List.map (fun c -> (c, Strutil.damerau_levenshtein word c))
-  |> List.filter (fun (_, d) -> d <= max_distance)
-  |> List.sort (fun (a, da) (b, db) ->
-         if da <> db then Int.compare da db else String.compare a b)
-  |> List.map fst
-
 let uniquely_nearest ~vocabulary word =
   match nearest ~vocabulary word with
   | None -> None

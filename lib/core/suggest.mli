@@ -12,24 +12,14 @@ val nearest : vocabulary:string list -> string -> (string * int) option
 (** The closest known name and its edit distance; ties break towards the
     lexicographically smaller name.  [None] on an empty vocabulary. *)
 
-val suggestions :
-  ?max_distance:int -> vocabulary:string list -> string -> string list
-(** All names within [max_distance] (default 2) of the input, closest
-    first (ties lexicographic). *)
-
-val recovery_rate :
-  vocabulary:string list -> rng:Conferr_util.Rng.t -> ?samples:int -> string -> float
-(** [recovery_rate ~vocabulary ~rng word] draws [samples] (default 50)
-    random one-letter typos of [word] and returns the fraction whose
-    unique nearest vocabulary entry is [word] itself — the share of name
-    typos a "did you mean" suggestion would repair.  Typos that land on
-    another valid name, or tie between several names, count as not
-    recovered. *)
-
 type summary = { per_word : (string * float) list; mean : float }
 
 val recoverability :
   vocabulary:string list -> rng:Conferr_util.Rng.t -> ?samples:int -> unit -> summary
-(** {!recovery_rate} over every vocabulary word. *)
+(** For every vocabulary word, the share of [samples] (default 50)
+    random one-letter typos whose unique nearest vocabulary entry is the
+    word itself — the share of name typos a "did you mean" suggestion
+    would repair.  Typos that land on another valid name, or tie between
+    several names, count as not recovered. *)
 
 val render : summary -> string

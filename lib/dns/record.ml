@@ -38,8 +38,6 @@ let rtype t =
 
 let tag t key = List.assoc_opt key t.tags
 
-let with_tag t key v = { t with tags = (key, v) :: List.remove_assoc key t.tags }
-
 let equal a b = a.owner = b.owner && a.ttl = b.ttl && a.rdata = b.rdata
 
 let target t =

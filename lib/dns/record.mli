@@ -42,15 +42,11 @@ val rtype : t -> string
 
 val tag : t -> string -> string option
 
-val with_tag : t -> string -> string -> t
-
 val equal : t -> t -> bool
 (** Ignores tags. *)
 
 val target : t -> string option
 (** The domain name the record points at (NS/CNAME/PTR/MX target),
     [None] for address and text records. *)
-
-val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -44,23 +44,3 @@ let query t ~name ~rtype =
         end
   in
   resolve [] (Name.normalize name) 0
-
-let lookup_a t name =
-  match query t ~name ~rtype:"A" with
-  | Answer records ->
-    List.filter_map
-      (fun (r : Record.t) -> match r.rdata with Record.A ip -> Some ip | _ -> None)
-      records
-  | No_data | Nx_domain | Not_authoritative | Cname_loop -> []
-
-let lookup_ptr t ~ip =
-  match Name.reverse_of_ipv4 ip with
-  | None -> []
-  | Some rev ->
-    (match query t ~name:rev ~rtype:"PTR" with
-     | Answer records ->
-       List.filter_map
-         (fun (r : Record.t) ->
-           match r.rdata with Record.Ptr n -> Some n | _ -> None)
-         records
-     | No_data | Nx_domain | Not_authoritative | Cname_loop -> [])

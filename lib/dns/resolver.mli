@@ -20,9 +20,3 @@ val query : t -> name:string -> rtype:string -> response
 (** CNAME chasing: when the owner has a CNAME and the query is for a
     different type, the chain is followed (up to 8 hops) inside the
     served zones. *)
-
-val lookup_a : t -> string -> string list
-(** Convenience: the IPv4 addresses for a name (after CNAME chasing). *)
-
-val lookup_ptr : t -> ip:string -> string list
-(** Convenience: the names the reverse record(s) for [ip] point at. *)

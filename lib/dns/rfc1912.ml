@@ -149,9 +149,3 @@ let scenarios ~codec ~faults set =
                       match codec.Codec.decode set with
                       | Error e -> Error e
                       | Ok _ -> codec.Codec.encode mutated set)))
-
-let plugin ~codec ~faults =
-  Errgen.Plugin.make
-    ~name:(Printf.sprintf "semantic-dns-%s" codec.Codec.codec_name)
-    ~describe:"RFC-1912 semantic DNS configuration errors"
-    (fun ~rng:_ set -> scenarios ~codec ~faults set)

@@ -39,5 +39,3 @@ val scenarios :
 (** End-to-end plugin: decode the configuration, instantiate each fault,
     and wrap every instance as a scenario whose application re-encodes
     through the codec (encode failures surface as scenario errors). *)
-
-val plugin : codec:Codec.t -> faults:fault list -> Errgen.Plugin.t

@@ -17,87 +17,6 @@ let make f =
 
 let next g = g.pull ()
 
-let of_list xs =
-  let rest = ref xs in
-  make (fun () ->
-      match !rest with
-      | [] -> None
-      | x :: tl ->
-        rest := tl;
-        Some x)
-
-let of_seq seq =
-  let rest = ref seq in
-  make (fun () ->
-      match !rest () with
-      | Seq.Nil -> None
-      | Seq.Cons (x, tl) ->
-        rest := tl;
-        Some x)
-
-let unfold step init =
-  let state = ref (Some init) in
-  make (fun () ->
-      match !state with
-      | None -> None
-      | Some s ->
-        (match step s with
-         | None ->
-           state := None;
-           None
-         | Some (x, s') ->
-           state := Some s';
-           Some x))
-
-let seeded ~seed draw =
-  let rng = Rng.create seed in
-  make (fun () -> draw rng)
-
-let map f g = make (fun () -> Option.map f (next g))
-
-let filter p g =
-  make (fun () ->
-      let rec go () =
-        match next g with
-        | None -> None
-        | Some x when p x -> Some x
-        | Some _ -> go ()
-      in
-      go ())
-
-let append a b =
-  make (fun () ->
-      match next a with
-      | Some _ as r -> r
-      | None -> next b)
-
-let interleave gens =
-  let q = Queue.create () in
-  List.iter (fun g -> Queue.add g q) gens;
-  make (fun () ->
-      (* try each remaining stream once, dropping exhausted ones *)
-      let rec go attempts =
-        if attempts = 0 || Queue.is_empty q then None
-        else
-          let g = Queue.pop q in
-          match next g with
-          | Some x ->
-            Queue.add g q;
-            Some x
-          | None -> go (attempts - 1)
-      in
-      go (Queue.length q))
-
-let take n g =
-  let rec go acc k =
-    if k <= 0 then List.rev acc
-    else
-      match next g with
-      | None -> List.rev acc
-      | Some x -> go (x :: acc) (k - 1)
-  in
-  go [] n
-
 (* After this many consecutive empty rounds the generator is assumed
    drained for good (guards an unbounded stream over a generator that
    yields nothing for this configuration). *)

@@ -6,47 +6,15 @@
     are produced one pull at a time, so a faultload can be unbounded —
     the consumer (e.g. [Conferr_adapt.Explore]) decides when to stop.
 
-    Streams are {e single-consumer}: pulling mutates the stream, and the
-    combinators below take ownership of their arguments.  Determinism is
+    Streams are {e single-consumer}: pulling mutates the stream.  Determinism is
     preserved by construction — a stream built from a seed always yields
     the same elements in the same order, so campaigns over streams are
     as reproducible as campaigns over lists. *)
 
 type 'a t
 
-val make : (unit -> 'a option) -> 'a t
-(** Wrap a pull function.  After the first [None] the stream is treated
-    as exhausted: the function is not called again. *)
-
 val next : 'a t -> 'a option
 (** Pull the next element; [None] means exhausted (and stays [None]). *)
-
-val of_list : 'a list -> 'a t
-
-val of_seq : 'a Seq.t -> 'a t
-
-val unfold : ('s -> ('a * 's) option) -> 's -> 'a t
-(** Classic anamorphism: [unfold step init] yields elements while [step]
-    returns [Some (x, next_state)]. *)
-
-val seeded : seed:int -> (Conferr_util.Rng.t -> 'a option) -> 'a t
-(** Unbounded seeded stream: one private RNG is created from [seed] and
-    threaded through every pull.  The draw function returning [None]
-    ends the stream. *)
-
-val map : ('a -> 'b) -> 'a t -> 'b t
-
-val filter : ('a -> bool) -> 'a t -> 'a t
-
-val append : 'a t -> 'a t -> 'a t
-(** Everything of the first stream, then everything of the second. *)
-
-val interleave : 'a t list -> 'a t
-(** Round-robin over the streams, dropping each as it exhausts — merges
-    several error models into one fair stream. *)
-
-val take : int -> 'a t -> 'a list
-(** Pull at most [n] elements (fewer when the stream ends early). *)
 
 val of_generator :
   ?rounds:int ->

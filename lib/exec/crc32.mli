@@ -11,9 +11,6 @@ val sub : string -> int -> int -> int
     copy — how a journal line's ["entry"] bytes are verified in place.
     Raises [Invalid_argument] when the range is out of bounds. *)
 
-val update : int -> string -> int
-(** Extend a previous checksum: [update (string a) b = string (a ^ b)]. *)
-
 val to_hex : int -> string
 (** 8 lowercase hex digits, zero-padded — the journal encoding. *)
 

@@ -379,9 +379,3 @@ let run_from ?(settings = default_settings) ?on_event ~sut ~base ~scenarios () =
       entries
   in
   (Profile.make ~sut_name:sut.Suts.Sut.sut_name profile_entries, snapshot)
-
-let run ?settings ?on_event ~sut ~scenarios () =
-  match Engine.parse_default_config sut with
-  | Error message ->
-    Error { Engine.sut_name = sut.Suts.Sut.sut_name; message }
-  | Ok base -> Ok (run_from ?settings ?on_event ~sut ~base ~scenarios ())

@@ -163,14 +163,3 @@ val run_from :
 (** Execute the campaign against an already-parsed base configuration.
     [on_event] (default {!Progress.log_event}) is invoked under a lock,
     in completion order, from worker domains. *)
-
-val run :
-  ?settings:settings ->
-  ?on_event:(Progress.event -> unit) ->
-  sut:Suts.Sut.t ->
-  scenarios:Errgen.Scenario.t list ->
-  unit ->
-  (Conferr.Profile.t * Progress.snapshot, Conferr.Engine.config_error) result
-(** Like {!run_from} but parses the SUT's default configuration first;
-    a SUT whose own default config does not parse is reported as
-    [Error], never an exception. *)

@@ -249,7 +249,7 @@ let decode_line line =
 
 let is_store = Segstore.is_store
 
-(* Read-side dispatch is more lenient than {!is_store}: a directory
+(* Read-side dispatch is more lenient than [is_store]: a directory
    that is not (yet) a recognizable store — e.g. a store whose creation
    was killed before its first manifest write became durable — must
    still be read (as empty) and surveyed/repaired as a store, never fed
@@ -604,10 +604,6 @@ let survey_to_json s =
    segments. *)
 let fsck path =
   if reads_as_store path then survey_totals (survey path) else fsck_file path
-
-let repair path =
-  if reads_as_store path then survey_totals (survey ~repair:true path)
-  else repair_file path
 
 (* ---- CLI-facing path validation (exit-2 material) ---- *)
 

@@ -3,7 +3,7 @@
     Every finished injection is appended (and flushed) as one line, so a
     campaign killed mid-run loses at most the entry being written; on
     restart the executor loads the journal and skips every scenario that
-    already has an entry.  Format version {!format_version} wraps each
+    already has an entry.  Format version 2 wraps each
     entry with a CRC-32 so torn or rotted lines are detected, not
     silently mis-read (see [doc/exec.md]):
 
@@ -41,10 +41,6 @@
     one logical journal and v1/v2 single files keep loading unchanged.
     Opt in with [?segment_bytes] ({[--segment-bytes]} at the CLI); a
     path that already is a store is recognized automatically. *)
-
-val format_version : int
-(** Line format, currently 2 (v2.1 is the same wire version plus the
-    optional ["phase"] field). *)
 
 exception Fault of string
 (** A storage-level failure while writing the journal — [Sys_error] or
@@ -95,9 +91,6 @@ val decode_line : string -> line_verdict
     its CRC checked over the raw ["entry"] bytes and only those bytes
     parsed; any other line (v1, another writer's layout, or one that
     fails that check) gets the canonical check. *)
-
-val is_store : string -> bool
-(** The path is a v3 segmented store ({!Segstore.is_store}). *)
 
 val load : string -> entry list
 (** Load every verifiable entry, in file order — segment order for a
@@ -173,7 +166,7 @@ type fsck_report = {
   corrupt : int;  (** JSON lines failing CRC or entry decoding *)
   valid_prefix_bytes : int;
       (** byte length of the leading run of valid (or blank) lines —
-          what {!repair} keeps (per segment on a v3 store) *)
+          what [survey ~repair:true] keeps (per segment on a v3 store) *)
 }
 
 val clean : fsck_report -> bool
@@ -184,14 +177,6 @@ val fsck : string -> fsck_report
     the valid prefix; a missing file reports all-zero.  On a v3 store
     the counts aggregate across segments — use {!survey} for the
     per-segment detail. *)
-
-val repair : string -> fsck_report
-(** {!fsck}, then — if anything is damaged — heal: a single file is
-    truncated to its valid prefix (atomically, write-then-rename); a
-    v3 store has each damaged {e segment} truncated individually,
-    orphan segments and temp leftovers deleted, and the manifest
-    resealed from the healed files.  Returns the {e pre}-repair
-    report. *)
 
 (** {1 Store-aware survey — [conferr fsck]'s engine} *)
 
@@ -222,9 +207,13 @@ type survey = {
 
 val survey : ?repair:bool -> string -> survey
 (** The full fsck: per-segment line classification, manifest/CRC
-    verification, orphan detection.  With [~repair:true], heal as
-    {!repair} does; [counts] keep the pre-repair numbers and
-    [dropped]/[repaired] record what healing did. *)
+    verification, orphan detection.  With [~repair:true], heal what is
+    damaged: a single file is truncated to its valid prefix
+    (atomically, write-then-rename); a v3 store has each damaged
+    {e segment} truncated individually, orphan segments and temp
+    leftovers deleted, and the manifest resealed from the healed files.
+    [counts] keep the pre-repair numbers and [dropped]/[repaired] record
+    what healing did. *)
 
 val survey_clean : survey -> bool
 (** Nothing torn, corrupt, CRC-mismatched or orphaned, and the

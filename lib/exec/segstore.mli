@@ -45,9 +45,6 @@ val load_manifest : string -> manifest option
 (** [None] when the manifest is missing or unparseable (fsck reports
     that; {!read_lines} falls back to scanning). *)
 
-val segment_files : string -> string list
-(** Every [seg-*.jsonl] file name in the directory, sorted. *)
-
 (** A segment file's standing relative to the manifest. *)
 type standing = Sealed_as of sealed | Open | Orphan
 

@@ -5,6 +5,4 @@ type t = { line : int; message : string }
 
 val make : ?line:int -> string -> t
 
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string

@@ -2,8 +2,6 @@ type bucket = {
   mutable consecutive : int;  (* harness crashes since the last success *)
   mutable countdown : int;    (* scenarios still to skip while open *)
   mutable backoff : int;      (* width of the next skip window *)
-  mutable skipped : int;
-  mutable trips : int;
 }
 
 module Metrics = Conferr_obsv.Metrics
@@ -17,14 +15,6 @@ type t = {
   lock : Mutex.t;
   buckets : (string * string, bucket) Hashtbl.t;
   metrics : Metrics.t option;
-}
-
-type trip = {
-  sut_name : string;
-  class_name : string;
-  trip_count : int;
-  skipped : int;
-  consecutive : int;
 }
 
 let create ?(threshold = 5) ?(base_backoff = 8) ?metrics () =
@@ -46,8 +36,7 @@ let bucket_of t key =
   | Some b -> b
   | None ->
     let b =
-      { consecutive = 0; countdown = 0; backoff = t.base_backoff; skipped = 0;
-        trips = 0 }
+      { consecutive = 0; countdown = 0; backoff = t.base_backoff }
     in
     Hashtbl.add t.buckets key b;
     b
@@ -72,7 +61,6 @@ let admit t ~sut_name ~class_name =
       let b = bucket_of t key in
       if b.countdown > 0 then begin
         b.countdown <- b.countdown - 1;
-        b.skipped <- b.skipped + 1;
         publish t key b;
         `Skip (bucket_name key)
       end
@@ -91,7 +79,6 @@ let note t ~sut_name ~class_name ~crashed =
                with a doubled window queued behind it *)
             b.countdown <- b.backoff;
             b.backoff <- min (b.backoff * 2) max_backoff;
-            b.trips <- b.trips + 1;
             `Tripped (bucket_name key)
           end
           else `Counted
@@ -105,30 +92,3 @@ let note t ~sut_name ~class_name ~crashed =
       in
       publish t key b;
       verdict)
-
-let trips t =
-  with_lock t (fun () ->
-      Hashtbl.fold
-        (fun (sut_name, class_name) b acc ->
-          if b.trips = 0 then acc
-          else
-            {
-              sut_name;
-              class_name;
-              trip_count = b.trips;
-              skipped = b.skipped;
-              consecutive = b.consecutive;
-            }
-            :: acc)
-        t.buckets []
-      |> List.sort (fun a b ->
-             compare (a.sut_name, a.class_name) (b.sut_name, b.class_name)))
-
-let render_trip tr =
-  Printf.sprintf
-    "%s x %s: tripped %d time%s after %d consecutive crashes, %d scenario%s \
-     classified without execution"
-    tr.sut_name tr.class_name tr.trip_count
-    (if tr.trip_count = 1 then "" else "s")
-    tr.consecutive tr.skipped
-    (if tr.skipped = 1 then "" else "s")

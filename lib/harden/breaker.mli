@@ -11,14 +11,6 @@
 
 type t
 
-type trip = {
-  sut_name : string;
-  class_name : string;
-  trip_count : int;    (** times this bucket tripped *)
-  skipped : int;       (** scenarios classified without execution *)
-  consecutive : int;   (** crash streak at the end of the campaign *)
-}
-
 val create :
   ?threshold:int ->
   ?base_backoff:int ->
@@ -43,9 +35,3 @@ val note :
   [ `Counted | `Tripped of string ]
 (** Record one executed scenario's fate.  Returns [`Tripped bucket] on
     the execution that opens (or re-opens) the breaker. *)
-
-val trips : t -> trip list
-(** Buckets that tripped at least once, sorted by (SUT, class). *)
-
-val render_trip : trip -> string
-(** One summary line for the campaign report. *)

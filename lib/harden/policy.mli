@@ -23,12 +23,6 @@ type t = {
   fuel : int option;       (** cooperative step budget per execution *)
 }
 
-val default : t
-(** [{ jobs_cap = 1; quorum = 1; breaker = None; timeout_s = None;
-      retries = 0; fuel = None }] — exactly the executor's defaults, so
-    a bare submission behaves like a bare CLI run (the determinism
-    contract depends on this). *)
-
 val of_json : ?default:t -> Conferr_obsv.Json.t -> (t, string) result
 (** Read the policy fields of a submission object ([jobs], [quorum],
     [breaker], [timeout], [retries], [fuel] — all optional, unknown

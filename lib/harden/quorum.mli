@@ -17,11 +17,6 @@ val suspect : Conferr.Outcome.t -> bool
     [Crashed] outcomes other than breaker skips (which were never
     executed, so re-running them proves nothing). *)
 
-val vote : Conferr.Outcome.t list -> Conferr.Outcome.t
-(** Majority by outcome label; ties break toward the earliest attempt,
-    so the vote is deterministic in attempt order.  Raises
-    [Invalid_argument] on the empty list. *)
-
 val run : attempts:int -> (int -> Conferr.Outcome.t) -> verdict
 (** [run ~attempts f] calls [f 0 .. f (attempts-1)] and votes.  Raises
     [Invalid_argument] when [attempts < 1]. *)

@@ -44,11 +44,6 @@ let tick () =
       decr remaining;
       if !remaining < 0 then raise (Out_of_fuel budget)
 
-let fuel_left () =
-  match current_cell () with
-  | None -> None
-  | Some (remaining, _) -> Some (max 0 !remaining)
-
 let boot_and_test ?fuel ?probe sut files =
   with_fuel fuel (fun () -> Engine.boot_and_test ?probe sut files)
 

@@ -17,9 +17,6 @@ val tick : unit -> unit
     {!run_scenario} with a fuel budget — simulators can call it
     unconditionally. *)
 
-val fuel_left : unit -> int option
-(** Remaining budget of the calling thread, if one is installed. *)
-
 val boot_and_test :
   ?fuel:int ->
   ?probe:Conferr_obsv.Span.probe ->

@@ -16,13 +16,6 @@ type t = {
   kind : kind;
 }
 
-let kind_label = function
-  | Deleted -> "deleted"
-  | Inserted -> "inserted"
-  | Renamed _ -> "renamed"
-  | Value_changed _ -> "value-changed"
-  | Changed -> "changed"
-
 let edit ~file ~section (node : Node.t) kind =
   { file; section; node_kind = node.kind; name = node.name; kind }
 

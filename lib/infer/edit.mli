@@ -34,7 +34,3 @@ val diff :
 (** Edits in document order, files in set order.  A file present in
     only one of the sets contributes a single [Deleted]/[Inserted] edit
     for its root. *)
-
-val kind_label : kind -> string
-(** ["deleted"], ["inserted"], ["renamed"], ["value-changed"],
-    ["changed"]. *)

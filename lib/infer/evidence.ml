@@ -14,18 +14,14 @@ type row = {
 type t = { sut_name : string; rows : row list; unmatched : string list }
 
 let collect ?jobs ~sut ~scenarios ~entries ~base () =
-  let by_id = Hashtbl.create (List.length scenarios * 2) in
-  List.iter
-    (fun (sc : Errgen.Scenario.t) ->
-      if not (Hashtbl.mem by_id sc.id) then Hashtbl.add by_id sc.id sc)
-    scenarios;
+  let by_id = Conferr.Faultload.by_id scenarios in
   let arr = Array.of_list entries in
   let rows =
     Conferr_pool.map ?jobs
       (fun _ (entry : Journal.entry) ->
         let message = Signature.outcome_message entry.outcome in
         let edits, matched =
-          match Hashtbl.find_opt by_id entry.scenario_id with
+          match by_id entry.scenario_id with
           | None -> ([], false)
           | Some sc -> (
             match sc.apply base with

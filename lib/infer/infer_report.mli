@@ -7,9 +7,6 @@
 val recovery : Pipeline.result -> int * int
 (** (recovered, total) over hand-written rule ids. *)
 
-val majority : Pipeline.result -> bool
-(** [2 * recovered >= total] — the ROADMAP item-2 acceptance bar. *)
-
 val render : Pipeline.result -> string
 (** The text report: evidence summary, kept candidates with support /
     confidence / verdict, and the rule diff. *)

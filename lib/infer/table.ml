@@ -4,10 +4,6 @@ type obs = { row : Evidence.row; edit : Edit.t }
 
 type t = { key : key; display : string; node_kind : string; obs : obs list }
 
-let target_string k =
-  if k.section = "" then Printf.sprintf "%s:%s" k.file k.name
-  else Printf.sprintf "%s#%s:%s" k.file k.section k.name
-
 let usable_outcome = function
   | "startup" | "functional" | "ignored" -> true
   | _ -> false

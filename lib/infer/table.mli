@@ -26,6 +26,3 @@ val build : Evidence.row list -> t list
 (** One table per distinct key, in first-appearance order.  Rows whose
     outcome is ["n/a"] or ["crashed"] carry no validator evidence and
     are skipped; unnamed nodes (blank/comment lines) are skipped. *)
-
-val target_string : key -> string
-(** ["file:name"] or ["file#section:name"] for display. *)

@@ -1,22 +1,5 @@
 let mine = Conferr_exec.Signature.normalize
 
-let quoted s =
-  let n = String.length s in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    let c = s.[!i] in
-    if c = '"' || c = '\'' then begin
-      match String.index_from_opt s (!i + 1) c with
-      | Some close ->
-        out := String.sub s (!i + 1) (close - !i - 1) :: !out;
-        i := close + 1
-      | None -> incr i
-    end
-    else incr i
-  done;
-  List.rev !out
-
 let is_digit c = c >= '0' && c <= '9'
 
 let ints s =

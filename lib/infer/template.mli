@@ -16,10 +16,6 @@
 val mine : string -> string
 (** The template of a message.  Idempotent (property-tested). *)
 
-val quoted : string -> string list
-(** Contents of balanced single- or double-quoted spans, in order —
-    the spans {!mine} masks as [<q>]. *)
-
 val ints : string -> int list
 (** Decimal integer literals (maximal digit runs that fit in [int]),
     in order. *)

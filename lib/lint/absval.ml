@@ -8,7 +8,6 @@ type t =
   | Sval of shape
   | Top
 
-let top = Top
 let point n = Ival (n, n)
 
 let eset members =
@@ -17,12 +16,6 @@ let eset members =
   | ms -> Eset ms
 
 let bval b = Bval (Some b)
-
-let shape_label = function
-  | Sh_any -> "string"
-  | Sh_word -> "word"
-  | Sh_path -> "path"
-  | Sh_empty -> "empty"
 
 let classify_shape s =
   if s = "" then Sh_empty
@@ -38,16 +31,6 @@ let shape_join a b =
     match (a, b) with
     | Sh_empty, x | x, Sh_empty -> if x = Sh_empty then Sh_empty else Sh_any
     | _ -> Sh_any
-
-let join a b =
-  match (a, b) with
-  | Bot, x | x, Bot -> x
-  | Top, _ | _, Top -> Top
-  | Ival (l1, h1), Ival (l2, h2) -> Ival (min l1 l2, max h1 h2)
-  | Eset m1, Eset m2 -> Eset (List.sort_uniq compare (m1 @ m2))
-  | Bval b1, Bval b2 -> if b1 = b2 then Bval b1 else Bval None
-  | Sval s1, Sval s2 -> Sval (shape_join s1 s2)
-  | _ -> Top
 
 let contains_int v n =
   match v with
@@ -71,13 +54,3 @@ let contains_string v s =
   | Bval (Some false) ->
     List.mem (String.lowercase_ascii s) [ "off"; "false"; "no"; "0" ]
   | Sval sh -> shape_join sh (classify_shape s) = sh
-
-let to_string = function
-  | Bot -> "bot"
-  | Top -> "top"
-  | Ival (lo, hi) -> if lo = hi then string_of_int lo else Printf.sprintf "[%d, %d]" lo hi
-  | Eset ms -> "{" ^ String.concat ", " ms ^ "}"
-  | Bval None -> "bool"
-  | Bval (Some true) -> "true"
-  | Bval (Some false) -> "false"
-  | Sval sh -> shape_label sh

@@ -19,7 +19,6 @@ type t =
   | Sval of shape
   | Top  (** any value *)
 
-val top : t
 val point : int -> t
 
 val eset : string list -> t
@@ -28,10 +27,4 @@ val eset : string list -> t
 val bval : bool -> t
 val sval : string -> t
 
-val join : t -> t -> t
-(** Least upper bound. *)
-
 val contains_string : t -> string -> bool
-
-val to_string : t -> string
-(** Compact deterministic rendering for messages and dumps. *)

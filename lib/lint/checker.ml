@@ -409,18 +409,6 @@ let run_by_rule ?nearest ~rules set =
     (fun (rule, findings) -> (rule, List.sort_uniq (Finding.compare ~file_order) findings))
     (eval_all ?nearest ~rules set)
 
-(* A rule set resolved once and reused across many configuration sets
-   (the replay loop evaluates the same rules against every journal
-   entry; [prepare] hoists the rule-list construction out of it). *)
-type prepared = { p_nearest : nearest option; p_rules : Rule.t list }
-
-let prepare ?nearest rules = { p_nearest = nearest; p_rules = rules }
-
-let run_prepared p set =
-  match p.p_nearest with
-  | None -> run ~rules:p.p_rules set
-  | Some nearest -> run ~nearest ~rules:p.p_rules set
-
 let exceeds ~threshold findings =
   List.exists (fun f -> Finding.at_least ~threshold f.Finding.severity) findings
 

@@ -28,22 +28,8 @@ val run_by_rule :
     [run ~rules:[rule]] returns for it — from one walk of the set, as
     in {!run}. *)
 
-type prepared
-(** A rule set resolved once for evaluation against many configuration
-    sets — the replay loop's per-entry lint verdicts reuse one
-    [prepared] value instead of rebuilding the rule list per entry. *)
-
-val prepare : ?nearest:nearest -> Rule.t list -> prepared
-
-val run_prepared : prepared -> Conftree.Config_set.t -> Finding.t list
-(** Identical findings to {!run} with the same rules and nearest oracle
-    (asserted by [test_dataflow]). *)
-
 val exceeds : threshold:Finding.severity -> Finding.t list -> bool
 (** At least one finding at or above the threshold. *)
-
-val summary : Finding.t list -> int * int * int
-(** [(errors, warnings, info)] counts. *)
 
 val render_text : Finding.t list -> string
 (** One line per finding plus a trailing count line; ["no findings\n"]

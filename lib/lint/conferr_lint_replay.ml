@@ -29,7 +29,7 @@ type report = {
       (** journal entry ids with no regenerated scenario, in order *)
 }
 
-let static_of ~checker ~sut ~base (sc : Errgen.Scenario.t) =
+let static_of ?nearest ~rules ~sut ~base (sc : Errgen.Scenario.t) =
   match sc.apply base with
   | Error m -> (Gap.Inexpressible m, [])
   | Ok mutated -> (
@@ -39,24 +39,16 @@ let static_of ~checker ~sut ~base (sc : Errgen.Scenario.t) =
       match Conferr.Engine.parse_config sut files with
       | Error m -> (Gap.Unparseable m, [])
       | Ok set ->
-        let findings = Checker.run_prepared checker set in
+        let findings = Checker.run ?nearest ~rules set in
         (Gap.verdict_of_findings findings, findings)))
 
 let scan ?jobs ?nearest ?(deep = false) ~sut ~rules ~scenarios ~entries ~base
     () =
-  let by_id = Hashtbl.create (List.length scenarios * 2) in
-  List.iter
-    (fun (sc : Errgen.Scenario.t) ->
-      if not (Hashtbl.mem by_id sc.id) then Hashtbl.add by_id sc.id sc)
-    scenarios;
+  let by_id = Conferr.Faultload.by_id scenarios in
   let rules =
     if deep then Suts.Dataflow_rules.deepen sut.Suts.Sut.sut_name rules
     else rules
   in
-  (* The rule set and nearest oracle are resolved once here, not per
-     journal entry: every worker lints against the same prepared
-     checker. *)
-  let checker = Checker.prepare ?nearest rules in
   (* claim of each rule id, for the deep (claim-aware) classification;
      rules sharing an id share a claim by construction *)
   let claim_of =
@@ -80,13 +72,13 @@ let scan ?jobs ?nearest ?(deep = false) ~sut ~rules ~scenarios ~entries ~base
     Conferr_pool.map ?jobs
       (fun _ (entry : Journal.entry) ->
         let outcome_label = Conferr.Outcome.label entry.outcome in
-        match Hashtbl.find_opt by_id entry.scenario_id with
+        match by_id entry.scenario_id with
         | None ->
           let static = Gap.Inexpressible "scenario not regenerated" in
           ( { entry; static; findings = []; gap = Gap.Not_comparable },
             true )
         | Some sc ->
-          let static, findings = static_of ~checker ~sut ~base sc in
+          let static, findings = static_of ?nearest ~rules ~sut ~base sc in
           let gap =
             if deep then
               Gap.classify_deep ~static ~gap_claimed:(gap_claimed findings)

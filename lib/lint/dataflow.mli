@@ -77,8 +77,6 @@ val env_of_set :
 (** One binding per specified directive occurrence, in file order of
     the set then document order — deterministic. *)
 
-val tainted : binding list -> binding list
-
 val summarize : binding list -> string
 (** ["dataflow: N directive(s) bound, M tainted"]. *)
 

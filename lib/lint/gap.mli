@@ -21,10 +21,6 @@ val verdict_of_findings : Finding.t list -> static_verdict
 val static_label : static_verdict -> string
 (** ["clean"], ["warning"], ["error"], ["syntax"], ["n/a"]. *)
 
-val flagged : static_verdict -> bool
-(** True for [Flagged Warning], [Flagged Error] and [Unparseable] — the
-    static pass predicts the configuration is bad. *)
-
 type kind =
   | Silent_acceptance
       (** lint flags the mutant, the SUT started and passed — the

@@ -91,10 +91,6 @@ val json_of_body : body -> Conferr_obsv.Json.t
 (** The body alone, as embedded in the file format — also used by
     [conferr infer --format json] to render candidate specs. *)
 
-val to_json : ?sut:string -> spec list -> Conferr_obsv.Json.t
-
-val of_json : Conferr_obsv.Json.t -> (spec list, string) result
-
 val save : ?sut:string -> spec list -> string
 (** One JSON object followed by a newline. *)
 

@@ -40,8 +40,6 @@ let marks t =
 
 let started_s t = t.t0
 
-let elapsed_s t = Unix.gettimeofday () -. t.t0
-
 let phase_ms t =
   let ms = marks t in
   List.filter_map

@@ -36,9 +36,6 @@ val marks : t -> mark list
 val started_s : t -> float
 (** Wall-clock time of {!create}. *)
 
-val elapsed_s : t -> float
-(** Seconds since {!create}. *)
-
 val phase_ms : t -> (string * float) list
 (** Total milliseconds per phase, in canonical pipeline order, listing
     only phases that ran — the journal's [phase_ms] field.  Multiple

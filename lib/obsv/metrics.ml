@@ -120,8 +120,6 @@ let set ?(labels = []) t name v =
       let r = scalar_cell f (norm_labels labels) in
       r := v)
 
-let observe ?labels t name v = record (histogram ?labels t name) v
-
 (* Lock-free reads: the list only grows, by compare-and-set, and a key
    resolved twice by racing domains names the same cell. *)
 type ('k, 'h) handles = { make : 'k -> 'h; made : ('k * 'h) list Atomic.t }

@@ -58,9 +58,6 @@ val inc : ?by:float -> ?labels:(string * string) list -> t -> string -> unit
 val set : ?labels:(string * string) list -> t -> string -> float -> unit
 (** Set a gauge (auto-declared on first use). *)
 
-val observe : ?labels:(string * string) list -> t -> string -> float -> unit
-(** [record (histogram ?labels t name) v]. *)
-
 type ('k, 'h) handles
 (** Handles by key, each made at the key's first lookup and kept, so a
     campaign resolves each of its label sets once.  Lookups take no

@@ -9,13 +9,6 @@ let label = function
   | Run -> "run"
   | Classify -> "classify"
 
-let index = function
-  | Generate -> 0
-  | Serialize -> 1
-  | Spawn -> 2
-  | Run -> 3
-  | Classify -> 4
-
 (* FNV-1a, 64-bit: the same deterministic, scheduling-independent hash
    family the executor uses for per-scenario seeds. *)
 let id s =

@@ -19,9 +19,6 @@ val all : phase list
 val label : phase -> string
 (** ["generate"], ["serialize"], ["spawn"], ["run"], ["classify"]. *)
 
-val index : phase -> int
-(** Position in {!all} — the canonical sort key. *)
-
 val id : string -> string
 (** Deterministic span id: 16 hex digits of an FNV-1a hash of the
     argument.  The scenario span hashes the scenario id; a phase span

@@ -44,8 +44,6 @@ let fold_rings t f init =
   Mutex.unlock t.lock;
   acc
 
-let recorded t = fold_rings t (fun acc r -> acc + r.n) 0
-
 let dropped t = fold_rings t (fun acc r -> acc + r.dropped) 0
 
 let events t =

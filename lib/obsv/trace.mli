@@ -28,9 +28,6 @@ val record : t -> id:string -> class_name:string -> Clock.t -> unit
 (** Publish one finished scenario and its phase marks.  Called from
     worker domains; cheap (one hashtable lookup + array write). *)
 
-val recorded : t -> int
-(** Scenarios currently held across all rings. *)
-
 val dropped : t -> int
 (** Scenarios discarded because a ring was full. *)
 

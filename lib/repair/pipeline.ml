@@ -22,16 +22,13 @@ let file_target ~id set =
   { tg_id = id; tg_class = "file"; tg_config = Ok set; tg_outcome = None }
 
 let journal_targets ?(ids = []) ~scenarios ~stock entries =
-  let by_id = Hashtbl.create 64 in
-  List.iter
-    (fun (s : Errgen.Scenario.t) -> Hashtbl.replace by_id s.id s)
-    scenarios;
+  let by_id = Conferr.Faultload.by_id scenarios in
   entries
   |> List.filter (fun (e : Conferr_exec.Journal.entry) ->
          ids = [] || List.mem e.scenario_id ids)
   |> List.map (fun (e : Conferr_exec.Journal.entry) ->
          let config =
-           match Hashtbl.find_opt by_id e.scenario_id with
+           match by_id e.scenario_id with
            | None ->
              Error
                (Printf.sprintf
@@ -281,8 +278,3 @@ let counts result =
 
 let all_repaired result =
   List.for_all (fun r -> r.r_status <> Unrepaired) result.repairs
-
-let majority_repaired result =
-  let repaired, clean, unrepaired, _ = counts result in
-  let considered = repaired + clean + unrepaired in
-  considered > 0 && 2 * (repaired + clean) > considered

@@ -92,8 +92,3 @@ val counts : result -> int * int * int * int
 
 val all_repaired : result -> bool
 (** No [Unrepaired] target — the exit-0 condition (doc/exec.md). *)
-
-val majority_repaired : result -> bool
-(** Strictly more than half of the non-skipped targets ended
-    [Repaired] or [Already_clean] — the acceptance bar on the paper
-    faultloads. *)

@@ -34,14 +34,12 @@ val describe : broken:Conftree.Config_set.t -> t -> string
     ["rename 'max_connektions' -> 'max_connections'"].  [broken] is the
     pre-repair set the edit addresses. *)
 
-val cost : broken:Conftree.Config_set.t -> t -> int
-(** Character-level edit distance from the broken configuration:
-    Damerau-Levenshtein over the renamed name / replaced value, the
-    rendered size of deleted and inserted subtrees, and for
-    [Restore_file] the combined size of both trees (so whole-file
-    restoration always ranks behind targeted edits). *)
-
 val total_cost : broken:Conftree.Config_set.t -> t list -> int
+(** The sum of each edit's character-level edit distance from the
+    broken configuration: Damerau-Levenshtein over the renamed name /
+    replaced value, the rendered size of deleted and inserted subtrees,
+    and for [Restore_file] the combined size of both trees (so
+    whole-file restoration always ranks behind targeted edits). *)
 
 val apply :
   Conftree.Config_set.t -> t list -> (Conftree.Config_set.t, string) result

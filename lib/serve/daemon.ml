@@ -118,8 +118,6 @@ let create ?(jobs = 1) ?(max_campaigns = 4) ?segment_bytes
     threads = [];
   }
 
-let registry t = t.reg
-
 let status_of = function
   | Queued -> "queued"
   | Running -> "running"
@@ -129,7 +127,6 @@ let status_of = function
   | Failed _ -> "failed"
 
 let status_label c = status_of c.cstatus
-let campaign_id c = c.cid
 
 let terminal = function
   | Queued | Running -> false
@@ -354,6 +351,16 @@ let register t ~sut ~seed ~policy ~base ~scenarios =
   List.iter (fun (_, thread) -> Thread.join thread) ended;
   registered
 
+(* A submission object has members [sut] (required), [seed] (default
+   42) and the {!Conferr_harden.Policy} fields.  A bad member is
+   [Bad_request] first.  Then admission: a slot is taken, or the
+   submission is refused ([Unavailable] while draining, [Busy] at
+   [max_campaigns]) before anything is generated, so a refusal costs no
+   faultload.  Only then are the base configuration parsed and the
+   scenario list generated; the slot is given back if that fails, and a
+   drain begun meanwhile still refuses.  The campaign starts on its own
+   thread, which alone holds the faultload: it dies when the campaign's
+   run returns. *)
 let submit t body =
   let reject kind e = submission_count t kind; Error e in
   match parse_submission body with
@@ -371,7 +378,12 @@ let submit t body =
         | Error e -> reject "rejected" e)))
 
 (* The scenarios in flight finish, then the campaign closes with the ones
-   that ran; the rest are the dropped ones. *)
+   that ran; the rest are the dropped ones ([total] minus the entries, 0
+   once the campaign is terminal).  The wait has no bound of its own: a
+   scenario that hangs holds it while it runs, for ever with no
+   [timeout] in the policy, and even with one on a campaign that runs on
+   helper domains, whose domain is joined only once its abandoned
+   watchdog threads return ({!Conferr_pool.with_timeout}). *)
 let cancel t c =
   locked t (fun () ->
       if terminal c.cstatus then 0

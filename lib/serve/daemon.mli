@@ -53,11 +53,6 @@ val create :
     [conferr_serve_disk_faults] gauge — the other campaigns, each on
     its own thread, are untouched. *)
 
-val registry : t -> Conferr_obsv.Metrics.t
-(** The daemon's metrics registry: service counters
-    ([conferr_serve_*]) plus the executor families of every campaign.
-    [GET /metrics] exposes it. *)
-
 (** {1 Campaign lifecycle} *)
 
 type submit_error =
@@ -65,29 +60,8 @@ type submit_error =
   | Busy                   (** at [max_campaigns] — HTTP 429 *)
   | Unavailable            (** draining — HTTP 503 *)
 
-val submit : t -> Conferr_obsv.Json.t -> (campaign, submit_error) result
-(** Accept a submission object — members [sut] (required), [seed]
-    (default 42) and the {!Conferr_harden.Policy} fields.  A bad member
-    is [Bad_request] first.  Then admission: a slot is taken, or the
-    submission is refused ([Unavailable] while draining, [Busy] at
-    [max_campaigns]) before anything is generated, so a refusal costs no
-    faultload.  Only then are the base configuration parsed and the
-    scenario list generated; the slot is given back if that fails, and
-    a drain begun meanwhile still refuses.  The campaign starts on its
-    own thread, which alone holds the faultload:
-    it dies when the campaign's run returns.  The threads of campaigns
-    that ended since the last submission are joined here.  The campaign
-    is visible in {!campaigns} immediately. *)
-
-val campaigns : t -> campaign list
-(** All campaigns, oldest first.  A closed campaign keeps its summary
-    fields, its events and the (id, class, outcome label) rows that
-    [/results] prints: not its faultload, nor its profile. *)
-
 val find : t -> string -> campaign option
 (** The campaign with this id, from a table keyed by id. *)
-
-val campaign_id : campaign -> string
 
 val status_label : campaign -> string
 (** [queued] / [running] / [done] / [interrupted] / [cancelled] /
@@ -96,19 +70,6 @@ val status_label : campaign -> string
 val finished : campaign -> bool
 (** The campaign reached a terminal status and its journal is
     checkpointed. *)
-
-val cancel : t -> campaign -> int
-(** Set the campaign's cancel flag and wait for it to close: the
-    scenarios in flight finish, no other starts, and the campaign ends
-    [cancelled] with a checkpointed, resumable journal of the ones that
-    ran.  Returns the number dropped, [total] minus the entries.  0 once
-    the campaign is terminal.
-
-    The wait has no bound of its own.  A scenario that hangs holds it
-    while it runs: for ever with no [timeout] in the policy, and even
-    with one on a campaign that runs on helper domains, whose domain is
-    joined only once its abandoned watchdog threads return
-    ({!Conferr_pool.with_timeout}). *)
 
 val wait : t -> campaign -> unit
 (** Block until the campaign is terminal; woken when a campaign closes,
@@ -142,7 +103,7 @@ val drain : t -> unit
     cancel flag, and join the campaign threads once in-flight scenarios
     have finished and each campaign has checkpointed its journal and
     gone terminal (partial campaigns become [interrupted]).  A hung
-    scenario holds it as it holds {!cancel}.  Idempotent. *)
+    scenario holds it as it holds a cancel.  Idempotent. *)
 
 val listen :
   t -> port:int -> ?port_file:string -> ?banner:(int -> unit) -> unit -> unit

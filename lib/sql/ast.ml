@@ -9,26 +9,3 @@ type statement =
   | Select of { columns : string list option; table : string; where : condition option }
   | Delete of { table : string; where : condition option }
   | Use of string
-
-let pp_where fmt = function
-  | None -> ()
-  | Some { column; value } ->
-    Format.fprintf fmt " WHERE %s = %a" column Value.pp value
-
-let pp fmt = function
-  | Create_database d -> Format.fprintf fmt "CREATE DATABASE %s" d
-  | Drop_database d -> Format.fprintf fmt "DROP DATABASE %s" d
-  | Create_table { table; columns } ->
-    Format.fprintf fmt "CREATE TABLE %s (%s)" table
-      (String.concat ", "
-         (List.map (fun (c, t) -> c ^ " " ^ Value.coltype_name t) columns))
-  | Drop_table t -> Format.fprintf fmt "DROP TABLE %s" t
-  | Insert { table; values } ->
-    Format.fprintf fmt "INSERT INTO %s VALUES (%s)" table
-      (String.concat ", " (List.map Value.to_string values))
-  | Select { columns; table; where } ->
-    Format.fprintf fmt "SELECT %s FROM %s%a"
-      (match columns with None -> "*" | Some cs -> String.concat ", " cs)
-      table pp_where where
-  | Delete { table; where } -> Format.fprintf fmt "DELETE FROM %s%a" table pp_where where
-  | Use d -> Format.fprintf fmt "USE %s" d

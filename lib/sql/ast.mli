@@ -13,5 +13,3 @@ type statement =
       (** [columns = None] means [*] *)
   | Delete of { table : string; where : condition option }
   | Use of string
-
-val pp : Format.formatter -> statement -> unit

@@ -17,8 +17,6 @@ type outcome =
 val create : unit -> t
 (** A fresh server with no databases. *)
 
-val execute : t -> Ast.statement -> outcome
-
 val run : t -> string -> outcome
 (** Parse then execute one statement; parse errors become
     [Sql_error]. *)

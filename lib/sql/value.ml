@@ -16,15 +16,6 @@ let equal a b =
   | Text x, Text y -> x = y
   | Int _, Text _ | Text _, Int _ -> false
 
-let pp fmt = function
-  | Int i -> Format.pp_print_int fmt i
-  | Text s -> Format.fprintf fmt "'%s'" s
-  | Null -> Format.pp_print_string fmt "NULL"
-
-let to_string v = Format.asprintf "%a" pp v
-
-let coltype_name = function Tint -> "INT" | Ttext -> "TEXT"
-
 let coltype_of_name s =
   match String.uppercase_ascii s with
   | "INT" | "INTEGER" | "BIGINT" | "SMALLINT" -> Some Tint

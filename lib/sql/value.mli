@@ -10,12 +10,6 @@ val type_matches : coltype -> t -> bool
 val equal : t -> t -> bool
 (** SQL semantics: [Null] equals nothing, not even [Null]. *)
 
-val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string
-
-val coltype_name : coltype -> string
-
 val coltype_of_name : string -> coltype option
 (** Case-insensitive; recognizes the usual aliases ([INT], [INTEGER],
     [TEXT], [VARCHAR], [CHAR]). *)

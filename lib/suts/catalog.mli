@@ -8,9 +8,6 @@
 val all : Sut.t list
 (** Every built-in SUT, in the paper's presentation order. *)
 
-val aliases : (string * string) list
-(** [alias -> canonical sut_name], lowercase. *)
-
 val find : string -> Sut.t option
 (** Resolve a canonical name or alias, case-insensitively. *)
 

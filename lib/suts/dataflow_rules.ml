@@ -15,7 +15,7 @@ let raw ?suggestion ~file ~path message =
 
 (* ------------------------------------------------------------------ *)
 (* PostgreSQL: abstract values read with the server's own parsers.  Its
-   cross-parameter constraints are base rules (Lint_rules.postgres). *)
+   cross-parameter constraints are base rules (Lint_rules.for_sut). *)
 
 let pg_specs =
   List.map

@@ -8,7 +8,7 @@
     abstract-value specifications [conferr analyze] interprets stock
     sets against.  Constraints a server does check, such as pg's
     [max_fsm_pages >= 16 * max_fsm_relations], are base rules built
-    from the simulator ({!Lint_rules.postgres}).  Used by
+    from the simulator ({!Lint_rules.for_sut}).  Used by
     [conferr analyze], [conferr lint --deep] and [conferr gaps --deep]. *)
 
 val deep_rules : string -> Conferr_lint.Rule.t list

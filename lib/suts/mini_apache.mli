@@ -27,7 +27,7 @@ val known_module : string -> bool
 val directive_module : string -> string option
 (** The module a directive comes from ([None] = core). *)
 
-(** {1 Exposed for the static rule set ({!Lint_rules.apache})} *)
+(** {1 Exposed for the static rule set ({!Lint_rules.for_sut})} *)
 
 val fields : string -> string list
 (** A directive's arguments, split on blanks the way httpd splits them. *)

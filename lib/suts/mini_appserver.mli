@@ -19,7 +19,7 @@ val sut : Sut.t
 
 val known_elements : string list
 
-(** {1 Exposed for the static rule set ({!Lint_rules.appserver})} *)
+(** {1 Exposed for the static rule set ({!Lint_rules.for_sut})} *)
 
 (** What the startup checks learn about the configuration: what a
     server that starts runs with. *)

@@ -21,7 +21,7 @@ val reverse_origin : string
 val zones : (string * string) list
 (** [(file, origin)] pairs, as needed by {!Dnsmodel.Codec.bind}. *)
 
-(** {1 Exposed for the static rule set ({!Lint_rules.bind})} *)
+(** {1 Exposed for the static rule set ({!Lint_rules.for_sut})} *)
 
 type zone_decl = {
   zone_file : string;

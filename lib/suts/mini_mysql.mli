@@ -50,7 +50,7 @@ val resolve_name : string -> [ `Known of string | `Ambiguous | `Unknown ]
 (** Variable-name resolution over the [\[mysqld\]] namespace: exact,
     dash/underscore-folded, or unambiguous-prefix match. *)
 
-(** {1 Exposed for the static rule set ({!Lint_rules.mysql})} *)
+(** {1 Exposed for the static rule set ({!Lint_rules.for_sut})} *)
 
 type bounds = { min : int64; max : int64; default : int64 }
 

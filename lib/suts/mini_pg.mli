@@ -25,7 +25,7 @@ val full_config : string
 val validate_text : string -> (unit, string) result
 (** Run only the configuration validation phase of [boot]. *)
 
-(** {1 Exposed for the static rule set ({!Lint_rules.postgres})} *)
+(** {1 Exposed for the static rule set ({!Lint_rules.for_sut})} *)
 
 type spec =
   | Pint of { min : int; max : int; default : int }

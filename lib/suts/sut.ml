@@ -14,13 +14,6 @@ let passed test_name = { test_name; passed = true; detail = "" }
 
 let failed test_name detail = { test_name; passed = false; detail }
 
-let all_passed results = List.for_all (fun r -> r.passed) results
-
-let default_config_text t file =
-  match List.assoc_opt file t.default_config with
-  | Some text -> text
-  | None -> raise Not_found
-
 type problem = {
   file : string;
   path : Conftree.Path.t;

@@ -36,11 +36,6 @@ val passed : string -> test_result
 
 val failed : string -> string -> test_result
 
-val all_passed : test_result list -> bool
-
-val default_config_text : t -> string -> string
-(** Raises [Not_found] for an unknown file name. *)
-
 (** {1 Startup checks with two consumers}
 
     A simulator writes its startup validation once, as a walk that

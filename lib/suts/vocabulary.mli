@@ -11,4 +11,3 @@ val for_sut : Sut.t -> string list
 
 val mysql : string list
 val postgres : string list
-val apache : string list

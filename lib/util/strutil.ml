@@ -26,8 +26,6 @@ let fields s =
   in
   scan [] (-1) (String.length s - 1)
 
-let lowercase = String.lowercase_ascii
-
 (* from [i] on; a top-level loop, so that a comparison allocates nothing *)
 let rec equal_ci_from a b i =
   i = String.length a

@@ -19,8 +19,6 @@ val fields : string -> string list
     order: how httpd splits a directive's arguments and a zone file its
     record fields.  [fields ""] and [fields " \t"] are [[]]. *)
 
-val lowercase : string -> string
-
 val equal_ci : string -> string -> bool
 (** ASCII case-insensitive equality, without lowercased copies. *)
 

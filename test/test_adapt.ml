@@ -34,6 +34,16 @@ let typo_stream ?rounds base =
 
 let silent (_ : Progress.event) = ()
 
+(* At most [n] elements pulled from a stream. *)
+let take n g =
+  let rec go k acc =
+    if k = 0 then List.rev acc
+    else match Gen.next g with Some x -> go (k - 1) (x :: acc) | None -> List.rev acc
+  in
+  go n []
+
+let ids = List.map (fun (s : Scenario.t) -> s.id)
+
 let settings_with ?(jobs = 1) ?(batch = 16) ?budget ?(plateau = 0) () =
   {
     Explore.default_settings with
@@ -48,27 +58,27 @@ let settings_with ?(jobs = 1) ?(batch = 16) ?budget ?(plateau = 0) () =
 (* -------------------------------------------------------------- *)
 
 let test_gen_basics () =
-  let g = Gen.of_list [ 1; 2; 3 ] in
-  Alcotest.(check (list int)) "take stops at the end" [ 1; 2; 3 ] (Gen.take 5 g);
-  Alcotest.(check bool) "exhausted stays exhausted" true (Gen.next g = None);
-  let evens = Gen.filter (fun n -> n mod 2 = 0) (Gen.of_list [ 1; 2; 3; 4; 5 ]) in
-  Alcotest.(check (list int)) "filter" [ 2; 4 ] (Gen.take 10 evens);
-  let merged =
-    Gen.interleave [ Gen.of_list [ 1; 4 ]; Gen.of_list [ 2 ]; Gen.of_list [ 3; 5; 6 ] ]
+  (* a lifted two-scenario generator: round 0 keeps its ids, round 1
+     re-prefixes them, and a stream capped at two rounds ends there *)
+  let two ~rng:_ _ =
+    List.map
+      (fun id -> Scenario.make ~id ~class_name:"noop" ~description:id (fun set -> Ok set))
+      [ "a-0001"; "a-0002" ]
   in
-  Alcotest.(check (list int)) "round-robin interleave" [ 1; 2; 3; 4; 5; 6 ]
-    (Gen.take 10 merged);
-  let counted =
-    Gen.unfold (fun n -> if n < 3 then Some (n, n + 1) else None) 0
-  in
-  Alcotest.(check (list int)) "unfold" [ 0; 1; 2 ] (Gen.take 10 counted)
+  let g = Gen.of_generator ~rounds:2 ~prefix:"a" ~seed:1 two (base ()) in
+  Alcotest.(check (list string)) "take stops at the end"
+    [ "a-0001"; "a-0002"; "a-r1-0001"; "a-r1-0002" ] (ids (take 10 g));
+  Alcotest.(check bool) "exhausted stays exhausted" true (Gen.next g = None)
 
 let test_gen_seeded_deterministic () =
-  let draw rng = Some (Conferr_util.Rng.int rng 1000) in
-  let a = Gen.take 20 (Gen.seeded ~seed:5 draw) in
-  let b = Gen.take 20 (Gen.seeded ~seed:5 draw) in
-  let c = Gen.take 20 (Gen.seeded ~seed:6 draw) in
-  Alcotest.(check (list int)) "same seed, same stream" a b;
+  let base = base () in
+  let draw seed =
+    List.map
+      (fun (s : Scenario.t) -> s.id ^ " " ^ s.description)
+      (take 400 (Gen.of_generator ~prefix:"typo" ~seed typo_generator base))
+  in
+  let a = draw 5 and b = draw 5 and c = draw 6 in
+  Alcotest.(check (list string)) "same seed, same stream" a b;
   Alcotest.(check bool) "different seed, different stream" true (a <> c)
 
 (* Round 0 of a lifted generator IS the classic faultload: same ids,
@@ -77,7 +87,7 @@ let test_gen_round0_is_classic_faultload () =
   let base = base () in
   let classic = exhaustive_scenarios base in
   let n = List.length classic in
-  let streamed = Gen.take n (typo_stream ~rounds:1 base) in
+  let streamed = take n (typo_stream ~rounds:1 base) in
   Alcotest.(check (list string)) "ids match"
     (List.map (fun (s : Scenario.t) -> s.id) classic)
     (List.map (fun (s : Scenario.t) -> s.id) streamed);
@@ -86,7 +96,7 @@ let test_gen_round0_is_classic_faultload () =
     (List.map (fun (s : Scenario.t) -> s.description) streamed);
   Alcotest.(check bool) "bounded stream ends" true
     (Gen.next (let g = typo_stream ~rounds:1 base in
-               ignore (Gen.take n g);
+               ignore (take n g);
                g)
      = None)
 
@@ -95,7 +105,7 @@ let test_gen_unbounded_rounds () =
   let classic = exhaustive_scenarios base in
   let n = List.length classic in
   let g = typo_stream base in
-  let two_rounds = Gen.take (n + 5) g in
+  let two_rounds = take (n + 5) g in
   Alcotest.(check int) "keeps producing past round 0" (n + 5)
     (List.length two_rounds);
   let round1_ids =
@@ -131,9 +141,6 @@ let test_dedup_novel_never_skipped () =
       | Mutant_cache.Inexpressible msg ->
         Alcotest.failf "deletion %s inexpressible: %s" s.id msg)
     deletions;
-  Alcotest.(check int) "all registered" (List.length deletions)
-    (Mutant_cache.size cache);
-  Alcotest.(check int) "no hits" 0 (Mutant_cache.hits cache);
   (* ... and a byte-identical re-application is always caught *)
   let first = List.hd deletions in
   let again = { first with Scenario.id = "again-0001" } in
@@ -143,7 +150,14 @@ let test_dedup_novel_never_skipped () =
        first_id
    | Mutant_cache.Fresh _ -> Alcotest.fail "identical mutant not deduped"
    | Mutant_cache.Inexpressible msg -> Alcotest.failf "inexpressible: %s" msg);
-  Alcotest.(check int) "one hit" 1 (Mutant_cache.hits cache)
+  (* every deletion was registered under its own id *)
+  List.iter
+    (fun (s : Scenario.t) ->
+      match Mutant_cache.classify cache ~sut ~base { s with Scenario.id = s.id ^ "-again" } with
+      | Mutant_cache.Duplicate_of { first_id; _ } ->
+        Alcotest.(check string) "registered" s.id first_id
+      | _ -> Alcotest.failf "deletion %s not registered" s.id)
+    deletions
 
 let test_explore_dedup_properties () =
   let base = base () in
@@ -205,13 +219,16 @@ let test_plateau_stop () =
   let base = base () in
   let counter = ref 0 in
   let stream =
-    Gen.seeded ~seed:1 (fun _rng ->
+    Gen.of_generator ~prefix:"noop" ~seed:1
+      (fun ~rng:_ _ ->
         incr counter;
-        Some
-          (Scenario.make
-             ~id:(Printf.sprintf "noop-%04d" !counter)
-             ~class_name:"noop" ~description:"no-op at postgresql.conf:/0"
-             (fun set -> Ok set)))
+        [
+          Scenario.make
+            ~id:(Printf.sprintf "noop-%04d" !counter)
+            ~class_name:"noop" ~description:"no-op at postgresql.conf:/0"
+            (fun set -> Ok set);
+        ])
+      base
   in
   let report =
     Explore.run_from
@@ -220,9 +237,9 @@ let test_plateau_stop () =
   in
   (match report.Explore.stop with
    | Explore.Plateaued 2 -> ()
-   | other ->
+   | _ ->
      Alcotest.failf "expected Plateaued 2, got %s"
-       (Explore.stop_reason_to_string other));
+       (Explore.render report));
   Alcotest.(check int) "discovery batch + 2 empty batches" 3
     report.Explore.batches;
   Alcotest.(check int) "one distinct signature" 1
@@ -241,9 +258,9 @@ let test_budget_stop () =
   in
   (match report.Explore.stop with
    | Explore.Budget_exhausted -> ()
-   | other ->
+   | _ ->
      Alcotest.failf "expected Budget_exhausted, got %s"
-       (Explore.stop_reason_to_string other));
+       (Explore.render report));
   Alcotest.(check bool) "budget respected up to one batch of overshoot" true
     (report.Explore.executed >= 20 && report.Explore.executed < 20 + 8)
 

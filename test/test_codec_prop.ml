@@ -52,7 +52,10 @@ let tinydns_codec = Codec.tinydns ~file:"data"
 let tinydns_skeleton = Config_set.of_list [ ("data", Node.root []) ]
 
 let retag records =
-  List.map (fun r -> Record.with_tag r Codec.tag_file "data") records
+  List.map
+    (fun (r : Record.t) ->
+      { r with tags = (Codec.tag_file, "data") :: List.remove_assoc Codec.tag_file r.tags })
+    records
 
 let prop_tinydns_roundtrip_untangled =
   (* generated records carry no combined groups, so tinydns can always

@@ -34,7 +34,7 @@ let test_target () =
 let test_tags () =
   let r = Record.make ~tags:[ ("file", "zone1") ] "a.example.com." (Record.A "1.2.3.4") in
   Alcotest.(check (option string)) "tag" (Some "zone1") (Record.tag r "file");
-  let r2 = Record.with_tag r "file" "zone2" in
+  let r2 = { r with tags = [ ("file", "zone2") ] } in
   Alcotest.(check (option string)) "replaced" (Some "zone2") (Record.tag r2 "file");
   Alcotest.(check bool) "equal ignores tags" true (Record.equal r r2)
 

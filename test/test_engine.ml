@@ -9,14 +9,6 @@ let all_suts =
     Suts.Mini_djbdns.sut;
   ]
 
-let test_baselines () =
-  List.iter
-    (fun (sut : Suts.Sut.t) ->
-      match Engine.baseline_ok sut with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "%s baseline: %s" sut.sut_name msg)
-    all_suts
-
 let test_parse_serialize_roundtrip () =
   List.iter
     (fun (sut : Suts.Sut.t) ->
@@ -35,6 +27,26 @@ let test_parse_serialize_roundtrip () =
 let noop_scenario =
   Scenario.make ~id:"noop" ~class_name:"test/noop" ~description:"no change" (fun set ->
       Ok set)
+
+(* The unmodified default configuration boots and passes every
+   functional test: a no-op scenario through the campaign pipeline. *)
+let baseline (sut : Suts.Sut.t) =
+  match Engine.parse_default_config sut with
+  | Error msg -> Error msg
+  | Ok base -> (
+    match Engine.run_scenario ~sut ~base noop_scenario with
+    | Outcome.Passed -> Ok ()
+    | Outcome.Startup_failure msg -> Error msg
+    | Outcome.Test_failure msgs -> Error (String.concat "; " msgs)
+    | o -> Error (Outcome.label o))
+
+let test_baselines () =
+  List.iter
+    (fun (sut : Suts.Sut.t) ->
+      match baseline sut with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s baseline: %s" sut.sut_name msg)
+    all_suts
 
 let failing_scenario =
   Scenario.make ~id:"fail" ~class_name:"test/fail" ~description:"always fails" (fun _ ->
@@ -91,9 +103,9 @@ let test_serialization_failure_is_na () =
      | o -> Alcotest.failf "expected N/A, got %s" (Outcome.label o))
 
 let run_ok ~sut ~scenarios =
-  match Engine.run ~sut ~scenarios () with
-  | Ok profile -> profile
-  | Error e -> Alcotest.fail (Engine.config_error_to_string e)
+  match Engine.parse_default_config sut with
+  | Ok base -> Engine.run_from ~sut ~base ~scenarios ()
+  | Error msg -> Alcotest.fail msg
 
 let test_run_builds_profile () =
   let scenarios = [ noop_scenario; failing_scenario; break_port_scenario ] in
@@ -166,12 +178,20 @@ let test_profile_rendering () =
 let test_profile_class_filter () =
   let scenarios = [ noop_scenario; break_port_scenario ] in
   let profile = run_ok ~sut:Suts.Mini_pg.sut ~scenarios in
-  let s = Conferr.Profile.summarize_class profile "test/port" in
-  Alcotest.(check int) "only that class" 1 s.Conferr.Profile.total;
-  Alcotest.(check (list string))
-    "class names"
-    [ "test/noop"; "test/port" ]
-    (Conferr.Profile.class_names profile)
+  (* one row per class, in first-appearance order, each counting only
+     its own entries *)
+  let rows =
+    String.split_on_char '\n' (Conferr.Profile.render profile)
+    |> List.filter_map (fun line ->
+           match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+           | cls :: applicable :: _ when String.length cls > 5 && String.sub cls 0 5 = "test/" ->
+             Some (cls, applicable)
+           | _ -> None)
+  in
+  Alcotest.(check (list (pair string string)))
+    "class rows"
+    [ ("test/noop", "1"); ("test/port", "1") ]
+    rows
 
 let test_detection_rate () =
   let s =
@@ -246,7 +266,11 @@ let test_bad_default_config_reported () =
       default_config = [];
     }
   in
-  match Engine.run ~sut ~scenarios:[ noop_scenario ] () with
+  match
+    Conferr_adapt.Explore.run ~sut
+      ~stream:(fun _ -> Alcotest.fail "stream built over an unparsed base")
+      ()
+  with
   | Ok _ -> Alcotest.fail "expected a config error"
   | Error e ->
     Alcotest.(check string) "names the SUT" "misdeclared" e.Engine.sut_name;

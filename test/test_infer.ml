@@ -92,7 +92,8 @@ let check_recovered what result must_recover =
   Alcotest.(check bool)
     (what ^ ": majority of hand-written ids recovered")
     true
-    (Infer_report.majority result)
+    (let recovered, total = Infer_report.recovery result in
+     total > 0 && 2 * recovered >= total)
 
 (* ---------------- acceptance: paper faultloads ---------------- *)
 
@@ -187,7 +188,13 @@ let diff_pg mutated_text =
 
 let check_edit msg (edit : Edit.t) ~name ~kind =
   Alcotest.(check string) (msg ^ ": name") name edit.name;
-  Alcotest.(check string) (msg ^ ": kind") kind (Edit.kind_label edit.kind)
+  Alcotest.(check string) (msg ^ ": kind") kind
+    (match edit.kind with
+     | Edit.Deleted -> "deleted"
+     | Edit.Inserted -> "inserted"
+     | Edit.Renamed _ -> "renamed"
+     | Edit.Value_changed _ -> "value-changed"
+     | Edit.Changed -> "changed")
 
 let test_edit_diff () =
   (match diff_pg "a = 1\nb = two\nc = 4\n" with

@@ -62,9 +62,9 @@ let test_store_roundtrip () =
   let dir = temp_dir_name () in
   let es = entries 12 in
   write_store ~segment_bytes:256 dir es;
-  Alcotest.(check bool) "path recognized as a store" true (Journal.is_store dir);
+  Alcotest.(check bool) "path recognized as a store" true (Journal.survey dir).store;
   Alcotest.(check bool) "rotation produced several segments" true
-    (List.length (Segstore.segment_files dir) > 1);
+    (List.length (Journal.survey dir).segments > 1);
   Alcotest.(check (list string)) "load returns every entry in order"
     (canonical es) (canonical (Journal.load dir));
   Alcotest.(check bool) "fresh store fscks clean" true
@@ -104,7 +104,7 @@ let test_version_compat () =
   Alcotest.(check (list string)) "v3 loads" (canonical es)
     (canonical (Journal.load v3));
   Alcotest.(check bool) "a single file is not a store" false
-    (Journal.is_store v2);
+    (Journal.survey v2).store;
   Sys.remove v1;
   Sys.remove v2;
   rm_rf v3
@@ -320,7 +320,7 @@ let test_kill_sweep () =
   let io, st = chaos_io ~rate:0.0 ~kill_at:max_int [] in
   write_store ~segment_bytes:seg_bytes ~io dir es;
   Alcotest.(check bool) "sweep range crosses a segment boundary" true
-    (List.length (Segstore.segment_files dir) > 1);
+    (List.length (Journal.survey dir).segments > 1);
   let total = Diskchaos.written_bytes st in
   rm_rf dir;
   for off = 0 to total do
@@ -544,7 +544,10 @@ let test_serve_fault_isolation () =
          | Ok j -> Json.member "error" j <> None
          | Error _ -> false)
        events);
-  let exposed = Metrics.expose (Daemon.registry daemon) in
+  let exposed =
+    (Test_serve.response_of (Daemon.handle daemon (Test_serve.get "/metrics")))
+      .Conferr_serve.Http.resp_body
+  in
   let contains needle =
     let nl = String.length needle and el = String.length exposed in
     let rec go i = i + nl <= el && (String.sub exposed i nl = needle || go (i + 1)) in
@@ -595,9 +598,10 @@ let test_fsck_json () =
   write_store ~segment_bytes:256 dir es;
   (* bit rot: garbage appended to a sealed segment breaks both the line
      format and the manifest CRC *)
+  let segments = (Journal.survey dir).segments in
   let seg =
-    match Segstore.segment_files dir with
-    | first :: _ -> Filename.concat dir first
+    match segments with
+    | first :: _ -> Filename.concat dir first.segment
     | [] -> Alcotest.fail "store has no segments"
   in
   let oc = open_out_gen [ Open_append ] 0o644 seg in
@@ -612,8 +616,7 @@ let test_fsck_json () =
     (member "torn" j = Json.Num 1.);
   (match member "segments" j with
    | Json.Arr segs ->
-     Alcotest.(check int) "one object per segment"
-       (List.length (Segstore.segment_files dir))
+     Alcotest.(check int) "one object per segment" (List.length segments)
        (List.length segs);
      Alcotest.(check bool) "the damaged segment fails its CRC" true
        (List.exists (fun s -> member "crc_ok" s = Json.Bool false) segs)

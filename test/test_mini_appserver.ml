@@ -18,7 +18,7 @@ let boot_err text =
   | Ok _ -> Alcotest.fail "expected startup failure"
   | Error msg -> msg
 
-let tests_pass instance = Sut.all_passed (instance.Sut.run_tests ())
+let tests_pass instance = List.for_all (fun (r : Suts.Sut.test_result) -> r.passed) (instance.Sut.run_tests ())
 
 let contains needle msg = Conferr_util.Strutil.contains_substring ~needle msg
 
@@ -112,9 +112,16 @@ let test_no_connectors_rejected () =
   Alcotest.(check bool) "no connectors" true (contains "connector" msg)
 
 let test_engine_integration () =
-  match Conferr.Engine.baseline_ok A.sut with
-  | Ok () -> ()
+  let noop =
+    Errgen.Scenario.make ~id:"noop" ~class_name:"test/noop"
+      ~description:"no change" (fun set -> Ok set)
+  in
+  match Conferr.Engine.parse_default_config A.sut with
   | Error msg -> Alcotest.fail msg
+  | Ok base ->
+    match Conferr.Engine.run_scenario ~sut:A.sut ~base noop with
+    | Conferr.Outcome.Passed -> ()
+    | o -> Alcotest.failf "stock configuration: %s" (Conferr.Outcome.label o)
 
 let test_typo_campaign_runs () =
   (* the generic campaign machinery works on the XML format too *)

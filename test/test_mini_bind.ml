@@ -26,7 +26,7 @@ let boot_err ?named ?fwd ?rev () =
   | Ok _ -> Alcotest.fail "expected zone load failure"
   | Error msg -> msg
 
-let tests_pass instance = Sut.all_passed (instance.Sut.run_tests ())
+let tests_pass instance = List.for_all (fun (r : Suts.Sut.test_result) -> r.passed) (instance.Sut.run_tests ())
 
 let contains needle msg = Conferr_util.Strutil.contains_substring ~needle msg
 

@@ -18,7 +18,7 @@ let boot_err text =
   | Ok _ -> Alcotest.fail "expected a compile failure"
   | Error msg -> msg
 
-let tests_pass instance = Sut.all_passed (instance.Sut.run_tests ())
+let tests_pass instance = List.for_all (fun (r : Suts.Sut.test_result) -> r.passed) (instance.Sut.run_tests ())
 
 let contains needle msg = Conferr_util.Strutil.contains_substring ~needle msg
 
@@ -67,9 +67,9 @@ let test_equals_defines_both_mappings () =
        in
        let resolver = Dnsmodel.Resolver.create zones in
        Alcotest.(check (list string)) "forward" [ "10.0.0.2" ]
-         (Dnsmodel.Resolver.lookup_a resolver "www.example.com");
+         (Test_resolver.lookup_a resolver "www.example.com");
        Alcotest.(check (list string)) "reverse" [ "www.example.com." ]
-         (Dnsmodel.Resolver.lookup_ptr resolver ~ip:"10.0.0.2"))
+         (Test_resolver.lookup_ptr resolver ~ip:"10.0.0.2"))
 
 let test_missing_data_file () =
   match D.sut.Sut.boot [] with

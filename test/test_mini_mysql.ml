@@ -16,7 +16,7 @@ let boot_err config =
   | Ok _ -> Alcotest.fail "expected startup failure"
   | Error msg -> msg
 
-let tests_pass instance = Sut.all_passed (instance.Sut.run_tests ())
+let tests_pass instance = List.for_all (fun (r : Suts.Sut.test_result) -> r.passed) (instance.Sut.run_tests ())
 
 let default_text = List.assoc "my.cnf" M.sut.Sut.default_config
 

@@ -34,7 +34,7 @@ let test_parse_select () =
   | Ok (Ast.Select { columns = Some [ "a"; "b" ]; table = "t"; where = Some w }) ->
     Alcotest.(check string) "where column" "a" w.Ast.column;
     Alcotest.(check bool) "where value" true (w.Ast.value = Value.Int 1)
-  | Ok other -> Alcotest.failf "wrong statement: %s" (Format.asprintf "%a" Ast.pp other)
+  | Ok _ -> Alcotest.fail "wrong statement"
   | Error msg -> Alcotest.fail msg
 
 let test_parse_star () =

@@ -1,5 +1,8 @@
 module Node = Conftree.Node
 
+(* The number of nodes in a tree, as [Node.fold] visits them. *)
+let size t = Node.fold (fun _ _ n -> n + 1) t 0
+
 let sample =
   Node.root
     [
@@ -31,7 +34,7 @@ let test_set_remove_attr () =
   let d = Node.remove_attr d "a" in
   Alcotest.(check (option string)) "removed" None (Node.attr d "a")
 
-let test_size () = Alcotest.(check int) "counts all nodes" 8 (Node.size sample)
+let test_size () = Alcotest.(check int) "counts all nodes" 8 (size sample)
 
 let test_get () =
   Alcotest.(check (option node_t)) "root" (Some sample) (Node.get sample []);
@@ -76,7 +79,7 @@ let test_delete () =
   (match Node.delete sample [ 0; 1 ] with
    | None -> Alcotest.fail "delete failed"
    | Some t ->
-     Alcotest.(check int) "one fewer node" (Node.size sample - 1) (Node.size t);
+     Alcotest.(check int) "one fewer node" (size sample - 1) (size t);
      (match Node.get t [ 0; 1 ] with
       | Some n -> Alcotest.(check string) "sibling shifted" "a2" n.Node.name
       | None -> Alcotest.fail "expected shifted sibling"));
@@ -120,7 +123,7 @@ let test_move_across_sections () =
   match Node.move sample ~src:[ 0; 0 ] ~dst_parent:[ 1 ] ~index:0 with
   | None -> Alcotest.fail "move failed"
   | Some t ->
-    Alcotest.(check int) "size preserved" (Node.size sample) (Node.size t);
+    Alcotest.(check int) "size preserved" (size sample) (size t);
     (match Node.get t [ 1; 0 ] with
      | Some n -> Alcotest.(check string) "arrived" "a1" n.Node.name
      | None -> Alcotest.fail "missing");
@@ -135,8 +138,8 @@ let test_move_within_section_later () =
   | None -> Alcotest.fail "move failed"
   | Some t ->
     let names =
-      match Node.children_of t [ 0 ] with
-      | Some cs -> List.map (fun (c : Node.t) -> c.name) cs
+      match Node.get t [ 0 ] with
+      | Some n -> List.map (fun (c : Node.t) -> c.name) n.children
       | None -> []
     in
     Alcotest.(check (list string)) "order" [ ""; "a2"; "a1" ] names
@@ -150,7 +153,7 @@ let test_copy () =
   match Node.copy sample ~src:[ 0; 0 ] ~dst_parent:[ 1 ] ~index:1 with
   | None -> Alcotest.fail "copy failed"
   | Some t ->
-    Alcotest.(check int) "one more node" (Node.size sample + 1) (Node.size t);
+    Alcotest.(check int) "one more node" (size sample + 1) (size t);
     (match Node.get t [ 1; 1 ] with
      | Some n -> Alcotest.(check string) "copied" "a1" n.Node.name
      | None -> Alcotest.fail "missing")
@@ -185,7 +188,7 @@ let prop_delete_shrinks =
         (match Conftree.Node.delete tree path with
          | None -> false
          | Some t ->
-           Conftree.Node.size t = Conftree.Node.size tree - Conftree.Node.size sub))
+           size t = size tree - size sub))
 
 let prop_get_after_update =
   QCheck2.Test.make ~name:"node: update reaches exactly the addressed node"
@@ -219,7 +222,7 @@ let prop_duplicate_grows =
         (match Conftree.Node.duplicate tree path with
          | None -> false
          | Some t ->
-           Conftree.Node.size t = Conftree.Node.size tree + Conftree.Node.size sub))
+           size t = size tree + size sub))
 
 let prop_find_first =
   QCheck2.Test.make ~name:"node: find_first is the head of find_all"

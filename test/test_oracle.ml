@@ -137,7 +137,10 @@ let agree ~fl seed =
               plateau = 0;
             }
           ~on_event:silent ~sut:fl.sut ~base:fl.base
-          ~stream:(Errgen.Gen.of_list scenarios) ()
+          ~stream:
+            (Errgen.Gen.of_generator ~rounds:1 ~prefix:"oracle" ~seed:0
+               (fun ~rng:_ _ -> scenarios) fl.base)
+          ()
       in
       let explored = outcomes report.Explore.profile in
       List.iter

@@ -1,21 +1,35 @@
 module Process_bench = Conferr.Process_bench
 module Rng = Conferr_util.Rng
 
-let run ?(experiments = 10) ?(proximity = 2) ~sut ~config tasks =
+let run ?(experiments = 10) ~sut ~config tasks =
   match
-    Process_bench.run ~rng:(Rng.create 21) ~experiments ~proximity ~sut ~config
-      ~tasks ()
+    Process_bench.run ~rng:(Rng.create 21) ~experiments ~sut ~config ~tasks ()
   with
   | Ok t -> t
   | Error msg -> Alcotest.failf "benchmark failed: %s" msg
 
+(* The paper's process benchmark: postgres, then mysql. *)
+let paper = lazy (Conferr.Paper.process_benchmark ~seed:21 ~experiments:10 ())
+
+let paper_result name =
+  List.find (fun (t : Process_bench.t) -> t.sut_name = name) (Lazy.force paper)
+
+(* The overall detection percentage [render] prints. *)
+let overall_percent t =
+  let text = Process_bench.render t in
+  let needle = "overall detection " in
+  let rec find i =
+    if String.sub text i (String.length needle) = needle then i + String.length needle
+    else find (i + 1)
+  in
+  let start = find 0 in
+  int_of_string (String.sub text start (String.index_from text start '%' - start))
+
 let pg_config = ("postgresql.conf", Suts.Mini_pg.full_config)
 
 let test_runs_all_tasks () =
-  let t =
-    run ~sut:Suts.Mini_pg.sut ~config:pg_config Conferr.Paper.postgres_tasks
-  in
-  Alcotest.(check int) "one result per task" (List.length Conferr.Paper.postgres_tasks)
+  let t = paper_result "postgres" in
+  Alcotest.(check int) "one result per task" 4
     (List.length t.Process_bench.task_results);
   List.iter
     (fun (r : Process_bench.task_result) ->
@@ -44,40 +58,27 @@ let test_invalid_task_rejected () =
   | Ok _ -> Alcotest.fail "an invalid edit is a benchmark bug, not a fault"
 
 let test_detection_rate () =
-  let t =
-    run ~sut:Suts.Mini_pg.sut ~config:pg_config Conferr.Paper.postgres_tasks
-  in
-  let rate = Process_bench.detection_rate t in
-  Alcotest.(check bool) "in [0,1]" true (rate >= 0. && rate <= 1.)
+  let t = paper_result "postgres" in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 t.Process_bench.task_results in
+  let detected = sum (fun r -> r.Process_bench.detected)
+  and injected = sum (fun r -> r.Process_bench.injections) in
+  Alcotest.(check int) "detected over injected, in percent"
+    (int_of_string (Printf.sprintf "%.0f" (100. *. float detected /. float injected)))
+    (overall_percent t)
 
 let test_postgres_beats_mysql () =
   (* the §5.5 conclusion holds under the process benchmark too *)
-  let pg = run ~sut:Suts.Mini_pg.sut ~config:pg_config Conferr.Paper.postgres_tasks in
-  let mysql =
-    run ~sut:Suts.Mini_mysql.sut
-      ~config:("my.cnf", Suts.Mini_mysql.full_config)
-      Conferr.Paper.mysql_tasks
-  in
   Alcotest.(check bool) "postgres more resilient" true
-    (Process_bench.detection_rate pg > Process_bench.detection_rate mysql)
+    (overall_percent (paper_result "postgres") > overall_percent (paper_result "mysql"))
 
 let test_render () =
   let t =
     run ~sut:Suts.Mini_pg.sut ~config:pg_config
-      [ List.hd Conferr.Paper.postgres_tasks ]
+      [ { Process_bench.directive = "max_connections"; new_value = "200" } ]
   in
   let text = Process_bench.render t in
   Alcotest.(check bool) "mentions the task" true
     (Conferr_util.Strutil.contains_substring ~needle:"max_connections" text)
-
-let test_proximity_zero_targets_edited_directive () =
-  let t =
-    run ~proximity:0 ~sut:Suts.Mini_pg.sut ~config:pg_config
-      [ { Process_bench.directive = "shared_buffers"; new_value = "32MB" } ]
-  in
-  match t.Process_bench.task_results with
-  | [ r ] -> Alcotest.(check int) "ran" 10 r.Process_bench.injections
-  | _ -> Alcotest.fail "expected one result"
 
 let suite =
   [
@@ -87,5 +88,4 @@ let suite =
     Alcotest.test_case "detection rate" `Quick test_detection_rate;
     Alcotest.test_case "postgres beats mysql" `Quick test_postgres_beats_mysql;
     Alcotest.test_case "render" `Quick test_render;
-    Alcotest.test_case "proximity zero" `Quick test_proximity_zero_targets_edited_directive;
   ]

@@ -134,7 +134,8 @@ let test_restore_file_ranks_last () =
   in
   Alcotest.(check bool)
     "whole-file restoration costs more than a targeted rename" true
-    (Redit.cost ~broken:stock restore > Redit.cost ~broken:stock rename)
+    (Redit.total_cost ~broken:stock [ restore ]
+     > Redit.total_cost ~broken:stock [ rename ])
 
 (* ---------------- reverse typo generation ---------------- *)
 
@@ -249,13 +250,20 @@ let repair_journal ?(jobs = 1) ?ids sut (stock, scenarios, entries) =
   Pipeline.run ~jobs ~nearest ~sut ~rules:(rules_of sut) ~stock
     (Pipeline.journal_targets ?ids ~scenarios ~stock entries)
 
+(* Repaired or harmless outnumber the unrepaired among the targets
+   considered. *)
+let majority_repaired result =
+  let repaired, clean, unrepaired, _ = Pipeline.counts result in
+  let considered = repaired + clean + unrepaired in
+  considered > 0 && 2 * (repaired + clean) > considered
+
 let test_pg_journal_acceptance () =
   let result = repair_journal ~jobs:4 Suts.Mini_pg.sut (Lazy.force pg_campaign) in
   let repaired, clean, unrepaired, skipped = Pipeline.counts result in
   Alcotest.(check int) "every scenario regenerated" 0 skipped;
   Alcotest.(check int) "pg: no unrepairable faults" 0 unrepaired;
   Alcotest.(check bool) "pg: majority of injected errors repaired" true
-    (Pipeline.majority_repaired result);
+    (majority_repaired result);
   Alcotest.(check bool)
     (Printf.sprintf "pg: more repaired (%d) than merely harmless (%d)"
        repaired clean)
@@ -282,7 +290,7 @@ let test_bind_journal_acceptance () =
   let _, _, _, skipped = Pipeline.counts result in
   Alcotest.(check int) "every scenario regenerated" 0 skipped;
   Alcotest.(check bool) "bind: majority of injected errors repaired" true
-    (Pipeline.majority_repaired result)
+    (majority_repaired result)
 
 let test_deterministic_across_jobs () =
   let c = Lazy.force pg_campaign in
@@ -450,6 +458,33 @@ let test_faultload_matches_inline_derivation () =
   check Suts.Mini_bind.sut true;
   check Suts.Mini_djbdns.sut true
 
+(* gaps, infer and repair join journal entries to the regenerated
+   faultload through Faultload.by_id, which keeps the first scenario of
+   an id: the ids are unique, so the scenario kept is the only one. *)
+let test_faultload_ids_unique () =
+  List.iter
+    (fun (sut : Suts.Sut.t) ->
+      let base = base_of sut in
+      List.iter
+        (fun seed ->
+          let scenarios = Conferr.Faultload.journal_scenarios ~seed sut base in
+          let ids = List.map (fun (s : Errgen.Scenario.t) -> s.id) scenarios in
+          Alcotest.(check int)
+            (Printf.sprintf "%s seed %d: ids unique" sut.sut_name seed)
+            (List.length ids)
+            (List.length (List.sort_uniq compare ids));
+          let by_id = Conferr.Faultload.by_id scenarios in
+          List.iter
+            (fun (s : Errgen.Scenario.t) ->
+              match by_id s.id with
+              | Some found when found == s -> ()
+              | _ ->
+                Alcotest.failf "%s seed %d: %s joins another scenario"
+                  sut.sut_name seed s.id)
+            scenarios)
+        [ 1; 42 ])
+    Suts.Catalog.all
+
 let suite =
   [
     Alcotest.test_case "redit: apply order-independent" `Quick
@@ -471,6 +506,8 @@ let suite =
       test_deterministic_across_jobs;
     Alcotest.test_case "faultload: shared regenerator" `Quick
       test_faultload_matches_inline_derivation;
+    Alcotest.test_case "faultload: journal ids unique" `Quick
+      test_faultload_ids_unique;
     QCheck_alcotest.to_alcotest prop_repair_is_surgical;
     Alcotest.test_case "journal mode: output locked on six SUTs" `Slow
       test_output_locked;

@@ -19,18 +19,23 @@ let test_nearest_tie_break () =
   | _ -> Alcotest.fail "expected distance-1 match"
 
 let test_suggestions_ordering () =
-  let s = Suggest.suggestions ~vocabulary:vocab "max_connection" in
-  (match s with
-   | first :: _ -> Alcotest.(check string) "closest first" "max_connections" first
-   | [] -> Alcotest.fail "expected suggestions");
-  Alcotest.(check bool) "bounded distance" true
-    (List.for_all
-       (fun c -> Conferr_util.Strutil.damerau_levenshtein "max_connection" c <= 2)
-       s)
+  (* the did-you-mean answer is the closest name, at its distance *)
+  match Suggest.nearest ~vocabulary:vocab "max_connection" with
+  | Some (first, d) ->
+    Alcotest.(check string) "closest first" "max_connections" first;
+    Alcotest.(check int) "its distance" d
+      (Conferr_util.Strutil.damerau_levenshtein "max_connection" first);
+    Alcotest.(check bool) "bounded distance" true (d <= 2)
+  | None -> Alcotest.fail "expected a suggestion"
+
+(* The recovery rate of each vocabulary word, as [recoverability]
+   measures it. *)
+let rates = lazy (Suggest.recoverability ~vocabulary:vocab ~rng:(Rng.create 9) ())
+
+let recovery_rate word = List.assoc word (Lazy.force rates).Suggest.per_word
 
 let test_recovery_rate_distinct_names () =
-  let rng = Rng.create 9 in
-  let rate = Suggest.recovery_rate ~vocabulary:vocab ~rng "key_buffer_size" in
+  let rate = recovery_rate "key_buffer_size" in
   Alcotest.(check bool)
     (Printf.sprintf "long distinctive names recover well (%.2f)" rate)
     true (rate > 0.8)
@@ -38,9 +43,8 @@ let test_recovery_rate_distinct_names () =
 let test_recovery_rate_short_name () =
   (* one-letter typos of a 4-letter word are often nearer to nothing
      unique; the rate is meaningfully below the long-name case *)
-  let rng = Rng.create 9 in
-  let long_rate = Suggest.recovery_rate ~vocabulary:vocab ~rng "myisam_sort_buffer_size" in
-  let short_rate = Suggest.recovery_rate ~vocabulary:vocab ~rng "port" in
+  let long_rate = recovery_rate "myisam_sort_buffer_size" in
+  let short_rate = recovery_rate "port" in
   Alcotest.(check bool)
     (Printf.sprintf "short %.2f <= long %.2f" short_rate long_rate)
     true (short_rate <= long_rate)
@@ -58,7 +62,7 @@ let test_recoverability_summary () =
 let test_vocabularies () =
   Alcotest.(check bool) "mysql non-empty" true (Suts.Vocabulary.mysql <> []);
   Alcotest.(check bool) "apache has LoadModule" true
-    (List.mem "LoadModule" Suts.Vocabulary.apache);
+    (List.mem "LoadModule" (Suts.Vocabulary.for_sut Suts.Mini_apache.sut));
   Alcotest.(check (list string)) "dns suts name-free" []
     (Suts.Vocabulary.for_sut Suts.Mini_bind.sut);
   Alcotest.(check bool) "for_sut postgres" true
@@ -80,7 +84,7 @@ let prop_nearest_matches_oracle =
   let open QCheck2.Gen in
   let word = string_size ~gen:(char_range 'a' 'e') (int_range 0 9) in
   let vocabularies =
-    oneofl [ Suts.Vocabulary.mysql; Suts.Vocabulary.postgres; Suts.Vocabulary.apache ]
+    oneofl [ Suts.Vocabulary.mysql; Suts.Vocabulary.postgres; Suts.Vocabulary.for_sut Suts.Mini_apache.sut ]
   in
   QCheck2.Test.make ~count:300 ~name:"suggest: nearest matches measuring every candidate"
     ~print:QCheck2.Print.(pair (list string) string)
