@@ -757,8 +757,8 @@ let print_benchmarks () =
 (* Serve against the CLI: what the daemon adds to a campaign            *)
 (* ------------------------------------------------------------------ *)
 
-(* An in-process daemon (Daemon.handle, no sockets: this measures the
-   service, not the loopback stack) against the CLI's path for the same
+(* An in-process daemon (Daemon.handle, no sockets: these rows measure
+   the service, not the loopback stack) against the CLI's path for the same
    campaigns, generation plus Executor.run_from with a journal.  A lone
    postgres campaign, then a burst of the three db campaigns (postgres,
    mysql, appserver) submitted together; each campaign is timed from
@@ -772,7 +772,15 @@ let print_benchmarks () =
    domain: the daemon's campaigns on threads of their own, which take
    turns once per range of the map.  bench/e2e pins its daemon to one
    CPU; run this section the same way (`taskset -c 1 dune exec
-   bench/main.exe serve`).  It writes BENCH_serve.json. *)
+   bench/main.exe serve`).  It writes BENCH_serve.json.
+
+   The socket rows time the same daemon through Daemon.listen on a
+   loopback port, with Nagle off on the client's socket: on one
+   keep-alive connection, warmed by 10 round trips before each timing,
+   two and then three pipelined GET /healthz, from the send to the last
+   reply (median and max over the rounds); and a closed pg campaign's
+   /events on a connection of its own, from the send to the stream's
+   end, with the chunks it came in. *)
 let print_serve_throughput () =
   print_endline "=== Serve against the CLI (in-process daemon, doc/serve.md) ===\n";
   let module Daemon = Conferr_serve.Daemon in
@@ -796,14 +804,16 @@ let print_serve_throughput () =
     { Http.meth = "POST"; target = "/campaigns"; path = "/campaigns"; query = [];
       version = "HTTP/1.1"; headers = []; body }
   in
+  (* the campaign's id and the campaign *)
   let submit daemon sut =
     match Daemon.handle daemon (post_campaign sut) with
     | `Response { Http.status = 202; resp_body; _ } ->
       let id =
-        Option.bind (Result.to_option (Json.of_string resp_body)) (fun j ->
-            Option.bind (Json.member "id" j) Json.str)
+        Option.get
+          (Option.bind (Result.to_option (Json.of_string resp_body)) (fun j ->
+               Option.bind (Json.member "id" j) Json.str))
       in
-      Option.get (Option.bind id (Daemon.find daemon))
+      (id, Option.get (Daemon.find daemon id))
     | _ -> failwith "bench submission refused"
   in
   (* each campaign's ms from its submission to its close, and each
@@ -814,7 +824,7 @@ let print_serve_throughput () =
       List.map
         (fun sut ->
           let t0 = Unix.gettimeofday () in
-          let c = submit daemon sut in
+          let _, c = submit daemon sut in
           (t0, ms_since t0, c))
         suts
     in
@@ -893,7 +903,7 @@ let print_serve_throughput () =
      from one with room for no campaign. *)
   let kept_words =
     let daemon = Daemon.create ~jobs:1 ~state_dir:(Filename.concat work "kept") () in
-    let run k = Daemon.wait daemon (submit daemon (List.nth db (k mod 3))) in
+    let run k = Daemon.wait daemon (snd (submit daemon (List.nth db (k mod 3)))) in
     let live () = Gc.full_major (); (Gc.stat ()).Gc.live_words in
     for k = 0 to 2 do run k done;
     let before = live () in
@@ -935,6 +945,86 @@ let print_serve_throughput () =
   Printf.printf
     "  a closed campaign keeps %d live words; a refused submission allocates %.0f (503) and %.0f (429)\n"
     kept_words draining_words full_words;
+  let socket_rows =
+    let daemon = Daemon.create ~jobs:1 ~state_dir:(Filename.concat work "socket") () in
+    let pg_id, pg = submit daemon "mini_pg" in
+    Daemon.wait daemon pg;
+    (* listen stops on SIGTERM, sent below; the section's own handlers
+       come back after it *)
+    let saved = List.map (fun s -> (s, Sys.signal s Sys.Signal_default)) [ Sys.sigterm; Sys.sigint ] in
+    let port = Atomic.make 0 in
+    let listener =
+      Thread.create (fun () -> Daemon.listen daemon ~port:0 ~banner:(Atomic.set port) ()) ()
+    in
+    while Atomic.get port = 0 do Thread.delay 0.001 done;
+    let connect () =
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.setsockopt fd Unix.TCP_NODELAY true;
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Atomic.get port));
+      (fd, Http.reader_of_fd fd)
+    in
+    (* send the requests in one write, read the replies, return the
+       chunks of each body *)
+    let exchange (fd, r) requests =
+      Http.write_all fd (String.concat "" requests);
+      List.map
+        (fun _ ->
+          match Http.parse_response_head r with
+          | Error msg -> failwith ("bench serve socket: " ^ msg)
+          | Ok (_, headers) ->
+            let chunks = ref 0 in
+            (match Http.read_body r ~headers ~on_chunk:(fun _ -> incr chunks) with
+             | Ok () -> ()
+             | Error msg -> failwith ("bench serve socket: " ^ msg));
+            !chunks)
+        requests
+    in
+    let get path = Printf.sprintf "GET %s HTTP/1.1\r\nhost: conferr\r\n\r\n" path in
+    let timed f =
+      let t0 = Unix.gettimeofday () in
+      let x = f () in
+      (ms_since t0, x)
+    in
+    let conn = connect () in
+    let pipelined n =
+      for _ = 1 to 10 do ignore (exchange conn [ get "/healthz" ]) done;
+      fst (timed (fun () -> exchange conn (List.init n (fun _ -> get "/healthz"))))
+    in
+    let healthz = List.init rounds (fun _ -> let two = pipelined 2 in (two, pipelined 3)) in
+    Unix.close (fst conn);
+    let events =
+      List.init rounds (fun _ ->
+          let conn = connect () in
+          let ms, chunks = timed (fun () -> exchange conn [ get ("/campaigns/" ^ pg_id ^ "/events") ]) in
+          Unix.close (fst conn);
+          (ms, List.hd chunks))
+    in
+    let lines = List.length (fst (Daemon.events_after daemon pg 0)) in
+    Unix.kill (Unix.getpid ()) Sys.sigterm;
+    Thread.join listener;
+    List.iter (fun (s, b) -> Sys.set_signal s b) saved;
+    rm_rf work;
+    let worst = List.fold_left Float.max 0. in
+    let spread xs = Json.Obj [ ("median", Json.Num (median xs)); ("max", Json.Num (worst xs)) ] in
+    let two = List.map fst healthz and three = List.map snd healthz in
+    let events_ms = median (List.map fst events) and chunks = snd (List.hd events) in
+    Printf.printf "  socket: 2 pipelined /healthz %.2f ms (max %.2f), 3 pipelined %.2f ms (max %.2f)\n"
+      (median two) (worst two) (median three) (worst three);
+    Printf.printf "  socket: closed pg /events, %d lines in %d chunk(s), %.2f ms\n" lines chunks
+      events_ms;
+    Json.Obj
+      [
+        ("healthz_pipelined_2_ms", spread two);
+        ("healthz_pipelined_3_ms", spread three);
+        ( "events_closed_pg",
+          Json.Obj
+            [
+              ("lines", Json.Num (float_of_int lines));
+              ("chunks", Json.Num (float_of_int chunks));
+              ("ms", Json.Num events_ms);
+            ] );
+      ]
+  in
   let rows =
     List.mapi
       (fun k (shape, suts) ->
@@ -967,6 +1057,7 @@ let print_serve_throughput () =
           ("closed_campaign_live_words", Json.Num (float_of_int kept_words));
           ( "refused_submission_words",
             Json.Obj [ ("draining_503", Json.Num draining_words); ("full_429", Json.Num full_words) ] );
+          ("socket", socket_rows);
         ]
        @ rows));
   print_newline ()

@@ -15,14 +15,6 @@ let with_connection ?(host = "127.0.0.1") ~port f =
             (Printf.sprintf "cannot connect to %s:%d: %s" host port
                (Unix.error_message err))))
 
-let write_all fd s =
-  let bytes = Bytes.unsafe_of_string s in
-  let n = Bytes.length bytes in
-  let written = ref 0 in
-  while !written < n do
-    written := !written + Unix.write fd bytes !written (n - !written)
-  done
-
 let send fd ~meth ~path ?body () =
   let body_part =
     match body with
@@ -32,7 +24,7 @@ let send fd ~meth ~path ?body () =
         "content-type: application/json\r\ncontent-length: %d\r\n\r\n%s"
         (String.length b) b
   in
-  write_all fd
+  Http.write_all fd
     (Printf.sprintf "%s %s HTTP/1.1\r\nhost: conferr\r\nconnection: close\r\n%s"
        meth path body_part)
 

@@ -524,7 +524,11 @@ let stream_events t c ~from write =
              if c.events_n <= !i && c.terminal = None then
                Condition.wait t.changed t.lock)
      | _ ->
-       List.iter (fun line -> write (line ^ "\n")) lines;
+       (* one chunk per wake: the socket has Nagle off, so each write is
+          a segment of its own *)
+       let buf = Buffer.create 4096 in
+       List.iter (fun line -> Buffer.add_string buf line; Buffer.add_char buf '\n') lines;
+       write (Buffer.contents buf);
        i := !i + List.length lines)
   done
 
@@ -649,10 +653,11 @@ let listen t ~port ?port_file ?banner () =
      output_string oc (string_of_int bound ^ "\n");
      close_out oc);
   Option.iter (fun f -> f bound) banner;
-  let conns = ref [] in
-  (* sockets of the connections still open, so the stop can end their
-     input; a connection removes its own before closing it *)
-  let open_fds = ref [] and fds_lock = Mutex.create () in
+  (* the connections still open, each with its thread, so the stop can
+     end their input and join them; a connection removes itself and
+     closes its socket in one critical section, so a socket number is
+     never registered twice *)
+  let open_conns = ref [] and conns_lock = Mutex.create () in
   (* accept with a short timeout so a signal is noticed promptly even
      when no connection ever arrives *)
   while not (Atomic.get stop_requested) do
@@ -661,19 +666,22 @@ let listen t ~port ?port_file ?banner () =
     | _ :: _, _, _ -> (
       match Unix.accept sock with
       | fd, _ ->
-        Mutex.protect fds_lock (fun () -> open_fds := fd :: !open_fds);
-        let th =
-          Thread.create
-            (fun () ->
-              Fun.protect
-                ~finally:(fun () ->
-                  Mutex.protect fds_lock (fun () ->
-                      open_fds := List.filter (fun f -> f <> fd) !open_fds);
-                  try Unix.close fd with Unix.Unix_error _ -> ())
-                (fun () -> Http.serve_connection (handle t) fd))
-            ()
+        (* every reply goes out as soon as it is written: with Nagle's
+           algorithm on, a reply written while the one before it is
+           unacknowledged waits for the client's delayed ACK (40 ms) *)
+        (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+        let serve () =
+          Fun.protect
+            ~finally:(fun () ->
+              Mutex.protect conns_lock (fun () ->
+                  open_conns := List.filter (fun (f, _) -> f <> fd) !open_conns;
+                  try Unix.close fd with Unix.Unix_error _ -> ()))
+            (fun () -> Http.serve_connection (handle t) fd)
         in
-        conns := th :: !conns
+        (* registered before it can remove itself: its removal waits for
+           the lock held here *)
+        Mutex.protect conns_lock (fun () ->
+            open_conns := (fd, Thread.create serve ()) :: !open_conns)
       | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ())
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
@@ -682,8 +690,11 @@ let listen t ~port ?port_file ?banner () =
   (* a connection parked in parse_request on an idle keep-alive socket
      would wait for its client forever: end its input, so it reads EOF
      (one mid-response still writes its answer), then join them all *)
-  Mutex.protect fds_lock (fun () ->
-      List.iter
-        (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-        !open_fds);
-  List.iter (fun th -> try Thread.join th with _ -> ()) !conns
+  let still_open =
+    Mutex.protect conns_lock (fun () ->
+        List.iter
+          (fun (fd, _) -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
+          !open_conns;
+        !open_conns)
+  in
+  List.iter (fun (_, th) -> try Thread.join th with _ -> ()) still_open

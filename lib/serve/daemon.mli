@@ -86,7 +86,8 @@ val events_after : t -> campaign -> int -> string list * bool
     stream is closed (terminal event written).  A campaign keeps its
     events as values; only the ones asked for are walked, and they are
     rendered here, outside the daemon lock.  Building block of the
-    [/events] chunked stream. *)
+    [/events] chunked stream, which sends the lines of each call as one
+    chunk. *)
 
 (** {1 HTTP surface} *)
 
@@ -110,9 +111,14 @@ val listen :
 (** Bind [127.0.0.1:port] ([port = 0] picks an ephemeral port), write
     the bound port to [port_file] if given, call [banner] with it, and
     accept connections (one systhread each) until SIGTERM or SIGINT.
+    Every accepted socket has [TCP_NODELAY] set, so a reply leaves as
+    soon as it is written instead of waiting for the client's delayed
+    ACK of the one before it; each reply, and each wake of an
+    [/events] stream, is one write.  Only the open connections are
+    kept, each with its thread: a connection that ends removes itself.
     On signal: stop accepting, {!drain}, end the input side of every
     connection still open (so a client idling on a keep-alive
-    connection does not hold the stop), join the connection threads and
+    connection does not hold the stop), join their threads and
     return — the caller exits 0.
     SIGPIPE is ignored for the process (dead peers must not kill the
     daemon). *)

@@ -79,6 +79,11 @@ val response :
 
 val json_response : ?status:int -> Conferr_obsv.Json.t -> response
 
+val write_all : Unix.file_descr -> string -> unit
+(** Write the whole string, calling [Unix.write] until every byte is
+    out.  Each reply and each chunk is handed to one call: the daemon's
+    sockets have Nagle's algorithm off, so every call leaves at once. *)
+
 (** {1 Connection loop} *)
 
 type handler =

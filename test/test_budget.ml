@@ -394,6 +394,48 @@ let test_refused_budget () =
   remove_state_dir full_dir;
   if over <> [] then Alcotest.fail (String.concat "; " over)
 
+(* The listener's budget: live words per connection between the 100th
+   and the 1,100th, each a GET /healthz with [connection: close] through
+   [Daemon.listen].  A listener that kept every connection's thread
+   until it stopped read 10 words per connection; one that keeps only
+   the open connections' threads reads 0. *)
+let connection_budget = 1.
+
+let test_connection_budget () =
+  let dir = state_dir () in
+  let daemon = Daemon.create ~jobs:1 ~state_dir:dir () in
+  let saved = List.map (fun s -> (s, Sys.signal s Sys.Signal_default)) [ Sys.sigterm; Sys.sigint ] in
+  let port = Atomic.make 0 in
+  let listener =
+    Thread.create (fun () -> Daemon.listen daemon ~port:0 ~banner:(Atomic.set port) ()) ()
+  in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while Atomic.get port = 0 && Unix.gettimeofday () < deadline do Thread.delay 0.01 done;
+  if Atomic.get port = 0 then Alcotest.fail "the daemon did not listen";
+  let request = "GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n" in
+  let buf = Bytes.create 512 in
+  let connection () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Atomic.get port));
+    Http.write_all fd request;
+    (* the daemon closes its socket once it has let go of the connection *)
+    while Unix.read fd buf 0 (Bytes.length buf) > 0 do () done;
+    Unix.close fd
+  in
+  for _ = 1 to 100 do connection () done;
+  let before = live_words () in
+  for _ = 1 to 1_000 do connection () done;
+  let per_connection = float_of_int (live_words () - before) /. 1_000. in
+  Unix.kill (Unix.getpid ()) Sys.sigterm;
+  Thread.join listener;
+  List.iter (fun (s, b) -> Sys.set_signal s b) saved;
+  remove_state_dir dir;
+  Printf.printf "a closed connection keeps %.2f live words (budget %.0f)\n%!" per_connection
+    connection_budget;
+  if per_connection > connection_budget then
+    Alcotest.failf "a closed connection keeps %.2f live words, budget %.0f" per_connection
+      connection_budget
+
 let () =
   Alcotest.run "budget"
     [
@@ -415,5 +457,7 @@ let () =
             test_closed_campaign_budget;
           Alcotest.test_case "daemon words per refused submission within budget" `Quick
             test_refused_budget;
+          Alcotest.test_case "daemon live words per closed connection within budget" `Quick
+            test_connection_budget;
         ] );
     ]

@@ -619,10 +619,17 @@ let test_event_to_json () =
   Alcotest.(check string) "breaker" "breaker-tripped"
     (tag (Progress.Breaker_tripped { bucket = "b" }))
 
-(* SIGTERM while a client holds an idle keep-alive connection: listen
-   drains and returns without waiting for the client to hang up. *)
-let test_daemon_sigterm_idle_keepalive () =
-  let daemon = Daemon.create ~jobs:1 ~state_dir:(temp_dir ()) () in
+let within seconds cond =
+  let deadline = Unix.gettimeofday () +. seconds in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  cond ()
+
+(* [Daemon.listen] on port 0, on a thread of its own: the bound port;
+   a stop that sends SIGTERM and tells whether listen returned within
+   5 s; and a join that waits for it and restores the signal handlers. *)
+let start_listener daemon =
   let saved = List.map (fun s -> (s, Sys.signal s Sys.Signal_default)) [ Sys.sigterm; Sys.sigint ] in
   let port = Atomic.make 0 and returned = Atomic.make false in
   let listener =
@@ -632,17 +639,28 @@ let test_daemon_sigterm_idle_keepalive () =
         Atomic.set returned true)
       ()
   in
-  let within seconds cond =
-    let deadline = Unix.gettimeofday () +. seconds in
-    while (not (cond ())) && Unix.gettimeofday () < deadline do
-      Thread.delay 0.01
-    done;
-    cond ()
-  in
   (* the banner comes after listen installed its signal handlers *)
   Alcotest.(check bool) "listening" true (within 5. (fun () -> Atomic.get port > 0));
+  let stop () =
+    Unix.kill (Unix.getpid ()) Sys.sigterm;
+    within 5. (fun () -> Atomic.get returned)
+  and join () =
+    Thread.join listener;
+    List.iter (fun (s, b) -> Sys.set_signal s b) saved
+  in
+  (Atomic.get port, stop, join)
+
+let connect port =
   let client = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect client (Unix.ADDR_INET (Unix.inet_addr_loopback, Atomic.get port));
+  Unix.connect client (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  client
+
+(* SIGTERM while a client holds an idle keep-alive connection: listen
+   drains and returns without waiting for the client to hang up. *)
+let test_daemon_sigterm_idle_keepalive () =
+  let daemon = Daemon.create ~jobs:1 ~state_dir:(temp_dir ()) () in
+  let port, stop, join = start_listener daemon in
+  let client = connect port in
   let request = "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n" in
   ignore (Unix.write_substring client request 0 (String.length request));
   let buf = Bytes.create 512 and got = Buffer.create 512 in
@@ -655,11 +673,9 @@ let test_daemon_sigterm_idle_keepalive () =
     if n = 0 then Alcotest.fail "connection closed before the answer";
     Buffer.add_subbytes got buf 0 n
   done;
-  Unix.kill (Unix.getpid ()) Sys.sigterm;
-  let stopped = within 5. (fun () -> Atomic.get returned) in
+  let stopped = stop () in
   Unix.close client;
-  Thread.join listener;
-  List.iter (fun (s, b) -> Sys.set_signal s b) saved;
+  join ();
   Alcotest.(check bool) "listen returned while the client held its connection" true
     stopped
 
@@ -868,6 +884,67 @@ let test_daemon_status_snapshots () =
   Alcotest.(check bool) "polled while the burst ran" true
     (!polls > 2 * List.length campaigns)
 
+(* Replies over a socket go out as soon as they are written.  On a
+   keep-alive connection warmed by 10 round trips, two and then three
+   pipelined GET /healthz: with Nagle's algorithm on, a reply written
+   while the one before it is unacknowledged waits for the client's
+   delayed ACK, so each group took about 42 ms and a round about 84.
+   The client's own socket has Nagle off, so only the daemon's side can
+   stall.  Then a closed pg campaign's /events: every line it has in
+   one chunk (one chunk per line sent 337), the lines [events_after]
+   returns. *)
+let test_daemon_socket_replies_at_once () =
+  let daemon = Daemon.create ~jobs:1 ~state_dir:(temp_dir ()) () in
+  let c = submit_pg daemon in
+  Daemon.wait daemon c;
+  let port, stop, join = start_listener daemon in
+  let client = connect port in
+  Unix.setsockopt client Unix.TCP_NODELAY true;
+  let r = Http.reader_of_fd client in
+  let healthz = "GET /healthz HTTP/1.1\r\nhost: conferr\r\n\r\n" in
+  let exchange n =
+    Http.write_all client (String.concat "" (List.init n (fun _ -> healthz)));
+    for _ = 1 to n do
+      match Http.parse_response_head r with
+      | Error msg -> Alcotest.failf "healthz: %s" msg
+      | Ok (status, headers) ->
+        Alcotest.(check int) "healthz status" 200 status;
+        ignore (Result.get_ok (Http.read_body r ~headers ~on_chunk:ignore))
+    done
+  in
+  let round () =
+    for _ = 1 to 10 do exchange 1 done;
+    let t0 = Unix.gettimeofday () in
+    exchange 2;
+    exchange 3;
+    (Unix.gettimeofday () -. t0) *. 1e3
+  in
+  let fastest = List.fold_left Float.min infinity (List.init 5 (fun _ -> round ())) in
+  Unix.close client;
+  let stream = connect port in
+  Http.write_all stream
+    (Printf.sprintf "GET /campaigns/%s/events HTTP/1.1\r\nhost: conferr\r\n\r\n"
+       (campaign_id c));
+  let r = Http.reader_of_fd stream in
+  let chunks = ref [] in
+  (match Http.parse_response_head r with
+   | Error msg -> Alcotest.failf "events: %s" msg
+   | Ok (_, headers) -> (
+     match Http.read_body r ~headers ~on_chunk:(fun data -> chunks := data :: !chunks) with
+     | Ok () -> ()
+     | Error msg -> Alcotest.failf "events body: %s" msg));
+  Unix.close stream;
+  let stopped = stop () in
+  join ();
+  let lines, _ = Daemon.events_after daemon c 0 in
+  Alcotest.(check bool) "listen returned" true stopped;
+  if fastest >= 20. then
+    Alcotest.failf "two and three pipelined requests took %.1f ms at best" fastest;
+  Alcotest.(check int) "chunks of a closed campaign's stream" 1 (List.length !chunks);
+  Alcotest.(check string) "the stream is the lines of events_after"
+    (String.concat "" (List.map (fun l -> l ^ "\n") lines))
+    (String.concat "" (List.rev !chunks))
+
 let suite =
   [
     Alcotest.test_case "http: simple request" `Quick test_parse_simple;
@@ -919,4 +996,6 @@ let suite =
       test_daemon_sigterm_idle_keepalive;
     Alcotest.test_case "daemon: status snapshots agree with the event stream" `Slow
       test_daemon_status_snapshots;
+    Alcotest.test_case "daemon: socket replies go out at once" `Quick
+      test_daemon_socket_replies_at_once;
   ]
